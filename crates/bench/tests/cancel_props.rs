@@ -2,10 +2,11 @@
 //! firing the ambient token at an *arbitrary* access count always
 //! surfaces as a typed `Cancelled` error — never a completed report,
 //! never a leaked panic — and the cancellation point lands within one
-//! check interval of the firing access, on both the word-level cache
-//! simulator (`MemSim`) and the stack-distance simulator (`StackSim`).
+//! check interval of the firing access, on the word-level cache
+//! simulator (`MemSim`), the stack-distance simulator (`StackSim`) and
+//! the streaming `traced` tally (`TallyMem`).
 
-use memsim::{MemSim, SimMem, StackMem};
+use memsim::{MemSim, SimMem, StackMem, TallyMem};
 use proptest::prelude::*;
 use wa_core::cancel::{self, CHECK_INTERVAL};
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Workload};
@@ -26,7 +27,7 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
         "cancel-prop",
         "test",
         "fires the ambient token mid-simulation",
-        &[BackendKind::Simmed, BackendKind::Stack],
+        &[BackendKind::Simmed, BackendKind::Stack, BackendKind::Traced],
         move |cfg: RunCfg| {
             let drive = |ld: &mut dyn FnMut(usize) -> f64| {
                 for i in 0..total {
@@ -46,6 +47,10 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
                 }
                 BackendKind::Stack => {
                     let mut mem = StackMem::from_vec(vec![0.0; WORDS]);
+                    drive(&mut |i| memsim::Mem::ld(&mut mem, i));
+                }
+                BackendKind::Traced => {
+                    let mut mem = TallyMem::from_vec(vec![0.0; WORDS]);
                     drive(&mut |i| memsim::Mem::ld(&mut mem, i));
                 }
                 other => unreachable!("undeclared backend {other}"),
@@ -110,5 +115,10 @@ proptest! {
     #[test]
     fn firing_at_any_access_count_cancels_the_stack_backend(fire_at in 0u64..20_000) {
         assert_cancels(BackendKind::Stack, fire_at)?;
+    }
+
+    #[test]
+    fn firing_at_any_access_count_cancels_the_traced_backend(fire_at in 0u64..20_000) {
+        assert_cancels(BackendKind::Traced, fire_at)?;
     }
 }

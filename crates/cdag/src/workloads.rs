@@ -8,7 +8,7 @@ use crate::fft::{fft_mem, Complex};
 use crate::strassen::{strassen_mem, strassen_scratch_words};
 use dense::desc::alloc_layout;
 use memsim::xeon::XeonGeometry;
-use memsim::{memsim_report, stack_report, Mem, MemSim, RawMem, SimMem, StackMem, TraceMem};
+use memsim::{memsim_report, stack_report, Mem, MemSim, RawMem, SimMem, StackMem, TallyMem};
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::Mat;
@@ -55,12 +55,11 @@ fn run_backend(
             Ok(r)
         }
         BackendKind::Traced => {
-            let mut mem = TraceMem::from_vec(data);
+            let mut mem = TallyMem::from_vec(data);
             let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem)));
-            let writes = mem.trace.iter().filter(|a| a.is_write).count();
             let mut r = base(backend)
-                .config("trace_len", mem.trace.len())
-                .config("trace_writes", writes);
+                .config("trace_len", mem.tally.words())
+                .config("trace_writes", mem.tally.writes());
             r.wall_ns = ns;
             Ok(r)
         }

@@ -10,7 +10,8 @@
 //!   true-LRU L3-sized simulator (the Propositions 6.1/6.2 setting),
 //!   flushed before reporting so end-of-run dirty state is charged;
 //! * `raw` — the same access-driven kernels on raw memory (wall clock);
-//! * `traced` — the address trace, reported as length/distinct-lines;
+//! * `traced` — the access stream's length, writes and distinct 8-word
+//!   lines, tallied as it runs ([`memsim::TallyMem`]; no trace is stored);
 //! * `stack` — the single-pass Mattson stack simulator: one run of the
 //!   access-driven kernel yields exact FA-LRU fills and write-backs at
 //!   *every* capacity (a [`wa_core::CapacityCurve`]); the report's
@@ -42,7 +43,7 @@ use crate::trsm::{blocked_trsm, TrsmVariant};
 use memsim::xeon::XeonGeometry;
 use memsim::{
     explicit_report, memsim_report, stack_report, ExplicitHier, Mem, MemSim, RawMem, SimMem,
-    StackMem, TraceMem,
+    StackMem, TallyMem,
 };
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
@@ -153,15 +154,13 @@ fn run_mem_kernel(
             Ok(r)
         }
         BackendKind::Traced => {
-            let mut mem = TraceMem::from_vec(data);
+            let mut mem = TallyMem::from_vec(data);
             let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem), &d));
-            let distinct: std::collections::BTreeSet<usize> =
-                mem.trace.iter().map(|a| a.addr / 8).collect();
-            let writes = mem.trace.iter().filter(|a| a.is_write).count();
+            let t = &mem.tally;
             let mut r = base_report(name, backend, scale, n)
-                .config("trace_len", mem.trace.len())
-                .config("trace_writes", writes)
-                .config("trace_distinct_lines", distinct.len());
+                .config("trace_len", t.words())
+                .config("trace_writes", t.writes())
+                .config("trace_distinct_lines", t.distinct_lines());
             r.wall_ns = ns;
             Ok(r)
         }

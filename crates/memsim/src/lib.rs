@@ -18,6 +18,9 @@
 //! * [`mem`] — the [`mem::Mem`] access trait through which instrumented
 //!   kernels run unchanged on raw memory (no counting, full speed), on the
 //!   cache simulator, or on a trace recorder.
+//! * [`tally`] — the streaming `traced` backend ([`tally::TraceTally`]):
+//!   the word, write and distinct-line counts a recorded trace reduces
+//!   to, tallied per run without storing the trace.
 //! * [`ideal`] — the ideal-cache miss count model for the cache-oblivious
 //!   matmul of Frigo et al. (the black line of Figure 2a) and a small
 //!   Belady simulator used to sanity-check it.
@@ -42,6 +45,7 @@ pub mod policy;
 pub mod probe;
 pub mod report;
 pub mod stack;
+pub mod tally;
 pub mod writebuffer;
 pub mod xeon;
 
@@ -53,4 +57,5 @@ pub use policy::Policy;
 pub use probe::{PhaseStats, Probe, ReuseHist};
 pub use report::{explicit_report, memsim_report, stack_report};
 pub use stack::{StackMem, StackSim};
+pub use tally::{TallyMem, TraceTally};
 pub use xeon::LINE_WORDS;

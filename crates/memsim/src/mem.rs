@@ -9,7 +9,9 @@
 //!   ([`crate::MemSim`]) *and* performs the arithmetic, so counter
 //!   measurements come from real executions with verified outputs;
 //! * [`TraceMem`] — records the `(address, is_write)` stream for offline
-//!   analysis (Belady simulation, CDAG reuse statistics).
+//!   analysis (Belady simulation, CDAG reuse statistics); the engine's
+//!   `traced` backend needs only the stream's counts and streams them
+//!   through [`crate::TallyMem`] instead.
 
 use crate::hierarchy::MemSim;
 

@@ -1,0 +1,68 @@
+//! Exactness of the streaming `traced` tally.
+//!
+//! [`TallyMem`] must report exactly what a recorded [`TraceMem`] trace
+//! reduces to: its length, its write count and its set of distinct
+//! `addr / 8` lines. These properties drive both backends with the same
+//! random stream of per-word `ld`/`st` calls mixed with `ld_run`/`st_run`
+//! runs — unaligned starts, runs straddling lines and bitset words, and
+//! zero-length runs — and compare the three counts.
+
+use memsim::{Mem, TallyMem, TraceMem};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// Words of backing store: 512 lines, i.e. eight 64-line bitset words.
+const SPAN: usize = 4096;
+
+/// One step of a stream: `(kind, addr, words)` where kind 0/1 is a
+/// per-word load/store at `addr` and 2/3 a load/store run of `words`.
+fn apply<M: Mem>(m: &mut M, steps: &[(u8, usize, usize)]) {
+    let mut buf = vec![0.0; SPAN];
+    for &(kind, addr, words) in steps {
+        let words = words.min(SPAN - addr);
+        match kind {
+            0 => {
+                let _ = m.ld(addr);
+            }
+            1 => m.st(addr, addr as f64),
+            2 => m.ld_run(addr, &mut buf[..words]),
+            _ => m.st_run(addr, &buf[..words]),
+        }
+    }
+}
+
+fn assert_tally_matches_trace(steps: &[(u8, usize, usize)]) {
+    let mut tally = TallyMem::from_vec(vec![0.0; SPAN]);
+    let mut trace = TraceMem::from_vec(vec![0.0; SPAN]);
+    apply(&mut tally, steps);
+    apply(&mut trace, steps);
+    let writes = trace.trace.iter().filter(|a| a.is_write).count() as u64;
+    let lines: BTreeSet<usize> = trace.trace.iter().map(|a| a.addr / 8).collect();
+    let t = &tally.tally;
+    assert_eq!(t.words(), trace.trace.len() as u64, "trace length");
+    assert_eq!(t.writes(), writes, "write count");
+    assert_eq!(t.distinct_lines(), lines.len() as u64, "distinct lines");
+    assert_eq!(tally.data, trace.data, "stored values");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random mixed streams over the whole span: long runs cross many
+    /// lines and bitset words, short ones start anywhere in a line.
+    #[test]
+    fn tally_equals_recorded_trace(
+        steps in prop::collection::vec((0u8..4, 0usize..SPAN, 0usize..700), 0..60),
+    ) {
+        assert_tally_matches_trace(&steps);
+    }
+
+    /// Dense reuse of a few lines: short unaligned runs (often zero-length
+    /// or straddling one line boundary) mixed with per-word accesses.
+    #[test]
+    fn tally_equals_recorded_trace_under_heavy_reuse(
+        steps in prop::collection::vec((0u8..4, 0usize..40, 0usize..12), 1..80),
+    ) {
+        assert_tally_matches_trace(&steps);
+    }
+}

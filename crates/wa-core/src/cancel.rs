@@ -232,10 +232,10 @@ pub fn raise(after_accesses: u64, reason: CancelReason) -> ! {
 }
 
 /// Checkpoint for counterless charge paths (`Traffic`, `ExplicitHier`,
-/// `TraceMem`): accumulate `n` accesses on a thread-local budget and
-/// check the ambient token every [`CHECK_INTERVAL`]. No-op (one Cell
-/// arithmetic) when the budget has headroom; no-op entirely when no
-/// token is installed.
+/// `TraceMem`, `TraceTally`): accumulate `n` accesses on a thread-local
+/// budget and check the ambient token every [`CHECK_INTERVAL`]. No-op
+/// (one Cell arithmetic) when the budget has headroom; no-op entirely
+/// when no token is installed.
 #[inline]
 pub fn tick(n: u64) {
     let due = TICK_BUDGET.with(|b| {

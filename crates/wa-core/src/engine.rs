@@ -865,8 +865,9 @@ impl Registry {
 /// Walk the degradation ladder until the footprint fits `budget`:
 /// collapse the modeled hierarchy to the two-level model, drop to the
 /// small capacity ladder, and finally fall back to the `traced` backend
-/// (whose cost is the trace, not the simulated hierarchy). Returns the
-/// fitting config and a human-readable description of the rungs taken.
+/// (whose only cost beyond the data is a one-bit-per-line tally, not a
+/// simulated hierarchy). Returns the fitting config and a human-readable
+/// description of the rungs taken.
 fn degrade_cfg(w: &dyn Workload, cfg: RunCfg, budget: u64) -> Option<(RunCfg, String)> {
     let mut cur = cfg;
     let mut steps: Vec<&'static str> = Vec::new();
