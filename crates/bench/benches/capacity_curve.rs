@@ -7,9 +7,9 @@
 //! *every* capacity from one pass. This bench pins the ratio on the
 //! paper-scale WA matmul:
 //!
-//! * `stack_single_pass` — the kernel once through [`StackMem`], curve
-//!   projected at every capacity of the default ladder (what
-//!   `harness curve matmul-wa --scale paper` prints);
+//! * `stack_single_pass` — the kernel once through a [`SimMem`] over a
+//!   [`StackSim`], curve projected at every capacity of the default
+//!   ladder (what `harness curve matmul-wa --scale paper` prints);
 //! * `memsim_per_capacity` — the kernel through a flushed
 //!   [`MemSim::single_level_lru`] at each of those same capacities, the
 //!   sweep the stack backend replaces.
@@ -23,7 +23,7 @@ use dense::desc::alloc_layout;
 use dense::matmul::blocked_matmul;
 use dense::workloads::{fast_words, sim_block_and_dim};
 use dense::{LoopOrder, MatDesc};
-use memsim::{MemSim, RawMem, SimMem, StackMem};
+use memsim::{MemSim, RawMem, SimMem, StackSim};
 use wa_core::{Mat, Scale};
 
 /// The paper-scale WA matmul inputs, staged once; every iteration clones
@@ -48,7 +48,7 @@ fn bench_curve(c: &mut Criterion) {
     // powers of two from one line up to the trace footprint (a setup
     // pre-pass discovers it; the sweep under test re-runs per entry).
     let caps: Vec<usize> = {
-        let mut mem = StackMem::from_vec(data.clone());
+        let mut mem = SimMem::from_vec(data.clone(), StackSim::new());
         blocked_matmul(&mut mem, d[0], d[1], d[2], bsize, LoopOrder::Ijk);
         let ladder = mem.sim.curve().default_ladder();
         ladder.iter().map(|&w| w as usize).collect()
@@ -63,7 +63,7 @@ fn bench_curve(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("stack_single_pass", |b| {
         b.iter(|| {
-            let mut mem = StackMem::from_vec(data.clone());
+            let mut mem = SimMem::from_vec(data.clone(), StackSim::new());
             blocked_matmul(&mut mem, d[0], d[1], d[2], bsize, LoopOrder::Ijk);
             let curve = mem.sim.curve();
             caps.iter().map(|&c| curve.at(c as u64).fills).sum::<u64>()

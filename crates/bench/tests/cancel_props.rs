@@ -4,12 +4,15 @@
 //! never a leaked panic — and the cancellation point lands within one
 //! check interval of the firing access, on the word-level cache
 //! simulator (`MemSim`), the stack-distance simulator (`StackSim`) and
-//! the streaming `traced` tally (`TallyMem`).
+//! the streaming `traced` tally (`TraceTally`), each driven through a
+//! `SimMem`.
 
-use memsim::{MemSim, SimMem, StackMem, TallyMem};
+use memsim::{MemSim, SimMem, StackSim, TraceTally};
 use proptest::prelude::*;
 use wa_core::cancel::{self, CHECK_INTERVAL};
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Workload};
+use wa_core::engine::{
+    BackendKind, EngineError, FnWorkload, RunCfg, Workload, DEFAULT_FOOTPRINT_BYTES,
+};
 use wa_core::report::RunReport;
 use wa_core::{CancelReason, Registry, Scale};
 
@@ -28,6 +31,8 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
         "test",
         "fires the ambient token mid-simulation",
         &[BackendKind::Simmed, BackendKind::Stack, BackendKind::Traced],
+        &[],
+        |_, _| DEFAULT_FOOTPRINT_BYTES,
         move |cfg: RunCfg| {
             let drive = |ld: &mut dyn FnMut(usize) -> f64| {
                 for i in 0..total {
@@ -46,11 +51,12 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
                     drive(&mut |i| memsim::Mem::ld(&mut mem, i));
                 }
                 BackendKind::Stack => {
-                    let mut mem = StackMem::from_vec(vec![0.0; WORDS]);
+                    let mut mem = SimMem::from_vec(vec![0.0; WORDS], StackSim::new());
                     drive(&mut |i| memsim::Mem::ld(&mut mem, i));
                 }
                 BackendKind::Traced => {
-                    let mut mem = TallyMem::from_vec(vec![0.0; WORDS]);
+                    let tally = TraceTally::with_span(WORDS);
+                    let mut mem = SimMem::from_vec(vec![0.0; WORDS], tally);
                     drive(&mut |i| memsim::Mem::ld(&mut mem, i));
                 }
                 other => unreachable!("undeclared backend {other}"),

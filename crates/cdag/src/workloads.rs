@@ -7,73 +7,27 @@
 use crate::fft::{fft_mem, Complex};
 use crate::strassen::{strassen_mem, strassen_scratch_words};
 use dense::desc::alloc_layout;
-use memsim::xeon::XeonGeometry;
-use memsim::{memsim_report, stack_report, Mem, MemSim, RawMem, SimMem, StackMem, TallyMem};
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, Scale, Workload};
-use wa_core::report::{timed, RunReport};
+use dense::workloads::fast_words;
+use memsim::{run_on_backend, Kernel, Mem, RawMem};
+use wa_core::engine::{BackendKind, FnWorkload, Scale, Workload};
+use wa_core::report::RunReport;
 use wa_core::Mat;
 
-fn l3_words(scale: Scale) -> usize {
-    XeonGeometry::for_scale(scale, memsim::Policy::Lru).l3_words
-}
-
-fn l3_sim(m: usize) -> MemSim {
-    MemSim::single_level_lru(m)
-}
-
-/// Shared three-backend runner over a staged data vector.
-fn run_backend(
-    name: &'static str,
+/// Run `kernel` over the staged `data` on `backend` against the scale's
+/// L3-sized fast memory.
+fn run_cdag(
+    name: &str,
     backend: BackendKind,
     scale: Scale,
     data: Vec<f64>,
-    kernel: impl Fn(&mut &mut dyn Mem),
-) -> Result<RunReport, EngineError> {
-    let base = |backend| RunReport::new(name, backend, scale).config("fast_words", l3_words(scale));
-    match backend {
-        BackendKind::Raw => {
-            let mut mem = RawMem::from_vec(data);
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem)));
-            let mut r = base(backend);
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Simmed => {
-            let mut mem = SimMem::from_vec(data, l3_sim(l3_words(scale)));
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem)));
-            mem.sim.flush();
-            let mut r = memsim_report(&mem.sim, base(backend))
-                .note("flushed: end-of-run dirty lines charged to DRAM");
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Stack => {
-            let mut mem = StackMem::from_vec(data);
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem)));
-            let mut r = stack_report(&mem.sim, l3_words(scale), base(backend));
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Traced => {
-            let mut mem = TallyMem::from_vec(data);
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem)));
-            let mut r = base(backend)
-                .config("trace_len", mem.tally.words())
-                .config("trace_writes", mem.tally.writes());
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Explicit => Err(EngineError::UnsupportedBackend {
-            workload: name.to_string(),
-            backend,
-            supported: vec![
-                BackendKind::Raw,
-                BackendKind::Simmed,
-                BackendKind::Traced,
-                BackendKind::Stack,
-            ],
-        }),
-    }
+    kernel: impl Kernel,
+) -> RunReport {
+    let base = RunReport::new(name, backend, scale).config("fast_words", fast_words(scale));
+    let mut r = run_on_backend(backend, base, data, &[fast_words(scale)], kernel);
+    // The cdag cells' frozen reference counts predate the distinct-line
+    // tally, so their traced reports keep echoing length and writes only.
+    r.config.retain(|(k, _)| k != "trace_distinct_lines");
+    r
 }
 
 pub fn workloads() -> Vec<Box<dyn Workload>> {
@@ -84,7 +38,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
         BackendKind::Stack,
     ];
     vec![
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "fft",
             "cdag",
             "radix-2 Cooley-Tukey FFT: bounded reuse, writes within O(1) of reads (Cor 2)",
@@ -109,11 +63,13 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                     data[2 * i] = c.re;
                     data[2 * i + 1] = c.im;
                 }
-                run_backend("fft", backend, scale, data, |mem| fft_mem(mem, 0, n))
-                    .map(|r| r.config("n", n))
+                let r = run_cdag("fft", backend, scale, data, |mem: &mut &mut dyn Mem| {
+                    fft_mem(mem, 0, n)
+                });
+                Ok(r.config("n", n))
             },
         ),
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "strassen",
             "cdag",
             "Strassen matmul: max reuse 4, so writes are Omega(flops/M^(log2 7 - 1)) (Cor 3)",
@@ -138,11 +94,10 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 let mut raw = RawMem::new(total);
                 d[0].store_mat(&mut raw, &Mat::random(n, n, 81));
                 d[1].store_mat(&mut raw, &Mat::random(n, n, 82));
-                let data = raw.data;
-                run_backend("strassen", backend, scale, data, move |mem| {
-                    strassen_mem(mem, d[0], d[1], d[2], scratch0, cutoff)
-                })
-                .map(|r| r.config("n", n).config("cutoff", cutoff))
+                let kernel =
+                    |mem: &mut &mut dyn Mem| strassen_mem(mem, d[0], d[1], d[2], scratch0, cutoff);
+                let r = run_cdag("strassen", backend, scale, raw.data, kernel);
+                Ok(r.config("n", n).config("cutoff", cutoff))
             },
         ),
     ]

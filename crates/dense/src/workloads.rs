@@ -1,7 +1,9 @@
 //! Engine registrations for the dense kernels.
 //!
 //! Each paper algorithm variant registers once; the run function projects
-//! whichever backend was requested into a [`RunReport`]:
+//! whichever backend was requested into a [`RunReport`]. The `explicit`
+//! arm runs its own kernel; the other four stage the matrices and hand
+//! the access-driven kernel to [`memsim::run_on_backend`]:
 //!
 //! * `explicit` — the Algorithm 1–3 explicit-movement kernels (plus the
 //!   §7.2 LU orders) on a two-level [`ExplicitHier`] whose fast memory is
@@ -11,7 +13,8 @@
 //!   flushed before reporting so end-of-run dirty state is charged;
 //! * `raw` — the same access-driven kernels on raw memory (wall clock);
 //! * `traced` — the access stream's length, writes and distinct 8-word
-//!   lines, tallied as it runs ([`memsim::TallyMem`]; no trace is stored);
+//!   lines, tallied as it runs ([`memsim::TraceTally`]; no trace is
+//!   stored);
 //! * `stack` — the single-pass Mattson stack simulator: one run of the
 //!   access-driven kernel yields exact FA-LRU fills and write-backs at
 //!   *every* capacity (a [`wa_core::CapacityCurve`]); the report's
@@ -41,10 +44,7 @@ use crate::matmul::multilevel::{ml_matmul, RecOrder};
 use crate::matmul::{blocked_matmul, co_matmul, LoopOrder};
 use crate::trsm::{blocked_trsm, TrsmVariant};
 use memsim::xeon::XeonGeometry;
-use memsim::{
-    explicit_report, memsim_report, stack_report, ExplicitHier, Mem, MemSim, RawMem, SimMem,
-    StackMem, TallyMem,
-};
+use memsim::{explicit_report, run_on_backend, ExplicitHier, Kernel, Mem, RawMem};
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::Mat;
@@ -80,11 +80,6 @@ pub fn deep_geometry(scale: Scale, depth: usize) -> (Vec<usize>, Vec<u64>, usize
     (blocks, caps, n)
 }
 
-/// Single-level (L3-only) fully-associative LRU simulator of `m` words.
-fn l3_sim(m: usize) -> MemSim {
-    MemSim::single_level_lru(m)
-}
-
 /// Footprint estimator for a dense kernel touching `mats` n×n f64
 /// matrices: the dimension follows the same geometry the run uses
 /// ([`deep_geometry`] past depth 1, [`sim_block_and_dim`] otherwise), so
@@ -117,72 +112,20 @@ fn base_report(name: &str, backend: BackendKind, scale: Scale, n: usize) -> RunR
         .config("fast_words", fast_words(scale))
 }
 
-/// Run one access-driven dense kernel on the requested backend. The
-/// kernel closure receives the memory and the matrix descriptors.
-fn run_mem_kernel(
-    name: &'static str,
-    backend: BackendKind,
-    scale: Scale,
-    mats: &[&Mat],
-    kernel: impl Fn(&mut &mut dyn Mem, &[crate::MatDesc]),
-) -> Result<RunReport, EngineError> {
-    let n = mats[0].rows();
-    let m_words = fast_words(scale);
-    let (d, data) = stage(mats);
-    match backend {
-        BackendKind::Raw => {
-            let mut mem = RawMem::from_vec(data);
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem), &d));
-            let mut r = base_report(name, backend, scale, n);
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Simmed => {
-            let mut mem = SimMem::from_vec(data, l3_sim(m_words));
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem), &d));
-            mem.sim.flush();
-            let mut r = memsim_report(&mem.sim, base_report(name, backend, scale, n))
-                .note("flushed: end-of-run dirty lines charged to the DRAM boundary");
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Stack => {
-            let mut mem = StackMem::from_vec(data);
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem), &d));
-            let mut r = stack_report(&mem.sim, m_words, base_report(name, backend, scale, n));
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Traced => {
-            let mut mem = TallyMem::from_vec(data);
-            let (_, ns) = timed(|| kernel(&mut (&mut mem as &mut dyn Mem), &d));
-            let t = &mem.tally;
-            let mut r = base_report(name, backend, scale, n)
-                .config("trace_len", t.words())
-                .config("trace_writes", t.writes())
-                .config("trace_distinct_lines", t.distinct_lines());
-            r.wall_ns = ns;
-            Ok(r)
-        }
-        BackendKind::Explicit => Err(EngineError::UnsupportedBackend {
-            workload: name.to_string(),
-            backend,
-            supported: vec![
-                BackendKind::Raw,
-                BackendKind::Simmed,
-                BackendKind::Traced,
-                BackendKind::Stack,
-            ],
-        }),
-    }
+/// The depth ≥ 2 `simmed` kernel: the multi-level recursion over the
+/// descriptors, blocks largest first. A struct rather than a closure so
+/// the kernel stays monomorphized on the simulated store.
+struct DeepMatmul {
+    d: Vec<crate::MatDesc>,
+    big_first: Vec<usize>,
 }
 
-/// A depth-`d` stacked hierarchy of fully-associative true-LRU levels
-/// (one per entry of `caps`), the simulated side of the multi-level
-/// cross-model check.
-fn deep_sim(caps: &[u64]) -> MemSim {
-    let words: Vec<usize> = caps.iter().map(|&w| w as usize).collect();
-    MemSim::stacked_lru(&words)
+impl Kernel for DeepMatmul {
+    fn run<M: Mem>(self, mem: &mut M) {
+        let d = &self.d;
+        let (top, rest) = (RecOrder::COuter, RecOrder::COuter);
+        ml_matmul(mem, d[0], d[1], d[2], &self.big_first, top, rest);
+    }
 }
 
 /// The depth ≥ 2 scenarios of `matmul-wa`: explicit multi-level recursion
@@ -218,27 +161,12 @@ fn run_matmul_wa_deep(cfg: RunCfg) -> Result<RunReport, EngineError> {
         BackendKind::Simmed => {
             let c0 = Mat::zeros(n, n);
             let (d, data) = stage(&[&a, &b, &c0]);
-            let mut mem = SimMem::from_vec(data, deep_sim(&caps));
             let mut big_first = blocks.clone();
             big_first.reverse();
-            let (_, ns) = timed(|| {
-                ml_matmul(
-                    &mut mem,
-                    d[0],
-                    d[1],
-                    d[2],
-                    &big_first,
-                    RecOrder::COuter,
-                    RecOrder::COuter,
-                )
-            });
-            mem.sim.flush();
-            let mut r = memsim_report(&mem.sim, base_report("matmul-wa", backend, scale, n))
-                .config("depth", depth)
-                .config("blocks", &blocks_echo)
-                .note("flushed: end-of-run dirty lines charged to the DRAM boundary");
-            r.wall_ns = ns;
-            Ok(r)
+            let caps: Vec<usize> = caps.iter().map(|&w| w as usize).collect();
+            let base = base_report("matmul-wa", backend, scale, n);
+            let r = run_on_backend(backend, base, data, &caps, DeepMatmul { d, big_first });
+            Ok(r.config("depth", depth).config("blocks", &blocks_echo))
         }
         // FnWorkload::run_cfg rejects depth > max_depth before the
         // closure runs, and only explicit/simmed advertise depth > 1.
@@ -276,7 +204,7 @@ fn matmul_workload(
     } else {
         &[]
     };
-    FnWorkload::boxed_sized(
+    FnWorkload::boxed(
         name,
         "dense",
         description,
@@ -302,11 +230,15 @@ fn matmul_workload(
                 return Ok(r);
             }
             let c0 = Mat::zeros(n, n);
-            run_mem_kernel(name, backend, scale, &[&a, &b, &c0], |mem, d| match order {
+            let (d, data) = stage(&[&a, &b, &c0]);
+            let base = base_report(name, backend, scale, n);
+            let caps = [fast_words(scale)];
+            let kernel = |mem: &mut &mut dyn Mem| match order {
                 Some(o) => blocked_matmul(mem, d[0], d[1], d[2], bsize, o),
                 None => co_matmul(mem, d[0], d[1], d[2], 16),
-            })
-            .map(|r| r.config("block", bsize))
+            };
+            let r = run_on_backend(backend, base, data, &caps, kernel);
+            Ok(r.config("block", bsize))
         },
     )
 }
@@ -369,7 +301,7 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Box
         BackendKind::Explicit,
         BackendKind::Stack,
     ];
-    FnWorkload::boxed_sized(
+    FnWorkload::boxed(
         name,
         "dense",
         description,
@@ -400,10 +332,13 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Box
             } else {
                 TrsmVariant::RightLooking
             };
-            run_mem_kernel(name, backend, scale, &[&t, &rhs], move |mem, d| {
+            let (d, data) = stage(&[&t, &rhs]);
+            let base = base_report(name, backend, scale, n);
+            let caps = [fast_words(scale)];
+            let r = run_on_backend(backend, base, data, &caps, |mem: &mut &mut dyn Mem| {
                 blocked_trsm(mem, d[0], d[1], bsize, variant)
-            })
-            .map(|r| r.config("block", bsize))
+            });
+            Ok(r.config("block", bsize))
         },
     )
 }
@@ -416,7 +351,7 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
         BackendKind::Explicit,
         BackendKind::Stack,
     ];
-    FnWorkload::boxed_sized(
+    FnWorkload::boxed(
         name,
         "dense",
         description,
@@ -445,10 +380,13 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
             } else {
                 CholVariant::RightLooking
             };
-            run_mem_kernel(name, backend, scale, &[&spd], move |mem, d| {
+            let (d, data) = stage(&[&spd]);
+            let base = base_report(name, backend, scale, n);
+            let caps = [fast_words(scale)];
+            let r = run_on_backend(backend, base, data, &caps, |mem: &mut &mut dyn Mem| {
                 blocked_cholesky(mem, d[0], bsize, variant)
-            })
-            .map(|r| r.config("block", bsize))
+            });
+            Ok(r.config("block", bsize))
         },
     )
 }
@@ -465,7 +403,7 @@ fn lu_workload(
         BackendKind::Explicit,
         BackendKind::Stack,
     ];
-    FnWorkload::boxed_sized(
+    FnWorkload::boxed(
         name,
         "dense",
         description,
@@ -486,10 +424,13 @@ fn lu_workload(
                 r.wall_ns = ns;
                 return Ok(r);
             }
-            run_mem_kernel(name, backend, scale, &[&a], move |mem, d| {
+            let (d, data) = stage(&[&a]);
+            let base = base_report(name, backend, scale, n);
+            let caps = [fast_words(scale)];
+            let r = run_on_backend(backend, base, data, &caps, |mem: &mut &mut dyn Mem| {
                 blocked_lu(mem, d[0], bsize, variant)
-            })
-            .map(|r| r.config("block", bsize))
+            });
+            Ok(r.config("block", bsize))
         },
     )
 }

@@ -31,7 +31,7 @@ fn sort_workload(
     selection: bool,
 ) -> Box<dyn Workload> {
     let backends = [BackendKind::Raw, BackendKind::Explicit];
-    FnWorkload::boxed_sized(
+    FnWorkload::boxed(
         name,
         "extsort",
         description,
@@ -80,11 +80,7 @@ fn sort_workload(
                     r.wall_ns = ns;
                     Ok(r)
                 }
-                other => Err(EngineError::UnsupportedBackend {
-                    workload: name.to_string(),
-                    backend: other,
-                    supported: backends.to_vec(),
-                }),
+                other => unreachable!("{name} does not declare {other}"),
             }
         },
     )

@@ -12,15 +12,16 @@
 //!   on a single fast↔slow boundary (the paper's `W12`), recorded through
 //!   the batched [`Traffic`] API (so `msgs` means block transfers, not
 //!   words);
-//! * [`SimIo`] — the *same* run stream replayed through the multi-level
-//!   cache simulator ([`memsim::MemSim`]): the `simmed` backend, whose
-//!   line-granular write-backs the cross-model tests compare against the
-//!   tally;
-//! * [`StackIo`] — the run stream through the single-pass Mattson stack
-//!   simulator ([`memsim::StackSim`]): the `stack` backend, projecting
-//!   exact FA-LRU fills and write-backs for every capacity at once.
+//! * [`SimIo`] — the *same* run stream replayed through a
+//!   [`memsim::Sink`]: the multi-level cache simulator
+//!   ([`memsim::MemSim`], the `simmed` backend, whose line-granular
+//!   write-backs the cross-model tests compare against the tally) or the
+//!   single-pass Mattson stack simulator ([`memsim::StackSim`], the
+//!   `stack` backend, exact FA-LRU fills and write-backs for every
+//!   capacity at once).
 
-use memsim::{MemSim, StackSim};
+use memsim::Sink;
+use wa_core::report::RunReport;
 use wa_core::{AccessRun, Traffic};
 
 /// The charging surface the Krylov kernels drive. Addresses are *nominal*
@@ -45,7 +46,7 @@ pub trait IoSink {
     }
 
     /// Mark a profiling phase boundary (see [`memsim::Probe`]). No-op on
-    /// the tally; [`SimIo`] routes it to the simulator's probe.
+    /// the tally; [`SimIo`] routes it to its sink.
     fn phase(&mut self, _name: &'static str) {}
 }
 
@@ -122,21 +123,29 @@ impl std::ops::AddAssign for IoTally {
     }
 }
 
-/// [`IoSink`] that replays the kernel's run stream through the cache
-/// simulator — the Krylov `simmed` backend. Flush the simulator before
-/// reporting so end-of-run dirty lines are charged.
-pub struct SimIo {
-    pub sim: MemSim,
+/// [`IoSink`] that replays the kernel's run stream through a simulator
+/// sink — the Krylov `simmed` ([`memsim::MemSim`]) and `stack`
+/// ([`memsim::StackSim`]) backends.
+pub struct SimIo<S> {
+    pub sim: S,
     pub flops: u64,
 }
 
-impl SimIo {
-    pub fn new(sim: MemSim) -> Self {
+impl<S: Sink> SimIo<S> {
+    pub fn new(sim: S) -> Self {
         SimIo { sim, flops: 0 }
     }
+
+    /// Project the run onto `base` through the sink (flushing the cache
+    /// simulator; the stack at `m1_words`) and record the flops.
+    pub fn report(mut self, m1_words: usize, base: RunReport) -> RunReport {
+        let mut r = self.sim.report(m1_words, base);
+        r.flops = self.flops;
+        r
+    }
 }
 
-impl IoSink for SimIo {
+impl<S: Sink> IoSink for SimIo<S> {
     fn read_at(&mut self, addr: usize, words: usize) {
         self.sim.read_range(addr, words);
     }
@@ -147,55 +156,6 @@ impl IoSink for SimIo {
 
     fn flop(&mut self, n: usize) {
         self.flops += n as u64;
-    }
-
-    fn run(&mut self, runs: &[AccessRun]) {
-        self.sim.run(runs);
-    }
-
-    fn phase(&mut self, name: &'static str) {
-        self.sim.phase(name);
-    }
-}
-
-/// [`IoSink`] that feeds the kernel's run stream to the single-pass
-/// Mattson stack simulator — the Krylov `stack` backend. No flush is
-/// needed: [`StackSim::curve`] folds end-of-trace dirty state itself.
-pub struct StackIo {
-    pub sim: StackSim,
-    pub flops: u64,
-}
-
-impl StackIo {
-    pub fn new() -> Self {
-        StackIo {
-            sim: StackSim::new(),
-            flops: 0,
-        }
-    }
-}
-
-impl Default for StackIo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IoSink for StackIo {
-    fn read_at(&mut self, addr: usize, words: usize) {
-        self.sim.read_range(addr, words);
-    }
-
-    fn write_at(&mut self, addr: usize, words: usize) {
-        self.sim.write_range(addr, words);
-    }
-
-    fn flop(&mut self, n: usize) {
-        self.flops += n as u64;
-    }
-
-    fn run(&mut self, runs: &[AccessRun]) {
-        self.sim.run(runs);
     }
 
     fn phase(&mut self, name: &'static str) {

@@ -30,5 +30,5 @@ pub mod workloads;
 pub use basis::BasisKind;
 pub use cacg::{ca_cg, CaCgOptions};
 pub use cg::cg;
-pub use counter::{IoTally, SimIo, StackIo};
+pub use counter::{IoTally, SimIo};
 pub use csr::Csr;

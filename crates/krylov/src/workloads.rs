@@ -7,23 +7,26 @@
 //!   paper's `W12`): a [`wa_core::Traffic`] on a single fast↔slow
 //!   boundary, one message per vector/matrix stream;
 //! * `simmed` — the *same* run stream replayed through a stack of
-//!   fully-associative true-LRU cache levels ([`SimIo`]); the fastest
-//!   level is the scale's `M₁`, so the tally and the simulator's first
-//!   boundary count the same writes (the cross-model check in
-//!   `crates/bench/tests/backend_matrix.rs` asserts exact agreement).
-//!   Depths 2 and 3 stack larger levels below `M₁` without changing the
-//!   `M₁` boundary.
+//!   fully-associative true-LRU cache levels (a [`SimIo`] over
+//!   [`MemSim`]); the fastest level is the scale's `M₁`, so the tally and
+//!   the simulator's first boundary count the same writes (the
+//!   cross-model check in `crates/bench/tests/backend_matrix.rs` asserts
+//!   exact agreement). Depths 2 and 3 stack larger levels below `M₁`
+//!   without changing the `M₁` boundary.
 //!
-//! `raw` runs the same solve and reports wall time only. The streaming
-//! TSQR building block (§8's Arnoldi remark) registers the same way.
+//! `stack` replays the stream through a [`SimIo`] over the Mattson
+//! [`StackSim`] and reports its `M₁` projection plus the whole capacity
+//! curve. `raw` runs the same solve and reports wall time only. The
+//! streaming TSQR building block (§8's Arnoldi remark) registers the same
+//! way.
 
 use crate::cacg::{ca_cg, CaCgOptions};
 use crate::cg::{cg, SolveResult};
-use crate::counter::{IoTally, SimIo, StackIo};
+use crate::counter::{IoSink, IoTally, SimIo};
 use crate::stencil::laplacian_2d;
 use crate::tsqr::tsqr_r;
 use memsim::xeon::XeonGeometry;
-use memsim::{memsim_report, stack_report, MemSim, Policy};
+use memsim::{MemSim, Policy, StackSim};
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::{BoundaryTraffic, XorShift};
@@ -56,64 +59,38 @@ fn sim_hier(scale: Scale, depth: usize) -> MemSim {
 /// [`wa_core::Traffic`] (words moved between the processor's working set
 /// and slow memory, one message per vector/matrix stream), so the
 /// projection is a straight copy.
-fn tally_report(name: &str, scale: Scale, io: &IoTally, iters: usize, residual: f64) -> RunReport {
+fn tally_report(io: &IoTally, base: RunReport) -> RunReport {
     let mut bt = BoundaryTraffic::new(2);
     *bt.boundary_mut(0) = io.traffic;
-    let mut r = RunReport::new(name, BackendKind::Explicit, scale)
+    let mut r = base
         .with_boundaries(&bt, &[])
-        .config("iters", iters)
-        .config("residual", format!("{residual:.3e}"))
         .note("IoTally projection: vector-granular runs, msgs == block transfers");
     r.flops = io.flops;
     r
 }
 
-/// Project a solver run through [`SimIo`] onto a report: flush, then let
-/// the standard simulator adapter derive the boundary traffic.
-fn sim_report(name: &str, scale: Scale, mut io: SimIo, iters: usize, residual: f64) -> RunReport {
-    io.sim.flush();
-    let mut r = memsim_report(
-        &io.sim,
-        RunReport::new(name, BackendKind::Simmed, scale)
-            .config("iters", iters)
-            .config("residual", format!("{residual:.3e}")),
-    )
-    .note("boundary 0 (fast side M1) is the tally's W12 boundary")
-    .note("flushed: end-of-run dirty lines charged downward");
-    r.flops = io.flops;
-    r
-}
-
-/// Project a solver run through [`StackIo`] onto a report: the curve's
-/// `M₁` projection is the report's one boundary, and the whole curve
-/// rides along. No flush — [`memsim::StackSim::curve`] folds
-/// end-of-trace dirty state itself.
-fn stack_io_report(
+/// Solve the grid-`g` model problem with CG (`opts == None`) or CA-CG,
+/// charging `io`; returns the converged result and the solve's wall time.
+fn solve<S: IoSink>(
     name: &str,
-    scale: Scale,
-    io: StackIo,
-    iters: usize,
-    residual: f64,
-) -> RunReport {
-    let mut r = stack_report(
-        &io.sim,
-        m1_words(scale),
-        RunReport::new(name, BackendKind::Stack, scale)
-            .config("iters", iters)
-            .config("residual", format!("{residual:.3e}")),
-    );
-    r.flops = io.flops;
-    r
-}
-
-fn check_converged(name: &str, res: &SolveResult) -> Result<(), EngineError> {
+    g: usize,
+    opts: &Option<CaCgOptions>,
+    io: &mut S,
+) -> Result<(SolveResult, u128), EngineError> {
+    let a = laplacian_2d(g, g, 0.1);
+    let b = vec![1.0; a.rows];
+    let x0 = vec![0.0; a.rows];
+    let (res, ns) = timed(|| match opts {
+        None => cg(&a, &b, &x0, 1e-10, 4 * g * g, io),
+        Some(o) => ca_cg(&a, &b, &x0, o, io),
+    });
     if res.residual > 1e-6 {
         return Err(EngineError::Failed {
             workload: name.to_string(),
             message: format!("solver stagnated: residual {:.3e}", res.residual),
         });
     }
-    Ok(())
+    Ok((res, ns))
 }
 
 fn solver_workload(
@@ -128,7 +105,7 @@ fn solver_workload(
         BackendKind::Stack,
     ];
     let depths = [(BackendKind::Simmed, 3)];
-    FnWorkload::boxed_sized(
+    FnWorkload::boxed(
         name,
         "krylov",
         description,
@@ -147,59 +124,43 @@ fn solver_workload(
                   ..
               }| {
             let g = grid(scale);
-            let a = laplacian_2d(g, g, 0.1);
-            let b = vec![1.0; a.rows];
-            let x0 = vec![0.0; a.rows];
-            match backend {
+            let base = |res: &SolveResult| {
+                RunReport::new(name, backend, scale)
+                    .config("iters", res.iters)
+                    .config("residual", format!("{:.3e}", res.residual))
+            };
+            let m1 = m1_words(scale);
+            let (mut r, ns) = match backend {
                 BackendKind::Raw | BackendKind::Explicit => {
                     let mut io = IoTally::default();
-                    let (res, ns) = timed(|| match &opts {
-                        None => cg(&a, &b, &x0, 1e-10, 4 * g * g, &mut io),
-                        Some(o) => ca_cg(&a, &b, &x0, o, &mut io),
-                    });
-                    check_converged(name, &res)?;
-                    let mut r = if backend == BackendKind::Explicit {
-                        tally_report(name, scale, &io, res.iters, res.residual)
+                    let (res, ns) = solve(name, g, &opts, &mut io)?;
+                    if backend == BackendKind::Explicit {
+                        (tally_report(&io, base(&res)), ns)
                     } else {
-                        RunReport::new(name, backend, scale)
-                            .config("iters", res.iters)
-                            .config("residual", format!("{:.3e}", res.residual))
-                    };
-                    r = r.config("grid", format!("{g}x{g}"));
-                    r.wall_ns = ns;
-                    Ok(r)
+                        (base(&res), ns)
+                    }
                 }
                 BackendKind::Simmed => {
                     let mut io = SimIo::new(sim_hier(scale, depth));
-                    let (res, ns) = timed(|| match &opts {
-                        None => cg(&a, &b, &x0, 1e-10, 4 * g * g, &mut io),
-                        Some(o) => ca_cg(&a, &b, &x0, o, &mut io),
-                    });
-                    check_converged(name, &res)?;
-                    let mut r = sim_report(name, scale, io, res.iters, res.residual)
-                        .config("grid", format!("{g}x{g}"))
-                        .config("depth", depth);
-                    r.wall_ns = ns;
-                    Ok(r)
+                    let (res, ns) = solve(name, g, &opts, &mut io)?;
+                    let r = io
+                        .report(m1, base(&res))
+                        .note("boundary 0 (fast side M1) is the tally's W12 boundary");
+                    (r, ns)
                 }
                 BackendKind::Stack => {
-                    let mut io = StackIo::new();
-                    let (res, ns) = timed(|| match &opts {
-                        None => cg(&a, &b, &x0, 1e-10, 4 * g * g, &mut io),
-                        Some(o) => ca_cg(&a, &b, &x0, o, &mut io),
-                    });
-                    check_converged(name, &res)?;
-                    let mut r = stack_io_report(name, scale, io, res.iters, res.residual)
-                        .config("grid", format!("{g}x{g}"));
-                    r.wall_ns = ns;
-                    Ok(r)
+                    let mut io = SimIo::new(StackSim::new());
+                    let (res, ns) = solve(name, g, &opts, &mut io)?;
+                    (io.report(m1, base(&res)), ns)
                 }
-                other => Err(EngineError::UnsupportedBackend {
-                    workload: name.to_string(),
-                    backend: other,
-                    supported: backends.to_vec(),
-                }),
+                other => unreachable!("{name} does not declare {other}"),
+            };
+            r.wall_ns = ns;
+            r = r.config("grid", format!("{g}x{g}"));
+            if backend == BackendKind::Simmed {
+                r = r.config("depth", depth);
             }
+            Ok(r)
         },
     )
 }
@@ -214,7 +175,7 @@ fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> 
         BackendKind::Stack,
     ];
     let depths = [(BackendKind::Simmed, 3)];
-    FnWorkload::boxed_sized(
+    FnWorkload::boxed(
         name,
         "krylov",
         description,
@@ -254,47 +215,35 @@ fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> 
                     .config("store", store)
             };
             match backend {
-                BackendKind::Raw => {
+                BackendKind::Raw | BackendKind::Explicit => {
                     let mut io = IoTally::default();
                     let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
-                    let mut r = base(backend);
-                    r.wall_ns = ns;
-                    Ok(r)
-                }
-                BackendKind::Explicit => {
-                    let mut io = IoTally::default();
-                    let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
-                    let mut bt = BoundaryTraffic::new(2);
-                    *bt.boundary_mut(0) = io.traffic;
-                    let mut r = base(backend).with_boundaries(&bt, &[]);
-                    r.flops = io.flops;
+                    let mut r = if backend == BackendKind::Explicit {
+                        tally_report(&io, base(backend))
+                    } else {
+                        base(backend)
+                    };
                     r.wall_ns = ns;
                     Ok(r)
                 }
                 BackendKind::Simmed => {
                     let mut io = SimIo::new(sim_hier(scale, depth));
                     let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
-                    io.sim.flush();
-                    let mut r = memsim_report(&io.sim, base(backend))
+                    let mut r = io
+                        .report(m1_words(scale), base(backend))
                         .config("depth", depth)
                         .note("boundary 0 (fast side M1) is the tally's boundary");
-                    r.flops = io.flops;
                     r.wall_ns = ns;
                     Ok(r)
                 }
                 BackendKind::Stack => {
-                    let mut io = StackIo::new();
+                    let mut io = SimIo::new(StackSim::new());
                     let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
-                    let mut r = stack_report(&io.sim, m1_words(scale), base(backend));
-                    r.flops = io.flops;
+                    let mut r = io.report(m1_words(scale), base(backend));
                     r.wall_ns = ns;
                     Ok(r)
                 }
-                other => Err(EngineError::UnsupportedBackend {
-                    workload: name.to_string(),
-                    backend: other,
-                    supported: backends.to_vec(),
-                }),
+                other => unreachable!("{name} does not declare {other}"),
             }
         },
     )

@@ -16,8 +16,13 @@
 //!   Belady's optimal policy. Its counters map one-to-one onto the events
 //!   the paper measures: `LLC_VICTIMS.M`, `LLC_VICTIMS.E`, `LLC_S_FILLS.E`.
 //! * [`mem`] — the [`mem::Mem`] access trait through which instrumented
-//!   kernels run unchanged on raw memory (no counting, full speed), on the
-//!   cache simulator, or on a trace recorder.
+//!   kernels run unchanged on raw memory (no counting, full speed), on a
+//!   simulator-backed [`mem::SimMem`], or on a trace recorder.
+//! * [`backend`] — the one backend layer: the [`backend::Sink`] trait a
+//!   `SimMem` drives (implemented by [`MemSim`], [`stack::StackSim`] and
+//!   [`tally::TraceTally`], each with its projection onto a report) and
+//!   [`backend::run_on_backend`], which stages, times and projects one
+//!   kernel on the `raw`, `simmed`, `traced` or `stack` backend.
 //! * [`tally`] — the streaming `traced` backend ([`tally::TraceTally`]):
 //!   the word, write and distinct-line counts a recorded trace reduces
 //!   to, tallied per run without storing the trace.
@@ -36,6 +41,7 @@
 //!   *every* capacity from one pass over the same access stream,
 //!   projected as a [`wa_core::CapacityCurve`] (the `stack` backend).
 
+pub mod backend;
 pub mod cache;
 pub mod explicit;
 pub mod hierarchy;
@@ -46,9 +52,9 @@ pub mod probe;
 pub mod report;
 pub mod stack;
 pub mod tally;
-pub mod writebuffer;
 pub mod xeon;
 
+pub use backend::{run_on_backend, Kernel, Sink};
 pub use cache::{CacheConfig, LevelCounters};
 pub use explicit::ExplicitHier;
 pub use hierarchy::{AccessRun, MemSim};
@@ -56,6 +62,6 @@ pub use mem::{Mem, RawMem, SimMem, TraceMem};
 pub use policy::Policy;
 pub use probe::{PhaseStats, Probe, ReuseHist};
 pub use report::{explicit_report, memsim_report, stack_report};
-pub use stack::{StackMem, StackSim};
-pub use tally::{TallyMem, TraceTally};
+pub use stack::StackSim;
+pub use tally::TraceTally;
 pub use xeon::LINE_WORDS;

@@ -1,18 +1,21 @@
 //! The access abstraction instrumented kernels are generic over.
 //!
 //! Kernels in `dense`, `cdag` and `nbody` are written once against
-//! [`Mem`] and monomorphized three ways:
+//! [`Mem`] and run unchanged on three stores:
 //!
 //! * [`RawMem`] — plain `Vec<f64>` access, zero overhead: used for numeric
 //!   verification and wall-clock benchmarks;
-//! * [`SimMem`] — every access drives the cache simulator
-//!   ([`crate::MemSim`]) *and* performs the arithmetic, so counter
-//!   measurements come from real executions with verified outputs;
+//! * [`SimMem`] — every access drives a [`Sink`] *and* performs the
+//!   arithmetic, so counts come from real executions with verified
+//!   outputs. The sink is the cache simulator ([`crate::MemSim`],
+//!   `simmed`), the Mattson stack ([`crate::StackSim`], `stack`) or the
+//!   streaming tally ([`crate::TraceTally`], `traced`);
 //! * [`TraceMem`] — records the `(address, is_write)` stream for offline
-//!   analysis (Belady simulation, CDAG reuse statistics); the engine's
-//!   `traced` backend needs only the stream's counts and streams them
-//!   through [`crate::TallyMem`] instead.
+//!   analysis (Belady simulation, CDAG reuse statistics).
+//!
+//! [`crate::backend::run_on_backend`] picks the store per engine backend.
 
+use crate::backend::Sink;
 use crate::hierarchy::MemSim;
 
 /// Word-addressed memory with read/write instrumentation hooks.
@@ -20,9 +23,10 @@ use crate::hierarchy::MemSim;
 /// The bulk accessors `ld_run`/`st_run` describe one *run* of consecutive
 /// words. Their default implementations fall back to the per-word hooks
 /// (so every backend observes the identical word stream), but [`RawMem`]
-/// overrides them with `memcpy` and [`SimMem`] routes them through the
-/// simulator's line-granular [`MemSim::read_range`]/[`MemSim::write_range`]
-/// fast path — which is where the order-of-magnitude simulation speedup
+/// overrides them with `memcpy` and [`SimMem`] routes them through its
+/// sink's run-granular [`Sink::read_range`]/[`Sink::write_range`] (for
+/// the cache simulator, the line-granular [`MemSim::read_range`] fast
+/// path) — which is where the order-of-magnitude simulation speedup
 /// of the instrumented kernels comes from.
 pub trait Mem {
     /// Load the word at `addr`.
@@ -53,7 +57,7 @@ pub trait Mem {
 
     /// Mark a profiling phase boundary (see [`crate::probe::Probe`]).
     /// No-op by default, so kernels can mark phases unconditionally;
-    /// [`SimMem`] routes it to the simulator's probe.
+    /// [`SimMem`] routes it to its sink.
     fn phase(&mut self, _name: &'static str) {}
 }
 
@@ -134,26 +138,27 @@ impl Mem for RawMem {
     }
 }
 
-/// Cache-simulated backing store: every access walks the hierarchy.
-pub struct SimMem {
+/// Simulator-backed store: every access drives the sink `S` (by default
+/// the cache simulator) and the data.
+pub struct SimMem<S = MemSim> {
     pub data: Vec<f64>,
-    pub sim: MemSim,
+    pub sim: S,
 }
 
-impl SimMem {
-    pub fn new(words: usize, sim: MemSim) -> Self {
+impl<S: Sink> SimMem<S> {
+    pub fn new(words: usize, sim: S) -> Self {
         SimMem {
             data: vec![0.0; words],
             sim,
         }
     }
 
-    pub fn from_vec(data: Vec<f64>, sim: MemSim) -> Self {
+    pub fn from_vec(data: Vec<f64>, sim: S) -> Self {
         SimMem { data, sim }
     }
 }
 
-impl Mem for SimMem {
+impl<S: Sink> Mem for SimMem<S> {
     #[inline]
     fn ld(&mut self, addr: usize) -> f64 {
         self.sim.read(addr);

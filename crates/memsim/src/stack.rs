@@ -51,7 +51,6 @@
 //! second-most-recent line has distance exactly 1 by construction, so
 //! its touch skips both Fenwick prefix queries.
 
-use crate::mem::Mem;
 use crate::probe::Fenwick;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -94,8 +93,8 @@ struct LineState {
 }
 
 /// One-pass all-capacities FA-LRU simulator. Feed it the same
-/// word-granular access stream as [`crate::MemSim`] (via [`Mem`] through
-/// [`StackMem`], or the `read`/`write`/`*_range`/`run` calls directly),
+/// word-granular access stream as [`crate::MemSim`] (as the sink of a
+/// [`crate::SimMem`], or the `read`/`write`/`*_range`/`run` calls directly),
 /// then project any capacity list with [`StackSim::curve`].
 pub struct StackSim {
     line_words: usize,
@@ -252,11 +251,6 @@ impl StackSim {
         }
     }
 
-    /// Phase marks are meaningless to a capacity projection; accepted (and
-    /// ignored) so [`StackMem`] satisfies the same kernel surface as
-    /// [`crate::SimMem`].
-    pub fn phase(&mut self, _name: &str) {}
-
     fn range_access(&mut self, addr: usize, words: usize, is_write: bool) {
         let lw = self.line_words;
         let end = addr + words;
@@ -411,65 +405,6 @@ impl StackSim {
             wb_hi_cum: cumulate(wb_hi),
             flush_cum: cumulate(flush),
         }
-    }
-}
-
-/// Stack-simulated backing store: the `stack` backend's counterpart of
-/// [`crate::SimMem`] — same kernels, same word stream, but the simulator
-/// behind it answers every capacity at once.
-pub struct StackMem {
-    pub data: Vec<f64>,
-    pub sim: StackSim,
-}
-
-impl StackMem {
-    pub fn new(words: usize) -> Self {
-        StackMem {
-            data: vec![0.0; words],
-            sim: StackSim::new(),
-        }
-    }
-
-    pub fn from_vec(data: Vec<f64>) -> Self {
-        StackMem {
-            data,
-            sim: StackSim::new(),
-        }
-    }
-}
-
-impl Mem for StackMem {
-    #[inline]
-    fn ld(&mut self, addr: usize) -> f64 {
-        self.sim.read(addr);
-        self.data[addr]
-    }
-
-    #[inline]
-    fn st(&mut self, addr: usize, v: f64) {
-        self.sim.write(addr);
-        self.data[addr] = v;
-    }
-
-    #[inline]
-    fn ld_run(&mut self, addr: usize, out: &mut [f64]) {
-        self.sim.read_range(addr, out.len());
-        out.copy_from_slice(&self.data[addr..addr + out.len()]);
-    }
-
-    #[inline]
-    fn st_run(&mut self, addr: usize, src: &[f64]) {
-        self.sim.write_range(addr, src.len());
-        self.data[addr..addr + src.len()].copy_from_slice(src);
-    }
-
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    #[inline]
-    fn phase(&mut self, name: &'static str) {
-        self.sim.phase(name);
     }
 }
 
@@ -629,7 +564,8 @@ mod tests {
 
     #[test]
     fn stack_mem_drives_the_sim_and_the_data() {
-        let mut m = StackMem::new(16);
+        use crate::{Mem, SimMem};
+        let mut m = SimMem::new(16, StackSim::new());
         m.st(0, 2.5);
         assert_eq!(m.ld(0), 2.5);
         let mut buf = [0.0; 8];

@@ -7,10 +7,9 @@
 //! accesses: the distinct lines live in a bitset with one bit per line of
 //! the addressed span (1/512 of the data's bytes), so a run costs one
 //! cancellation tick and one masked bitset update per 64 lines it
-//! touches. [`TallyMem`] is the [`Mem`] adapter the engine's `traced`
-//! arms run kernels through.
+//! touches. Kernels reach it as the [`crate::backend::Sink`] of a
+//! [`crate::SimMem`], the engine's `traced` backend.
 
-use crate::mem::Mem;
 use crate::xeon::LINE_WORDS;
 
 /// Streaming word/write/distinct-line counts of an access stream.
@@ -86,50 +85,6 @@ impl TraceTally {
             self.distinct_lines += (mask & !*slot).count_ones() as u64;
             *slot |= mask;
         }
-    }
-}
-
-/// Backing store whose accesses feed a [`TraceTally`] (the `traced`
-/// backend). Runs are a `memcpy` plus one tally update.
-pub struct TallyMem {
-    pub data: Vec<f64>,
-    pub tally: TraceTally,
-}
-
-impl TallyMem {
-    pub fn from_vec(data: Vec<f64>) -> Self {
-        let tally = TraceTally::with_span(data.len());
-        TallyMem { data, tally }
-    }
-}
-
-impl Mem for TallyMem {
-    #[inline]
-    fn ld(&mut self, addr: usize) -> f64 {
-        self.tally.read_range(addr, 1);
-        self.data[addr]
-    }
-
-    #[inline]
-    fn st(&mut self, addr: usize, v: f64) {
-        self.tally.write_range(addr, 1);
-        self.data[addr] = v;
-    }
-
-    #[inline]
-    fn ld_run(&mut self, addr: usize, out: &mut [f64]) {
-        self.tally.read_range(addr, out.len());
-        out.copy_from_slice(&self.data[addr..addr + out.len()]);
-    }
-
-    #[inline]
-    fn st_run(&mut self, addr: usize, src: &[f64]) {
-        self.tally.write_range(addr, src.len());
-        self.data[addr..addr + src.len()].copy_from_slice(src);
-    }
-
-    fn len(&self) -> usize {
-        self.data.len()
     }
 }
 

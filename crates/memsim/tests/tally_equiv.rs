@@ -1,13 +1,13 @@
 //! Exactness of the streaming `traced` tally.
 //!
-//! [`TallyMem`] must report exactly what a recorded [`TraceMem`] trace
-//! reduces to: its length, its write count and its set of distinct
-//! `addr / 8` lines. These properties drive both backends with the same
-//! random stream of per-word `ld`/`st` calls mixed with `ld_run`/`st_run`
-//! runs — unaligned starts, runs straddling lines and bitset words, and
-//! zero-length runs — and compare the three counts.
+//! A [`SimMem`] over a [`TraceTally`] must report exactly what a
+//! recorded [`TraceMem`] trace reduces to: its length, its write count
+//! and its set of distinct `addr / 8` lines. These properties drive both
+//! backends with the same random stream of per-word `ld`/`st` calls mixed
+//! with `ld_run`/`st_run` runs — unaligned starts, runs straddling lines
+//! and bitset words, and zero-length runs — and compare the three counts.
 
-use memsim::{Mem, TallyMem, TraceMem};
+use memsim::{Mem, SimMem, TraceMem, TraceTally};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -32,13 +32,13 @@ fn apply<M: Mem>(m: &mut M, steps: &[(u8, usize, usize)]) {
 }
 
 fn assert_tally_matches_trace(steps: &[(u8, usize, usize)]) {
-    let mut tally = TallyMem::from_vec(vec![0.0; SPAN]);
+    let mut tally = SimMem::from_vec(vec![0.0; SPAN], TraceTally::with_span(SPAN));
     let mut trace = TraceMem::from_vec(vec![0.0; SPAN]);
     apply(&mut tally, steps);
     apply(&mut trace, steps);
     let writes = trace.trace.iter().filter(|a| a.is_write).count() as u64;
     let lines: BTreeSet<usize> = trace.trace.iter().map(|a| a.addr / 8).collect();
-    let t = &tally.tally;
+    let t = &tally.sim;
     assert_eq!(t.words(), trace.trace.len() as u64, "trace length");
     assert_eq!(t.writes(), writes, "write count");
     assert_eq!(t.distinct_lines(), lines.len() as u64, "distinct lines");

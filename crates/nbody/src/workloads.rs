@@ -13,10 +13,8 @@ use crate::force::{Particle, WORDS_PER_BODY};
 use crate::simmed::{simmed_nbody_wa, store_cloud};
 use crate::symmetric::explicit_nbody_symmetric;
 use memsim::xeon::XeonGeometry;
-use memsim::{
-    explicit_report, memsim_report, stack_report, ExplicitHier, MemSim, RawMem, SimMem, StackMem,
-};
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, Scale, Workload};
+use memsim::{explicit_report, run_on_backend, ExplicitHier, Kernel, Mem, RawMem};
+use wa_core::engine::{BackendKind, FnWorkload, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 
 /// Fast memory in *particles* for the two-level model at `scale`, and the
@@ -62,9 +60,23 @@ fn explicit_run(
     r
 }
 
+/// The access-driven WA (N,2)-body kernel. A struct rather than a
+/// closure so it stays monomorphized on each backend's store: through
+/// `&mut dyn Mem` its raw kernel runs about a fifth slower at paper scale.
+struct NbodyWa {
+    n: usize,
+    b: usize,
+}
+
+impl Kernel for NbodyWa {
+    fn run<M: Mem>(self, mem: &mut M) {
+        simmed_nbody_wa(mem, self.n, self.b);
+    }
+}
+
 pub fn workloads() -> Vec<Box<dyn Workload>> {
     vec![
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "nbody-wa",
             "nbody",
             "Algorithm 4 blocked (N,2)-body: N + N^2/b loads, N stores (the output)",
@@ -80,7 +92,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 BackendKind::Explicit => Ok(explicit_run("nbody-wa", scale, |p, h| {
                     explicit_nbody_wa(p, h)
                 })),
-                BackendKind::Simmed | BackendKind::Raw | BackendKind::Stack => {
+                _ => {
                     let (m, n) = particles_geometry(scale);
                     // The explicit model places blocks by hand, so b = M/3
                     // fills fast memory exactly. True LRU needs the
@@ -93,52 +105,18 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                     // setup stores do not dirty the caches (cold start).
                     let mut raw = RawMem::new(2 * n * WORDS_PER_BODY);
                     store_cloud(&mut raw, &p);
-                    let data = raw.data;
                     // The simulated cache equals the explicit model's fast
                     // memory, converted to words.
                     let words = m as usize * WORDS_PER_BODY;
-                    let mut r = if backend == BackendKind::Simmed {
-                        let sim = MemSim::single_level_lru(words);
-                        let mut mem = SimMem::from_vec(data, sim);
-                        let (_, ns) = timed(|| simmed_nbody_wa(&mut mem, n, b));
-                        mem.sim.flush();
-                        let mut r = memsim_report(&mem.sim, base("nbody-wa", backend, scale, n))
-                            .note("flushed: end-of-run dirty lines charged to DRAM");
-                        r.wall_ns = ns;
-                        r
-                    } else if backend == BackendKind::Stack {
-                        let mut mem = StackMem::from_vec(data);
-                        let (_, ns) = timed(|| simmed_nbody_wa(&mut mem, n, b));
-                        let mut r =
-                            stack_report(&mem.sim, words, base("nbody-wa", backend, scale, n));
-                        r.wall_ns = ns;
-                        r
-                    } else {
-                        let mut mem = RawMem::from_vec(data);
-                        let (_, ns) = timed(|| simmed_nbody_wa(&mut mem, n, b));
-                        let mut r = base("nbody-wa", backend, scale, n);
-                        r.wall_ns = ns;
-                        r
-                    };
-                    r = r
-                        .config("units", "words")
+                    let base = base("nbody-wa", backend, scale, n);
+                    let r = run_on_backend(backend, base, raw.data, &[words], NbodyWa { n, b });
+                    Ok(r.config("units", "words")
                         .config("words_per_body", WORDS_PER_BODY)
-                        .config("block_particles", b);
-                    Ok(r)
+                        .config("block_particles", b))
                 }
-                other => Err(EngineError::UnsupportedBackend {
-                    workload: "nbody-wa".into(),
-                    backend: other,
-                    supported: vec![
-                        BackendKind::Raw,
-                        BackendKind::Simmed,
-                        BackendKind::Explicit,
-                        BackendKind::Stack,
-                    ],
-                }),
             },
         ),
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "nbody-symmetric",
             "nbody",
             "symmetric (Newton 3rd law) N-body: half the flops, Theta(N^2/b) stores (4.4)",
@@ -151,7 +129,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 }))
             },
         ),
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "kbody-3",
             "nbody",
             "(N,3)-body with b = M/4 blocks: WA generalization of Algorithm 4",

@@ -259,7 +259,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
     ];
     let depths = [(BackendKind::Simmed, 2)];
     vec![
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "summa",
             "parallel",
             "classic SUMMA with L2 staging: 2n^2/sqrt(P) network words, no NVM traffic (7.1)",
@@ -289,7 +289,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 )
             },
         ),
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "summa-ool2",
             "parallel",
             "SUMMAL3ooL2 (Model 2.2): tiles computed entirely in L2, attains W1 = n^2/P NVM writes",
@@ -323,7 +323,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 )
             },
         ),
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "cannon",
             "parallel",
             "Cannon's algorithm with L2 staging: same W1, lower network volume",
@@ -353,7 +353,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 )
             },
         ),
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "mm25d",
             "parallel",
             "2.5D matmul (c=2 replication): trades memory for W2 = n^2/sqrt(Pc) network words",
@@ -390,7 +390,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 )
             },
         ),
-        FnWorkload::boxed_sized(
+        FnWorkload::boxed(
             "lu-parallel",
             "parallel",
             "LL-LUNP: left-looking parallel LU, the WA order of 7.2",

@@ -554,51 +554,19 @@ pub struct FnWorkload {
     pub backends: Vec<BackendKind>,
     /// `(backend, max depth)` overrides; backends not listed model depth 1.
     pub depths: Vec<(BackendKind, usize)>,
-    /// Footprint estimator; `None` falls back to the trait default
-    /// ([`DEFAULT_FOOTPRINT_BYTES`]).
+    /// Footprint estimator behind [`Workload::footprint_bytes`].
     #[allow(clippy::type_complexity)]
-    pub footprint: Option<Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>>,
+    pub footprint: Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>,
     #[allow(clippy::type_complexity)]
     pub run: Box<dyn Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync>,
 }
 
 impl FnWorkload {
+    /// Box a workload from its registry data, its per-backend depth
+    /// overrides (for workloads that model hierarchies deeper than the
+    /// two-level default), a footprint estimator that
+    /// [`RunLimits::mem_budget`] preflights against, and its run closure.
     pub fn boxed(
-        name: &'static str,
-        group: &'static str,
-        description: &'static str,
-        backends: &[BackendKind],
-        run: impl Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync + 'static,
-    ) -> Box<dyn Workload> {
-        FnWorkload::boxed_deep(name, group, description, backends, &[], run)
-    }
-
-    /// Like [`FnWorkload::boxed`] but with per-backend depth overrides for
-    /// workloads that model hierarchies deeper than the two-level default.
-    pub fn boxed_deep(
-        name: &'static str,
-        group: &'static str,
-        description: &'static str,
-        backends: &[BackendKind],
-        depths: &[(BackendKind, usize)],
-        run: impl Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync + 'static,
-    ) -> Box<dyn Workload> {
-        Box::new(FnWorkload {
-            name,
-            group,
-            description,
-            backends: backends.to_vec(),
-            depths: depths.to_vec(),
-            footprint: None,
-            run: Box::new(run),
-        })
-    }
-
-    /// Like [`FnWorkload::boxed_deep`] plus a footprint estimator — the
-    /// registration form the algorithm crates use so
-    /// [`RunLimits::mem_budget`] preflights against real sizes instead of
-    /// the conservative default.
-    pub fn boxed_sized(
         name: &'static str,
         group: &'static str,
         description: &'static str,
@@ -613,7 +581,7 @@ impl FnWorkload {
             description,
             backends: backends.to_vec(),
             depths: depths.to_vec(),
-            footprint: Some(Box::new(footprint)),
+            footprint: Box::new(footprint),
             run: Box::new(run),
         })
     }
@@ -645,10 +613,7 @@ impl Workload for FnWorkload {
     }
 
     fn footprint_bytes(&self, scale: Scale, depth: usize) -> u64 {
-        match &self.footprint {
-            Some(f) => f(scale, depth),
-            None => DEFAULT_FOOTPRINT_BYTES,
-        }
+        (self.footprint)(scale, depth)
     }
 
     fn run_cfg(&self, cfg: RunCfg) -> Result<RunReport, EngineError> {
@@ -1049,6 +1014,8 @@ mod tests {
             "test",
             "a test workload",
             &[BackendKind::Raw],
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             move |cfg| Ok(RunReport::new(name, cfg.backend, cfg.scale)),
         )
     }
@@ -1096,12 +1063,13 @@ mod tests {
 
     #[test]
     fn depth_defaults_to_one_and_overrides_apply() {
-        let w = FnWorkload::boxed_deep(
+        let w = FnWorkload::boxed(
             "deep",
             "test",
             "a depth-aware workload",
             &[BackendKind::Raw, BackendKind::Simmed],
             &[(BackendKind::Simmed, 3)],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             |cfg| Ok(RunReport::new("deep", cfg.backend, cfg.scale).config("depth", cfg.depth)),
         );
         assert_eq!(w.max_depth(BackendKind::Raw), 1);
@@ -1136,6 +1104,8 @@ mod tests {
             "test",
             "panics on dispatch",
             &[BackendKind::Raw],
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             |_| panic!("kernel exploded at depth 7"),
         ));
         let err = r.run("bomb", BackendKind::Raw, Scale::Small).unwrap_err();
@@ -1158,6 +1128,8 @@ mod tests {
             "test",
             "stalls forever (well, 10s)",
             &[BackendKind::Raw],
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             |cfg| {
                 std::thread::sleep(std::time::Duration::from_secs(10));
                 Ok(RunReport::new("sleeper", cfg.backend, cfg.scale))
@@ -1193,6 +1165,8 @@ mod tests {
             "test",
             "fails twice, then succeeds",
             &[BackendKind::Raw],
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             move |cfg| {
                 if c.fetch_add(1, Ordering::SeqCst) < 2 {
                     Err(EngineError::Retriable {
@@ -1317,6 +1291,8 @@ mod tests {
             "test",
             "healthy unless a fault fires",
             &[BackendKind::Raw],
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             |cfg| {
                 let mut rep = RunReport::new("victim", cfg.backend, cfg.scale);
                 rep.flops = 100;
@@ -1364,6 +1340,8 @@ mod tests {
             "test",
             "ticks forever until cancelled",
             &[BackendKind::Raw],
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             |_cfg| loop {
                 crate::cancel::tick(1);
             },
@@ -1408,7 +1386,7 @@ mod tests {
     #[test]
     fn budget_preflight_rejects_oversized_cells() {
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed_sized(
+        r.register(FnWorkload::boxed(
             "big",
             "test",
             "claims a 1 MiB footprint",
@@ -1439,7 +1417,7 @@ mod tests {
         // footprint = depth × 1000 bytes: depth 3 busts a 2000-byte
         // budget, depth 1 fits, so the first rung (depth→1) suffices.
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed_sized(
+        r.register(FnWorkload::boxed(
             "laddered",
             "test",
             "footprint scales with depth",
@@ -1475,7 +1453,7 @@ mod tests {
         assert_eq!(rep.backend, BackendKind::Traced);
         // Without traced support the same budget is a hard reject.
         let mut r2 = Registry::new();
-        r2.register(FnWorkload::boxed_sized(
+        r2.register(FnWorkload::boxed(
             "untraceable",
             "test",
             "raw only",
@@ -1505,6 +1483,8 @@ mod tests {
             "test",
             "reports inconsistent counters",
             &[BackendKind::Raw],
+            &[],
+            |_, _| DEFAULT_FOOTPRINT_BYTES,
             |cfg| {
                 let mut rep = RunReport::new("liar", cfg.backend, cfg.scale);
                 let mut t = Traffic::ZERO;

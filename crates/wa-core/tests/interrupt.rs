@@ -5,7 +5,9 @@
 //! cancellation suite.
 
 use wa_core::cancel::{self, CancelReason, CancelToken};
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, RunLimits};
+use wa_core::engine::{
+    BackendKind, EngineError, FnWorkload, RunCfg, RunLimits, DEFAULT_FOOTPRINT_BYTES,
+};
 use wa_core::{Registry, Scale};
 
 /// One test drives the whole lifecycle so the epoch bumps are ordered:
@@ -60,6 +62,8 @@ fn interrupt_cancels_prior_tokens_and_suppresses_engine_retries() {
         "test",
         "interrupts the process then panics",
         &[BackendKind::Raw],
+        &[],
+        |_, _| DEFAULT_FOOTPRINT_BYTES,
         |_| {
             cancel::interrupt_now();
             panic!("boom");
