@@ -384,7 +384,8 @@ fn run(reg: &Registry, args: &[String]) {
 
 /// `harness profile <workload>`: run one cell with the observer installed
 /// and print the per-phase table the simulator's probe collected — writes
-/// (fills/write-backs) per level, DRAM traffic, memo rates, wall time.
+/// (fills/write-backs) per level, DRAM traffic, memo rates, wall time —
+/// or, for `--backend stack`, the Mattson stack's work counters.
 fn profile(reg: &Registry, args: &[String]) {
     let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("`harness profile` needs a workload name (see `harness list`)");
@@ -423,6 +424,13 @@ fn profile(reg: &Registry, args: &[String]) {
         depth
     );
     if rows.is_empty() {
+        if let Some(series) = stack_counters(&rec) {
+            println!("stack simulator work counters:");
+            for (k, v) in series {
+                println!("  {k:<16} {v:>12}");
+            }
+            return;
+        }
         println!(
             "no phase data: the `{}` backend runs without the cache \
              simulator's probe (try --backend simmed)",
@@ -434,6 +442,17 @@ fn profile(reg: &Registry, args: &[String]) {
     if let Some((_, hist)) = report.config.iter().find(|(k, _)| k == "reuse_hist") {
         println!("\nreuse-distance histogram (lines): {hist}");
     }
+}
+
+/// The last sample of the stack simulator's counter track, if a `stack`
+/// cell reported under the recorder.
+fn stack_counters(rec: &Recorder) -> Option<Vec<(String, u64)>> {
+    rec.events().into_iter().rev().find_map(|e| match e.kind {
+        obs::EventKind::Counter { name, series } if name == memsim::STACK_COUNTER_TRACK => {
+            Some(series)
+        }
+        _ => None,
+    })
 }
 
 /// Render the per-phase probe table: one row per phase, per-level fill and

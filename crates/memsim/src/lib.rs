@@ -61,7 +61,7 @@ pub use hierarchy::{AccessRun, MemSim};
 pub use mem::{Mem, RawMem, SimMem, TraceMem};
 pub use policy::Policy;
 pub use probe::{PhaseStats, Probe, ReuseHist};
-pub use report::{explicit_report, memsim_report, stack_report};
-pub use stack::StackSim;
+pub use report::{explicit_report, memsim_report, stack_report, STACK_COUNTER_TRACK};
+pub use stack::{StackSim, StackStats};
 pub use tally::TraceTally;
 pub use xeon::LINE_WORDS;

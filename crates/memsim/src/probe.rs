@@ -13,12 +13,15 @@
 //!
 //! The [`ReuseHist`] is the classical Mattson/LRU stack-distance
 //! histogram over the line-granular access stream, computed with a
-//! Fenwick tree over access ticks (`O(log n)` per *distinct-line* touch).
-//! Consecutive same-line accesses — the simulator's memo/bulk fast path —
-//! are distance-0 by definition and are folded in as O(1) bucket bumps,
-//! so the histogram costs nothing extra on the hot path it would
-//! otherwise destroy. This is the input a future Mattson backend consumes
-//! (one pass → hit rates at every capacity).
+//! Fenwick tree over access ticks. Its tree is never compacted, so it
+//! grows with the number of *distinct-line* touches and each touch costs
+//! `O(log touches)`; the Mattson stack backend ([`crate::StackSim`])
+//! shares the `Fenwick` type but compacts its ticks, costing
+//! `O(footprint)` memory and `O(log footprint)` per touch. Consecutive
+//! same-line accesses — the simulator's memo/bulk fast path — are
+//! distance-0 by definition and are folded in as O(1) bucket bumps, so
+//! the histogram costs nothing extra on the hot path it would otherwise
+//! destroy.
 
 use crate::cache::LevelCounters;
 use std::collections::HashMap;
@@ -182,13 +185,14 @@ impl Probe {
 }
 
 /// Fenwick (binary-indexed) tree over access ticks `1..=n`, holding a 1
-/// at each line's most recent access position. Grows by doubling.
+/// at each line's most recent access position. Grows by doubling;
+/// [`Fenwick::reset`] rebuilds it at any size for a compacted tick space.
 /// Shared by [`ReuseHist`] and the Mattson stack simulator
 /// (`crate::stack::StackSim`), which both derive stack distances from
 /// prefix sums over it.
 pub(crate) struct Fenwick {
     /// `fen.len() == n + 1`; index 0 unused.
-    fen: Vec<i64>,
+    fen: Vec<i32>,
     /// Tree size (power of two).
     n: usize,
 }
@@ -220,19 +224,65 @@ impl Fenwick {
         self.fen[self.n] = total;
     }
 
-    pub(crate) fn add(&mut self, mut i: usize, v: i64) {
+    /// Tree size: the highest addressable position.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Rebuild as a tree of `n` slots (a power of two) holding a 1 at
+    /// each of the positions `1..=ones` and 0 elsewhere, in `O(n)`:
+    /// each node passes its finished sum up to its parent once.
+    pub(crate) fn reset(&mut self, n: usize, ones: usize) {
+        debug_assert!(n.is_power_of_two() && ones <= n);
+        self.n = n;
+        self.fen.clear();
+        self.fen.resize(n + 1, 0);
+        self.fen.shrink_to_fit();
+        self.fen[1..=ones].fill(1);
+        for i in 1..n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                self.fen[parent] += self.fen[i];
+            }
+        }
+    }
+
+    pub(crate) fn add(&mut self, mut i: usize, v: i32) {
         while i <= self.n {
             self.fen[i] += v;
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Sum of positions `1..=i`.
-    pub(crate) fn prefix(&self, mut i: usize) -> i64 {
+    /// Move one unit from position `from` to a later position `to`:
+    /// `add(from, -1)` then `add(to, 1)`, but both update paths stop at
+    /// the lowest node covering both positions, since above it the two
+    /// cancel. A node on `from`'s path that does not cover `to` ends
+    /// below `to`, so `from`'s path reaches that meeting node first, by
+    /// climbing while below `to`; `to`'s path then climbs up to it. A
+    /// move across a short distance — the common case for recency
+    /// ticks — touches only a few nodes.
+    pub(crate) fn shift(&mut self, mut from: usize, mut to: usize) {
+        debug_assert!(0 < from && from < to && to <= self.n);
+        while from < to {
+            self.fen[from] -= 1;
+            from += from & from.wrapping_neg();
+        }
+        while to < from {
+            self.fen[to] += 1;
+            to += to & to.wrapping_neg();
+        }
+        debug_assert_eq!(from, to, "both paths end at the meeting node");
+    }
+
+    /// Sum of positions `1..=i`. A fixed `log2(n)` steps, which covers
+    /// every `i ≤ n` (index 0 holds 0, so the steps past the last set
+    /// bit add nothing) and leaves no data-dependent loop exit.
+    pub(crate) fn prefix(&self, mut i: usize) -> i32 {
         let mut s = 0;
-        while i > 0 {
+        for _ in 0..self.n.trailing_zeros() {
             s += self.fen[i];
-            i -= i & i.wrapping_neg();
+            i &= i.wrapping_sub(1);
         }
         s
     }

@@ -165,8 +165,30 @@ pub fn stack_report(sim: &StackSim, fast_words: usize, report: RunReport) -> Run
             curve.default_ladder().len()
         ));
     r.curve = Some(curve);
+    if let Some(rec) = wa_core::obs::active() {
+        // The work counters behind the run's time, for `harness
+        // profile`; kept out of the report so its counts stay fixed.
+        let st = sim.stats();
+        rec.counter(
+            STACK_COUNTER_TRACK,
+            &[
+                ("word_accesses", st.word_accesses),
+                ("repeats", st.repeats),
+                ("memo_d1_hits", st.memo_d1_hits),
+                ("full_queries", st.full_queries),
+                ("compactions", st.compactions),
+                ("tree_slots", st.tree_slots),
+                ("footprint_lines", st.footprint_lines),
+            ],
+        );
+    }
     r
 }
+
+/// Name of the counter track [`stack_report`] samples a [`StackSim`]'s
+/// [`crate::StackStats`] into when a [`wa_core::obs`] recorder is
+/// installed.
+pub const STACK_COUNTER_TRACK: &str = "memsim stack";
 
 #[cfg(test)]
 mod tests {

@@ -44,80 +44,113 @@
 //! satisfy the stack property, and neither do `MemSim`'s stacked
 //! hierarchies (an L1 hit does not refresh L2 recency).
 //!
-//! Distances are computed with the same Fenwick-tree-over-ticks scheme
-//! as [`crate::ReuseHist`] (`O(log n)` per distinct-line touch). A
-//! two-entry recency memo keeps the hot patterns cheap: consecutive
-//! repeats are O(1) (distance 0 touches no histogram), and the
-//! second-most-recent line has distance exactly 1 by construction, so
-//! its touch skips both Fenwick prefix queries.
+//! # Cost
+//!
+//! Distances come from a Fenwick tree over *ticks*, one tick per
+//! distinct-line touch, holding a 1 at each line's most recent tick.
+//! Before a touch the tree holds exactly one 1 per live line, so a line
+//! last touched at tick `pos` has distance `live − prefix(pos)`: one
+//! prefix query per touch. Moving the line's 1 from `pos` to the new
+//! tick walks the two update paths only up to the node where they meet
+//! (above it they cancel), so a short reuse is a short walk.
+//!
+//! The tick space is compacted: when the ticks reach the end of the
+//! tree and at most a quarter of its slots hold a live line, one linear
+//! scan renumbers the live lines `1..=L` in recency order and the tree
+//! is rebuilt as ones on `1..=L` at `max(64, next_pow2(4L))` slots. A
+//! distance counts only the live positions between two ticks, so
+//! renumbering in order keeps every distance exact. The tree never exceeds `max(64, 8 × footprint)`
+//! slots, so the simulator costs `O(footprint)` memory and
+//! `O(log footprint)` amortized work per distinct-line touch, however
+//! long the trace.
+//!
+//! A two-entry recency memo keeps the hot patterns cheaper still:
+//! consecutive repeats are O(1) (distance 0 touches no histogram), and
+//! the second-most-recent line has distance exactly 1 by construction,
+//! so its touch skips the prefix query.
+//!
+//! Per-line state lives in a table indexed by line number
+//! (`addr / line_words`) and grown on demand, the convention of
+//! [`crate::TraceTally`]'s line bitset. A feeder must therefore address
+//! a dense range from 0: the table spans every line up to the highest
+//! one touched. Every feeder in the workspace does — [`crate::SimMem`]
+//! and krylov's `SimIo` address their staged data, the distributed
+//! machine each rank's bump-allocated heap, and the benchmark replays
+//! streams recorded from `SimMem`-style kernels.
 
 use crate::probe::Fenwick;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use wa_core::curve::CapacityCurve;
 pub use wa_core::AccessRun;
 
-/// Multiply-fold hasher for line numbers — the map's only key type. The
-/// default SipHash costs more than the Fenwick work on this hot path;
-/// a Fibonacci multiply with the high bits folded down suffices for
-/// sequential/strided line keys.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("line keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type LineMap = HashMap<u64, LineState, BuildHasherDefault<LineHasher>>;
+/// `LineState::maxd` of a line that was never written. Such a line owes
+/// no write-back at any capacity, and no distance ever exceeds it, so
+/// the emission test `maxd < d` needs no separate written flag.
+const CLEAN: u32 = u32::MAX;
 
 /// Per-line state of the Mattson stack.
+#[derive(Clone, Copy, Default)]
 struct LineState {
-    /// Fenwick tick of the line's most recent (non-repeat) touch.
-    pos: usize,
-    /// Has the line ever been written? (Clean lines never owe
-    /// write-backs at any capacity.)
-    written: bool,
-    /// Deepest stack distance reached since the last write.
-    maxd: u64,
+    /// Tick of the line's most recent (non-repeat) touch; 0 while the
+    /// line is untouched.
+    pos: u32,
+    /// Deepest stack distance reached since the last write, or [`CLEAN`].
+    maxd: u32,
+}
+
+/// Work counters of a [`StackSim`] — what `harness profile --backend
+/// stack` prints to explain a run's time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StackStats {
+    pub word_accesses: u64,
+    /// Touches of the most recent line (distance 0, O(1)).
+    pub repeats: u64,
+    /// Touches of the second-most-recent line (distance 1, no query).
+    pub memo_d1_hits: u64,
+    /// Touches that took a Fenwick prefix query.
+    pub full_queries: u64,
+    /// Tick-space compactions so far.
+    pub compactions: u64,
+    /// Current Fenwick tree size in slots.
+    pub tree_slots: u64,
+    pub footprint_lines: u64,
 }
 
 /// One-pass all-capacities FA-LRU simulator. Feed it the same
 /// word-granular access stream as [`crate::MemSim`] (as the sink of a
 /// [`crate::SimMem`], or the `read`/`write`/`*_range`/`run` calls directly),
-/// then project any capacity list with [`StackSim::curve`].
+/// then project any capacity list with [`StackSim::curve`]. Addresses
+/// must form a dense range from 0 (see the module docs).
 pub struct StackSim {
     line_words: usize,
-    /// Non-repeat touch counter (Fenwick positions).
+    /// `log2(line_words)`: a line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// Last tick handed out (Fenwick positions `1..=tick` are in use).
     tick: usize,
-    /// 1 at each line's most recent touch position.
+    /// 1 at each live line's most recent tick.
     fen: Fenwick,
-    lines: LineMap,
+    /// `owner[p]` is the line that took tick `p`; the slot is live iff
+    /// that line's `pos` is still `p`.
+    owner: Vec<u32>,
+    /// Per-line state, indexed by line number.
+    lines: Vec<LineState>,
+    /// Distinct lines touched so far (the 1s in `fen`).
+    live: usize,
     /// Most recently touched line: consecutive repeats are distance 0.
-    memo: Option<u64>,
+    memo: Option<usize>,
     /// A repeat *write* happened during the current `memo` streak; its
-    /// dirtying effect (written = true, maxd = 0) is applied to the memo
-    /// line's map entry when the streak ends — and virtually by
-    /// [`StackSim::curve`] if the trace ends mid-streak — so repeat
-    /// writes stay O(1) with no map lookup.
+    /// dirtying effect (maxd = 0) is applied to the memo line's entry
+    /// when the streak ends — and virtually by [`StackSim::curve`] if
+    /// the trace ends mid-streak — so repeat writes stay O(1).
     memo_dirty: bool,
     /// Second-most-recent distinct line: its next touch has stack
     /// distance exactly 1 (only `memo` intervened), so no Fenwick
-    /// prefix queries are needed.
-    memo2: Option<u64>,
+    /// prefix query is needed.
+    memo2: Option<usize>,
     word_accesses: u64,
     repeats: u64,
     cold: u64,
+    memo_d1_hits: u64,
+    compactions: u64,
     /// Exact distance histogram over non-cold, non-repeat touches.
     dist: Vec<u64>,
     /// Dirty-eviction interval emissions (see module docs).
@@ -160,25 +193,35 @@ impl StackSim {
         StackSim::with_line_words(crate::xeon::LINE_WORDS)
     }
 
+    /// A stack simulator over `line_words`-word lines (a power of two).
     pub fn with_line_words(line_words: usize) -> StackSim {
-        assert!(line_words > 0, "line size must be positive");
+        assert!(
+            line_words.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let cancel_token = wa_core::cancel::current();
         let cancel_check_at = if cancel_token.is_some() {
             wa_core::cancel::CHECK_INTERVAL
         } else {
             u64::MAX
         };
+        let fen = Fenwick::new();
         StackSim {
             line_words,
+            line_shift: line_words.trailing_zeros(),
             tick: 0,
-            fen: Fenwick::new(),
-            lines: LineMap::default(),
+            owner: vec![0; fen.len() + 1],
+            fen,
+            lines: Vec::new(),
+            live: 0,
             memo: None,
             memo_dirty: false,
             memo2: None,
             word_accesses: 0,
             repeats: 0,
             cold: 0,
+            memo_d1_hits: 0,
+            compactions: 0,
             dist: Vec::new(),
             wb_lo: Vec::new(),
             wb_hi: Vec::new(),
@@ -206,12 +249,26 @@ impl StackSim {
 
     /// Distinct lines touched so far.
     pub fn footprint_lines(&self) -> u64 {
-        self.lines.len() as u64
+        self.live as u64
     }
 
     /// Total word accesses recorded.
     pub fn word_accesses(&self) -> u64 {
         self.word_accesses
+    }
+
+    /// The work counters so far.
+    pub fn stats(&self) -> StackStats {
+        let touched = self.dist.iter().sum::<u64>();
+        StackStats {
+            word_accesses: self.word_accesses,
+            repeats: self.repeats,
+            memo_d1_hits: self.memo_d1_hits,
+            full_queries: touched - self.memo_d1_hits,
+            compactions: self.compactions,
+            tree_slots: self.fen.len() as u64,
+            footprint_lines: self.live as u64,
+        }
     }
 
     /// Record a read of word address `addr`.
@@ -221,7 +278,7 @@ impl StackSim {
         if self.word_accesses >= self.cancel_check_at {
             self.cancel_checkpoint();
         }
-        self.touch_line(addr as u64 / self.line_words as u64, false);
+        self.touch_line(addr >> self.line_shift, false);
     }
 
     /// Record a write of word address `addr`.
@@ -231,7 +288,7 @@ impl StackSim {
         if self.word_accesses >= self.cancel_check_at {
             self.cancel_checkpoint();
         }
-        self.touch_line(addr as u64 / self.line_words as u64, true);
+        self.touch_line(addr >> self.line_shift, true);
     }
 
     /// Record a sequential read scan of `[addr, addr + words)`.
@@ -252,17 +309,18 @@ impl StackSim {
     }
 
     fn range_access(&mut self, addr: usize, words: usize, is_write: bool) {
-        let lw = self.line_words;
+        let sh = self.line_shift;
         let end = addr + words;
         let mut a = addr;
         while a < end {
-            let line_end = (a / lw + 1) * lw;
+            let line = a >> sh;
+            let line_end = (line + 1) << sh;
             let in_line = line_end.min(end) - a;
             self.word_accesses += in_line as u64;
             if self.word_accesses >= self.cancel_check_at {
                 self.cancel_checkpoint();
             }
-            self.touch_line(a as u64 / lw as u64, is_write);
+            self.touch_line(line, is_write);
             if in_line > 1 {
                 // The remaining words of the interval are distance-0
                 // repeats of the line just touched; `touch_line` already
@@ -274,21 +332,52 @@ impl StackSim {
     }
 
     /// Apply a memo streak's pending repeat-write dirtying to the memo
-    /// line's map entry. Must run before the streak ends (the entry is
-    /// never read mid-streak, so deferring until here is exact).
+    /// line's entry. Must run before the streak ends (the entry is never
+    /// read mid-streak, so deferring until here is exact).
     fn flush_memo_dirty(&mut self) {
         if self.memo_dirty {
             let prev = self.memo.expect("memo_dirty implies an active memo");
-            let st = self.lines.get_mut(&prev).expect("memo line is mapped");
-            st.written = true;
-            st.maxd = 0;
+            self.lines[prev].maxd = 0;
             self.memo_dirty = false;
+        }
+    }
+
+    /// Make tick `self.tick + 1` addressable: compact the tick space if
+    /// at most a quarter of the full tree is live, else double the tree.
+    #[cold]
+    fn make_room(&mut self) {
+        if 4 * self.live <= self.fen.len() {
+            // Renumber the live ticks 1..=live in order. A slot `p` is
+            // live iff its owner still sits there; `next ≤ p` throughout,
+            // so the scan rewrites `owner` in place, and a line already
+            // renumbered (pos = next ≤ p) never matches a later slot.
+            let mut next = 0;
+            for p in 1..=self.tick {
+                let line = self.owner[p];
+                let st = &mut self.lines[line as usize];
+                if st.pos as usize == p {
+                    next += 1;
+                    st.pos = next as u32;
+                    self.owner[next] = line;
+                }
+            }
+            debug_assert_eq!(next, self.live);
+            self.tick = next;
+            let slots = (4 * next).next_power_of_two().max(64);
+            self.fen.reset(slots, next);
+            self.owner.resize(slots + 1, 0);
+            self.compactions += 1;
+        } else {
+            let slots = 2 * self.fen.len();
+            assert!(slots <= u32::MAX as usize, "tick space exceeds u32");
+            self.fen.ensure(slots);
+            self.owner.resize(slots + 1, 0);
         }
     }
 
     /// One line-granular touch: distance, fill/write-back emission, state
     /// update. The word-level accounting is the caller's job.
-    fn touch_line(&mut self, line: u64, is_write: bool) {
+    fn touch_line(&mut self, line: usize, is_write: bool) {
         if self.memo == Some(line) {
             // Distance 0: hits at every capacity ≥ 1 line, so it affects
             // no histogram — but a repeat *write* re-dirties the line
@@ -298,61 +387,47 @@ impl StackSim {
             return;
         }
         self.flush_memo_dirty();
-        self.tick += 1;
-        self.fen.ensure(self.tick);
-        if self.memo2 == Some(line) {
-            // Second-most-recent line: exactly one distinct line (the
-            // memo) was touched since, so d = 1 with no prefix queries.
-            let st = self.lines.get_mut(&line).expect("memo2 line is mapped");
-            bump(&mut self.dist, 1);
-            if st.written && st.maxd == 0 {
-                bump(&mut self.wb_lo, 1);
-                bump(&mut self.wb_hi, 1);
-            }
-            self.fen.add(st.pos, -1);
-            st.pos = self.tick;
-            if is_write {
-                st.written = true;
-                st.maxd = 0;
-            } else {
-                st.maxd = st.maxd.max(1);
-            }
-        } else {
-            match self.lines.get_mut(&line) {
-                None => {
-                    self.cold += 1;
-                    self.lines.insert(
-                        line,
-                        LineState {
-                            pos: self.tick,
-                            written: is_write,
-                            maxd: 0,
-                        },
-                    );
-                }
-                Some(st) => {
-                    // Distinct other lines touched since the previous touch.
-                    let d = (self.fen.prefix(self.tick - 1) - self.fen.prefix(st.pos)) as u64;
-                    bump(&mut self.dist, d as usize);
-                    // The eviction this access would re-fetch after is dirty
-                    // for capacities in [maxd+1, d] (empty when the line
-                    // already missed at every capacity it was dirty for).
-                    if st.written && st.maxd < d {
-                        bump(&mut self.wb_lo, st.maxd as usize + 1);
-                        bump(&mut self.wb_hi, d as usize);
-                    }
-                    self.fen.add(st.pos, -1);
-                    st.pos = self.tick;
-                    if is_write {
-                        st.written = true;
-                        st.maxd = 0;
-                    } else {
-                        st.maxd = st.maxd.max(d);
-                    }
-                }
-            }
+        if self.tick == self.fen.len() {
+            self.make_room();
         }
-        self.fen.add(self.tick, 1);
+        if line >= self.lines.len() {
+            assert!(line < u32::MAX as usize, "line number exceeds u32");
+            self.lines
+                .resize((line + 1).max(2 * self.lines.len()), LineState::default());
+        }
+        self.tick += 1;
+        let tick = self.tick;
+        let st = &mut self.lines[line];
+        if st.pos == 0 {
+            self.cold += 1;
+            self.live += 1;
+            st.maxd = if is_write { 0 } else { CLEAN };
+            self.fen.add(tick, 1);
+        } else {
+            let d = if self.memo2 == Some(line) {
+                // Second-most-recent line: exactly one distinct line
+                // (the memo) was touched since.
+                self.memo_d1_hits += 1;
+                1
+            } else {
+                // Distinct other lines touched since the previous touch:
+                // the live lines whose tick lies after `pos`.
+                (self.live - self.fen.prefix(st.pos as usize) as usize) as u32
+            };
+            bump(&mut self.dist, d as usize);
+            // The eviction this access would re-fetch after is dirty for
+            // capacities in [maxd+1, d] (empty when the line is clean or
+            // already missed at every capacity it was dirty for).
+            if st.maxd < d {
+                bump(&mut self.wb_lo, st.maxd as usize + 1);
+                bump(&mut self.wb_hi, d as usize);
+            }
+            // A read deepens `maxd` (a clean line stays CLEAN).
+            st.maxd = if is_write { 0 } else { st.maxd.max(d) };
+            self.fen.shift(st.pos as usize, tick);
+        }
+        st.pos = tick as u32;
+        self.owner[tick] = line as u32;
         self.memo2 = self.memo;
         self.memo = Some(line);
     }
@@ -368,21 +443,24 @@ impl StackSim {
         let mut wb_lo = self.wb_lo.clone();
         let mut wb_hi = self.wb_hi.clone();
         let mut flush = Vec::new();
-        for (&line, st) in self.lines.iter() {
+        for (line, st) in self.lines.iter().enumerate() {
+            if st.pos == 0 {
+                continue;
+            }
             // A trace ending mid-streak may owe the memo line a pending
             // repeat-write dirtying; apply it virtually (curve() must not
             // mutate the simulator).
-            let (written, maxd) = if self.memo_dirty && self.memo == Some(line) {
-                (true, 0)
+            let maxd = if self.memo_dirty && self.memo == Some(line) {
+                0
             } else {
-                (st.written, st.maxd)
+                st.maxd
             };
-            if !written {
+            if maxd == CLEAN {
                 continue;
             }
             // Distinct lines touched after this line's last access: the
             // line is evicted before end-of-trace iff capacity ≤ e.
-            let e = (self.fen.prefix(self.tick) - self.fen.prefix(st.pos)) as u64;
+            let e = (self.live - self.fen.prefix(st.pos as usize) as usize) as u32;
             if maxd < e {
                 // Dirty-evicted during the run for C in [maxd+1, e],
                 // with no later access to emit it — fold it here.
@@ -399,7 +477,7 @@ impl StackSim {
             line_touches: self.cold + self.repeats + self.dist.iter().sum::<u64>(),
             repeats: self.repeats,
             cold: self.cold,
-            footprint_lines: self.lines.len() as u64,
+            footprint_lines: self.live as u64,
             dist_cum: cumulate(self.dist.clone()),
             wb_lo_cum: cumulate(wb_lo),
             wb_hi_cum: cumulate(wb_hi),
@@ -560,6 +638,29 @@ mod tests {
         assert_eq!(c2.at(8).writebacks, 1, "now evicted dirty during run");
         assert_eq!(c2.at(8).flush_writebacks, 0);
         assert_eq!(c2.at(64).flush_writebacks, 1, "still resident at C=8 lines");
+    }
+
+    #[test]
+    fn tree_stays_bounded_by_the_footprint_not_the_trace() {
+        // 10^6 distinct-line touches over 8 lines: without compaction the
+        // tick space would grow to 2^20 slots.
+        let mut s = StackSim::new();
+        for i in 0..1_000_000usize {
+            if i % 3 == 0 {
+                s.write((i % 8) * 8);
+            } else {
+                s.read((i % 8) * 8);
+            }
+        }
+        let st = s.stats();
+        assert!(st.tree_slots <= 64, "tree grew to {} slots", st.tree_slots);
+        assert!(st.compactions > 10_000, "{} compactions", st.compactions);
+        assert_eq!(st.footprint_lines, 8);
+        assert_eq!(st.full_queries + st.memo_d1_hits + 8, 1_000_000);
+        // Every re-touch of the 8-line cycle is at distance 7.
+        let c = s.curve();
+        assert_eq!(c.at(7 * 8).fills, 1_000_000);
+        assert_eq!(c.at(8 * 8).fills, 8);
     }
 
     #[test]

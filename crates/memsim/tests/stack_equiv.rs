@@ -10,6 +10,7 @@
 
 use memsim::{AccessRun, MemSim, StackSim};
 use proptest::prelude::*;
+use wa_core::CapacityCurve;
 
 /// Reference counters at one capacity: a flushed FA-LRU MemSim run.
 /// Returns (fills, victims_m, flush_victims_m, hits, dram_reads,
@@ -34,7 +35,12 @@ fn reference(runs: &[AccessRun], cap_words: usize) -> (u64, u64, u64, u64, u64, 
 fn assert_curve_matches(runs: &[AccessRun], caps_lines: &[usize]) {
     let mut s = StackSim::new();
     s.run(runs);
-    let curve = s.curve();
+    assert_matches_reference(&s.curve(), runs, caps_lines);
+}
+
+/// Compare an already projected `curve` of `runs` field-for-field
+/// against independent per-capacity reference runs.
+fn assert_matches_reference(curve: &CapacityCurve, runs: &[AccessRun], caps_lines: &[usize]) {
     // Histogram mass: every line touch is cold, repeat, or distanced.
     assert_eq!(curve.line_touches, curve.word_accesses);
     for &c in caps_lines {
@@ -104,6 +110,39 @@ proptest! {
         for &c in &caps {
             let p = curve.at((c * 8) as u64);
             assert_eq!(p.dram_writes_lines(), p.fills, "write-only at {c} lines");
+        }
+    }
+
+    /// Long write-heavy traces over at most 16 lines: thousands of
+    /// distinct-line touches on a footprint that never outgrows the
+    /// 64-slot tree, so every case compacts the tick space many times.
+    /// The curve taken mid-trace and the one at the end must both match
+    /// the reference runs of the trace so far.
+    #[test]
+    fn compacting_long_traces_match_mid_trace_and_at_end(
+        span_lines in 1usize..17,
+        spec in prop::collection::vec((0usize..1 << 16, 1usize..9, 0u8..4), 2000..4000),
+        cut in 0usize..1 << 16,
+    ) {
+        let span = span_lines * 8;
+        let runs: Vec<AccessRun> = spec
+            .iter()
+            .map(|&(x, words, kind)| {
+                let addr = x % span;
+                AccessRun { addr, words: words.min(span - addr), is_write: kind != 0 }
+            })
+            .collect();
+        let cut = cut % (runs.len() + 1);
+        let caps: Vec<usize> = (1..=17).collect();
+        let mut s = StackSim::new();
+        s.run(&runs[..cut]);
+        assert_matches_reference(&s.curve(), &runs[..cut], &caps);
+        s.run(&runs[cut..]);
+        assert_matches_reference(&s.curve(), &runs, &caps);
+        let st = s.stats();
+        prop_assert_eq!(st.tree_slots, 64);
+        if st.full_queries + st.memo_d1_hits + st.footprint_lines > 64 {
+            prop_assert!(st.compactions > 0);
         }
     }
 }
