@@ -192,7 +192,7 @@ impl Probe {
 /// prefix sums over it.
 pub(crate) struct Fenwick {
     /// `fen.len() == n + 1`; index 0 unused.
-    fen: Vec<i32>,
+    fen: Vec<i64>,
     /// Tree size (power of two).
     n: usize,
 }
@@ -247,42 +247,19 @@ impl Fenwick {
         }
     }
 
-    pub(crate) fn add(&mut self, mut i: usize, v: i32) {
+    pub(crate) fn add(&mut self, mut i: usize, v: i64) {
         while i <= self.n {
             self.fen[i] += v;
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Move one unit from position `from` to a later position `to`:
-    /// `add(from, -1)` then `add(to, 1)`, but both update paths stop at
-    /// the lowest node covering both positions, since above it the two
-    /// cancel. A node on `from`'s path that does not cover `to` ends
-    /// below `to`, so `from`'s path reaches that meeting node first, by
-    /// climbing while below `to`; `to`'s path then climbs up to it. A
-    /// move across a short distance — the common case for recency
-    /// ticks — touches only a few nodes.
-    pub(crate) fn shift(&mut self, mut from: usize, mut to: usize) {
-        debug_assert!(0 < from && from < to && to <= self.n);
-        while from < to {
-            self.fen[from] -= 1;
-            from += from & from.wrapping_neg();
-        }
-        while to < from {
-            self.fen[to] += 1;
-            to += to & to.wrapping_neg();
-        }
-        debug_assert_eq!(from, to, "both paths end at the meeting node");
-    }
-
-    /// Sum of positions `1..=i`. A fixed `log2(n)` steps, which covers
-    /// every `i ≤ n` (index 0 holds 0, so the steps past the last set
-    /// bit add nothing) and leaves no data-dependent loop exit.
-    pub(crate) fn prefix(&self, mut i: usize) -> i32 {
+    /// Sum of positions `1..=i`.
+    pub(crate) fn prefix(&self, mut i: usize) -> i64 {
         let mut s = 0;
-        for _ in 0..self.n.trailing_zeros() {
+        while i > 0 {
             s += self.fen[i];
-            i &= i.wrapping_sub(1);
+            i -= i & i.wrapping_neg();
         }
         s
     }

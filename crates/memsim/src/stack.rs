@@ -50,19 +50,18 @@
 //! distinct-line touch, holding a 1 at each line's most recent tick.
 //! Before a touch the tree holds exactly one 1 per live line, so a line
 //! last touched at tick `pos` has distance `live − prefix(pos)`: one
-//! prefix query per touch. Moving the line's 1 from `pos` to the new
-//! tick walks the two update paths only up to the node where they meet
-//! (above it they cancel), so a short reuse is a short walk.
+//! prefix query per touch, and two point updates move the line's 1 from
+//! `pos` to the new tick.
 //!
 //! The tick space is compacted: when the ticks reach the end of the
 //! tree and at most a quarter of its slots hold a live line, one linear
 //! scan renumbers the live lines `1..=L` in recency order and the tree
 //! is rebuilt as ones on `1..=L` at `max(64, next_pow2(4L))` slots. A
 //! distance counts only the live positions between two ticks, so
-//! renumbering in order keeps every distance exact. The tree never exceeds `max(64, 8 × footprint)`
-//! slots, so the simulator costs `O(footprint)` memory and
-//! `O(log footprint)` amortized work per distinct-line touch, however
-//! long the trace.
+//! renumbering in order keeps every distance exact. The tree never
+//! exceeds `max(64, 8 × footprint)` slots, so the simulator costs
+//! `O(footprint)` memory and `O(log footprint)` amortized work per
+//! distinct-line touch, however long the trace.
 //!
 //! A two-entry recency memo keeps the hot patterns cheaper still:
 //! consecutive repeats are O(1) (distance 0 touches no histogram), and
@@ -424,7 +423,8 @@ impl StackSim {
             }
             // A read deepens `maxd` (a clean line stays CLEAN).
             st.maxd = if is_write { 0 } else { st.maxd.max(d) };
-            self.fen.shift(st.pos as usize, tick);
+            self.fen.add(st.pos as usize, -1);
+            self.fen.add(tick, 1);
         }
         st.pos = tick as u32;
         self.owner[tick] = line as u32;

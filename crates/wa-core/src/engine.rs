@@ -870,7 +870,7 @@ fn run_guarded(
     let token = crate::cancel::CancelToken::new();
     let Some(deadline) = cfg.limits.timeout else {
         let _guard = crate::cancel::install(token);
-        return execute_contained(&*w, name, cfg, fault, Instant::now());
+        return execute_contained(&*w, name, cfg, fault);
     };
     crate::obs::instant("watchdog:arm", "engine");
     let (tx, rx) = mpsc::channel();
@@ -881,7 +881,7 @@ fn run_guarded(
         .name(format!("wa-cell-{name}"))
         .spawn(move || {
             let _guard = crate::cancel::install(worker_token);
-            let r = execute_contained(&*w, &owned, cfg, fault, t0);
+            let r = execute_contained(&*w, &owned, cfg, fault);
             let _ = tx.send(r); // receiver may have given up: fine
         })
         .expect("spawn cell worker thread");
@@ -950,19 +950,15 @@ fn fault_tag(f: FaultKind) -> &'static str {
 }
 
 /// The innermost attempt body: inject the fault, run the workload, and
-/// convert any unwind into [`EngineError::Panicked`]. `t0` is the
-/// attempt's start: a cancellation's `elapsed` counts from the same
-/// instant as the watchdog's deadline, not from when the worker thread
-/// got scheduled, so a deadline cancellation never reports less than
-/// its deadline.
+/// convert any unwind into [`EngineError::Panicked`].
 fn execute_contained(
     w: &dyn Workload,
     name: &str,
     cfg: RunCfg,
     fault: Option<FaultKind>,
-    t0: Instant,
 ) -> Result<RunReport, EngineError> {
     crate::cancel::silence_cancellation_unwinds();
+    let t0 = Instant::now();
     let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
         // The guard closes the span on every exit from this closure,
         // including the unwind of an (injected or genuine) panic.
