@@ -1,6 +1,7 @@
-//! Cache-simulator benches and the replacement-policy ablation called out
-//! in DESIGN.md: LRU vs 3-bit clock vs FIFO, fully-associative vs
-//! set-associative, driven by the Fig 4a/4b instruction orders.
+//! Cache-simulator benches and the replacement-policy ablation behind
+//! `harness exp fig2|fig5 --policy clock`: LRU vs 3-bit clock vs FIFO,
+//! fully-associative vs set-associative, driven by the Fig 4a/4b
+//! instruction orders.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dense::desc::alloc_layout;

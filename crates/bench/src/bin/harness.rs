@@ -6,13 +6,15 @@
 //!     --markdown emits the README workload×backend support table.
 //!
 //! harness run <workload> [--backend B] [--scale S] [--depth D] [--json]
-//!             [--trace out.json] [--trace-clock wall|logical]
+//!             [--trace out.json] [--trace-clock wall|logical] [--reuse]
 //!     Execute one workload on one backend and print its RunReport.
-//!     B: raw | simmed | traced | explicit (default: the workload's first
-//!     declared backend). S: small | paper (default small). D: modeled
-//!     hierarchy depth for traffic-counting backends (default 1).
-//!     --trace writes a Chrome trace-event JSON (engine spans, simulator
-//!     counter tracks) openable in Perfetto / chrome://tracing.
+//!     B: raw | simmed | traced | explicit | stack (default: the
+//!     workload's first declared backend). S: small | paper (default
+//!     small). D: modeled hierarchy depth for traffic-counting backends
+//!     (default 1). --trace writes a Chrome trace-event JSON (engine
+//!     spans, simulator counter tracks) openable in Perfetto /
+//!     chrome://tracing. --reuse adds the Mattson reuse-distance
+//!     histogram (`reuse_hist`) to simmed and stack reports.
 //!
 //! harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse]
 //!     Run one cell with the simulator probe attached and print the
@@ -87,7 +89,7 @@ fn main() {
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--json|--csv]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-cell wall-clock deadline (float seconds); the watchdog fires the\n                   cancel token and the worker joins as `cancelled` (a worker stuck in\n                   uncancellable code is detached as legacy `timed-out`)\n  --retries N      re-attempt panicked/cancelled/timed-out/retriable cells N times\n                   (deterministic backoff)\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also collect the simulator's reuse-distance histogram\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
+        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--json|--csv]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-cell wall-clock deadline (float seconds); the watchdog fires the\n                   cancel token and the worker joins as `cancelled` (a worker stuck in\n                   uncancellable code is detached as legacy `timed-out`)\n  --retries N      re-attempt panicked/cancelled/timed-out/retriable cells N times\n                   (deterministic backoff)\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
     );
     std::process::exit(code);
 }
@@ -352,13 +354,15 @@ fn run(reg: &Registry, args: &[String]) {
     let scale = parse_scale(args);
     let depth = parse_depth(args);
     let trace_path = flag_value(args, "--trace").map(std::path::PathBuf::from);
-    let rec = trace_path.as_ref().map(|_| install_recorder(args));
+    let rec = (trace_path.is_some() || has_flag(args, "--reuse")).then(|| install_recorder(args));
     let cfg = RunCfg::with_depth(backend, scale, depth).with_limits(parse_limits(args));
     let res = run_repeated(reg, name, cfg, parse_repeat(args)).0;
+    if rec.is_some() {
+        obs::uninstall();
+    }
     // Write the trace on success *and* failure: a trace of the run that
     // panicked or timed out is exactly the one worth looking at.
     if let (Some(path), Some(rec)) = (&trace_path, &rec) {
-        obs::uninstall();
         match std::fs::write(path, rec.to_chrome_json()) {
             Ok(()) => eprintln!("trace: {} events -> {}", rec.num_events(), path.display()),
             Err(e) => {
@@ -423,14 +427,14 @@ fn profile(reg: &Registry, args: &[String]) {
         scale.as_str(),
         depth
     );
-    if rows.is_empty() {
-        if let Some(series) = stack_counters(&rec) {
-            println!("stack simulator work counters:");
-            for (k, v) in series {
-                println!("  {k:<16} {v:>12}");
-            }
-            return;
+    if !rows.is_empty() {
+        print_phase_table(&rows);
+    } else if let Some(series) = stack_counters(&rec) {
+        println!("stack simulator work counters:");
+        for (k, v) in series {
+            println!("  {k:<16} {v:>12}");
         }
+    } else {
         println!(
             "no phase data: the `{}` backend runs without the cache \
              simulator's probe (try --backend simmed)",
@@ -438,7 +442,6 @@ fn profile(reg: &Registry, args: &[String]) {
         );
         return;
     }
-    print_phase_table(&rows);
     if let Some((_, hist)) = report.config.iter().find(|(k, _)| k == "reuse_hist") {
         println!("\nreuse-distance histogram (lines): {hist}");
     }
@@ -1027,12 +1030,14 @@ fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
 /// dispatcher (they print hand-formatted tables rather than RunReports).
 fn exp(args: &[String]) {
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let scale = flag_value(args, "--scale")
-        .and_then(wa_bench::scale::Scale::parse)
-        .unwrap_or(wa_bench::scale::Scale::Small);
-    let repl = flag_value(args, "--policy")
-        .and_then(Repl::parse)
-        .unwrap_or(Repl::FaLru);
+    let scale = parse_scale(args);
+    let repl = match flag_value(args, "--policy") {
+        None => Repl::FaLru,
+        Some(s) => Repl::parse(s).unwrap_or_else(|| {
+            eprintln!("bad --policy `{s}` (lru | clock)");
+            std::process::exit(2);
+        }),
+    };
 
     let run = |c: &str| match c {
         "fig2" => fig2::run_figure(scale, repl),

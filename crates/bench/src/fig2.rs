@@ -8,11 +8,13 @@
 //! `LLC_S_FILLS.E` (DRAM reads), the write lower bound (C's size in
 //! lines), and — for the CO variant — the ideal-cache miss model.
 
-use crate::scale::{Repl, Scale};
+use crate::scale::{build_sim, inner_blocks, l3_blocks, m_sweep, outer_dim, Repl};
 use crate::util::{mil, print_table, setup_matmul};
 use dense::matmul::{co_matmul, ml_matmul, tuned_matmul, RecOrder};
 use memsim::ideal::co_matmul_ideal_misses;
+use memsim::xeon::XeonGeometry;
 use memsim::Policy;
+use wa_core::Scale;
 
 /// Which Figure 2 panel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,10 +40,10 @@ pub struct Fig2Row {
 
 /// Run one variant at one middle dimension.
 pub fn run_point(scale: Scale, variant: Fig2Variant, m: usize, repl: Repl) -> Fig2Row {
-    let n = scale.outer_dim();
-    let geo = scale.geometry(Policy::Lru);
-    let (mut mem, d) = setup_matmul(n, m, n, scale.build_sim(repl), || scale.build_sim(repl));
-    let (b2, b1) = scale.inner_blocks();
+    let n = outer_dim(scale);
+    let geo = XeonGeometry::for_scale(scale, Policy::Lru);
+    let (mut mem, d) = setup_matmul(n, m, n, build_sim(scale, repl), || build_sim(scale, repl));
+    let (b2, b1) = inner_blocks(scale);
     match variant {
         Fig2Variant::CacheOblivious => co_matmul(&mut mem, d[0], d[1], d[2], b1),
         Fig2Variant::Tuned => tuned_matmul(&mut mem, d[0], d[1], d[2], b2),
@@ -79,8 +81,7 @@ pub fn run_point(scale: Scale, variant: Fig2Variant, m: usize, repl: Repl) -> Fi
 
 /// Run a full panel (sweep of `m`).
 pub fn run_panel(scale: Scale, variant: Fig2Variant, repl: Repl) -> Vec<Fig2Row> {
-    scale
-        .m_sweep()
+    m_sweep(scale)
         .into_iter()
         .map(|m| run_point(scale, variant, m, repl))
         .collect()
@@ -116,7 +117,7 @@ pub fn print_panel(title: &str, rows: &[Fig2Row]) {
 
 /// Run and print all six panels (the whole figure).
 pub fn run_figure(scale: Scale, repl: Repl) {
-    let blocks = scale.l3_blocks();
+    let blocks = l3_blocks(scale);
     print_panel(
         "Fig 2a: cache-oblivious recursive matmul",
         &run_panel(scale, Fig2Variant::CacheOblivious, repl),
@@ -142,7 +143,7 @@ mod tests {
     #[test]
     fn shapes_reproduce() {
         let scale = Scale::Small;
-        let blocks = scale.l3_blocks();
+        let blocks = l3_blocks(scale);
         let b3 = blocks.last().unwrap().0;
         // The growth regime needs A and B to overflow L3 by a wide margin
         // (paper: growth starts once 2·4000·m exceeds the 3.1M-word L3).

@@ -9,10 +9,12 @@
 //! minimize fills too.
 
 use crate::fig2::Fig2Row;
-use crate::scale::{Repl, Scale};
+use crate::scale::{build_sim, inner_blocks, l3_blocks, m_sweep, outer_dim, Repl};
 use crate::util::{mil, print_table, setup_matmul};
 use dense::matmul::{ml_matmul, RecOrder};
+use memsim::xeon::XeonGeometry;
 use memsim::Policy;
+use wa_core::Scale;
 
 /// Instruction order of one Figure 5 column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,14 +27,14 @@ pub enum Fig5Order {
 
 /// One point: a given order, L3 block size and middle dimension.
 pub fn run_point(scale: Scale, order: Fig5Order, b3: usize, m: usize, repl: Repl) -> Fig2Row {
-    let n = scale.outer_dim();
-    let geo = scale.geometry(Policy::Lru);
-    let (b2, b1) = scale.inner_blocks();
+    let n = outer_dim(scale);
+    let geo = XeonGeometry::for_scale(scale, Policy::Lru);
+    let (b2, b1) = inner_blocks(scale);
     let rest = match order {
         Fig5Order::MultiLevel => RecOrder::COuter,
         Fig5Order::Slab => RecOrder::AOuter,
     };
-    let (mut mem, d) = setup_matmul(n, m, n, scale.build_sim(repl), || scale.build_sim(repl));
+    let (mut mem, d) = setup_matmul(n, m, n, build_sim(scale, repl), || build_sim(scale, repl));
     ml_matmul(
         &mut mem,
         d[0],
@@ -55,8 +57,7 @@ pub fn run_point(scale: Scale, order: Fig5Order, b3: usize, m: usize, repl: Repl
 
 /// One panel: a given order and L3 block size over the m sweep.
 pub fn run_panel(scale: Scale, order: Fig5Order, b3: usize, repl: Repl) -> Vec<Fig2Row> {
-    scale
-        .m_sweep()
+    m_sweep(scale)
         .into_iter()
         .map(|m| run_point(scale, order, b3, m, repl))
         .collect()
@@ -64,7 +65,7 @@ pub fn run_panel(scale: Scale, order: Fig5Order, b3: usize, repl: Repl) -> Vec<F
 
 /// Run and print the whole figure (two columns × four block sizes).
 pub fn run_figure(scale: Scale, repl: Repl) {
-    for &(b3, label) in scale.l3_blocks().iter().rev() {
+    for &(b3, label) in l3_blocks(scale).iter().rev() {
         for (order, name) in [
             (Fig5Order::MultiLevel, "multi-level WA order (Fig 4a)"),
             (Fig5Order::Slab, "slab order (Fig 4b)"),
@@ -107,7 +108,7 @@ mod tests {
     #[test]
     fn left_column_degrades_right_column_does_not() {
         let scale = Scale::Small;
-        let blocks = scale.l3_blocks();
+        let blocks = l3_blocks(scale);
         let big = blocks.last().unwrap().0; // ~3 blocks fit
         let small = blocks[0].0; // ~6.4 blocks fit
                                  // Needs several top-level shared-dimension blocks so that a C

@@ -1,15 +1,13 @@
 //! # wa-bench — experiment harness
 //!
-//! One module per paper artifact; the `harness` binary dispatches to them.
-//! See DESIGN.md's per-experiment index (E1–E16) and EXPERIMENTS.md for
-//! recorded outputs.
+//! One module per paper artifact; the `harness exp` subcommand dispatches
+//! to them (`harness exp all` prints every table).
 //!
 //! All experiments run at a *scaled* geometry by default (capacities ÷256
 //! vs. the paper's Xeon 7560, dimensions ÷16) and at the reference scale
-//! (÷64 capacities, ÷8 dimensions) with `--scale paper`; see
-//! [`scale::Scale`] for the exact mapping and `memsim::xeon` for why the
-//! block-per-cache ratios — which drive every observed effect — are
-//! preserved.
+//! (÷64 capacities, ÷8 dimensions) with `--scale paper`; see [`scale`]
+//! for the exact mapping and `memsim::xeon` for why the block-per-cache
+//! ratios — which drive every observed effect — are preserved.
 
 pub mod bounds_exp;
 pub mod fig2;

@@ -419,6 +419,27 @@ fn run_subcommand_contains_panics_and_exits_one() {
 }
 
 #[test]
+fn run_reuse_reports_the_same_histogram_on_simmed_and_stack() {
+    let hist = |backend: &str| {
+        let out = harness()
+            .args(["run", "fft", "--backend", backend, "--reuse", "--json"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        let json = stdout(&out);
+        let key = "\"reuse_hist\":\"";
+        let start = json
+            .find(key)
+            .unwrap_or_else(|| panic!("{backend}: no reuse_hist in {json}"));
+        let rest = &json[start + key.len()..];
+        rest[..rest.find('"').unwrap()].to_string()
+    };
+    let simmed = hist("simmed");
+    assert!(simmed.starts_with("cold="), "{simmed}");
+    assert_eq!(simmed, hist("stack"));
+}
+
+#[test]
 fn degenerate_flags_are_usage_errors() {
     for args in [
         vec!["sweep", "--timeout", "0"],
@@ -436,6 +457,8 @@ fn degenerate_flags_are_usage_errors() {
         vec!["curve", "matmul-wa", "--geometric", "0:5:3"],
         vec!["curve", "matmul-wa", "--geometric", "64:32:3"],
         vec!["curve", "matmul-wa", "--capacities", "12,nope"],
+        vec!["exp", "wa-optimal", "--scale", "papr"],
+        vec!["exp", "wa-optimal", "--policy", "belady"],
     ] {
         let out = harness().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

@@ -15,6 +15,7 @@
 
 use crate::cache::{CacheConfig, Level, LevelCounters, Touch, Victim};
 use crate::probe::{Probe, Snapshot};
+use crate::stack::StackSim;
 pub use wa_core::AccessRun;
 
 /// Multi-level cache simulator. See the module docs for semantics.
@@ -66,9 +67,9 @@ pub struct MemSim {
     /// [`MemSim::single_level_lru`]/[`MemSim::stacked_lru`] constructors
     /// when a [`wa_core::obs`] recorder is installed).
     probe: Option<Box<Probe>>,
-    /// Cached `probe.has_reuse()` so the per-access hot path pays one
-    /// predictable bool test, not an `Option` chain.
-    probe_reuse: bool,
+    /// Mattson stack the access calls are teed into when the probe asks
+    /// for the reuse-distance histogram (see [`MemSim::attach_probe`]).
+    reuse: Option<Box<StackSim>>,
     /// Phase marks seen; used to throttle trace counter-track emission.
     phase_marks: u64,
     /// Cancel token captured from the constructing thread (the engine's
@@ -107,7 +108,7 @@ impl MemSim {
             memo_hits: 0,
             memo_misses: 0,
             probe: None,
-            probe_reuse: false,
+            reuse: None,
             phase_marks: 0,
             cancel_token: wa_core::cancel::current(),
             cancel_check_at: 0,
@@ -182,21 +183,27 @@ impl MemSim {
         sim
     }
 
-    /// Attach a per-phase [`Probe`] (optionally with the reuse-distance
-    /// histogram), replacing any existing one.
+    /// Attach a per-phase [`Probe`], replacing any existing one. With
+    /// `reuse`, every later `read`/`write`/range call is also forwarded
+    /// once to a fresh [`StackSim`] over the same line size, whose curve
+    /// carries the reuse-distance histogram. The stack classifies
+    /// same-line repeats and distance-1 touches with its own memo, so
+    /// forwarding each call once, not each line, is exact.
     pub fn attach_probe(&mut self, reuse: bool) {
         let mut p = Probe::new(self.levels.len());
-        if reuse {
-            p = p.with_reuse();
-        }
         p.reset_start(self.snapshot());
         self.probe = Some(Box::new(p));
-        self.probe_reuse = reuse;
+        self.reuse = reuse.then(|| Box::new(StackSim::with_line_words(self.line_words)));
     }
 
     /// The attached probe, if any.
     pub fn probe(&self) -> Option<&Probe> {
         self.probe.as_deref()
+    }
+
+    /// The teed reuse-distance stack, if the probe asked for one.
+    pub fn reuse(&self) -> Option<&StackSim> {
+        self.reuse.as_deref()
     }
 
     /// Cumulative counter state right now (what [`Probe`] deltas are
@@ -281,12 +288,18 @@ impl MemSim {
     /// Record a read of word address `addr`.
     #[inline]
     pub fn read(&mut self, addr: usize) {
+        if self.reuse.is_some() {
+            self.tee(addr, 1, false);
+        }
         self.access(addr as u64, false);
     }
 
     /// Record a write of word address `addr`.
     #[inline]
     pub fn write(&mut self, addr: usize) {
+        if self.reuse.is_some() {
+            self.tee(addr, 1, true);
+        }
         self.access(addr as u64, true);
     }
 
@@ -317,7 +330,26 @@ impl MemSim {
         }
     }
 
+    /// Forward one access call to the reuse stack. Out of line so the
+    /// inlined `read`/`write` stay small when no histogram is asked for.
+    #[cold]
+    #[inline(never)]
+    fn tee(&mut self, addr: usize, words: usize, is_write: bool) {
+        let s = self
+            .reuse
+            .as_mut()
+            .expect("tee runs only with a reuse stack");
+        if is_write {
+            s.write_range(addr, words);
+        } else {
+            s.read_range(addr, words);
+        }
+    }
+
     fn range_access(&mut self, addr: usize, words: usize, is_write: bool) {
+        if self.reuse.is_some() {
+            self.tee(addr, words, is_write);
+        }
         if !self.fast_path {
             for a in addr..addr + words {
                 self.access(a as u64, is_write);
@@ -339,11 +371,6 @@ impl MemSim {
                 self.clock += (in_line - 1) as u64;
                 self.levels[0].fast_hits(slot, (in_line - 1) as u64, is_write);
                 self.memo_hits += (in_line - 1) as u64;
-                if self.probe_reuse {
-                    if let Some(h) = self.probe.as_mut().and_then(|p| p.reuse_mut()) {
-                        h.record_repeats((in_line - 1) as u64);
-                    }
-                }
             }
             a = line_end;
         }
@@ -372,11 +399,6 @@ impl MemSim {
                 if memo_line == line {
                     self.levels[0].fast_hits(slot, 1, is_write);
                     self.memo_hits += 1;
-                    if self.probe_reuse {
-                        if let Some(h) = self.probe.as_mut().and_then(|p| p.reuse_mut()) {
-                            h.record_repeats(1);
-                        }
-                    }
                     return;
                 }
             }
@@ -384,29 +406,17 @@ impl MemSim {
             // holds it (walks since may have evicted it), this is an L1
             // hit that skips only the index lookup and the level walk —
             // the recency update is the real one, since the line is not
-            // MRU. The reuse histogram must see it as a full touch (it
-            // is not a distance-0 repeat; skipping would leave the
-            // line's Fenwick marker stale and corrupt later distances).
+            // MRU.
             if let Some((memo_line, slot)) = self.memo[1] {
                 if memo_line == line && self.levels[0].slot_holds(slot, line) {
                     self.levels[0].rehit(slot, self.clock, is_write);
                     self.memo_hits += 1;
-                    if self.probe_reuse {
-                        if let Some(h) = self.probe.as_mut().and_then(|p| p.reuse_mut()) {
-                            h.touch(line);
-                        }
-                    }
                     self.memo.swap(0, 1);
                     return;
                 }
             }
         }
         self.memo_misses += 1;
-        if self.probe_reuse {
-            if let Some(h) = self.probe.as_mut().and_then(|p| p.reuse_mut()) {
-                h.touch(line);
-            }
-        }
 
         let n = self.levels.len();
         // Walk down until a hit; dirtiness is tracked at L1 only.
@@ -928,14 +938,15 @@ mod tests {
         assert_eq!(get("(flush)").dram_writes, 1);
         assert_eq!(get("(flush)").writebacks, vec![1]);
         assert_eq!(m.dram_writes_lines, 1);
-        // Reuse histogram: 2 cold line touches, 14 + 7 bulk repeats, and
-        // one distance-1 reuse at the line-0 boundary of the write span
-        // (a memo[1] hit, which must still advance the Fenwick state).
-        let h = m.probe().unwrap().reuse().unwrap();
-        assert_eq!(h.cold, 2);
-        assert_eq!(h.repeats, 21);
-        assert_eq!(h.buckets[1], 1, "line 0 reused at distance 1");
-        assert_eq!(h.total(), 24, "mass equals the 24 line touches");
+        // Reuse histogram from the teed stack: 2 cold line touches,
+        // 14 + 7 bulk repeats, and one distance-1 reuse at the line-0
+        // boundary of the write span (a memo[1] hit in the hierarchy).
+        let c = m.reuse().unwrap().curve();
+        assert_eq!(c.cold, 2);
+        assert_eq!(c.repeats, 21);
+        assert_eq!(c.dist_cum, vec![0, 1], "line 0 reused at distance 1");
+        assert_eq!(c.line_touches, 24, "mass equals the 24 line touches");
+        assert_eq!(c.render_reuse(), "cold=2|rep=21|d1=1");
     }
 
     #[test]

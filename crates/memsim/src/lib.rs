@@ -31,15 +31,17 @@
 //!   Belady simulator used to sanity-check it.
 //! * [`xeon`] — ready-made hierarchy configurations: the scaled Xeon 7560
 //!   geometry used by all Figure 2 / Figure 5 reproductions.
-//! * [`probe`] — the optional per-phase observer ([`probe::Probe`]) and
-//!   reuse-distance histogram behind `harness profile`/`--trace`:
-//!   attached automatically by the shared [`MemSim::single_level_lru`] /
-//!   [`MemSim::stacked_lru`] constructors when a [`wa_core::obs`]
-//!   recorder is installed.
+//! * [`probe`] — the optional per-phase observer ([`probe::Probe`])
+//!   behind `harness profile`/`--trace`: attached automatically by the
+//!   shared [`MemSim::single_level_lru`] / [`MemSim::stacked_lru`]
+//!   constructors when a [`wa_core::obs`] recorder is installed.
 //! * [`stack`] — the single-pass Mattson stack simulator
 //!   ([`stack::StackSim`]): exact FA-LRU fills and write-backs for
 //!   *every* capacity from one pass over the same access stream,
 //!   projected as a [`wa_core::CapacityCurve`] (the `stack` backend).
+//!   It is the only Mattson stack: `--reuse` on `simmed` tees the
+//!   simulator's accesses into one and renders the histogram from its
+//!   curve.
 
 pub mod backend;
 pub mod cache;
@@ -60,7 +62,7 @@ pub use explicit::ExplicitHier;
 pub use hierarchy::{AccessRun, MemSim};
 pub use mem::{Mem, RawMem, SimMem, TraceMem};
 pub use policy::Policy;
-pub use probe::{PhaseStats, Probe, ReuseHist};
+pub use probe::{PhaseStats, Probe};
 pub use report::{explicit_report, memsim_report, stack_report, STACK_COUNTER_TRACK};
 pub use stack::{StackSim, StackStats};
 pub use tally::TraceTally;

@@ -101,11 +101,11 @@ pub fn memsim_report(sim: &MemSim, report: RunReport) -> RunReport {
         .config("llc_flush_victims_m", llc.flush_victims_m)
         .config("memo_hits", sim.memo_hits)
         .config("memo_misses", sim.memo_misses);
+    if let Some(s) = sim.reuse() {
+        r = r.config("reuse_hist", s.curve().render_reuse());
+    }
     if let Some(p) = sim.probe() {
         let phases = p.finalized(sim.snapshot());
-        if let Some(h) = p.reuse() {
-            r = r.config("reuse_hist", h.render());
-        }
         if let Some(rec) = wa_core::obs::active() {
             // Close every counter track on the run's final totals and
             // hand the per-phase table to the recorder for `profile`.
@@ -159,11 +159,14 @@ pub fn stack_report(sim: &StackSim, fast_words: usize, report: RunReport) -> Run
         .config("llc_flush_victims_m", p.flush_writebacks)
         .config("footprint_lines", curve.footprint_lines)
         .config("cold_lines", curve.cold)
-        .config("repeats", curve.repeats)
-        .note(format!(
-            "stack: single-pass Mattson projection over {} capacities (flushed semantics)",
-            curve.default_ladder().len()
-        ));
+        .config("repeats", curve.repeats);
+    if wa_core::obs::reuse_requested() {
+        r = r.config("reuse_hist", curve.render_reuse());
+    }
+    r = r.note(format!(
+        "stack: single-pass Mattson projection over {} capacities (flushed semantics)",
+        curve.default_ladder().len()
+    ));
     r.curve = Some(curve);
     if let Some(rec) = wa_core::obs::active() {
         // The work counters behind the run's time, for `harness

@@ -68,6 +68,12 @@
 //! the second-most-recent line has distance exactly 1 by construction,
 //! so its touch skips the prefix query.
 //!
+//! The same stack serves the `--reuse` histogram of the `simmed`
+//! backend: a [`crate::MemSim`] whose probe asks for reuse tees every
+//! access call into a `StackSim` (see [`crate::MemSim::attach_probe`]),
+//! and [`CapacityCurve::render_reuse`] buckets its distances. This is
+//! the workspace's only Mattson stack.
+//!
 //! Per-line state lives in a table indexed by line number
 //! (`addr / line_words`) and grown on demand, the convention of
 //! [`crate::TraceTally`]'s line bitset. A feeder must therefore address
@@ -77,9 +83,86 @@
 //! machine each rank's bump-allocated heap, and the benchmark replays
 //! streams recorded from `SimMem`-style kernels.
 
-use crate::probe::Fenwick;
 use wa_core::curve::CapacityCurve;
 pub use wa_core::AccessRun;
+
+/// Fenwick (binary-indexed) tree over access ticks `1..=n`, holding a 1
+/// at each live line's most recent tick. Grows by doubling;
+/// [`Fenwick::reset`] rebuilds it at any size for a compacted tick space.
+struct Fenwick {
+    /// `fen.len() == n + 1`; index 0 unused.
+    fen: Vec<i64>,
+    /// Tree size (power of two).
+    n: usize,
+}
+
+impl Fenwick {
+    fn new() -> Fenwick {
+        Fenwick {
+            fen: vec![0; 65],
+            n: 64,
+        }
+    }
+
+    /// Grow until `tick` is addressable.
+    fn ensure(&mut self, tick: usize) {
+        while tick > self.n {
+            self.grow();
+        }
+    }
+
+    /// Double the tree. The only node whose range reaches into the past
+    /// is the new root `2n` (covers `1..=2n`); its value is the current
+    /// total, which at size `n` (a power of two) is exactly `fen[n]`.
+    /// Every other new node's range lies wholly in the not-yet-ticked
+    /// future, so zero is correct.
+    fn grow(&mut self) {
+        let total = self.fen[self.n];
+        self.n *= 2;
+        self.fen.resize(self.n + 1, 0);
+        self.fen[self.n] = total;
+    }
+
+    /// Tree size: the highest addressable position.
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Rebuild as a tree of `n` slots (a power of two) holding a 1 at
+    /// each of the positions `1..=ones` and 0 elsewhere, in `O(n)`:
+    /// each node passes its finished sum up to its parent once.
+    fn reset(&mut self, n: usize, ones: usize) {
+        debug_assert!(n.is_power_of_two() && ones <= n);
+        self.n = n;
+        self.fen.clear();
+        self.fen.resize(n + 1, 0);
+        self.fen.shrink_to_fit();
+        self.fen[1..=ones].fill(1);
+        for i in 1..n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                self.fen[parent] += self.fen[i];
+            }
+        }
+    }
+
+    fn add(&mut self, mut i: usize, v: i64) {
+        while i <= self.n {
+            self.fen[i] += v;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Sum of positions `1..=i`.
+    fn prefix(&self, mut i: usize) -> i64 {
+        let mut s = 0;
+        while i > 0 {
+            s += self.fen[i];
+            i -= i & i.wrapping_neg();
+        }
+        s
+    }
+}
 
 /// `LineState::maxd` of a line that was never written. Such a line owes
 /// no write-back at any capacity, and no distance ever exceeds it, so
@@ -661,6 +744,45 @@ mod tests {
         let c = s.curve();
         assert_eq!(c.at(7 * 8).fills, 1_000_000);
         assert_eq!(c.at(8 * 8).fills, 8);
+    }
+
+    /// A one-word-line stack fed `lines` as reads, so word = line.
+    fn touched(lines: &[usize]) -> CapacityCurve {
+        let mut s = StackSim::with_line_words(1);
+        for &l in lines {
+            s.read(l);
+        }
+        s.curve()
+    }
+
+    #[test]
+    fn reuse_hist_matches_hand_computed_stack_distances() {
+        // Stream: A B C A A B. Distances: A,B,C cold; A at distance 2
+        // (B, C distinct since); repeat A distance 0; B at distance 2
+        // (C, A since).
+        let c = touched(&[0, 1, 2, 0, 0, 1]);
+        assert_eq!(c.cold, 3);
+        assert_eq!(c.repeats, 1, "one memoized repeat, outside the buckets");
+        assert_eq!(c.dist_cum, vec![0, 0, 2], "two distance-2 reuses");
+        assert_eq!(c.line_touches, 6, "mass equals total line touches");
+        assert_eq!(c.render_reuse(), "cold=3|rep=1|d2-3=2");
+    }
+
+    #[test]
+    fn reuse_hist_distance_counts_distinct_lines_not_accesses() {
+        // A B B B B A: only one distinct line (B) between the As.
+        let c = touched(&[0, 1, 1, 1, 1, 0]);
+        assert_eq!(c.dist_cum, vec![0, 1], "A reused at distance 1");
+        assert_eq!(c.render_reuse(), "cold=2|rep=3|d1=1");
+    }
+
+    #[test]
+    fn reuse_hist_grows_past_initial_capacity() {
+        let mut lines: Vec<usize> = (0..200).collect();
+        lines.push(0); // distance 199
+        let c = touched(&lines);
+        assert_eq!(c.cold, 200);
+        assert_eq!(c.render_reuse(), "cold=200|d128-255=1");
     }
 
     #[test]

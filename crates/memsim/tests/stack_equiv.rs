@@ -7,6 +7,10 @@
 //! property tests drive random run traces and random capacity lists
 //! through both simulators, plus the edge cases (empty trace, capacity
 //! beyond the footprint, write-only streams).
+//!
+//! The same stack serves `simmed`'s reuse histogram as a tee inside
+//! [`MemSim`]; the tee must leave the hierarchy's counters untouched and
+//! see exactly the stream a standalone [`StackSim`] would.
 
 use memsim::{AccessRun, MemSim, StackSim};
 use proptest::prelude::*;
@@ -56,8 +60,96 @@ fn assert_matches_reference(curve: &CapacityCurve, runs: &[AccessRun], caps_line
     }
 }
 
+/// One call of the mixed per-word / range / batch / flush API the tee
+/// property drives: `(kind, addr, words, is_write)`.
+type Call = (u8, usize, usize, bool);
+
+/// Replay `calls` on a 1–3 level hierarchy, with or without the reuse
+/// tee. Flushes go to the hierarchy only: the stack has no residency.
+fn hierarchy_of(calls: &[Call], depth: usize, tee: bool) -> MemSim {
+    let caps = [16, 64, 256];
+    let mut m = MemSim::stacked_lru(&caps[..depth]);
+    if tee {
+        m.attach_probe(true);
+    }
+    for &(kind, addr, words, is_write) in calls {
+        match (kind, is_write) {
+            (0, false) => m.read(addr),
+            (0, true) => m.write(addr),
+            (1, false) => m.read_range(addr, words),
+            (1, true) => m.write_range(addr, words),
+            (2, _) => m.run(&[
+                AccessRun {
+                    addr,
+                    words,
+                    is_write,
+                },
+                AccessRun {
+                    addr: addr / 2,
+                    words: words / 2,
+                    is_write: !is_write,
+                },
+            ]),
+            _ => {
+                m.flush();
+            }
+        }
+    }
+    m
+}
+
+/// The same calls on a standalone stack.
+fn stack_of(calls: &[Call]) -> StackSim {
+    let mut s = StackSim::new();
+    for &(kind, addr, words, is_write) in calls {
+        match (kind, is_write) {
+            (0, false) => s.read(addr),
+            (0, true) => s.write(addr),
+            (1, false) => s.read_range(addr, words),
+            (1, true) => s.write_range(addr, words),
+            (2, _) => s.run(&[
+                AccessRun {
+                    addr,
+                    words,
+                    is_write,
+                },
+                AccessRun {
+                    addr: addr / 2,
+                    words: words / 2,
+                    is_write: !is_write,
+                },
+            ]),
+            _ => {}
+        }
+    }
+    s
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The reuse tee is invisible to the hierarchy and exact: counters
+    /// with and without `attach_probe(true)` are identical, and the
+    /// teed stack's curve equals a standalone `StackSim` fed the same
+    /// calls — memo repeats, memo[1] ping-pongs and flushes included.
+    #[test]
+    fn reuse_tee_leaves_counters_alone_and_equals_a_standalone_stack(
+        calls in prop::collection::vec((0u8..4, 0usize..200, 0usize..24, any::<bool>()), 1..60),
+        depth in 1usize..4,
+    ) {
+        let plain = hierarchy_of(&calls, depth, false);
+        let teed = hierarchy_of(&calls, depth, true);
+        for i in 0..depth {
+            prop_assert_eq!(plain.counters(i), teed.counters(i));
+        }
+        prop_assert_eq!(plain.dram_reads_lines, teed.dram_reads_lines);
+        prop_assert_eq!(plain.dram_writes_lines, teed.dram_writes_lines);
+        prop_assert_eq!(plain.memo_hits, teed.memo_hits);
+        prop_assert_eq!(plain.memo_misses, teed.memo_misses);
+        prop_assert!(plain.reuse().is_none());
+        let curve = teed.reuse().expect("attach_probe(true) tees a stack").curve();
+        prop_assert_eq!(curve, stack_of(&calls).curve());
+    }
 
     /// Random run traces over a small address space (heavy reuse and
     /// eviction pressure), checked at a random capacity list.

@@ -152,6 +152,36 @@ impl CapacityCurve {
         caps
     }
 
+    /// The reuse-distance histogram on one line, as `--reuse` reports
+    /// it: `cold=5|rep=120|d1=3|d2-3=1|d4-7=9|…`. `cold` counts first
+    /// touches and `rep` consecutive same-line repeats; the other
+    /// touches are bucketed by stack distance (distinct lines since the
+    /// previous touch) in powers of two, `d0`, `d1`, `d2-3`, `d4-7`, ….
+    /// Empty buckets and a zero `rep` are omitted.
+    pub fn render_reuse(&self) -> String {
+        let mut parts = vec![format!("cold={}", self.cold)];
+        if self.repeats > 0 {
+            parts.push(format!("rep={}", self.repeats));
+        }
+        // Buckets [lo, hi]: [0, 0], [1, 1], [2, 3], [4, 7], ….
+        let mut lo = 0u64;
+        while (lo as usize) < self.dist_cum.len() {
+            let hi = (2 * lo).saturating_sub(1);
+            let below = lo.checked_sub(1).map_or(0, |d| cum(&self.dist_cum, d));
+            let n = cum(&self.dist_cum, hi) - below;
+            if n > 0 {
+                let label = if lo == hi {
+                    format!("d{lo}")
+                } else {
+                    format!("d{lo}-{hi}")
+                };
+                parts.push(format!("{label}={n}"));
+            }
+            lo = (2 * lo).max(1);
+        }
+        parts.join("|")
+    }
+
     /// JSON object (stable field order) carrying the curve sampled at
     /// `capacities_words`: summary scalars plus one point per capacity.
     pub fn to_json(&self, capacities_words: &[u64]) -> String {
@@ -261,6 +291,20 @@ mod tests {
         assert!(ladder.windows(2).all(|w| w[1] == 2 * w[0]));
         assert!(*ladder.last().unwrap() >= 37 * 8);
         assert!(ladder[ladder.len() - 2] < 37 * 8);
+    }
+
+    #[test]
+    fn render_reuse_buckets_are_log2() {
+        // One touch at each distance 0..=8: buckets d0, d1, d2-3, d4-7,
+        // d8-15 hold 1, 1, 2, 4 and 1 of them.
+        let c = CapacityCurve {
+            cold: 3,
+            repeats: 0,
+            dist_cum: (1..=9).collect(),
+            ..tiny()
+        };
+        assert_eq!(c.render_reuse(), "cold=3|d0=1|d1=1|d2-3=2|d4-7=4|d8-15=1");
+        assert_eq!(tiny().render_reuse(), "cold=2|d1=2");
     }
 
     #[test]

@@ -125,8 +125,9 @@ impl Recorder {
         }
     }
 
-    /// Request the (more expensive) reuse-distance histogram from any
-    /// probe that attaches while this recorder is installed.
+    /// Request the reuse-distance histogram from every simulated cell
+    /// run while this recorder is installed: `simmed` tees its accesses
+    /// into a Mattson stack (more expensive), `stack` already has one.
     pub fn with_reuse(mut self) -> Recorder {
         self.reuse = true;
         self
@@ -332,7 +333,7 @@ pub fn active() -> Option<Arc<Recorder>> {
     slot().lock().unwrap().clone()
 }
 
-/// Did the harness ask probes for the reuse-distance histogram?
+/// Did the harness ask for the reuse-distance histogram?
 pub fn reuse_requested() -> bool {
     active().map(|r| r.wants_reuse()).unwrap_or(false)
 }
