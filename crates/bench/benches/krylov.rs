@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use krylov::cacg::{ca_cg, CaCgOptions};
 use krylov::cg::cg;
-use krylov::counter::IoTally;
+use krylov::counter::SimIo;
 use krylov::stencil::laplacian_2d;
+use wa_core::Traffic;
 
 fn bench_solvers(c: &mut Criterion) {
     let mut g = c.benchmark_group("krylov/solver");
@@ -20,7 +21,7 @@ fn bench_solvers(c: &mut Criterion) {
 
     g.bench_function("cg", |bch| {
         bch.iter(|| {
-            let mut io = IoTally::default();
+            let mut io = SimIo::new(Traffic::ZERO);
             cg(&a, &b, &x0, 1e-30, outers * s, &mut io)
         });
     });
@@ -30,7 +31,7 @@ fn bench_solvers(c: &mut Criterion) {
             &streaming,
             |bch, &streaming| {
                 bch.iter(|| {
-                    let mut io = IoTally::default();
+                    let mut io = SimIo::new(Traffic::ZERO);
                     ca_cg(
                         &a,
                         &b,

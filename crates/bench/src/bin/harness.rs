@@ -434,13 +434,17 @@ fn profile(reg: &Registry, args: &[String]) {
         for (k, v) in series {
             println!("  {k:<16} {v:>12}");
         }
+    } else if backend == BackendKind::Simmed {
+        println!(
+            "no phase data: `{name}` runs one simulator per rank and reports \
+             their max-per-rank fold, which has no single per-phase table"
+        );
     } else {
         println!(
             "no phase data: the `{}` backend runs without the cache \
              simulator's probe (try --backend simmed)",
             backend.as_str()
         );
-        return;
     }
     if let Some((_, hist)) = report.config.iter().find(|(k, _)| k == "reuse_hist") {
         println!("\nreuse-distance histogram (lines): {hist}");

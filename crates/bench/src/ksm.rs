@@ -5,8 +5,9 @@ use crate::util::print_table;
 use krylov::basis::BasisKind;
 use krylov::cacg::{ca_cg, CaCgOptions};
 use krylov::cg::cg;
-use krylov::counter::IoTally;
+use krylov::counter::SimIo;
 use krylov::stencil::laplacian_2d;
+use wa_core::Traffic;
 
 pub struct KsmRow {
     pub method: String,
@@ -27,19 +28,19 @@ pub fn run_rows(nx: usize, s: usize, outers: usize) -> Vec<KsmRow> {
     let steps = outers * s;
     let mut out = Vec::new();
 
-    let mut io = IoTally::default();
+    let mut io = SimIo::new(Traffic::ZERO);
     let r = cg(&a, &b, &x0, 1e-30, steps, &mut io);
     out.push(KsmRow {
         method: "CG".into(),
         steps,
-        writes: io.writes(),
-        reads: io.reads(),
+        writes: io.sim.store_words,
+        reads: io.sim.load_words,
         flops: io.flops,
         residual: r.residual,
     });
 
     for (streaming, name) in [(false, "CA-CG (storing)"), (true, "CA-CG (streaming)")] {
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = ca_cg(
             &a,
             &b,
@@ -57,8 +58,8 @@ pub fn run_rows(nx: usize, s: usize, outers: usize) -> Vec<KsmRow> {
         out.push(KsmRow {
             method: name.into(),
             steps,
-            writes: io.writes(),
-            reads: io.reads(),
+            writes: io.sim.store_words,
+            reads: io.sim.load_words,
             flops: io.flops,
             residual: r.residual,
         });

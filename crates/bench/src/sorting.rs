@@ -8,35 +8,34 @@
 use crate::util::print_table;
 use extsort::merge::external_merge_sort;
 use extsort::selection::low_write_sort;
-use extsort::SortIo;
-use wa_core::XorShift;
+use wa_core::{Traffic, XorShift};
 
 pub fn run(n: usize, m: usize) {
     let mut rng = XorShift::new(515);
     let data: Vec<f64> = (0..n).map(|_| rng.next_unit()).collect();
 
     let mut d1 = data.clone();
-    let mut io1 = SortIo::default();
+    let mut io1 = Traffic::ZERO;
     external_merge_sort(&mut d1, m, m / 2, &mut io1);
 
     let mut d2 = data.clone();
-    let mut io2 = SortIo::default();
+    let mut io2 = Traffic::ZERO;
     low_write_sort(&mut d2, m, &mut io2);
     assert_eq!(d1, d2, "sorts disagree");
 
     let rows = vec![
         vec![
             "k-way merge sort".to_string(),
-            io1.reads().to_string(),
-            io1.writes().to_string(),
-            io1.passes.to_string(),
+            io1.load_words.to_string(),
+            io1.store_words.to_string(),
+            io1.load_msgs.to_string(),
             format!("{:.2}", io1.write_fraction()),
         ],
         vec![
             "low-write selection".to_string(),
-            io2.reads().to_string(),
-            io2.writes().to_string(),
-            io2.passes.to_string(),
+            io2.load_words.to_string(),
+            io2.store_words.to_string(),
+            io2.load_msgs.to_string(),
             format!("{:.2}", io2.write_fraction()),
         ],
     ];

@@ -21,7 +21,7 @@
 //!    granularity on triangular outputs (Cholesky), and eager rewrites
 //!    coalescing in the simulated cache before reaching slow memory (the
 //!    right-looking non-WA orders — the explicit model charges them, LRU
-//!    absorbs some).
+//!    absorbs some; for LU the relation is derived exactly).
 
 use wa_bench::registry::registry;
 use wa_core::engine::{BackendKind, RunCfg};
@@ -37,6 +37,21 @@ enum Agreement {
     ExactTimes(u64),
     /// `|explicit − simmed| ≤ rel · explicit` at every shared boundary.
     Within(f64),
+    /// Right-looking blocked LU: the explicit model stores the whole
+    /// trailing matrix every panel, `Σ_{i<nb} (n − i·bs)²` words with
+    /// `bs = block_for(fast_words)` and `nb = ⌈n/bs⌉`, while the simulated
+    /// cache coalesces those rewrites into the `n²`-word output.
+    RightLookingLu,
+}
+
+/// A numeric config echo of `r`.
+fn config_u64(r: &RunReport, key: &str) -> u64 {
+    let (_, v) = r
+        .config
+        .iter()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("{}: no `{key}` in the config echo", r.workload));
+    v.parse().unwrap()
 }
 
 /// Every workload that advertises both `explicit` and `simmed` MUST have
@@ -57,8 +72,8 @@ const AGREEMENT: &[(&str, Agreement)] = &[
     ("cholesky-rl", Agreement::Within(0.08)),
     ("lu-wa", Agreement::Exact),
     // Eager trailing updates rewrite blocks the simulated cache still
-    // holds (measured: exactly one b² coalesces per factorization).
-    ("lu-rl", Agreement::Within(0.12)),
+    // holds; the gap is derived, not tuned.
+    ("lu-rl", Agreement::RightLookingLu),
     // The explicit n-body model counts particles, the simulator words.
     (
         "nbody-wa",
@@ -294,6 +309,14 @@ fn explicit_and_simmed_writes_agree_on_every_dual_backend_cell() {
                         Agreement::Within(rel) => {
                             let diff = e.abs_diff(s) as f64 / e as f64;
                             assert!(diff <= rel, "{ctx}: rel diff {diff:.4} > {rel}");
+                        }
+                        Agreement::RightLookingLu => {
+                            let n = config_u64(&exp, "n");
+                            let bs = dense::explicit_mm::block_for(config_u64(&exp, "fast_words"))
+                                as u64;
+                            let eager: u64 = (0..n.div_ceil(bs)).map(|i| (n - i * bs).pow(2)).sum();
+                            assert_eq!(e, eager, "{ctx}: explicit rewrites every trailing matrix");
+                            assert_eq!(s, n * n, "{ctx}: simmed writes the output once");
                         }
                     }
                 }

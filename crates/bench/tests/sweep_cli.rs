@@ -418,11 +418,14 @@ fn run_subcommand_contains_panics_and_exits_one() {
     assert!(stdout(&out).contains("\"workload\":\"matmul-wa\""));
 }
 
+/// `--reuse` carries one histogram on both backends: a sequential cell's
+/// simulator and a parallel cell's critical rank (picked by the same rule
+/// on `simmed` and `stack`).
 #[test]
 fn run_reuse_reports_the_same_histogram_on_simmed_and_stack() {
-    let hist = |backend: &str| {
+    let hist = |workload: &str, backend: &str| {
         let out = harness()
-            .args(["run", "fft", "--backend", backend, "--reuse", "--json"])
+            .args(["run", workload, "--backend", backend, "--reuse", "--json"])
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
@@ -430,13 +433,15 @@ fn run_reuse_reports_the_same_histogram_on_simmed_and_stack() {
         let key = "\"reuse_hist\":\"";
         let start = json
             .find(key)
-            .unwrap_or_else(|| panic!("{backend}: no reuse_hist in {json}"));
+            .unwrap_or_else(|| panic!("{workload} {backend}: no reuse_hist in {json}"));
         let rest = &json[start + key.len()..];
         rest[..rest.find('"').unwrap()].to_string()
     };
-    let simmed = hist("simmed");
-    assert!(simmed.starts_with("cold="), "{simmed}");
-    assert_eq!(simmed, hist("stack"));
+    for workload in ["fft", "summa"] {
+        let simmed = hist(workload, "simmed");
+        assert!(simmed.starts_with("cold="), "{workload}: {simmed}");
+        assert_eq!(simmed, hist(workload, "stack"), "{workload}");
+    }
 }
 
 #[test]

@@ -14,62 +14,21 @@
 //!   the price the conjecture predicts.
 //!
 //! Both sort correctly (property-tested against the standard library) and
-//! report their slow-memory traffic through [`SortIo`].
+//! charge their slow-memory traffic, in elements, to a [`wa_core::Traffic`]
+//! under the explicit model (the fast memory holds `m` elements; streams
+//! are counted once): loads are element reads from slow memory, stores
+//! element writes, and each stream is one message. Every pass is exactly
+//! one read stream, so `load_msgs` counts the sequential passes.
 
 pub mod merge;
 pub mod selection;
 pub mod workloads;
 
-/// Slow-memory traffic of a sorting run, in elements, under the explicit
-/// model (the fast memory holds `m` elements; streams are counted once).
-/// Backed by the batched [`wa_core::Traffic`] API: each `read`/`write`
-/// charge is one stream (one message), so `traffic.load_msgs` counts the
-/// scan passes' block transfers rather than echoing the word counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SortIo {
-    /// Loads = element reads from slow memory; stores = element writes.
-    pub traffic: wa_core::Traffic,
-    /// Sequential passes over the data (for the formula checks).
-    pub passes: u64,
-}
-
-impl SortIo {
-    /// Charge one read stream of `n` elements.
-    pub fn read(&mut self, n: usize) {
-        self.traffic.load_run(n as u64);
-    }
-
-    /// Charge one write stream of `n` elements.
-    pub fn write(&mut self, n: usize) {
-        self.traffic.store_run(n as u64);
-    }
-
-    /// Charge a batch of access runs (the bulk API).
-    pub fn run(&mut self, runs: &[wa_core::AccessRun]) {
-        self.traffic.run(runs);
-    }
-
-    /// Elements read from slow memory.
-    pub fn reads(&self) -> u64 {
-        self.traffic.load_words
-    }
-
-    /// Elements written to slow memory.
-    pub fn writes(&self) -> u64 {
-        self.traffic.store_words
-    }
-
-    /// Fraction of total traffic that is writes.
-    pub fn write_fraction(&self) -> f64 {
-        self.traffic.write_fraction()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::merge::external_merge_sort;
     use super::selection::low_write_sort;
-    use super::SortIo;
+    use wa_core::Traffic;
     use wa_core::XorShift;
 
     fn random_data(n: usize, seed: u64) -> Vec<f64> {
@@ -87,11 +46,11 @@ mod tests {
         let data = random_data(n, 9);
 
         let mut d1 = data.clone();
-        let mut io1 = SortIo::default();
+        let mut io1 = Traffic::ZERO;
         external_merge_sort(&mut d1, m, m / 2, &mut io1);
 
         let mut d2 = data.clone();
-        let mut io2 = SortIo::default();
+        let mut io2 = Traffic::ZERO;
         low_write_sort(&mut d2, m, &mut io2);
 
         assert_eq!(d1, d2, "both sorts must agree");
@@ -99,21 +58,21 @@ mod tests {
         // Merge sort: writes ≈ reads ≈ n · passes.
         assert!(io1.write_fraction() > 0.45 && io1.write_fraction() < 0.55);
         assert!(
-            io1.writes() >= (n as u64) * 2,
+            io1.store_words >= (n as u64) * 2,
             "at least two passes at n/M = 64"
         );
 
         // Low-write sort: writes == n exactly; reads Θ(n²/m).
-        assert_eq!(io2.writes(), n as u64);
+        assert_eq!(io2.store_words, n as u64);
         assert!(
-            io2.reads() as f64 > 0.5 * (n * n / m) as f64,
+            io2.load_words as f64 > 0.5 * (n * n / m) as f64,
             "reads {} should scale as n²/M = {}",
-            io2.reads(),
+            io2.load_words,
             n * n / m
         );
         // And the trade is real: fewer writes, far more reads.
-        assert!(io2.writes() * 2 < io1.writes());
-        assert!(io2.reads() > 4 * io1.reads());
+        assert!(io2.store_words * 2 < io1.store_words);
+        assert!(io2.load_words > 4 * io1.load_words);
     }
 
     #[test]
@@ -122,12 +81,12 @@ mod tests {
         let m = 64;
         let fanout = 8;
         let mut d = random_data(n, 10);
-        let mut io = SortIo::default();
+        let mut io = Traffic::ZERO;
         external_merge_sort(&mut d, m, fanout, &mut io);
         // 1 run-formation pass + ceil(log_fanout(n/m)) merge passes.
         let runs = n / m;
         let merge_passes = (runs as f64).log(fanout as f64).ceil() as u64;
-        assert_eq!(io.passes, 1 + merge_passes);
-        assert_eq!(io.writes(), (1 + merge_passes) * n as u64);
+        assert_eq!(io.load_msgs, 1 + merge_passes);
+        assert_eq!(io.store_words, (1 + merge_passes) * n as u64);
     }
 }

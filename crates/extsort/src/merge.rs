@@ -6,12 +6,12 @@
 //! to reads — per Corollary 2's spirit and the §9 conjecture, this write
 //! volume is believed unavoidable without blowing up reads.
 
-use crate::SortIo;
+use wa_core::Traffic;
 
 /// Sort `data` with fast memory of `m` elements and merge fan-in `fanout`
 /// (`fanout + 1` buffers must fit: `fanout < m` required). Counts traffic
 /// in `io`.
-pub fn external_merge_sort(data: &mut [f64], m: usize, fanout: usize, io: &mut SortIo) {
+pub fn external_merge_sort(data: &mut [f64], m: usize, fanout: usize, io: &mut Traffic) {
     let n = data.len();
     assert!(m >= 2, "need at least two resident elements");
     assert!(fanout >= 2 && fanout < m, "fan-in must fit in fast memory");
@@ -25,9 +25,8 @@ pub fn external_merge_sort(data: &mut [f64], m: usize, fanout: usize, io: &mut S
         for chunk in data.chunks_mut(m) {
             chunk.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in sort input"));
         }
-        io.read(n);
-        io.write(n);
-        io.passes += 1;
+        io.load_run(n as u64);
+        io.store_run(n as u64);
     }
 
     // Merge passes.
@@ -43,9 +42,8 @@ pub fn external_merge_sort(data: &mut [f64], m: usize, fanout: usize, io: &mut S
             kway_merge(&src[base..end], run_len, fanout, &mut dst[base..end]);
             base = end;
         }
-        io.read(n);
-        io.write(n);
-        io.passes += 1;
+        io.load_run(n as u64);
+        io.store_run(n as u64);
         std::mem::swap(&mut src, &mut dst);
         run_len = group;
     }
@@ -103,7 +101,7 @@ mod tests {
             let mut d: Vec<f64> = (0..n).map(|_| rng.next_unit()).collect();
             let mut want = d.clone();
             want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut io = SortIo::default();
+            let mut io = Traffic::ZERO;
             external_merge_sort(&mut d, m, f, &mut io);
             check_sorted(&d);
             assert_eq!(d, want, "n={n} m={m} f={f}");
@@ -113,7 +111,7 @@ mod tests {
     #[test]
     fn already_sorted_and_reverse_inputs() {
         let mut d: Vec<f64> = (0..500).map(|i| i as f64).collect();
-        let mut io = SortIo::default();
+        let mut io = Traffic::ZERO;
         external_merge_sort(&mut d, 16, 4, &mut io);
         check_sorted(&d);
         let mut r: Vec<f64> = (0..500).rev().map(|i| i as f64).collect();
@@ -124,7 +122,7 @@ mod tests {
     #[test]
     fn duplicates_preserved() {
         let mut d = vec![3.0, 1.0, 3.0, 1.0, 2.0, 2.0, 3.0];
-        let mut io = SortIo::default();
+        let mut io = Traffic::ZERO;
         external_merge_sort(&mut d, 4, 2, &mut io);
         assert_eq!(d, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0]);
     }

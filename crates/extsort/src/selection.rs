@@ -7,12 +7,12 @@
 //! position is written exactly once — the extreme point of the §9
 //! conjecture's trade-off curve.
 
-use crate::SortIo;
+use wa_core::Traffic;
 
 /// Sort `data` with fast memory of `m` elements, writing each output
 /// element exactly once. Duplicates are handled by tracking how many
 /// copies of the threshold value were already emitted.
-pub fn low_write_sort(data: &mut [f64], m: usize, io: &mut SortIo) {
+pub fn low_write_sort(data: &mut [f64], m: usize, io: &mut Traffic) {
     let n = data.len();
     assert!(m >= 1);
     if n <= 1 {
@@ -30,8 +30,7 @@ pub fn low_write_sort(data: &mut [f64], m: usize, io: &mut SortIo) {
         // (plus threshold duplicates not yet emitted).
         let mut batch: Vec<f64> = Vec::with_capacity(m + 1);
         let mut skip = thr_emitted; // threshold copies to skip this pass
-        io.read(n);
-        io.passes += 1;
+        io.load_run(n as u64);
         for &x in &input {
             if x < thr {
                 continue;
@@ -51,7 +50,7 @@ pub fn low_write_sort(data: &mut [f64], m: usize, io: &mut SortIo) {
         }
         let take = batch.len().min(n - emitted);
         data[emitted..emitted + take].copy_from_slice(&batch[..take]);
-        io.write(take);
+        io.store_run(take as u64);
         emitted += take;
         let new_thr = batch[take - 1];
         if new_thr == thr {
@@ -75,11 +74,11 @@ mod tests {
             let mut d: Vec<f64> = (0..n).map(|_| (rng.next_below(50)) as f64).collect();
             let mut want = d.clone();
             want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut io = SortIo::default();
+            let mut io = Traffic::ZERO;
             low_write_sort(&mut d, m, &mut io);
             assert_eq!(d, want, "n={n} m={m}");
             let expected_writes = if n <= 1 { 0 } else { n as u64 };
-            assert_eq!(io.writes(), expected_writes, "each element written once");
+            assert_eq!(io.store_words, expected_writes, "each element written once");
         }
     }
 
@@ -87,11 +86,11 @@ mod tests {
     fn heavy_duplicates() {
         let mut d = vec![1.0; 64];
         d.extend(vec![0.0; 64]);
-        let mut io = SortIo::default();
+        let mut io = Traffic::ZERO;
         low_write_sort(&mut d, 8, &mut io);
         assert_eq!(&d[..64], &[0.0; 64][..]);
         assert_eq!(&d[64..], &[1.0; 64][..]);
-        assert_eq!(io.writes(), 128);
+        assert_eq!(io.store_words, 128);
     }
 
     #[test]
@@ -100,13 +99,13 @@ mod tests {
         let m = 32;
         let mut rng = XorShift::new(3);
         let mut d: Vec<f64> = (0..n).map(|_| rng.next_unit()).collect();
-        let mut io = SortIo::default();
+        let mut io = Traffic::ZERO;
         low_write_sort(&mut d, m, &mut io);
         let expect = (n * n / m) as u64; // n/m passes × n reads
         assert!(
-            io.reads() >= expect && io.reads() <= expect + n as u64,
+            io.load_words >= expect && io.load_words <= expect + n as u64,
             "reads {} vs expected ~{expect}",
-            io.reads()
+            io.load_words
         );
     }
 }

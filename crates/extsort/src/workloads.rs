@@ -1,17 +1,17 @@
 //! Engine registrations for the §9 sorting workloads.
 //!
-//! [`SortIo`] is an explicit element-granular tally, so both sorts
-//! register the `explicit` backend (reads → loads, writes → stores on one
-//! boundary) plus `raw` for wall clock. Together they trace the two ends
-//! of the conjectured read/write frontier: merge sort does `Θ(n log_M n)`
-//! of each, the selection sort exactly `n` writes but `Θ(n²/M)` reads.
+//! The sorts charge an explicit element-granular [`Traffic`] tally, so
+//! both register the `explicit` backend (reads → loads, writes → stores
+//! on one boundary) plus `raw` for wall clock. Together they trace the
+//! two ends of the conjectured read/write frontier: merge sort does
+//! `Θ(n log_M n)` of each, the selection sort exactly `n` writes but
+//! `Θ(n²/M)` reads.
 
 use crate::merge::external_merge_sort;
 use crate::selection::low_write_sort;
-use crate::SortIo;
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, Scale, Workload};
 use wa_core::report::{timed, RunReport};
-use wa_core::{BoundaryTraffic, XorShift};
+use wa_core::{BoundaryTraffic, Traffic, XorShift};
 
 fn problem(scale: Scale) -> (usize, usize) {
     match scale {
@@ -45,7 +45,7 @@ fn sort_workload(
         move |wa_core::engine::RunCfg { backend, scale, .. }| {
             let (n, m) = problem(scale);
             let mut data = random_data(n);
-            let mut io = SortIo::default();
+            let mut io = Traffic::ZERO;
             let (_, ns) = timed(|| {
                 if selection {
                     low_write_sort(&mut data, m, &mut io)
@@ -59,29 +59,20 @@ fn sort_workload(
                     message: "output not sorted".to_string(),
                 });
             }
-            match backend {
-                BackendKind::Raw => {
-                    let mut r = RunReport::new(name, backend, scale)
-                        .config("n", n)
-                        .config("fast_elems", m);
-                    r.wall_ns = ns;
-                    Ok(r)
-                }
-                BackendKind::Explicit => {
-                    let mut bt = BoundaryTraffic::new(2);
-                    *bt.boundary_mut(0) = io.traffic;
-                    let mut r = RunReport::new(name, backend, scale)
-                        .with_boundaries(&bt, &[])
-                        .config("n", n)
-                        .config("fast_elems", m)
-                        .config("passes", io.passes)
-                        .config("write_fraction", format!("{:.4}", io.write_fraction()))
-                        .note("SortIo projection: element counts, msgs == streams");
-                    r.wall_ns = ns;
-                    Ok(r)
-                }
-                other => unreachable!("{name} does not declare {other}"),
+            let mut r = RunReport::new(name, backend, scale)
+                .config("n", n)
+                .config("fast_elems", m);
+            if backend == BackendKind::Explicit {
+                let mut bt = BoundaryTraffic::new(2);
+                *bt.boundary_mut(0) = io;
+                r = r
+                    .with_boundaries(&bt, &[])
+                    .config("passes", io.load_msgs)
+                    .config("write_fraction", format!("{:.4}", io.write_fraction()))
+                    .note("Traffic projection: element counts, msgs == streams");
             }
+            r.wall_ns = ns;
+            Ok(r)
         },
     )
 }

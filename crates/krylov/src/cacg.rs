@@ -20,8 +20,9 @@
 
 use crate::basis::{h_apply, BasisKind};
 use crate::cg::SolveResult;
-use crate::counter::IoSink;
+use crate::counter::SimIo;
 use crate::csr::Csr;
+use memsim::Sink;
 use memsim::LINE_WORDS;
 
 /// Options for one CA-CG run.
@@ -71,7 +72,7 @@ fn ghost_ranges(a: &Csr, r0: usize, r1: usize, maxdeg: usize) -> Vec<(usize, usi
 /// ranges. Charges reads for the seed (resident at nominal address
 /// `vseed`) and the matrix rows touched (values at `va`).
 #[allow(clippy::too_many_arguments)] // matrix + seed + range + two addresses; the recursion-free body keeps them flat
-fn block_powers<S: IoSink>(
+fn block_powers<S: Sink>(
     a: &Csr,
     v: &[f64],
     vseed: usize,
@@ -80,7 +81,7 @@ fn block_powers<S: IoSink>(
     r1: usize,
     maxdeg: usize,
     shifts: &BasisKind,
-    io: &mut S,
+    io: &mut SimIo<S>,
 ) -> (Vec<Vec<f64>>, Vec<(usize, usize)>) {
     let rg = ghost_ranges(a, r0, r1, maxdeg);
     let n = a.rows;
@@ -114,12 +115,12 @@ fn block_powers<S: IoSink>(
 
 /// CA-CG solve of SPD `A·x = b`. See [`CaCgOptions`]; returns iterates
 /// equivalent (in exact arithmetic) to `s·outer` steps of [`crate::cg::cg`].
-pub fn ca_cg<S: IoSink>(
+pub fn ca_cg<S: Sink>(
     a: &Csr,
     b: &[f64],
     x0: &[f64],
     opts: &CaCgOptions,
-    io: &mut S,
+    io: &mut SimIo<S>,
 ) -> SolveResult {
     let n = a.rows;
     let s = opts.s;
@@ -344,8 +345,8 @@ pub fn ca_cg<S: IoSink>(
 mod tests {
     use super::*;
     use crate::cg::cg;
-    use crate::counter::IoTally;
     use crate::stencil::{band_1d, laplacian_2d};
+    use wa_core::Traffic;
     use wa_core::XorShift;
 
     /// BUG GUARD: streaming recovery must use the *old* p/r for
@@ -364,10 +365,10 @@ mod tests {
                 block_rows: 17,
                 ..Default::default()
             };
-            let mut io1 = IoTally::default();
+            let mut io1 = SimIo::new(Traffic::ZERO);
             let r1 = ca_cg(&a, &b, &vec![0.0; n], &o1, &mut io1);
             o1.streaming = false;
-            let mut io2 = IoTally::default();
+            let mut io2 = SimIo::new(Traffic::ZERO);
             let r2 = ca_cg(&a, &b, &vec![0.0; n], &o1, &mut io2);
             for (u, v) in r1.x.iter().zip(&r2.x) {
                 assert_eq!(u, v, "s={s}: streaming must be a pure reordering");
@@ -385,9 +386,9 @@ mod tests {
         let xt: Vec<f64> = (0..n).map(|_| rng.next_unit() - 0.5).collect();
         let mut b = vec![0.0; n];
         a.spmv(&xt, &mut b);
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let rcg = cg(&a, &b, &vec![0.0; n], 1e-12, 400, &mut io);
-        let mut io2 = IoTally::default();
+        let mut io2 = SimIo::new(Traffic::ZERO);
         let rca = ca_cg(
             &a,
             &b,
@@ -411,7 +412,7 @@ mod tests {
         let a = band_1d(80, 2, 0.5);
         let b = vec![1.0; 80];
         let run = |basis: BasisKind| {
-            let mut io = IoTally::default();
+            let mut io = SimIo::new(Traffic::ZERO);
             ca_cg(
                 &a,
                 &b,
@@ -452,20 +453,20 @@ mod tests {
             block_rows: 48,
             ..Default::default()
         };
-        let mut io_stream = IoTally::default();
+        let mut io_stream = SimIo::new(Traffic::ZERO);
         let _ = ca_cg(&a, &b, &vec![0.0; n], &base, &mut io_stream);
         let mut store = base.clone();
         store.streaming = false;
-        let mut io_store = IoTally::default();
+        let mut io_store = SimIo::new(Traffic::ZERO);
         let _ = ca_cg(&a, &b, &vec![0.0; n], &store, &mut io_store);
-        let mut io_cg = IoTally::default();
+        let mut io_cg = SimIo::new(Traffic::ZERO);
         let _ = cg(&a, &b, &vec![0.0; n], 1e-30, outers * s, &mut io_cg);
 
         // Writes: CG ≈ 4n/step; storing CA-CG ≈ (2s+4)n/s per step;
         // streaming ≈ 3n/s per step.
-        let w_cg = io_cg.writes() as f64;
-        let w_store = io_store.writes() as f64;
-        let w_stream = io_stream.writes() as f64;
+        let w_cg = io_cg.sim.store_words as f64;
+        let w_store = io_store.sim.store_words as f64;
+        let w_stream = io_stream.sim.store_words as f64;
         assert!(
             w_stream < w_cg / (s as f64 / 2.0),
             "streaming {w_stream} should be ≪ CG {w_cg} (s = {s})"
@@ -476,10 +477,10 @@ mod tests {
         );
         // Reads/flops at most ~2× the storing variant, as the paper says.
         assert!(
-            io_stream.reads() < 2 * io_store.reads() + 1000,
+            io_stream.sim.load_words < 2 * io_store.sim.load_words + 1000,
             "reads {} vs {}",
-            io_stream.reads(),
-            io_store.reads()
+            io_stream.sim.load_words,
+            io_store.sim.load_words
         );
         assert!(io_stream.flops < 2 * io_store.flops + 1000);
     }

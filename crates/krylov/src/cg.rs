@@ -5,8 +5,9 @@
 //! slow-memory span, so the tally's message counts equal the number of
 //! vector transfers (the block-transfer notion of the model).
 
-use crate::counter::IoSink;
+use crate::counter::SimIo;
 use crate::csr::Csr;
+use memsim::Sink;
 use memsim::LINE_WORDS;
 use wa_core::AccessRun;
 
@@ -23,7 +24,7 @@ pub struct SolveResult {
     pub history: Vec<f64>,
 }
 
-fn dot<S: IoSink>(a: &[f64], b: &[f64], va: usize, vb: usize, io: &mut S) -> f64 {
+fn dot<S: Sink>(a: &[f64], b: &[f64], va: usize, vb: usize, io: &mut SimIo<S>) -> f64 {
     // Two vector streams = two read runs (one message each).
     io.phase("dot");
     io.read_at(va, a.len());
@@ -41,21 +42,22 @@ fn norm2(a: &[f64]) -> f64 {
 /// iteration when `n ≫ M₁`).
 ///
 /// ```
-/// use krylov::{cg::cg, counter::IoTally, stencil::laplacian_2d};
+/// use krylov::{cg::cg, counter::SimIo, stencil::laplacian_2d};
+/// use wa_core::Traffic;
 /// let a = laplacian_2d(8, 8, 0.1);
 /// let b = vec![1.0; a.rows];
-/// let mut io = IoTally::default();
+/// let mut io = SimIo::new(Traffic::ZERO);
 /// let r = cg(&a, &b, &vec![0.0; a.rows], 1e-10, 500, &mut io);
 /// assert!(r.residual < 1e-8);
-/// assert!(io.writes() > 0);
+/// assert!(io.sim.store_words > 0);
 /// ```
-pub fn cg<S: IoSink>(
+pub fn cg<S: Sink>(
     a: &Csr,
     b: &[f64],
     x0: &[f64],
     tol: f64,
     max_iters: usize,
-    io: &mut S,
+    io: &mut SimIo<S>,
 ) -> SolveResult {
     let n = a.rows;
     assert_eq!(b.len(), n);
@@ -146,8 +148,8 @@ pub fn cg<S: IoSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::IoTally;
     use crate::stencil::{band_1d, laplacian_2d};
+    use wa_core::Traffic;
     use wa_core::XorShift;
 
     #[test]
@@ -158,7 +160,7 @@ mod tests {
         let xt: Vec<f64> = (0..n).map(|_| rng.next_unit() - 0.5).collect();
         let mut b = vec![0.0; n];
         a.spmv(&xt, &mut b);
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = cg(&a, &b, &vec![0.0; n], 1e-10, 2000, &mut io);
         assert!(r.residual < 1e-8, "residual {}", r.residual);
         for (u, v) in r.x.iter().zip(&xt) {
@@ -170,7 +172,7 @@ mod tests {
     fn residual_history_decreases_overall() {
         let a = band_1d(100, 1, 0.5);
         let b = vec![1.0; 100];
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = cg(&a, &b, &vec![0.0; 100], 1e-12, 500, &mut io);
         assert!(r.history.last().unwrap() < &1e-12);
         assert!(r.history[0] > *r.history.last().unwrap());
@@ -181,10 +183,10 @@ mod tests {
         let a = laplacian_2d(16, 16, 0.0);
         let n = a.rows;
         let b = vec![1.0; n];
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = cg(&a, &b, &vec![0.0; n], 1e-30, 50, &mut io);
         assert_eq!(r.iters, 50, "should hit the cap");
-        let per_iter = (io.writes() as f64) / 50.0;
+        let per_iter = (io.sim.store_words as f64) / 50.0;
         assert!(
             (per_iter - 4.0 * n as f64).abs() < 0.2 * n as f64,
             "writes/iter {per_iter} vs 4n = {}",
@@ -205,10 +207,10 @@ mod tests {
         let a = laplacian_2d(8, 8, 0.0);
         let (n, nnz) = (a.rows as u64, a.nnz() as u64);
         let b = vec![1.0; a.rows];
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = cg(&a, &b, &vec![0.0; a.rows], 1e-30, 1, &mut io);
         assert_eq!(r.iters, 1, "must run exactly one iteration");
-        let t = io.traffic;
+        let t = io.sim;
         assert_eq!(t.load_words, 2 * nnz + 17 * n);
         assert_eq!(t.load_msgs, 19);
         assert_eq!(t.store_words, 7 * n);
@@ -218,7 +220,7 @@ mod tests {
     #[test]
     fn zero_rhs_converges_immediately() {
         let a = band_1d(50, 2, 1.0);
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = cg(&a, &vec![0.0; 50], &vec![0.0; 50], 1e-10, 100, &mut io);
         assert_eq!(r.iters, 0);
         assert!(r.residual < 1e-12);

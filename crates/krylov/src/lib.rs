@@ -10,8 +10,10 @@
 //!   thread-parallel SpMV;
 //! * [`stencil`] — (2b+1)^d-point Laplacian-type stencils on 1/2/3-D
 //!   meshes, the paper's model problems;
-//! * [`counter`] — slow-memory traffic tally under the explicit model
-//!   (vectors and matrix in slow memory, O(s)-sized objects in fast);
+//! * [`counter`] — [`SimIo`], the charging surface the kernels drive:
+//!   the explicit-model tally (vectors and matrix in slow memory,
+//!   O(s)-sized objects in fast) or a cache simulator behind one
+//!   [`memsim::Sink`];
 //! * [`cg::cg`] — conjugate gradients (paper Algorithm 6);
 //! * [`basis`] — s-step polynomial bases (monomial and Newton) and their
 //!   recurrence matrices `H`;
@@ -30,5 +32,5 @@ pub mod workloads;
 pub use basis::BasisKind;
 pub use cacg::{ca_cg, CaCgOptions};
 pub use cg::cg;
-pub use counter::{IoTally, SimIo};
+pub use counter::SimIo;
 pub use csr::Csr;

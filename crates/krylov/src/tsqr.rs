@@ -17,7 +17,8 @@
 //! compensated by the reproducibility of the generator (exactly like
 //! streaming matrix powers recomputes the basis).
 
-use crate::counter::IoSink;
+use crate::counter::SimIo;
+use memsim::Sink;
 use memsim::LINE_WORDS;
 
 /// In-place Householder QR of an `r×c` row-major block (`r ≥ c` not
@@ -76,13 +77,13 @@ pub fn householder_qr_r(a: &mut [f64], r: usize, c: usize) -> Vec<f64> {
 /// false`) blocks are discarded after use and only O(s²) state persists;
 /// with `store = true` the blocks are also written back to slow memory
 /// (the non-WA baseline, counted in `io`).
-pub fn tsqr_r<S: IoSink>(
+pub fn tsqr_r<S: Sink>(
     nblocks: usize,
     rows_per_block: usize,
     s: usize,
     mut gen: impl FnMut(usize) -> Vec<f64>,
     store: bool,
-    io: &mut S,
+    io: &mut SimIo<S>,
 ) -> Vec<f64> {
     assert!(nblocks >= 1 && s >= 1);
     // Nominal layout: row block b owns the span starting at b·rpb·s; the
@@ -122,7 +123,7 @@ pub fn tsqr_r<S: IoSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::IoTally;
+    use wa_core::Traffic;
     use wa_core::{Mat, XorShift};
 
     fn rtr(r: &[f64], s: usize) -> Mat {
@@ -156,7 +157,7 @@ mod tests {
         let (nb, rpb, s) = (8, 16, 4);
         let n = nb * rpb;
         let a = Mat::random(n, s, 82);
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = tsqr_r(
             nb,
             rpb,
@@ -183,7 +184,7 @@ mod tests {
         let (nb, rpb, s) = (32, 64, 6);
         let a = Mat::random(nb * rpb, s, 83);
         let run = |store: bool| {
-            let mut io = IoTally::default();
+            let mut io = SimIo::new(Traffic::ZERO);
             let _ = tsqr_r(
                 nb,
                 rpb,
@@ -205,16 +206,16 @@ mod tests {
         let streaming = run(false);
         let storing = run(true);
         assert_eq!(
-            streaming.writes(),
+            streaming.sim.store_words,
             (s * s) as u64,
             "only R leaves fast memory"
         );
         assert_eq!(
-            storing.writes(),
+            storing.sim.store_words,
             (nb * rpb * s + s * s) as u64,
             "storing pays Θ(n·s)"
         );
-        assert_eq!(streaming.reads(), storing.reads());
+        assert_eq!(streaming.sim.load_words, storing.sim.load_words);
     }
 
     #[test]

@@ -1,35 +1,35 @@
 //! Engine registrations for the Krylov solvers (Section 8).
 //!
-//! CG and CA-CG charge their slow-memory traffic through the [`IoSink`]
-//! surface, which gives them two traffic-counting backends:
+//! CG and CA-CG charge their slow-memory traffic through one [`SimIo`],
+//! generic over the backend's [`Sink`]:
 //!
-//! * `explicit` — the hand-counted [`IoTally`] at vector granularity (the
-//!   paper's `W12`): a [`wa_core::Traffic`] on a single fast↔slow
-//!   boundary, one message per vector/matrix stream;
+//! * `explicit` — the hand-counted [`Traffic`] tally at vector
+//!   granularity (the paper's `W12`) on a single fast↔slow boundary, one
+//!   message per vector/matrix stream;
 //! * `simmed` — the *same* run stream replayed through a stack of
-//!   fully-associative true-LRU cache levels (a [`SimIo`] over
-//!   [`MemSim`]); the fastest level is the scale's `M₁`, so the tally and
-//!   the simulator's first boundary count the same writes (the
-//!   cross-model check in `crates/bench/tests/backend_matrix.rs` asserts
-//!   exact agreement). Depths 2 and 3 stack larger levels below `M₁`
-//!   without changing the `M₁` boundary.
+//!   fully-associative true-LRU cache levels ([`MemSim`]); the fastest
+//!   level is the scale's `M₁`, so the tally and the simulator's first
+//!   boundary count the same writes (the cross-model check in
+//!   `crates/bench/tests/backend_matrix.rs` asserts exact agreement).
+//!   Depths 2 and 3 stack larger levels below `M₁` without changing the
+//!   `M₁` boundary;
+//! * `stack` — the stream through the Mattson [`StackSim`]: its `M₁`
+//!   projection plus the whole capacity curve.
 //!
-//! `stack` replays the stream through a [`SimIo`] over the Mattson
-//! [`StackSim`] and reports its `M₁` projection plus the whole capacity
-//! curve. `raw` runs the same solve and reports wall time only. The
+//! `raw` runs the same solve on the tally and reports wall time only. The
 //! streaming TSQR building block (§8's Arnoldi remark) registers the same
 //! way.
 
 use crate::cacg::{ca_cg, CaCgOptions};
-use crate::cg::{cg, SolveResult};
-use crate::counter::{IoSink, IoTally, SimIo};
+use crate::cg::cg;
+use crate::counter::SimIo;
 use crate::stencil::laplacian_2d;
 use crate::tsqr::tsqr_r;
 use memsim::xeon::XeonGeometry;
-use memsim::{MemSim, Policy, StackSim};
+use memsim::{MemSim, Policy, Sink, StackSim};
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
-use wa_core::{BoundaryTraffic, XorShift};
+use wa_core::{Traffic, XorShift};
 
 fn grid(scale: Scale) -> usize {
     match scale {
@@ -55,34 +55,45 @@ fn sim_hier(scale: Scale, depth: usize) -> MemSim {
     MemSim::stacked_lru(&caps)
 }
 
-/// Project an [`IoTally`] onto a one-boundary report. The tally *is* a
-/// [`wa_core::Traffic`] (words moved between the processor's working set
-/// and slow memory, one message per vector/matrix stream), so the
-/// projection is a straight copy.
-fn tally_report(io: &IoTally, base: RunReport) -> RunReport {
-    let mut bt = BoundaryTraffic::new(2);
-    *bt.boundary_mut(0) = io.traffic;
-    let mut r = base
-        .with_boundaries(&bt, &[])
-        .note("IoTally projection: vector-granular runs, msgs == block transfers");
-    r.flops = io.flops;
-    r
+/// The backends every Krylov workload registers; `simmed` models up to
+/// three levels.
+const BACKENDS: [BackendKind; 4] = [
+    BackendKind::Raw,
+    BackendKind::Explicit,
+    BackendKind::Simmed,
+    BackendKind::Stack,
+];
+const DEPTHS: [(BackendKind, usize); 1] = [(BackendKind::Simmed, 3)];
+
+/// Project a finished run: `raw` reports wall time only; every other
+/// backend projects through its sink at `M₁` (the explicit tally onto one
+/// boundary, the flushed cache simulator, the stack's curve).
+fn project<S: Sink>(io: SimIo<S>, base: RunReport) -> RunReport {
+    let m1 = m1_words(base.scale);
+    match base.backend {
+        BackendKind::Raw => base,
+        BackendKind::Explicit => io
+            .report(m1, base)
+            .note("Traffic projection: vector-granular runs, msgs == block transfers"),
+        _ => io.report(m1, base),
+    }
 }
 
 /// Solve the grid-`g` model problem with CG (`opts == None`) or CA-CG,
-/// charging `io`; returns the converged result and the solve's wall time.
-fn solve<S: IoSink>(
-    name: &str,
-    g: usize,
+/// charging `io`, and project the report; `wall_ns` is the solve's time.
+fn solve<S: Sink>(
+    name: &'static str,
+    cfg: RunCfg,
     opts: &Option<CaCgOptions>,
-    io: &mut S,
-) -> Result<(SolveResult, u128), EngineError> {
+    mut io: SimIo<S>,
+) -> Result<RunReport, EngineError> {
+    let g = grid(cfg.scale);
     let a = laplacian_2d(g, g, 0.1);
     let b = vec![1.0; a.rows];
     let x0 = vec![0.0; a.rows];
     let (res, ns) = timed(|| match opts {
-        None => cg(&a, &b, &x0, 1e-10, 4 * g * g, io),
-        Some(o) => ca_cg(&a, &b, &x0, o, io),
+        None => cg(&a, &b, &x0, 1e-10, 4 * g * g, &mut io),
+        Some(o) => ca_cg(&a, &b, &x0, o, &mut io),
     });
     if res.residual > 1e-6 {
         return Err(EngineError::Failed {
@@ -90,7 +101,12 @@ fn solve<S: IoSink>(
             message: format!("solver stagnated: residual {:.3e}", res.residual),
         });
     }
-    Ok((res, ns))
+    let base = RunReport::new(name, cfg.backend, cfg.scale)
+        .config("iters", res.iters)
+        .config("residual", format!("{:.3e}", res.residual));
+    let mut r = project(io, base);
+    r.wall_ns = ns;
+    Ok(r)
 }
 
 fn solver_workload(
@@ -98,66 +114,32 @@ fn solver_workload(
     description: &'static str,
     opts: Option<CaCgOptions>, // None = plain CG
 ) -> Box<dyn Workload> {
-    let backends = [
-        BackendKind::Raw,
-        BackendKind::Explicit,
-        BackendKind::Simmed,
-        BackendKind::Stack,
-    ];
-    let depths = [(BackendKind::Simmed, 3)];
     FnWorkload::boxed(
         name,
         "krylov",
         description,
-        &backends,
-        &depths,
+        &BACKENDS,
+        &DEPTHS,
         // 5-point Laplacian in CSR (~5 nnz/row at 16 B each) plus the
         // handful of g²-length CG work vectors, with slack.
         |scale, _| {
             let g = grid(scale) as u64;
             g * g * 200
         },
-        move |RunCfg {
-                  backend,
-                  scale,
-                  depth,
-                  ..
-              }| {
+        move |cfg| {
+            let RunCfg { scale, depth, .. } = cfg;
             let g = grid(scale);
-            let base = |res: &SolveResult| {
-                RunReport::new(name, backend, scale)
-                    .config("iters", res.iters)
-                    .config("residual", format!("{:.3e}", res.residual))
-            };
-            let m1 = m1_words(scale);
-            let (mut r, ns) = match backend {
+            let mut r = match cfg.backend {
                 BackendKind::Raw | BackendKind::Explicit => {
-                    let mut io = IoTally::default();
-                    let (res, ns) = solve(name, g, &opts, &mut io)?;
-                    if backend == BackendKind::Explicit {
-                        (tally_report(&io, base(&res)), ns)
-                    } else {
-                        (base(&res), ns)
-                    }
+                    solve(name, cfg, &opts, SimIo::new(Traffic::ZERO))?
                 }
-                BackendKind::Simmed => {
-                    let mut io = SimIo::new(sim_hier(scale, depth));
-                    let (res, ns) = solve(name, g, &opts, &mut io)?;
-                    let r = io
-                        .report(m1, base(&res))
-                        .note("boundary 0 (fast side M1) is the tally's W12 boundary");
-                    (r, ns)
-                }
-                BackendKind::Stack => {
-                    let mut io = SimIo::new(StackSim::new());
-                    let (res, ns) = solve(name, g, &opts, &mut io)?;
-                    (io.report(m1, base(&res)), ns)
-                }
+                BackendKind::Simmed => solve(name, cfg, &opts, SimIo::new(sim_hier(scale, depth)))?
+                    .note("boundary 0 (fast side M1) is the tally's W12 boundary"),
+                BackendKind::Stack => solve(name, cfg, &opts, SimIo::new(StackSim::new()))?,
                 other => unreachable!("{name} does not declare {other}"),
             };
-            r.wall_ns = ns;
             r = r.config("grid", format!("{g}x{g}"));
-            if backend == BackendKind::Simmed {
+            if cfg.backend == BackendKind::Simmed {
                 r = r.config("depth", depth);
             }
             Ok(r)
@@ -165,22 +147,40 @@ fn solver_workload(
     )
 }
 
+/// Run [`tsqr_r`] over `nblocks` deterministic 64×8 row blocks, charging
+/// `io`, and project the report; `wall_ns` is the factorization's time.
+fn tsqr<S: Sink>(name: &'static str, cfg: RunCfg, store: bool, mut io: SimIo<S>) -> RunReport {
+    let s = 8usize;
+    let rpb = 64usize;
+    let nblocks = match cfg.scale {
+        Scale::Small => 16,
+        Scale::Paper => 64,
+    };
+    // Deterministic, recomputable row blocks (the streaming premise: the
+    // generator can replay any block).
+    let gen = |b: usize| {
+        let mut rng = XorShift::new(97 + b as u64);
+        (0..rpb * s).map(|_| rng.next_unit() - 0.5).collect()
+    };
+    let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
+    let base = RunReport::new(name, cfg.backend, cfg.scale)
+        .config("n", nblocks * rpb)
+        .config("s", s)
+        .config("store", store);
+    let mut r = project(io, base);
+    r.wall_ns = ns;
+    r
+}
+
 /// Streaming / storing tall-skinny QR (the §8 Arnoldi building block):
 /// `nblocks` row blocks of 64×8, blocks regenerated on demand.
 fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> Box<dyn Workload> {
-    let backends = [
-        BackendKind::Raw,
-        BackendKind::Explicit,
-        BackendKind::Simmed,
-        BackendKind::Stack,
-    ];
-    let depths = [(BackendKind::Simmed, 3)];
     FnWorkload::boxed(
         name,
         "krylov",
         description,
-        &backends,
-        &depths,
+        &BACKENDS,
+        &DEPTHS,
         // Worst case (storing variant): every 64×8 row block resident
         // plus Q/R factors — 3× the raw block storage covers both modes.
         |scale, _| {
@@ -190,61 +190,19 @@ fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> 
             };
             3 * nblocks * 64 * 8 * 8
         },
-        move |RunCfg {
-                  backend,
-                  scale,
-                  depth,
-                  ..
-              }| {
-            let s = 8usize;
-            let rpb = 64usize;
-            let nblocks = match scale {
-                Scale::Small => 16,
-                Scale::Paper => 64,
-            };
-            // Deterministic, recomputable row blocks (the streaming
-            // premise: the generator can replay any block).
-            let gen = |b: usize| {
-                let mut rng = XorShift::new(97 + b as u64);
-                (0..rpb * s).map(|_| rng.next_unit() - 0.5).collect()
-            };
-            let base = |backend| {
-                RunReport::new(name, backend, scale)
-                    .config("n", nblocks * rpb)
-                    .config("s", s)
-                    .config("store", store)
-            };
-            match backend {
+        move |cfg| {
+            Ok(match cfg.backend {
                 BackendKind::Raw | BackendKind::Explicit => {
-                    let mut io = IoTally::default();
-                    let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
-                    let mut r = if backend == BackendKind::Explicit {
-                        tally_report(&io, base(backend))
-                    } else {
-                        base(backend)
-                    };
-                    r.wall_ns = ns;
-                    Ok(r)
+                    tsqr(name, cfg, store, SimIo::new(Traffic::ZERO))
                 }
                 BackendKind::Simmed => {
-                    let mut io = SimIo::new(sim_hier(scale, depth));
-                    let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
-                    let mut r = io
-                        .report(m1_words(scale), base(backend))
-                        .config("depth", depth)
-                        .note("boundary 0 (fast side M1) is the tally's boundary");
-                    r.wall_ns = ns;
-                    Ok(r)
+                    tsqr(name, cfg, store, SimIo::new(sim_hier(cfg.scale, cfg.depth)))
+                        .config("depth", cfg.depth)
+                        .note("boundary 0 (fast side M1) is the tally's boundary")
                 }
-                BackendKind::Stack => {
-                    let mut io = SimIo::new(StackSim::new());
-                    let (_, ns) = timed(|| tsqr_r(nblocks, rpb, s, gen, store, &mut io));
-                    let mut r = io.report(m1_words(scale), base(backend));
-                    r.wall_ns = ns;
-                    Ok(r)
-                }
+                BackendKind::Stack => tsqr(name, cfg, store, SimIo::new(StackSim::new())),
                 other => unreachable!("{name} does not declare {other}"),
-            }
+            })
         },
     )
 }

@@ -8,7 +8,8 @@
 //! * [`Sink`] — the access-counting surface behind [`SimMem`], with one
 //!   projection onto a report. [`MemSim`] (`simmed`), [`StackSim`]
 //!   (`stack`) and [`TraceTally`] (`traced`) implement it by forwarding
-//!   to their inherent methods;
+//!   to their inherent methods; the explicit tally [`Traffic`] implements
+//!   it address-blind, and `()` is the sink that counts nothing;
 //! * [`Kernel`] — the kernel a runner drives. Closures over
 //!   `&mut &mut dyn Mem` implement it; a caller whose kernel is generic
 //!   over `M: Mem` implements it on a small struct and stays
@@ -23,6 +24,7 @@ use crate::stack::StackSim;
 use crate::tally::TraceTally;
 use wa_core::engine::BackendKind;
 use wa_core::report::{timed, RunReport};
+use wa_core::{BoundaryTraffic, Traffic};
 
 /// An access counter a [`SimMem`] drives: one simulator or tally per
 /// backend, plus its projection onto a [`RunReport`].
@@ -43,6 +45,10 @@ pub trait Sink {
     fn write(&mut self, addr: usize) {
         self.write_range(addr, 1);
     }
+
+    /// Persist `[addr, addr + words)` to the backing store (clwb-style).
+    /// No-op unless the sink tracks dirty lines.
+    fn writeback_range(&mut self, _addr: usize, _words: usize) {}
 
     /// Mark a profiling phase boundary (see [`crate::probe::Probe`]).
     /// No-op unless the sink profiles phases.
@@ -73,6 +79,11 @@ impl Sink for MemSim {
     #[inline]
     fn write(&mut self, addr: usize) {
         MemSim::write(self, addr);
+    }
+
+    #[inline]
+    fn writeback_range(&mut self, addr: usize, words: usize) {
+        MemSim::writeback_range(self, addr, words);
     }
 
     #[inline]
@@ -132,6 +143,42 @@ impl Sink for TraceTally {
         base.config("trace_len", self.words())
             .config("trace_writes", self.writes())
             .config("trace_distinct_lines", self.distinct_lines())
+    }
+}
+
+/// The explicit tally, address-blind: each non-empty run is one message
+/// across its single fast↔slow boundary ([`Traffic::load_run`] and
+/// [`Traffic::store_run`]).
+impl Sink for Traffic {
+    #[inline]
+    fn read_range(&mut self, _addr: usize, words: usize) {
+        self.load_run(words as u64);
+    }
+
+    #[inline]
+    fn write_range(&mut self, _addr: usize, words: usize) {
+        self.store_run(words as u64);
+    }
+
+    /// The tally on one boundary: loads are reads from slow memory,
+    /// stores writes to it.
+    fn report(&mut self, _fast_words: usize, base: RunReport) -> RunReport {
+        let mut bt = BoundaryTraffic::new(2);
+        *bt.boundary_mut(0) = *self;
+        base.with_boundaries(&bt, &[])
+    }
+}
+
+/// The sink that counts nothing: the counters-only distributed machine.
+impl Sink for () {
+    #[inline]
+    fn read_range(&mut self, _addr: usize, _words: usize) {}
+
+    #[inline]
+    fn write_range(&mut self, _addr: usize, _words: usize) {}
+
+    fn report(&mut self, _fast_words: usize, base: RunReport) -> RunReport {
+        base
     }
 }
 

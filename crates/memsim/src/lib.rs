@@ -19,8 +19,10 @@
 //!   kernels run unchanged on raw memory (no counting, full speed), on a
 //!   simulator-backed [`mem::SimMem`], or on a trace recorder.
 //! * [`backend`] — the one backend layer: the [`backend::Sink`] trait a
-//!   `SimMem` drives (implemented by [`MemSim`], [`stack::StackSim`] and
-//!   [`tally::TraceTally`], each with its projection onto a report) and
+//!   `SimMem` drives (implemented by [`MemSim`], [`stack::StackSim`],
+//!   [`tally::TraceTally`] and the explicit tally [`wa_core::Traffic`],
+//!   each with its projection onto a report, plus `()` for a machine that
+//!   only counts explicitly) and
 //!   [`backend::run_on_backend`], which stages, times and projects one
 //!   kernel on the `raw`, `simmed`, `traced` or `stack` backend.
 //! * [`tally`] — the streaming `traced` backend ([`tally::TraceTally`]):
@@ -63,7 +65,9 @@ pub use hierarchy::{AccessRun, MemSim};
 pub use mem::{Mem, RawMem, SimMem, TraceMem};
 pub use policy::Policy;
 pub use probe::{PhaseStats, Probe};
-pub use report::{explicit_report, memsim_report, stack_report, STACK_COUNTER_TRACK};
+pub use report::{
+    explicit_report, memsim_boundaries, memsim_report, stack_report, STACK_COUNTER_TRACK,
+};
 pub use stack::{StackSim, StackStats};
 pub use tally::TraceTally;
 pub use xeon::LINE_WORDS;

@@ -27,7 +27,7 @@ use crate::explicit::ExplicitHier;
 use crate::hierarchy::MemSim;
 use crate::stack::StackSim;
 use wa_core::report::RunReport;
-use wa_core::traffic::BoundaryTraffic;
+use wa_core::traffic::{BoundaryTraffic, Traffic};
 
 /// Fill `report` from an explicit-movement run: per-boundary traffic,
 /// per-level writes (boundary loads/stores plus R2 local writes), flops,
@@ -51,36 +51,46 @@ pub fn explicit_report(h: &ExplicitHier, report: RunReport) -> RunReport {
         .config("capacities_words", caps.join("/"))
 }
 
-/// Fill `report` from a cache-simulator run.
+/// A cache simulator's per-level counters as boundary traffic, fastest
+/// boundary first.
 ///
 /// Boundary `i` (0-indexed) separates simulated level `i` (fast side)
 /// from level `i+1`; the last boundary is LLC↔DRAM. Word counts are
 /// line-granular: `words = lines × line_words`, `msgs = lines` (each line
 /// transfer is one message — the block-transfer notion of the model).
+pub fn memsim_boundaries(sim: &MemSim) -> Vec<Traffic> {
+    let n = sim.num_levels();
+    let lw = sim.line_words() as u64;
+    let lines = |load: u64, store: u64| Traffic {
+        load_words: load * lw,
+        load_msgs: load,
+        store_words: store * lw,
+        store_msgs: store,
+    };
+    (0..n)
+        .map(|i| {
+            // At the LLC use the DRAM tallies, which already include flush
+            // traffic if the caller flushed.
+            if i + 1 == n {
+                return lines(sim.dram_reads_lines, sim.dram_writes_lines);
+            }
+            // Fills of level i arrive from the slow side of boundary i;
+            // dirty victims of level i are written back across it, and
+            // flush()-drained dirty lines cross it too (flush_victims_m).
+            let c = sim.counters(i);
+            lines(c.fills, c.victims_m + c.flush_victims_m)
+        })
+        .collect()
+}
+
+/// Fill `report` from a cache-simulator run: the [`memsim_boundaries`]
+/// projection plus the simulator's counters in the config echo.
 pub fn memsim_report(sim: &MemSim, report: RunReport) -> RunReport {
     let n = sim.num_levels();
     let lw = sim.line_words() as u64;
     let mut bt = BoundaryTraffic::new(n + 1);
-    for i in 0..n {
-        let c = sim.counters(i);
-        let b = bt.boundary_mut(i);
-        // Fills of level i arrive from the slow side of boundary i.
-        b.load_words = c.fills * lw;
-        b.load_msgs = c.fills;
-        // Dirty victims of level i are written back across boundary i;
-        // flush()-drained dirty lines cross it too (flush_victims_m). At
-        // the LLC use the DRAM tallies instead, which already include
-        // flush traffic if the caller flushed.
-        if i + 1 == n {
-            b.load_words = sim.dram_reads_lines * lw;
-            b.load_msgs = sim.dram_reads_lines;
-            b.store_words = sim.dram_writes_lines * lw;
-            b.store_msgs = sim.dram_writes_lines;
-        } else {
-            let wb = c.victims_m + c.flush_victims_m;
-            b.store_words = wb * lw;
-            b.store_msgs = wb;
-        }
+    for (i, t) in memsim_boundaries(sim).into_iter().enumerate() {
+        *bt.boundary_mut(i) = t;
     }
     let mut r = report.with_boundaries(&bt, &[]);
     let llc = sim.llc();

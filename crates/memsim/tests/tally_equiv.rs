@@ -1,4 +1,4 @@
-//! Exactness of the streaming `traced` tally.
+//! Exactness of the streaming tallies.
 //!
 //! A [`SimMem`] over a [`TraceTally`] must report exactly what a
 //! recorded [`TraceMem`] trace reduces to: its length, its write count
@@ -6,10 +6,15 @@
 //! backends with the same random stream of per-word `ld`/`st` calls mixed
 //! with `ld_run`/`st_run` runs — unaligned starts, runs straddling lines
 //! and bitset words, and zero-length runs — and compare the three counts.
+//!
+//! The explicit tally [`Traffic`] is a [`Sink`] too: driven run by run
+//! through the sink surface (as the Krylov `SimIo` charges it) or through
+//! a [`SimMem`], it must charge exactly what [`Traffic::run`] charges.
 
-use memsim::{Mem, SimMem, TraceMem, TraceTally};
+use memsim::{Mem, SimMem, Sink, TraceMem, TraceTally};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use wa_core::{AccessRun, Traffic};
 
 /// Words of backing store: 512 lines, i.e. eight 64-line bitset words.
 const SPAN: usize = 4096;
@@ -64,5 +69,50 @@ proptest! {
         steps in prop::collection::vec((0u8..4, 0usize..40, 0usize..12), 1..80),
     ) {
         assert_tally_matches_trace(&steps);
+    }
+
+    /// Random run batches, empty runs included: one message per non-empty
+    /// run, whichever surface charges it.
+    #[test]
+    fn traffic_as_a_sink_charges_what_traffic_run_charges(
+        raw in prop::collection::vec((any::<bool>(), 0usize..SPAN, 0usize..3), 0..60),
+    ) {
+        // Every third run is empty; the rest are 1..=64 words.
+        let runs: Vec<AccessRun> = raw
+            .iter()
+            .map(|&(is_write, addr, k)| AccessRun {
+                addr: addr.min(SPAN - 64),
+                words: if k == 0 { 0 } else { 1 + addr % 64 },
+                is_write,
+            })
+            .collect();
+        let mut want = Traffic::ZERO;
+        want.run(&runs);
+
+        let mut sink = Traffic::ZERO;
+        charge(&mut sink, &runs);
+        prop_assert_eq!(sink, want);
+
+        let mut mem = SimMem::from_vec(vec![0.0; SPAN], Traffic::ZERO);
+        let mut buf = vec![0.0; 64];
+        for r in &runs {
+            if r.is_write {
+                mem.st_run(r.addr, &buf[..r.words]);
+            } else {
+                mem.ld_run(r.addr, &mut buf[..r.words]);
+            }
+        }
+        prop_assert_eq!(mem.sim, want);
+    }
+}
+
+/// Charge `runs` one at a time through the sink surface.
+fn charge<S: Sink>(sink: &mut S, runs: &[AccessRun]) {
+    for r in runs {
+        if r.is_write {
+            sink.write_range(r.addr, r.words);
+        } else {
+            sink.read_range(r.addr, r.words);
+        }
     }
 }

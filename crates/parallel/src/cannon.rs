@@ -6,11 +6,12 @@
 //! the data movement performed.
 
 use crate::machine::{replay_gemm, Machine, Staging};
+use memsim::Sink;
 use wa_core::Mat;
 
 /// C = A·B by Cannon's algorithm on a `q×q` torus. Per-processor network
 /// volume: `2·q·(n/q)²` words = `2n²/√P`.
-pub fn cannon(m: &mut Machine, a: &Mat, b: &Mat, q: usize, at: Staging) -> Mat {
+pub fn cannon<S: Sink>(m: &mut Machine<S>, a: &Mat, b: &Mat, q: usize, at: Staging) -> Mat {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     assert_eq!((b.rows(), b.cols()), (n, n));

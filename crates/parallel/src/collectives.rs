@@ -13,14 +13,15 @@
 //! word for word.
 
 use crate::machine::{Machine, Staging};
+use memsim::Sink;
 
 /// Charge a binomial broadcast of `words` from `root` to `parties`
 /// (inclusive of the root). Every non-root receives once; internal tree
 /// nodes forward. We charge the worst-case participant: `ceil(log2 k)`
 /// rounds of send + receive of `words`, staged per `at`. `buf` is the
 /// payload buffer address in each rank's private address space.
-pub fn charge_bcast(
-    m: &mut Machine,
+pub fn charge_bcast<S: Sink>(
+    m: &mut Machine<S>,
     root: usize,
     parties: &[usize],
     words: u64,
@@ -69,8 +70,8 @@ pub fn charge_bcast(
 /// Charge a binomial reduction of `words` from `parties` to `root`
 /// (element-wise combine). Mirror image of broadcast; `buf` is each
 /// rank's partial-result buffer.
-pub fn charge_reduce(
-    m: &mut Machine,
+pub fn charge_reduce<S: Sink>(
+    m: &mut Machine<S>,
     root: usize,
     parties: &[usize],
     words: u64,
@@ -120,8 +121,8 @@ pub fn charge_reduce(
 /// Charge a gather of one `words`-sized contribution from each party to
 /// `root` (paper's 2.5D step 1: `c` messages of size `2n²/P` each).
 /// `buf` names both the sender's shard and the root's landing buffer.
-pub fn charge_gather(
-    m: &mut Machine,
+pub fn charge_gather<S: Sink>(
+    m: &mut Machine<S>,
     root: usize,
     parties: &[usize],
     words_each: u64,
@@ -139,7 +140,7 @@ pub fn charge_gather(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SimKind;
+    use memsim::MemSim;
     use wa_core::CostParams;
 
     #[test]
@@ -190,12 +191,14 @@ mod tests {
     /// counter model's charges on every rank.
     #[test]
     fn l3_staged_bcast_sim_nvm_stores_match_counters() {
-        let mut m = Machine::with_sims(4, CostParams::nvm_cluster(), SimKind::Simmed, &[1 << 12]);
+        let mut m = Machine::with_sinks(4, CostParams::nvm_cluster(), || {
+            MemSim::stacked_lru(&[1 << 12])
+        });
         let buf = m.alloc(64);
         let parties: Vec<usize> = (0..4).collect();
         charge_bcast(&mut m, 0, &parties, 64, Staging::L3, buf);
         for p in 0..4 {
-            let sim_stores = m.sim_boundaries_of(p).unwrap().last().unwrap().store_words;
+            let sim_stores = m.sim_boundaries_of(p).last().unwrap().store_words;
             assert_eq!(
                 sim_stores,
                 m.node(p).l3_write_words,
@@ -206,24 +209,28 @@ mod tests {
 
     #[test]
     fn l3_staged_reduce_sim_nvm_stores_match_counters() {
-        let mut m = Machine::with_sims(8, CostParams::nvm_cluster(), SimKind::Simmed, &[1 << 12]);
+        let mut m = Machine::with_sinks(8, CostParams::nvm_cluster(), || {
+            MemSim::stacked_lru(&[1 << 12])
+        });
         let buf = m.alloc(64);
         let parties: Vec<usize> = (0..8).collect();
         charge_reduce(&mut m, 3, &parties, 64, Staging::L3, buf);
         for p in 0..8 {
-            let sim_stores = m.sim_boundaries_of(p).unwrap().last().unwrap().store_words;
+            let sim_stores = m.sim_boundaries_of(p).last().unwrap().store_words;
             assert_eq!(sim_stores, m.node(p).l3_write_words, "rank {p}");
         }
     }
 
     #[test]
     fn l2_staged_collective_leaves_sim_nvm_clean() {
-        let mut m = Machine::with_sims(4, CostParams::nvm_cluster(), SimKind::Simmed, &[1 << 12]);
+        let mut m = Machine::with_sinks(4, CostParams::nvm_cluster(), || {
+            MemSim::stacked_lru(&[1 << 12])
+        });
         let buf = m.alloc(64);
         let parties: Vec<usize> = (0..4).collect();
         charge_bcast(&mut m, 0, &parties, 64, Staging::L2, buf);
         for p in 0..4 {
-            let b = m.sim_boundaries_of(p).unwrap();
+            let b = m.sim_boundaries_of(p);
             assert_eq!(b.last().unwrap().store_words, 0, "rank {p}");
         }
     }

@@ -19,6 +19,7 @@
 
 use crate::collectives::charge_bcast;
 use crate::machine::{replay_block_rw, replay_gemm, Machine, Staging};
+use memsim::Sink;
 use wa_core::Mat;
 
 /// In-place unblocked LU of `a[d0..d1, d0..d1]`.
@@ -90,7 +91,7 @@ fn owner(bi: usize, bj: usize, q: usize) -> usize {
 /// Parallel LU without pivoting on a `q×q` grid (`machine.p() == q²`),
 /// block size `b` (`n % b == 0`), data resident in NVM. `a` is overwritten
 /// by `L\U`.
-pub fn parallel_lu(m: &mut Machine, a: &mut Mat, b: usize, variant: LunpVariant) {
+pub fn parallel_lu<S: Sink>(m: &mut Machine<S>, a: &mut Mat, b: usize, variant: LunpVariant) {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     assert!(n.is_multiple_of(b));

@@ -7,20 +7,24 @@
 //! through a [`wa_core::CostParams`] — the critical-path convention of the
 //! communication-avoiding literature.
 //!
-//! Beyond the explicit counters, [`Machine::with_sims`] attaches one
-//! measurement substrate *per rank* — a [`MemSim`] cache hierarchy over
-//! node-local NVM (`simmed`), a streaming [`TraceTally`] (`traced`), or a
-//! Mattson [`StackSim`] (`stack`) — and the kernels replay each rank's
-//! local accesses through it via [`Machine::rank_mem`] (a [`Mem`]
-//! adapter). Addresses come from the symmetric bump allocator
-//! [`Machine::alloc`]: every rank allocates the same line-aligned layout,
-//! so one address names the same buffer in every rank's private memory.
+//! Beyond the explicit counters, [`Machine::with_sinks`] attaches one
+//! [`Sink`] *per rank* — a [`MemSim`] cache hierarchy over node-local
+//! NVM (`simmed`), a streaming [`TraceTally`] (`traced`), or a Mattson
+//! [`StackSim`] (`stack`) — and the kernels replay each rank's local
+//! accesses through it via [`Machine::rank_mem`] (a [`Mem`] adapter).
+//! The machine is generic over the sink, so the per-rank replay stays
+//! monomorphized; the counters-only `Machine` (sink `()`) skips it. The
+//! max-per-rank folds are typed impl blocks, one per sink. Addresses
+//! come from the symmetric bump allocator [`Machine::alloc`]: every rank
+//! allocates the same line-aligned layout, so one address names the same
+//! buffer in every rank's private memory.
 //! Network payloads land through [`Machine::sim_write`] at the receiver
 //! ("charge what the network delivers") and NVM-staged data additionally
 //! crosses to the backing store via [`Machine::sim_writeback`]
-//! (clwb-style, [`MemSim::writeback_range`]).
+//! (clwb-style, [`Sink::writeback_range`]).
 
-use memsim::{Mem, MemSim, StackSim, TraceTally, LINE_WORDS};
+use memsim::{memsim_boundaries, Mem, MemSim, Sink, StackSim, TraceTally, LINE_WORDS};
+use std::cmp::Reverse;
 use wa_core::{CostParams, Traffic};
 
 /// Where a node's operands live, controlling which boundaries a network
@@ -97,85 +101,44 @@ impl std::ops::AddAssign for NodeCounters {
     }
 }
 
-/// Which per-rank measurement substrate rides along with the counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimKind {
-    /// A [`MemSim`] cache hierarchy per rank (node-local NVM backing).
-    Simmed,
-    /// A streaming [`TraceTally`] per rank (words, writes, lines).
-    Traced,
-    /// A single-pass Mattson [`StackSim`] per rank (capacity curves).
-    Stack,
-}
-
-enum RankSim {
-    Simmed(Box<MemSim>),
-    Traced(Box<TraceTally>),
-    Stack(Box<StackSim>),
-}
-
 /// The machine: `p` nodes of counters plus the cost parameters, and
-/// optionally one simulator per rank (see [`Machine::with_sims`]).
-pub struct Machine {
+/// optionally one [`Sink`] per rank (see [`Machine::with_sinks`]).
+pub struct Machine<S: Sink = ()> {
     pub cost: CostParams,
     nodes: Vec<NodeCounters>,
-    /// One entry per rank when simulating; empty for counters-only runs.
-    sims: Vec<RankSim>,
-    /// Per-rank level capacities, fastest first (simmed/stack).
-    caps: Vec<usize>,
+    /// One sink per rank when simulating; empty for counters-only runs.
+    sinks: Vec<S>,
     /// Symmetric bump-allocator top (words). Every rank shares one layout.
     heap: usize,
 }
 
 impl Machine {
+    /// A counters-only machine of `p` nodes: the sim calls are no-ops.
     pub fn new(p: usize, cost: CostParams) -> Self {
         Machine {
             cost,
             nodes: vec![NodeCounters::default(); p],
-            sims: Vec::new(),
-            caps: Vec::new(),
+            sinks: Vec::new(),
             heap: 0,
         }
     }
+}
 
-    /// A machine whose `p` ranks each carry a private simulator of `kind`.
-    /// `caps` are the per-rank cache capacities in words, fastest first;
-    /// the backing store below the last level is the rank's node-local
-    /// NVM. `traced` ignores `caps`; `stack` uses `caps[0]` as the
-    /// capacity its curve is projected at by the report layer.
-    pub fn with_sims(p: usize, cost: CostParams, kind: SimKind, caps: &[usize]) -> Self {
-        let sims = (0..p)
-            .map(|_| match kind {
-                SimKind::Simmed => RankSim::Simmed(Box::new(MemSim::stacked_lru(caps))),
-                SimKind::Traced => RankSim::Traced(Box::default()),
-                SimKind::Stack => RankSim::Stack(Box::new(StackSim::new())),
-            })
-            .collect();
+impl<S: Sink> Machine<S> {
+    /// A machine whose `p` ranks each carry a private sink from `sink`:
+    /// a [`MemSim`] over node-local NVM (`simmed`), a [`TraceTally`]
+    /// (`traced`) or a [`StackSim`] (`stack`).
+    pub fn with_sinks(p: usize, cost: CostParams, sink: impl FnMut() -> S) -> Self {
         Machine {
             cost,
             nodes: vec![NodeCounters::default(); p],
-            sims,
-            caps: caps.to_vec(),
+            sinks: std::iter::repeat_with(sink).take(p).collect(),
             heap: 0,
         }
     }
 
-    /// The simulator kind attached per rank, if any.
-    pub fn sim_kind(&self) -> Option<SimKind> {
-        self.sims.first().map(|s| match s {
-            RankSim::Simmed(_) => SimKind::Simmed,
-            RankSim::Traced(_) => SimKind::Traced,
-            RankSim::Stack(_) => SimKind::Stack,
-        })
-    }
-
     pub fn has_sims(&self) -> bool {
-        !self.sims.is_empty()
-    }
-
-    /// Per-rank cache capacities (fastest first; empty for traced).
-    pub fn rank_caps(&self) -> &[usize] {
-        &self.caps
+        !self.sinks.is_empty()
     }
 
     /// Allocate `words` of rank-local storage in *every* rank's private
@@ -189,152 +152,46 @@ impl Machine {
         addr
     }
 
-    /// Replay a read of `[addr, addr + words)` on `rank`'s simulator.
+    /// Replay a read of `[addr, addr + words)` on `rank`'s sink.
     pub fn sim_read(&mut self, rank: usize, addr: usize, words: usize) {
         if words == 0 {
             return;
         }
-        match self.sims.get_mut(rank) {
-            None => {}
-            Some(RankSim::Simmed(sim)) => sim.read_range(addr, words),
-            Some(RankSim::Stack(sim)) => sim.read_range(addr, words),
-            Some(RankSim::Traced(t)) => t.read_range(addr, words),
+        if let Some(s) = self.sinks.get_mut(rank) {
+            s.read_range(addr, words);
         }
     }
 
-    /// Replay a write of `[addr, addr + words)` on `rank`'s simulator.
+    /// Replay a write of `[addr, addr + words)` on `rank`'s sink.
     pub fn sim_write(&mut self, rank: usize, addr: usize, words: usize) {
         if words == 0 {
             return;
         }
-        match self.sims.get_mut(rank) {
-            None => {}
-            Some(RankSim::Simmed(sim)) => sim.write_range(addr, words),
-            Some(RankSim::Stack(sim)) => sim.write_range(addr, words),
-            Some(RankSim::Traced(t)) => t.write_range(addr, words),
+        if let Some(s) = self.sinks.get_mut(rank) {
+            s.write_range(addr, words);
         }
     }
 
     /// Persist `[addr, addr + words)` from `rank`'s caches to its
-    /// node-local NVM ([`MemSim::writeback_range`]). This is how the
+    /// node-local NVM ([`Sink::writeback_range`]). This is how the
     /// simulated backends observe the explicit model's L2→L3 charges: an
     /// NVM-staged receive or an output-block store is a write into cache
-    /// *plus* a write-back of exactly those lines. No-op for traced
-    /// (traces carry no dirtiness) and stack (its projection uses flushed
-    /// semantics by construction).
+    /// *plus* a write-back of exactly those lines. Only [`MemSim`] acts
+    /// on it: traces carry no dirtiness, and the stack's projection uses
+    /// flushed semantics by construction.
     pub fn sim_writeback(&mut self, rank: usize, addr: usize, words: usize) {
-        if let Some(RankSim::Simmed(sim)) = self.sims.get_mut(rank) {
-            sim.writeback_range(addr, words);
+        if let Some(s) = self.sinks.get_mut(rank) {
+            s.writeback_range(addr, words);
         }
     }
 
-    /// A [`Mem`] view of `rank`'s simulator, for replaying local compute
+    /// A [`Mem`] view of `rank`'s sink, for replaying local compute
     /// through the same trait the sequential kernels use. Replay-only:
     /// loads return 0.0 and stores discard values — the numerics live in
     /// the algorithms' global matrices (verified against the sequential
     /// reference); only the access stream is observed here.
-    pub fn rank_mem(&mut self, rank: usize) -> RankMem<'_> {
+    pub fn rank_mem(&mut self, rank: usize) -> RankMem<'_, S> {
         RankMem { m: self, rank }
-    }
-
-    /// `rank`'s simulated boundary traffic, fastest boundary first; the
-    /// last entry is LLC↔NVM. Line-granular, same projection as
-    /// `memsim_report`. `None` unless the rank runs a `Simmed` simulator.
-    pub fn sim_boundaries_of(&self, rank: usize) -> Option<Vec<Traffic>> {
-        let RankSim::Simmed(sim) = self.sims.get(rank)? else {
-            return None;
-        };
-        let n = sim.num_levels();
-        let lw = sim.line_words() as u64;
-        Some(
-            (0..n)
-                .map(|i| {
-                    if i + 1 == n {
-                        Traffic {
-                            load_words: sim.dram_reads_lines * lw,
-                            load_msgs: sim.dram_reads_lines,
-                            store_words: sim.dram_writes_lines * lw,
-                            store_msgs: sim.dram_writes_lines,
-                        }
-                    } else {
-                        let c = sim.counters(i);
-                        let wb = c.victims_m + c.flush_victims_m;
-                        Traffic {
-                            load_words: c.fills * lw,
-                            load_msgs: c.fills,
-                            store_words: wb * lw,
-                            store_msgs: wb,
-                        }
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    /// Componentwise max of [`Machine::sim_boundaries_of`] over all ranks
-    /// — the critical-path fold, matching [`Machine::max_counters`].
-    pub fn sim_boundaries(&self) -> Option<Vec<Traffic>> {
-        let mut out: Option<Vec<Traffic>> = None;
-        for rank in 0..self.p() {
-            let b = self.sim_boundaries_of(rank)?;
-            match &mut out {
-                None => out = Some(b),
-                Some(acc) => {
-                    for (a, t) in acc.iter_mut().zip(&b) {
-                        a.load_words = a.load_words.max(t.load_words);
-                        a.load_msgs = a.load_msgs.max(t.load_msgs);
-                        a.store_words = a.store_words.max(t.store_words);
-                        a.store_msgs = a.store_msgs.max(t.store_msgs);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// `rank`'s trace tally (`Traced` sims only).
-    pub fn trace_stats_of(&self, rank: usize) -> Option<&TraceTally> {
-        match self.sims.get(rank)? {
-            RankSim::Traced(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Max-per-rank `(words, writes, distinct_lines)` of the traced
-    /// replay (each component maxed independently, the critical-path
-    /// convention).
-    pub fn max_trace_stats(&self) -> Option<(u64, u64, u64)> {
-        let mut out = None;
-        for rank in 0..self.p() {
-            let t = self.trace_stats_of(rank)?;
-            let (w, s, l) = out.unwrap_or((0, 0, 0));
-            out = Some((
-                w.max(t.words()),
-                s.max(t.writes()),
-                l.max(t.distinct_lines()),
-            ));
-        }
-        out
-    }
-
-    /// The critical rank's stack simulator: the rank whose projected
-    /// write-backs (then fills) at `caps[0]` are largest, lowest rank on
-    /// ties — deterministic, and for the symmetric algorithms here every
-    /// rank's curve is identical anyway.
-    pub fn stack_critical(&self) -> Option<(usize, &StackSim)> {
-        let cap = *self.caps.first()? as u64;
-        let mut best: Option<(usize, &StackSim, u64, u64)> = None;
-        for (rank, s) in self.sims.iter().enumerate() {
-            let RankSim::Stack(sim) = s else {
-                return None;
-            };
-            let p = sim.curve().at(cap);
-            let key = (p.dram_writes_lines(), p.fills);
-            if best.as_ref().is_none_or(|(_, _, wb, f)| key > (*wb, *f)) {
-                best = Some((rank, sim, key.0, key.1));
-            }
-        }
-        best.map(|(rank, sim, _, _)| (rank, sim))
     }
 
     pub fn p(&self) -> usize {
@@ -498,15 +355,84 @@ impl Machine {
     }
 }
 
-/// A [`Mem`] view of one rank's simulator ([`Machine::rank_mem`]).
+impl Machine<MemSim> {
+    /// `rank`'s simulated boundary traffic, fastest boundary first; the
+    /// last entry is LLC↔NVM ([`memsim_boundaries`]).
+    pub fn sim_boundaries_of(&self, rank: usize) -> Vec<Traffic> {
+        memsim_boundaries(&self.sinks[rank])
+    }
+
+    /// Componentwise max of [`Machine::sim_boundaries_of`] over all ranks
+    /// — the critical-path fold, matching [`Machine::max_counters`].
+    pub fn sim_boundaries(&self) -> Vec<Traffic> {
+        let mut out = self.sim_boundaries_of(0);
+        for rank in 1..self.p() {
+            for (a, t) in out.iter_mut().zip(self.sim_boundaries_of(rank)) {
+                a.load_words = a.load_words.max(t.load_words);
+                a.load_msgs = a.load_msgs.max(t.load_msgs);
+                a.store_words = a.store_words.max(t.store_words);
+                a.store_msgs = a.store_msgs.max(t.store_msgs);
+            }
+        }
+        out
+    }
+
+    /// The critical rank's teed reuse stack ([`MemSim::reuse`]), picked
+    /// by `critical_rank` at `cap_words`; `None` unless the ranks' probes
+    /// tee into a stack.
+    pub fn reuse_critical(&self, cap_words: usize) -> Option<(usize, &StackSim)> {
+        let stacks: Option<Vec<&StackSim>> = self.sinks.iter().map(MemSim::reuse).collect();
+        Some(critical_rank(&stacks?, cap_words))
+    }
+}
+
+impl Machine<TraceTally> {
+    /// Max-per-rank `(words, writes, distinct_lines)` of the traced
+    /// replay (each component maxed independently, the critical-path
+    /// convention).
+    pub fn max_trace_stats(&self) -> (u64, u64, u64) {
+        self.sinks.iter().fold((0, 0, 0), |(w, s, l), t| {
+            (
+                w.max(t.words()),
+                s.max(t.writes()),
+                l.max(t.distinct_lines()),
+            )
+        })
+    }
+}
+
+impl Machine<StackSim> {
+    /// The critical rank's stack simulator at `cap_words` (`critical_rank`).
+    pub fn stack_critical(&self, cap_words: usize) -> (usize, &StackSim) {
+        let stacks: Vec<&StackSim> = self.sinks.iter().collect();
+        critical_rank(&stacks, cap_words)
+    }
+}
+
+/// The critical rank among per-rank stacks: the one whose projected
+/// write-backs (then fills) at `cap_words` are largest, lowest rank on
+/// ties — deterministic, and for the symmetric algorithms here every
+/// rank's curve is identical anyway. Both the `stack` backend and the
+/// `simmed` backend's teed reuse stacks pick their rank here.
+fn critical_rank<'a>(stacks: &[&'a StackSim], cap_words: usize) -> (usize, &'a StackSim) {
+    let rank = (0..stacks.len())
+        .max_by_key(|&r| {
+            let p = stacks[r].curve().at(cap_words as u64);
+            (p.dram_writes_lines(), p.fills, Reverse(r))
+        })
+        .expect("a machine has at least one rank");
+    (rank, stacks[rank])
+}
+
+/// A [`Mem`] view of one rank's sink ([`Machine::rank_mem`]).
 /// Replay-only: loads yield 0.0 and stores discard values; only the
-/// address stream reaches the simulator.
-pub struct RankMem<'a> {
-    m: &'a mut Machine,
+/// address stream reaches the sink.
+pub struct RankMem<'a, S: Sink> {
+    m: &'a mut Machine<S>,
     rank: usize,
 }
 
-impl Mem for RankMem<'_> {
+impl<S: Sink> Mem for RankMem<'_, S> {
     fn ld(&mut self, addr: usize) -> f64 {
         self.m.sim_read(self.rank, addr, 1);
         0.0
@@ -530,8 +456,8 @@ impl Mem for RankMem<'_> {
     }
 
     fn phase(&mut self, name: &'static str) {
-        if let Some(RankSim::Simmed(sim)) = self.m.sims.get_mut(self.rank) {
-            sim.phase(name);
+        if let Some(s) = self.m.sinks.get_mut(self.rank) {
+            s.phase(name);
         }
     }
 }
@@ -608,52 +534,56 @@ mod tests {
 
     #[test]
     fn l3_staged_transfer_routes_payload_through_receiver_sim() {
-        let mut m = Machine::with_sims(2, CostParams::nvm_cluster(), SimKind::Simmed, &[1 << 12]);
+        let mut m = Machine::with_sinks(2, CostParams::nvm_cluster(), || {
+            MemSim::stacked_lru(&[1 << 12])
+        });
         let buf = m.alloc(64);
         m.transfer(0, 1, 64, Staging::L2, Staging::L3, buf, buf);
         // Receiver persisted exactly the delivered lines to its NVM.
-        let b1 = m.sim_boundaries_of(1).unwrap();
+        let b1 = m.sim_boundaries_of(1);
         assert_eq!(b1.last().unwrap().store_words, 64);
         // Sender only read: no NVM stores on rank 0.
-        let b0 = m.sim_boundaries_of(0).unwrap();
+        let b0 = m.sim_boundaries_of(0);
         assert_eq!(b0.last().unwrap().store_words, 0);
     }
 
     #[test]
     fn l2_staged_receive_is_not_written_to_nvm() {
-        let mut m = Machine::with_sims(2, CostParams::nvm_cluster(), SimKind::Simmed, &[1 << 12]);
+        let mut m = Machine::with_sinks(2, CostParams::nvm_cluster(), || {
+            MemSim::stacked_lru(&[1 << 12])
+        });
         let buf = m.alloc(64);
         m.transfer(0, 1, 64, Staging::L2, Staging::L2, buf, buf);
-        let b1 = m.sim_boundaries_of(1).unwrap();
+        let b1 = m.sim_boundaries_of(1);
         assert_eq!(b1.last().unwrap().store_words, 0);
     }
 
     #[test]
     fn l3_write_at_charges_counters_and_sim_identically() {
-        let mut m = Machine::with_sims(1, CostParams::nvm_cluster(), SimKind::Simmed, &[1 << 12]);
+        let mut m = Machine::with_sinks(1, CostParams::nvm_cluster(), || {
+            MemSim::stacked_lru(&[1 << 12])
+        });
         let buf = m.alloc(144);
         m.l3_write_at(0, buf, 144);
         m.l3_write_at(0, buf, 144); // rewrite: charged again on both sides
         assert_eq!(m.node(0).l3_write_words, 288);
-        let b = m.sim_boundaries_of(0).unwrap();
+        let b = m.sim_boundaries_of(0);
         assert_eq!(b.last().unwrap().store_words, 288);
     }
 
     #[test]
     fn traced_ranks_tally_words_writes_and_lines() {
-        let mut m = Machine::with_sims(2, CostParams::nvm_cluster(), SimKind::Traced, &[]);
+        let mut m = Machine::with_sinks(2, CostParams::nvm_cluster(), TraceTally::default);
         let buf = m.alloc(32);
         m.sim_write(0, buf, 32);
         m.sim_read(0, buf, 32);
         m.sim_read(1, buf, 8);
-        let t0 = m.trace_stats_of(0).unwrap();
-        assert_eq!((t0.words(), t0.writes(), t0.distinct_lines()), (64, 32, 4));
-        assert_eq!(m.max_trace_stats(), Some((64, 32, 4)));
+        assert_eq!(m.max_trace_stats(), (64, 32, 4));
     }
 
     #[test]
     fn traced_tally_grows_with_the_heap() {
-        let mut m = Machine::with_sims(1, CostParams::nvm_cluster(), SimKind::Traced, &[]);
+        let mut m = Machine::with_sinks(1, CostParams::nvm_cluster(), TraceTally::default);
         let a = m.alloc(8);
         m.sim_read(0, a, 8);
         // Allocated after the tally first ran: 1024 more lines, spanning
@@ -661,16 +591,16 @@ mod tests {
         let b = m.alloc(1024 * LINE_WORDS);
         m.sim_write(0, b, 1024 * LINE_WORDS);
         m.sim_read(0, b + 3, 2 * LINE_WORDS);
-        assert_eq!(m.max_trace_stats(), Some((8 + 1026 * 8, 1024 * 8, 1025)));
+        assert_eq!(m.max_trace_stats(), (8 + 1026 * 8, 1024 * 8, 1025));
     }
 
     #[test]
     fn stack_critical_prefers_the_writeheavy_rank() {
-        let mut m = Machine::with_sims(2, CostParams::nvm_cluster(), SimKind::Stack, &[1 << 10]);
+        let mut m = Machine::with_sinks(2, CostParams::nvm_cluster(), StackSim::new);
         let buf = m.alloc(128);
         m.sim_read(0, buf, 128);
         m.sim_write(1, buf, 128);
-        let (rank, _) = m.stack_critical().unwrap();
+        let (rank, _) = m.stack_critical(1 << 10);
         assert_eq!(rank, 1);
     }
 
@@ -678,11 +608,11 @@ mod tests {
     fn counters_only_machine_ignores_sim_calls() {
         let mut m = Machine::new(2, CostParams::nvm_cluster());
         let buf = m.alloc(64);
+        assert!(!m.has_sims());
         m.sim_write(0, buf, 64);
         m.sim_writeback(0, buf, 64);
-        assert!(m.sim_boundaries().is_none());
-        assert!(m.max_trace_stats().is_none());
-        assert!(m.stack_critical().is_none());
+        m.rank_mem(1).st_run(buf, &[1.0; 8]);
+        assert_eq!(*m.node(0), NodeCounters::default());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::collectives::{charge_bcast, charge_gather, charge_reduce};
 use crate::machine::{replay_gemm, Machine, Staging};
+use memsim::Sink;
 use wa_core::Mat;
 
 /// Configuration for one 2.5D run.
@@ -47,7 +48,7 @@ impl Mm25Config {
 
 /// Run 2.5D matmul; returns the assembled product (verified by tests
 /// against the sequential reference).
-pub fn mm25d(m: &mut Machine, a: &Mat, b: &Mat, cfg: Mm25Config) -> Mat {
+pub fn mm25d<S: Sink>(m: &mut Machine<S>, a: &Mat, b: &Mat, cfg: Mm25Config) -> Mat {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     assert_eq!((b.rows(), b.cols()), (n, n));

@@ -8,6 +8,7 @@
 
 use crate::collectives::charge_bcast;
 use crate::machine::{replay_gemm, Machine, Staging};
+use memsim::Sink;
 use wa_core::Mat;
 
 /// Multiply a sub-range of A and B into a C accumulator block:
@@ -30,7 +31,14 @@ fn gemm_into(c: &mut Mat, a: &Mat, b: &Mat, (ci, cj): (usize, usize), (ks, ke): 
 ///
 /// Per-processor network volume: `2·(n/q)·n` words (the paper's
 /// `2n²/√P` with q = √P).
-pub fn summa(m: &mut Machine, a: &Mat, b: &Mat, q: usize, panel: usize, at: Staging) -> Mat {
+pub fn summa<S: Sink>(
+    m: &mut Machine<S>,
+    a: &Mat,
+    b: &Mat,
+    q: usize,
+    panel: usize,
+    at: Staging,
+) -> Mat {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     assert_eq!((b.rows(), b.cols()), (n, n));
@@ -105,7 +113,7 @@ pub fn summa(m: &mut Machine, a: &Mat, b: &Mat, q: usize, panel: usize, at: Stag
 /// L2 (`b₂ = √(M2/3)`), writing each tile to NVM exactly once — attaining
 /// the `W1 = n²/P` write bound at the price of `Θ(n³/(P√M2))` network
 /// words.
-pub fn summa_l3_ool2(m: &mut Machine, a: &Mat, b: &Mat, q: usize, m2: u64) -> Mat {
+pub fn summa_l3_ool2<S: Sink>(m: &mut Machine<S>, a: &Mat, b: &Mat, q: usize, m2: u64) -> Mat {
     let n = a.rows();
     assert_eq!(m.p(), q * q);
     assert!(n.is_multiple_of(q));

@@ -8,21 +8,27 @@
 //! machine, the Model 1 reading). `raw` runs the same model and reports
 //! wall time plus the cost-model critical time.
 //!
-//! Since the per-rank simulation landed, the same kernels also run on
-//! `simmed` (one [`memsim::MemSim`] cache hierarchy per rank over
+//! The same kernels also run on a machine carrying one [`Sink`] per
+//! rank: `simmed` (one [`MemSim`] cache hierarchy per rank over
 //! node-local NVM; `--depth 2` adds a rank-private L1), `traced`
-//! (word-granular per-rank trace tallies), and — for the matmul family —
-//! `stack` (a Mattson capacity curve from the critical rank). Simulated
+//! (word-granular per-rank [`TraceTally`]s), and — for the matmul family
+//! — `stack` (a Mattson capacity curve from the critical rank). Simulated
 //! reports fold max-per-rank boundaries and append the network boundary
 //! last, so the NVM write agreement with `explicit` is checked at each
 //! report's *final cache boundary* (explicit: index 1; simmed: index
 //! `depth-1`... second-to-last) — see `crates/bench/tests/backend_matrix.rs`.
+//!
+//! Every registration is one row of a small algorithm table; one runner,
+//! `on_machine`, builds the machine the backend needs, runs the algorithm
+//! (monomorphized per sink), checks the exactness premise and projects
+//! the report.
 
 use crate::cannon::cannon;
 use crate::lu::{parallel_lu, LunpVariant};
-use crate::machine::{Machine, SimKind, Staging};
+use crate::machine::{Machine, Staging};
 use crate::mm25d::{mm25d, Mm25Config};
 use crate::summa::{summa, summa_l3_ool2};
+use memsim::{MemSim, Sink, StackSim, TraceTally};
 use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::{BoundaryTraffic, CostParams, Mat, Traffic};
@@ -39,9 +45,10 @@ pub const RANK_L1_WORDS: usize = 256;
 
 /// Rank-private last-level cache capacity (words) above the node-local
 /// NVM. Deliberately larger than any rank's working set here
-/// ([`Machine::heap_words`] stays far below it), so the only NVM stores
-/// the rank simulator observes are the explicit write-backs the kernels
-/// issue — the no-capacity-eviction premise of the exact explicit↔simmed
+/// ([`Machine::heap_words`] stays far below it, and `check_heap`
+/// refuses a run where it does not), so the only NVM stores the rank
+/// simulator observes are the explicit write-backs the kernels issue —
+/// the no-capacity-eviction premise of the exact explicit↔simmed
 /// NVM-write agreement.
 pub const RANK_L2_WORDS: usize = 65_536;
 
@@ -54,24 +61,29 @@ fn sim_caps(depth: usize) -> Vec<usize> {
     }
 }
 
-/// A machine wired for `backend`: counters only (`raw`/`explicit`) or
-/// counters plus one per-rank simulator.
-fn build_machine(p: usize, backend: BackendKind, depth: usize) -> Machine {
-    let cost = CostParams::nvm_cluster();
-    match backend {
-        BackendKind::Simmed => Machine::with_sims(p, cost, SimKind::Simmed, &sim_caps(depth)),
-        BackendKind::Traced => Machine::with_sims(p, cost, SimKind::Traced, &[]),
-        BackendKind::Stack => Machine::with_sims(p, cost, SimKind::Stack, &[RANK_L2_WORDS]),
-        _ => Machine::new(p, cost),
-    }
-}
-
 /// Footprint estimate shared by the distributed-matmul workloads: the
 /// global n×n operands/result plus the per-node tile replicas the
 /// [`Machine`] stages (≤ 2× replication in the 2.5D variant), with slack.
 fn parallel_footprint(scale: Scale, _depth: usize) -> u64 {
     let n = dim(scale) as u64;
     8 * n * n * 8
+}
+
+/// The critical-path time under the machine's cost model, as echoed.
+fn critical_time<S: Sink>(m: &Machine<S>) -> String {
+    format!("{:.6e}", m.critical_time())
+}
+
+/// The critical-path network counters as a boundary (recv = load, send =
+/// store — the "slow memory" of a node is the rest of the machine).
+fn network<S: Sink>(m: &Machine<S>) -> Traffic {
+    let c = m.max_counters();
+    Traffic {
+        load_words: c.net_recv_words,
+        load_msgs: c.net_recv_msgs,
+        store_words: c.net_send_words,
+        store_msgs: c.net_send_msgs,
+    }
 }
 
 /// Project critical-path node counters onto the report hierarchy.
@@ -90,19 +102,11 @@ fn machine_report(name: &str, scale: Scale, m: &Machine) -> RunReport {
         store_words: c.l3_write_words,
         store_msgs: c.l3_write_msgs,
     };
-    *bt.boundary_mut(2) = Traffic {
-        load_words: c.net_recv_words,
-        load_msgs: c.net_recv_msgs,
-        store_words: c.net_send_words,
-        store_msgs: c.net_send_msgs,
-    };
+    *bt.boundary_mut(2) = network(m);
     let mut r = RunReport::new(name, BackendKind::Explicit, scale)
         .with_boundaries(&bt, &[])
         .config("p", m.p())
-        .config(
-            "critical_time_model_s",
-            format!("{:.6e}", m.critical_time()),
-        )
+        .config("critical_time_model_s", critical_time(m))
         .note("critical-path (max per node) counters; boundary 2 is the network");
     r.flops = c.flops;
     r
@@ -116,305 +120,308 @@ fn machine_report(name: &str, scale: Scale, m: &Machine) -> RunReport {
 /// (every counter-model write is a store + clwb replay of whole lines);
 /// NVM loads are cold-fill granular — a block re-read the explicit model
 /// charges twice fills once in a warm cache — so loads carry no
-/// cross-backend contract.
-fn machine_sim_report(name: &str, scale: Scale, m: &Machine, depth: usize) -> RunReport {
-    let sim = m.sim_boundaries().expect("simmed machine has rank sims");
-    let c = m.max_counters();
+/// cross-backend contract. Under `--reuse` the critical rank's teed stack
+/// supplies the histogram, picked like the `stack` backend's rank.
+fn machine_sim_report(
+    name: &str,
+    scale: Scale,
+    m: &Machine<MemSim>,
+    depth: usize,
+    caps: &[usize],
+) -> RunReport {
+    let sim = m.sim_boundaries();
     let mut bt = BoundaryTraffic::new(sim.len() + 2);
     for (i, t) in sim.iter().enumerate() {
         *bt.boundary_mut(i) = *t;
     }
-    *bt.boundary_mut(sim.len()) = Traffic {
-        load_words: c.net_recv_words,
-        load_msgs: c.net_recv_msgs,
-        store_words: c.net_send_words,
-        store_msgs: c.net_send_msgs,
-    };
-    let caps: Vec<String> = m.rank_caps().iter().map(|c| c.to_string()).collect();
+    *bt.boundary_mut(sim.len()) = network(m);
+    let caps: Vec<String> = caps.iter().map(|c| c.to_string()).collect();
     let mut r = RunReport::new(name, BackendKind::Simmed, scale)
         .with_boundaries(&bt, &[])
         .config("p", m.p())
         .config("depth", depth)
         .config("rank_caps_words", caps.join("/"))
         .config("heap_words_per_rank", m.heap_words())
-        .config(
-            "critical_time_model_s",
-            format!("{:.6e}", m.critical_time()),
-        )
+        .config("critical_time_model_s", critical_time(m))
         .note(
             "per-rank cache simulation, max-per-rank fold; last boundary is the \
              network, second-to-last is LLC<->node-local NVM",
         );
-    r.flops = c.flops;
+    if let Some((_, stack)) = m.reuse_critical(RANK_L2_WORDS) {
+        r = r.config("reuse_hist", stack.curve().render_reuse());
+    }
+    r.flops = m.max_counters().flops;
     r
 }
 
 /// Project the per-rank trace tallies: no boundary traffic (a trace has
 /// no hierarchy), max-per-rank statistics in the config echo.
-fn machine_trace_report(name: &str, scale: Scale, m: &Machine) -> RunReport {
-    let (words, writes, lines) = m
-        .max_trace_stats()
-        .expect("traced machine has rank tallies");
-    let c = m.max_counters();
+fn machine_trace_report(name: &str, scale: Scale, m: &Machine<TraceTally>) -> RunReport {
+    let (words, writes, lines) = m.max_trace_stats();
     let mut r = RunReport::new(name, BackendKind::Traced, scale)
         .config("p", m.p())
         .config("trace_words", words)
         .config("trace_writes", writes)
         .config("trace_distinct_lines", lines)
         .config("heap_words_per_rank", m.heap_words())
-        .config(
-            "critical_time_model_s",
-            format!("{:.6e}", m.critical_time()),
-        )
+        .config("critical_time_model_s", critical_time(m))
         .note("per-rank replay tallies, max-per-rank fold");
-    r.flops = c.flops;
+    r.flops = m.max_counters().flops;
     r
 }
 
 /// Project the critical rank's Mattson curve at [`RANK_L2_WORDS`] — the
 /// same capacity the simmed backend's LLC models.
-fn machine_stack_report(name: &str, scale: Scale, m: &Machine) -> RunReport {
-    let (rank, sim) = m.stack_critical().expect("stack machine has rank sims");
-    let c = m.max_counters();
+fn machine_stack_report(name: &str, scale: Scale, m: &Machine<StackSim>) -> RunReport {
+    let (rank, sim) = m.stack_critical(RANK_L2_WORDS);
     let r = RunReport::new(name, BackendKind::Stack, scale);
     let mut r = memsim::stack_report(sim, RANK_L2_WORDS, r)
         .config("p", m.p())
         .config("critical_rank", rank)
         .config("heap_words_per_rank", m.heap_words())
-        .config(
-            "critical_time_model_s",
-            format!("{:.6e}", m.critical_time()),
-        )
+        .config("critical_time_model_s", critical_time(m))
         .note("capacity curve of the critical rank (largest projected write-backs)");
-    r.flops = c.flops;
+    r.flops = m.max_counters().flops;
     r
 }
 
-fn check(name: &str, got: &Mat, want: &Mat) -> Result<(), EngineError> {
-    if got.max_abs_diff(want) > 1e-8 {
-        return Err(EngineError::Failed {
-            workload: name.to_string(),
-            message: format!("numeric mismatch: {:.3e}", got.max_abs_diff(want)),
-        });
+/// The exactness premise of the explicit↔simmed NVM-write agreement: the
+/// rank heap must fit in [`RANK_L2_WORDS`], or capacity evictions would
+/// add NVM stores the counter model never charges.
+fn check_heap<S: Sink>(name: &str, m: &Machine<S>) -> Result<(), EngineError> {
+    if m.heap_words() <= RANK_L2_WORDS {
+        return Ok(());
     }
-    Ok(())
+    Err(EngineError::Failed {
+        workload: name.to_string(),
+        message: format!(
+            "rank heap {} words exceeds RANK_L2_WORDS = {RANK_L2_WORDS}: capacity \
+             evictions would break the exact NVM-write agreement",
+            m.heap_words()
+        ),
+    })
 }
 
-fn finish(
+/// Grid side of the 2D algorithms: a 4×4 rank grid.
+const Q: usize = 4;
+/// L2 capacity (words) SUMMAL3ooL2 computes its tiles in.
+const OOL2_M2: u64 = 48;
+/// Replication factor of the 2.5D matmul.
+const MM25D_C: usize = 2;
+
+/// Every backend a distributed algorithm can run on, `stack` last.
+const BACKENDS: [BackendKind; 5] = [
+    BackendKind::Raw,
+    BackendKind::Simmed,
+    BackendKind::Traced,
+    BackendKind::Explicit,
+    BackendKind::Stack,
+];
+
+/// The registered distributed algorithms.
+#[derive(Clone, Copy)]
+enum Alg {
+    Summa,
+    SummaOol2,
+    Cannon,
+    Mm25d,
+    Lu,
+}
+
+/// Registration order: name, description, algorithm.
+const ALGS: [(&str, &str, Alg); 5] = [
+    (
+        "summa",
+        "classic SUMMA with L2 staging: 2n^2/sqrt(P) network words, no NVM traffic (7.1)",
+        Alg::Summa,
+    ),
+    (
+        "summa-ool2",
+        "SUMMAL3ooL2 (Model 2.2): tiles computed entirely in L2, attains W1 = n^2/P NVM writes",
+        Alg::SummaOol2,
+    ),
+    (
+        "cannon",
+        "Cannon's algorithm with L2 staging: same W1, lower network volume",
+        Alg::Cannon,
+    ),
+    (
+        "mm25d",
+        "2.5D matmul (c=2 replication): trades memory for W2 = n^2/sqrt(Pc) network words",
+        Alg::Mm25d,
+    ),
+    (
+        "lu-parallel",
+        "LL-LUNP: left-looking parallel LU, the WA order of 7.2",
+        Alg::Lu,
+    ),
+];
+
+impl Alg {
+    /// Ranks of the machine the algorithm runs on.
+    fn ranks(self) -> usize {
+        match self {
+            Alg::Mm25d => 18,
+            _ => 16,
+        }
+    }
+
+    fn backends(self) -> &'static [BackendKind] {
+        match self {
+            // lu-parallel skips `stack`: its replay is dominated by
+            // in-place NVM block rewrites whose capacity curve adds
+            // nothing over `simmed`, and keeping one non-universal
+            // workload exercises the unsupported-backend error path with
+            // the *current* supported list.
+            Alg::Lu => &BACKENDS[..4],
+            _ => &BACKENDS,
+        }
+    }
+
+    /// Run the algorithm at problem size `n` on `m`, checking the result
+    /// against the sequential reference; returns the kernel's wall time.
+    fn run<S: Sink>(self, name: &str, m: &mut Machine<S>, n: usize) -> Result<u128, EngineError> {
+        match self {
+            Alg::Summa => matmul(name, m, n, (101, 102), |m, a, b| {
+                summa(m, a, b, Q, n / Q, Staging::L2)
+            }),
+            Alg::SummaOol2 => matmul(name, m, n, (108, 109), |m, a, b| {
+                summa_l3_ool2(m, a, b, Q, OOL2_M2)
+            }),
+            Alg::Cannon => matmul(name, m, n, (103, 104), |m, a, b| {
+                cannon(m, a, b, Q, Staging::L2)
+            }),
+            Alg::Mm25d => {
+                let cfg = Mm25Config {
+                    p: self.ranks(),
+                    c: MM25D_C,
+                    at: Staging::L3,
+                    ool2: false,
+                    m2: 48,
+                };
+                matmul(name, m, n, (105, 106), |m, a, b| mm25d(m, a, b, cfg))
+            }
+            Alg::Lu => {
+                let mut a = Mat::random(n, n, 107);
+                for i in 0..n {
+                    a[(i, i)] = a[(i, i)].abs() + n as f64;
+                }
+                let (_, ns) = timed(|| parallel_lu(m, &mut a, 4, LunpVariant::LeftLooking));
+                Ok(ns)
+            }
+        }
+    }
+
+    /// The config keys echoed after the machine's own.
+    fn echo(self, n: usize) -> Vec<(&'static str, String)> {
+        let n = ("n", n.to_string());
+        match self {
+            Alg::Summa | Alg::Cannon => vec![n, ("q", Q.to_string())],
+            Alg::SummaOol2 => vec![n, ("q", Q.to_string()), ("m2_words", OOL2_M2.to_string())],
+            Alg::Mm25d => vec![n, ("c", MM25D_C.to_string())],
+            Alg::Lu => vec![n],
+        }
+    }
+}
+
+/// Multiply two seeded random `n×n` matrices with `kernel` on `m` and
+/// check the product; returns the kernel's wall time.
+fn matmul<S: Sink>(
     name: &str,
-    cfg: RunCfg,
-    machine: &Machine,
-    ns: u128,
-    extra: &[(&str, String)],
-) -> Result<RunReport, EngineError> {
-    // The simmed caps must dominate the rank-local layout, or capacity
-    // evictions would break the exact NVM-store agreement.
-    debug_assert!(
-        machine.heap_words() <= RANK_L2_WORDS,
-        "{name}: rank heap {} exceeds RANK_L2_WORDS",
-        machine.heap_words()
-    );
+    m: &mut Machine<S>,
+    n: usize,
+    (seed_a, seed_b): (u64, u64),
+    kernel: impl FnOnce(&mut Machine<S>, &Mat, &Mat) -> Mat,
+) -> Result<u128, EngineError> {
+    let a = Mat::random(n, n, seed_a);
+    let b = Mat::random(n, n, seed_b);
+    let (got, ns) = timed(|| kernel(m, &a, &b));
+    let err = got.max_abs_diff(&a.matmul_ref(&b));
+    if err > 1e-8 {
+        return Err(EngineError::Failed {
+            workload: name.to_string(),
+            message: format!("numeric mismatch: {err:.3e}"),
+        });
+    }
+    Ok(ns)
+}
+
+/// Run one cell: build the machine `cfg.backend` needs (counters only, or
+/// one sink per rank), run `alg` on it, and project the report.
+fn on_machine(name: &'static str, alg: Alg, cfg: RunCfg) -> Result<RunReport, EngineError> {
     let RunCfg {
         backend,
         scale,
         depth,
         ..
     } = cfg;
-    let mut r = match backend {
-        BackendKind::Explicit => machine_report(name, scale, machine),
-        BackendKind::Raw => RunReport::new(name, backend, scale)
-            .config("p", machine.p())
-            .config(
-                "critical_time_model_s",
-                format!("{:.6e}", machine.critical_time()),
-            ),
-        BackendKind::Simmed => machine_sim_report(name, scale, machine, depth),
-        BackendKind::Traced => machine_trace_report(name, scale, machine),
-        BackendKind::Stack => machine_stack_report(name, scale, machine),
-    };
-    for (k, v) in extra {
-        r = r.config(*k, v);
+    let (p, cost) = (alg.ranks(), CostParams::nvm_cluster());
+    match backend {
+        BackendKind::Explicit => drive(name, alg, scale, Machine::new(p, cost), |m| {
+            machine_report(name, scale, m)
+        }),
+        BackendKind::Raw => drive(name, alg, scale, Machine::new(p, cost), |m| {
+            RunReport::new(name, backend, scale)
+                .config("p", m.p())
+                .config("critical_time_model_s", critical_time(m))
+        }),
+        BackendKind::Simmed => {
+            let caps = sim_caps(depth);
+            let m = Machine::with_sinks(p, cost, || MemSim::stacked_lru(&caps));
+            drive(name, alg, scale, m, |m| {
+                machine_sim_report(name, scale, m, depth, &caps)
+            })
+        }
+        BackendKind::Traced => {
+            let m = Machine::with_sinks(p, cost, TraceTally::default);
+            drive(name, alg, scale, m, |m| {
+                machine_trace_report(name, scale, m)
+            })
+        }
+        BackendKind::Stack => {
+            let m = Machine::with_sinks(p, cost, StackSim::new);
+            drive(name, alg, scale, m, |m| {
+                machine_stack_report(name, scale, m)
+            })
+        }
+    }
+}
+
+/// Run `alg` on `m`, check the exactness premise, project the machine
+/// with `report` and append the algorithm's config echo.
+fn drive<S: Sink>(
+    name: &str,
+    alg: Alg,
+    scale: Scale,
+    mut m: Machine<S>,
+    report: impl FnOnce(&Machine<S>) -> RunReport,
+) -> Result<RunReport, EngineError> {
+    let n = dim(scale);
+    let ns = alg.run(name, &mut m, n)?;
+    check_heap(name, &m)?;
+    let mut r = report(&m);
+    for (k, v) in alg.echo(n) {
+        r = r.config(k, v);
     }
     r.wall_ns = ns;
     Ok(r)
 }
 
 pub fn workloads() -> Vec<Box<dyn Workload>> {
-    let backends = [
-        BackendKind::Raw,
-        BackendKind::Simmed,
-        BackendKind::Traced,
-        BackendKind::Explicit,
-        BackendKind::Stack,
-    ];
-    // lu-parallel skips `stack`: its replay is dominated by in-place NVM
-    // block rewrites whose capacity curve adds nothing over `simmed`, and
-    // keeping one non-universal workload exercises the unsupported-backend
-    // error path with the *current* supported list.
-    let lu_backends = [
-        BackendKind::Raw,
-        BackendKind::Simmed,
-        BackendKind::Traced,
-        BackendKind::Explicit,
-    ];
     let depths = [(BackendKind::Simmed, 2)];
-    vec![
-        FnWorkload::boxed(
-            "summa",
-            "parallel",
-            "classic SUMMA with L2 staging: 2n^2/sqrt(P) network words, no NVM traffic (7.1)",
-            &backends,
-            &depths,
-            parallel_footprint,
-            move |cfg| {
-                let RunCfg {
-                    backend,
-                    scale,
-                    depth,
-                    ..
-                } = cfg;
-                let n = dim(scale);
-                let q = 4;
-                let a = Mat::random(n, n, 101);
-                let b = Mat::random(n, n, 102);
-                let mut m = build_machine(q * q, backend, depth);
-                let (got, ns) = timed(|| summa(&mut m, &a, &b, q, n / q, Staging::L2));
-                check("summa", &got, &a.matmul_ref(&b))?;
-                finish(
-                    "summa",
-                    cfg,
-                    &m,
-                    ns,
-                    &[("n", n.to_string()), ("q", q.to_string())],
-                )
-            },
-        ),
-        FnWorkload::boxed(
-            "summa-ool2",
-            "parallel",
-            "SUMMAL3ooL2 (Model 2.2): tiles computed entirely in L2, attains W1 = n^2/P NVM writes",
-            &backends,
-            &depths,
-            parallel_footprint,
-            move |cfg| {
-                let RunCfg {
-                    backend,
-                    scale,
-                    depth,
-                    ..
-                } = cfg;
-                let n = dim(scale);
-                let (q, m2) = (4usize, 48u64);
-                let a = Mat::random(n, n, 108);
-                let b = Mat::random(n, n, 109);
-                let mut m = build_machine(q * q, backend, depth);
-                let (got, ns) = timed(|| summa_l3_ool2(&mut m, &a, &b, q, m2));
-                check("summa-ool2", &got, &a.matmul_ref(&b))?;
-                finish(
-                    "summa-ool2",
-                    cfg,
-                    &m,
-                    ns,
-                    &[
-                        ("n", n.to_string()),
-                        ("q", q.to_string()),
-                        ("m2_words", m2.to_string()),
-                    ],
-                )
-            },
-        ),
-        FnWorkload::boxed(
-            "cannon",
-            "parallel",
-            "Cannon's algorithm with L2 staging: same W1, lower network volume",
-            &backends,
-            &depths,
-            parallel_footprint,
-            move |cfg| {
-                let RunCfg {
-                    backend,
-                    scale,
-                    depth,
-                    ..
-                } = cfg;
-                let n = dim(scale);
-                let q = 4;
-                let a = Mat::random(n, n, 103);
-                let b = Mat::random(n, n, 104);
-                let mut m = build_machine(q * q, backend, depth);
-                let (got, ns) = timed(|| cannon(&mut m, &a, &b, q, Staging::L2));
-                check("cannon", &got, &a.matmul_ref(&b))?;
-                finish(
-                    "cannon",
-                    cfg,
-                    &m,
-                    ns,
-                    &[("n", n.to_string()), ("q", q.to_string())],
-                )
-            },
-        ),
-        FnWorkload::boxed(
-            "mm25d",
-            "parallel",
-            "2.5D matmul (c=2 replication): trades memory for W2 = n^2/sqrt(Pc) network words",
-            &backends,
-            &depths,
-            parallel_footprint,
-            move |run_cfg| {
-                let RunCfg {
-                    backend,
-                    scale,
-                    depth,
-                    ..
-                } = run_cfg;
-                let n = dim(scale);
-                let (p, c) = (18usize, 2usize);
-                let a = Mat::random(n, n, 105);
-                let b = Mat::random(n, n, 106);
-                let cfg = Mm25Config {
-                    p,
-                    c,
-                    at: Staging::L3,
-                    ool2: false,
-                    m2: 48,
-                };
-                let mut m = build_machine(p, backend, depth);
-                let (got, ns) = timed(|| mm25d(&mut m, &a, &b, cfg));
-                check("mm25d", &got, &a.matmul_ref(&b))?;
-                finish(
-                    "mm25d",
-                    run_cfg,
-                    &m,
-                    ns,
-                    &[("n", n.to_string()), ("c", c.to_string())],
-                )
-            },
-        ),
-        FnWorkload::boxed(
-            "lu-parallel",
-            "parallel",
-            "LL-LUNP: left-looking parallel LU, the WA order of 7.2",
-            &lu_backends,
-            &depths,
-            parallel_footprint,
-            move |cfg| {
-                let RunCfg {
-                    backend,
-                    scale,
-                    depth,
-                    ..
-                } = cfg;
-                let n = dim(scale);
-                let mut a = Mat::random(n, n, 107);
-                for i in 0..n {
-                    a[(i, i)] = a[(i, i)].abs() + n as f64;
-                }
-                let mut m = build_machine(16, backend, depth);
-                let (_, ns) = timed(|| parallel_lu(&mut m, &mut a, 4, LunpVariant::LeftLooking));
-                finish("lu-parallel", cfg, &m, ns, &[("n", n.to_string())])
-            },
-        ),
-    ]
+    ALGS.iter()
+        .map(|&(name, description, alg)| {
+            FnWorkload::boxed(
+                name,
+                "parallel",
+                description,
+                alg.backends(),
+                &depths,
+                parallel_footprint,
+                move |cfg| on_machine(name, alg, cfg),
+            )
+        })
+        .collect()
 }
 
 /// Exposed for tests: the W1 bound SUMMA's report should attain.
@@ -461,6 +468,54 @@ mod tests {
             "{msg}"
         );
         assert!(!msg.contains("stack,"), "{msg}");
+    }
+
+    /// The exactness premise is checked in every build: a rank heap one
+    /// line over [`RANK_L2_WORDS`] is a typed error, not a debug-only
+    /// assertion.
+    #[test]
+    fn rank_heap_over_the_llc_is_an_engine_error() {
+        let mut m = Machine::new(1, CostParams::nvm_cluster());
+        m.alloc(RANK_L2_WORDS);
+        assert!(check_heap("t", &m).is_ok());
+        m.alloc(memsim::LINE_WORDS);
+        let err = check_heap("t", &m).unwrap_err();
+        assert!(matches!(err, EngineError::Failed { .. }), "{err}");
+        assert!(err.to_string().contains("RANK_L2_WORDS"), "{err}");
+    }
+
+    /// A rank sink only observes the replay: on every workload, at both
+    /// scales and every advertised backend and depth, the counter model's
+    /// critical time, flops and network boundary are what the explicit
+    /// backend reports.
+    #[test]
+    fn rank_sinks_never_change_the_counter_model() {
+        let time = |r: &RunReport| {
+            let (_, v) = r
+                .config
+                .iter()
+                .find(|(k, _)| k == "critical_time_model_s")
+                .unwrap();
+            v.clone()
+        };
+        for w in workloads() {
+            for scale in [Scale::Small, Scale::Paper] {
+                let e = w.run(BackendKind::Explicit, scale).unwrap();
+                for &b in w.backends() {
+                    for depth in 1..=w.max_depth(b) {
+                        let r = w.run_cfg(RunCfg::with_depth(b, scale, depth)).unwrap();
+                        let ctx = format!("{} {scale} {b} depth {depth}", w.name());
+                        assert_eq!(time(&r), time(&e), "{ctx}: critical time");
+                        if b != BackendKind::Raw {
+                            assert_eq!(r.flops, e.flops, "{ctx}: flops");
+                        }
+                        if matches!(b, BackendKind::Explicit | BackendKind::Simmed) {
+                            assert_eq!(r.boundaries.last(), e.boundaries.get(2), "{ctx}: network");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The tentpole contract: on every parallel workload the simmed

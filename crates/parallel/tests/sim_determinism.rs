@@ -11,7 +11,8 @@
 //! 2. **Repeat determinism** — running a simmed workload twice yields
 //!    byte-identical boundaries (`harness run --repeat N` relies on it).
 
-use parallel::machine::{Machine, SimKind};
+use memsim::MemSim;
+use parallel::machine::Machine;
 use parallel::workloads::workloads;
 use proptest::prelude::*;
 use wa_core::{BackendKind, CostParams, RunCfg, Scale};
@@ -24,7 +25,7 @@ enum Op {
     Writeback { addr: usize, words: usize },
 }
 
-fn apply(m: &mut Machine, rank: usize, op: Op) {
+fn apply(m: &mut Machine<MemSim>, rank: usize, op: Op) {
     match op {
         Op::Read { addr, words } => m.sim_read(rank, addr, words),
         Op::Write { addr, words } => m.sim_write(rank, addr, words),
@@ -60,7 +61,7 @@ proptest! {
         let caps: &[usize] = if depth == 1 { &[512] } else { &[64, 512] };
         let heap = 448; // stays within the 512-word rank L2
         let mk = || {
-            let mut m = Machine::with_sims(p, CostParams::nvm_cluster(), SimKind::Simmed, caps);
+            let mut m = Machine::with_sinks(p, CostParams::nvm_cluster(), || MemSim::stacked_lru(caps));
             let base = m.alloc(heap);
             (m, base)
         };

@@ -86,9 +86,10 @@ impl Traffic {
 
     /// Record one read run of `words` words: one slow→fast message, or
     /// nothing for an empty run (a zero-length run moves no data, so it
-    /// is not a transfer). The tally types (`krylov::IoTally`,
-    /// `extsort::SortIo`) charge their streams through these two methods
-    /// so the skip-empty rule lives in one place.
+    /// is not a transfer). Every explicit stream charge — the sorts, and
+    /// the Krylov kernels through `Traffic`'s `memsim::Sink` impl — goes
+    /// through these two methods, so the skip-empty rule lives in one
+    /// place.
     #[inline]
     pub fn load_run(&mut self, words: u64) {
         if words > 0 {

@@ -11,9 +11,9 @@
 use write_avoiding::krylov::basis::BasisKind;
 use write_avoiding::krylov::cacg::{ca_cg, CaCgOptions};
 use write_avoiding::krylov::cg::cg;
-use write_avoiding::krylov::counter::IoTally;
+use write_avoiding::krylov::counter::SimIo;
 use write_avoiding::krylov::stencil::laplacian_2d;
-use write_avoiding::wa_core::XorShift;
+use write_avoiding::wa_core::{Traffic, XorShift};
 
 fn main() {
     let nx = 64;
@@ -33,20 +33,20 @@ fn main() {
         "method", "steps", "writes", "reads", "writes/step/n", "residual"
     );
 
-    let mut io = IoTally::default();
+    let mut io = SimIo::new(Traffic::ZERO);
     let r = cg(&a, &b, &x0, tol, 4000, &mut io);
-    let report = |name: &str, steps: usize, io: &IoTally, res: f64| {
+    let report = |name: &str, steps: usize, io: &SimIo<Traffic>, res: f64| {
         println!(
             "{name:<22} {steps:>6} {:>12} {:>12} {:>14.2} {res:>10.2e}",
-            io.writes(),
-            io.reads(),
-            io.writes() as f64 / steps.max(1) as f64 / n as f64
+            io.sim.store_words,
+            io.sim.load_words,
+            io.sim.store_words as f64 / steps.max(1) as f64 / n as f64
         );
     };
     report("CG", r.iters, &io, r.residual);
 
     for (streaming, name) in [(false, "CA-CG (storing)"), (true, "CA-CG (streaming)")] {
-        let mut io = IoTally::default();
+        let mut io = SimIo::new(Traffic::ZERO);
         let r = ca_cg(
             &a,
             &b,
