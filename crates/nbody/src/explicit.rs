@@ -5,7 +5,7 @@
 //! are particle counts, matching the paper's accounting ("L1 and L2 can
 //! store M₁ and M₂ particles").
 
-use crate::force::{phi2, phi3, Particle, Vec3};
+use crate::force::{phi2, Particle, Phi3Pair, Vec3};
 use memsim::ExplicitHier;
 
 /// Block size for the (N,2)-body problem: `b = M/3` (P⁽¹⁾ block, P⁽²⁾
@@ -73,15 +73,18 @@ pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
                 let bk = b.min(n - k);
                 hier.load(0, bk as u64); // P(3)(i3)
                 for ii in i..i + bi {
-                    for jj in j..j + bj {
-                        for kk in k..k + bk {
-                            if jj != kk && ii != jj && ii != kk {
+                    let mut acc = f[ii];
+                    for jj in (j..j + bj).filter(|&jj| jj != ii) {
+                        let pair = Phi3Pair::new(p[ii], p[jj]);
+                        for (kk, &pk) in (k..k + bk).zip(&p[k..k + bk]) {
+                            if kk != ii && kk != jj {
                                 // Ordered pairs double-count each {j,k}:
                                 // scale by 1/2 to match the reference.
-                                f[ii] = f[ii].add(phi3(p[ii], p[jj], p[kk]).scale(0.5));
+                                acc = acc.add(pair.with(pk).scale(0.5));
                             }
                         }
                     }
+                    f[ii] = acc;
                 }
                 hier.flop((bi * bj * bk) as u64);
                 hier.free(1, bk as u64);
@@ -160,6 +163,27 @@ mod tests {
         for (a, b) in f.iter().zip(&want) {
             assert!(a.max_abs_diff(*b) < 1e-12, "{a:?} vs {b:?}");
         }
+    }
+
+    /// Hoisting `Φ₃`'s pair terms and the `ii == jj` skip out of the
+    /// `kk` loop changes no bit: one block, so the kernel's summation
+    /// order is this per-triple loop's.
+    #[test]
+    fn wa_3body_hoisting_is_bit_identical() {
+        let p = Particle::random_cloud(12, 17);
+        let n = p.len();
+        let mut want = vec![Vec3::default(); n];
+        for ii in 0..n {
+            for jj in 0..n {
+                for kk in 0..n {
+                    if jj != kk && ii != jj && ii != kk {
+                        want[ii] = want[ii].add(crate::force::phi3(p[ii], p[jj], p[kk]).scale(0.5));
+                    }
+                }
+            }
+        }
+        let mut h = ExplicitHier::two_level(4 * n as u64); // b = n
+        assert_eq!(explicit_kbody_wa(&p, &mut h), want);
     }
 
     #[test]

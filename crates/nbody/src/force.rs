@@ -82,8 +82,11 @@ impl Particle {
     }
 }
 
-/// Softened gravitational pairwise force of `q` on `p`
-/// (`Φ₂(p, p) = 0` by convention, as the paper assumes).
+/// Softened gravitational pairwise force of `q` on `p`:
+/// `m_p m_q (q − p) / (|q − p|² + ε²)^{3/2}`, with `Φ₂(p, p) = 0` by
+/// convention, as the paper assumes. The `3/2` power is one square root
+/// and a multiply (`s·√s`), not a `powf`: this is the inner loop of every
+/// (N,2)-body kernel.
 #[inline]
 pub fn phi2(p: Particle, q: Particle) -> Vec3 {
     let d = q.pos.sub(p.pos);
@@ -91,23 +94,57 @@ pub fn phi2(p: Particle, q: Particle) -> Vec3 {
     if r2 == 0.0 {
         return Vec3::default();
     }
-    let inv = (r2 + EPS2).powf(-1.5);
-    d.scale(p.mass * q.mass * inv)
+    let s = r2 + EPS2;
+    d.scale(p.mass * q.mass / (s * s.sqrt()))
 }
 
 /// A synthetic symmetric three-body force on `p` from the pair `(q, r)`
 /// (Axilrod–Teller-flavoured: attraction toward the pair's weighted
 /// midpoint, damped by the triangle's size). Returns 0 if any two
-/// arguments coincide, per the paper's `Φ_k` convention.
+/// arguments coincide, per the paper's `Φ_k` convention. Kernels that
+/// sweep `r` for a fixed `(p, q)` use [`Phi3Pair`] directly.
 #[inline]
 pub fn phi3(p: Particle, q: Particle, r: Particle) -> Vec3 {
-    if p.pos == q.pos || p.pos == r.pos || q.pos == r.pos {
-        return Vec3::default();
+    Phi3Pair::new(p, q).with(r)
+}
+
+/// [`phi3`] with its `(p, q)` terms evaluated once: whether `p` and `q`
+/// coincide, `|q − p|²` and `m_p m_q`. [`Phi3Pair::with`] adds the `r`
+/// terms in the same order as a direct evaluation, so the result is
+/// bit-identical to `phi3(p, q, r)` (which is defined through it).
+#[derive(Clone, Copy, Debug)]
+pub struct Phi3Pair {
+    p: Particle,
+    q: Particle,
+    coincide: bool,
+    qp2: f64,
+    mpq: f64,
+}
+
+impl Phi3Pair {
+    #[inline]
+    pub fn new(p: Particle, q: Particle) -> Self {
+        Phi3Pair {
+            p,
+            q,
+            coincide: p.pos == q.pos,
+            qp2: q.pos.sub(p.pos).norm2(),
+            mpq: p.mass * q.mass,
+        }
     }
-    let mid = q.pos.add(r.pos).scale(0.5);
-    let d = mid.sub(p.pos);
-    let spread = q.pos.sub(p.pos).norm2() + r.pos.sub(p.pos).norm2() + q.pos.sub(r.pos).norm2();
-    d.scale(p.mass * q.mass * r.mass / (spread + EPS2).powi(2))
+
+    /// `Φ₃(p, q, r)`; zero if any two of `p`, `q`, `r` coincide.
+    #[inline]
+    pub fn with(&self, r: Particle) -> Vec3 {
+        let (p, q) = (self.p, self.q);
+        if self.coincide || p.pos == r.pos || q.pos == r.pos {
+            return Vec3::default();
+        }
+        let mid = q.pos.add(r.pos).scale(0.5);
+        let d = mid.sub(p.pos);
+        let spread = self.qp2 + r.pos.sub(p.pos).norm2() + q.pos.sub(r.pos).norm2();
+        d.scale(self.mpq * r.mass / (spread + EPS2).powi(2))
+    }
 }
 
 /// Unblocked reference: `F_i = Σ_j Φ₂(P_i, P_j)`.
@@ -172,6 +209,39 @@ mod tests {
         let a = phi3(c[0], c[1], c[2]);
         let b = phi3(c[0], c[2], c[1]);
         assert!(a.max_abs_diff(b) < 1e-15);
+    }
+
+    /// `Phi3Pair` evaluates the direct formula in the same operation
+    /// order, so hoisting the pair terms changes no bit.
+    #[test]
+    fn phi3_pair_matches_the_direct_formula_bitwise() {
+        let c = Particle::random_cloud(30, 6);
+        for t in c.chunks_exact(3) {
+            let (p, q, r) = (t[0], t[1], t[2]);
+            let mid = q.pos.add(r.pos).scale(0.5);
+            let spread =
+                q.pos.sub(p.pos).norm2() + r.pos.sub(p.pos).norm2() + q.pos.sub(r.pos).norm2();
+            let direct = mid
+                .sub(p.pos)
+                .scale(p.mass * q.mass * r.mass / (spread + EPS2).powi(2));
+            assert_eq!(phi3(p, q, r), direct);
+        }
+    }
+
+    #[test]
+    fn phi3_pair_is_zero_when_any_two_coincide() {
+        let c = Particle::random_cloud(3, 5);
+        let (a, b) = (c[0], c[1]);
+        // Same position, different mass: coincidence is positional.
+        let a2 = Particle {
+            mass: a.mass + 1.0,
+            ..a
+        };
+        let zero = Vec3::default();
+        assert_ne!(Phi3Pair::new(a, b).with(c[2]), zero);
+        assert_eq!(Phi3Pair::new(a, a2).with(b), zero); // p == q
+        assert_eq!(Phi3Pair::new(a, b).with(a2), zero); // p == r
+        assert_eq!(Phi3Pair::new(b, a).with(a2), zero); // q == r
     }
 
     #[test]

@@ -38,9 +38,8 @@ pub fn load_forces<M: Mem>(mem: &mut M, n: usize) -> Vec<Vec3> {
         .collect()
 }
 
-fn ld_particle<M: Mem>(mem: &mut M, i: usize) -> Particle {
-    let mut w = [0.0; 4];
-    mem.ld_run(particle_base(i), &mut w);
+/// The particle in a body's 4 words `(x, y, z, m)`.
+fn body(w: &[f64]) -> Particle {
     Particle {
         pos: Vec3 {
             x: w[0],
@@ -51,11 +50,35 @@ fn ld_particle<M: Mem>(mem: &mut M, i: usize) -> Particle {
     }
 }
 
+fn ld_particle<M: Mem>(mem: &mut M, i: usize) -> Particle {
+    let mut w = [0.0; WORDS_PER_BODY];
+    mem.ld_run(particle_base(i), &mut w);
+    body(&w)
+}
+
+/// Load particles `[from, to)` into `out` (body `from` first) as one run;
+/// an empty range issues no access.
+fn ld_bodies<M: Mem>(mem: &mut M, from: usize, to: usize, out: &mut [f64]) {
+    if from < to {
+        mem.ld_run(
+            particle_base(from),
+            &mut out[..(to - from) * WORDS_PER_BODY],
+        );
+    }
+}
+
 /// Blocked WA (N,2)-body over a [`Mem`], block size `b` particles: force
 /// accumulators for the `i` block are held in registers across the whole
 /// `j` sweep (the access-level analogue of Algorithm 4's F-block
 /// residency), written once per block.
+///
+/// For each target `ii` the `j` block is read as at most two runs split
+/// around `ii` — `[j, ii)` and `(ii, j + bj)`, skipping empty ones — into
+/// one reused buffer. That is exactly the word stream of loading each
+/// partner `jj ≠ ii` on its own, in order (same addresses, same kinds),
+/// in a few calls per block instead of one per particle pair.
 pub fn simmed_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
+    let mut blk = vec![0.0; b.min(n) * WORDS_PER_BODY];
     let mut i = 0;
     while i < n {
         let bi = b.min(n - i);
@@ -69,6 +92,7 @@ pub fn simmed_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
         let mut j = 0;
         while j < n {
             let bj = b.min(n - j);
+            let blk = &mut blk[..bj * WORDS_PER_BODY];
             for ii in i..i + bi {
                 let pi = ld_particle(mem, ii);
                 let mut f = [0.0; 3];
@@ -78,10 +102,14 @@ pub fn simmed_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
                     y: f[1],
                     z: f[2],
                 };
-                for jj in j..j + bj {
+                // `ii` clamped into the block: the runs either side of it.
+                let lo = ii.clamp(j, j + bj);
+                let hi = (ii + 1).clamp(j, j + bj);
+                ld_bodies(mem, j, lo, blk);
+                ld_bodies(mem, hi, j + bj, &mut blk[(hi - j) * WORDS_PER_BODY..]);
+                for (jj, w) in (j..j + bj).zip(blk.chunks_exact(WORDS_PER_BODY)) {
                     if ii != jj {
-                        let pj = ld_particle(mem, jj);
-                        acc = acc.add(phi2(pi, pj));
+                        acc = acc.add(phi2(pi, body(w)));
                     }
                 }
                 mem.st_run(force_base(n, ii), &[acc.x, acc.y, acc.z]);
@@ -96,7 +124,140 @@ pub fn simmed_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
 mod tests {
     use super::*;
     use crate::force::reference_forces;
-    use memsim::{CacheConfig, MemSim, Policy, RawMem, SimMem};
+    use memsim::{CacheConfig, MemSim, Policy, RawMem, SimMem, TraceMem};
+
+    /// Reference word stream: the same schedule, loading each partner
+    /// `jj` with its own `ld_particle` (one call per particle pair).
+    fn per_pair_nbody_wa<M: Mem>(mem: &mut M, n: usize, b: usize) {
+        let mut i = 0;
+        while i < n {
+            let bi = b.min(n - i);
+            mem.phase("force-init");
+            for ii in i..i + bi {
+                mem.st_run(force_base(n, ii), &[0.0; 3]);
+            }
+            mem.phase("force-sweep");
+            let mut j = 0;
+            while j < n {
+                let bj = b.min(n - j);
+                for ii in i..i + bi {
+                    let pi = ld_particle(mem, ii);
+                    let mut f = [0.0; 3];
+                    mem.ld_run(force_base(n, ii), &mut f);
+                    let mut acc = Vec3 {
+                        x: f[0],
+                        y: f[1],
+                        z: f[2],
+                    };
+                    for jj in j..j + bj {
+                        if ii != jj {
+                            let pj = ld_particle(mem, jj);
+                            acc = acc.add(phi2(pi, pj));
+                        }
+                    }
+                    mem.st_run(force_base(n, ii), &[acc.x, acc.y, acc.z]);
+                }
+                j += bj;
+            }
+            i += bi;
+        }
+    }
+
+    /// Counts `ld_run`/`st_run` calls on the way to an inner store.
+    struct CountRuns<M> {
+        inner: M,
+        runs: u64,
+    }
+
+    impl<M: Mem> Mem for CountRuns<M> {
+        fn ld(&mut self, addr: usize) -> f64 {
+            self.inner.ld(addr)
+        }
+
+        fn st(&mut self, addr: usize, v: f64) {
+            self.inner.st(addr, v)
+        }
+
+        fn ld_run(&mut self, addr: usize, out: &mut [f64]) {
+            self.runs += 1;
+            self.inner.ld_run(addr, out)
+        }
+
+        fn st_run(&mut self, addr: usize, src: &[f64]) {
+            self.runs += 1;
+            self.inner.st_run(addr, src)
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    fn traced(n: usize, b: usize, kernel: fn(&mut TraceMem, usize, usize)) -> TraceMem {
+        let mut raw = RawMem::new(2 * n * WORDS_PER_BODY);
+        store_cloud(&mut raw, &Particle::random_cloud(n, 33));
+        let mut mem = TraceMem::from_vec(raw.data);
+        kernel(&mut mem, n, b);
+        mem
+    }
+
+    /// The j-block runs read exactly the per-pair word stream: same
+    /// addresses, same order, same kinds. The grid puts `ii` at the start,
+    /// middle and end of its own block, with `b = 1`, `b ∤ n` and `b ≥ n`.
+    #[test]
+    fn block_runs_replay_the_per_pair_word_stream() {
+        for n in [1, 2, 3, 5, 8, 13, 24, 40] {
+            for b in [1, 2, 3, 4, 7, 8, n, n + 3] {
+                let want = traced(n, b, per_pair_nbody_wa);
+                let got = traced(n, b, simmed_nbody_wa);
+                assert!(!got.trace.is_empty());
+                assert!(
+                    got.trace == want.trace,
+                    "word stream differs at n={n} b={b}"
+                );
+                assert_eq!(got.data, want.data, "forces differ at n={n} b={b}");
+            }
+        }
+    }
+
+    /// Calls the kernel makes: `n` initial stores, then for each target
+    /// `ii` and j block, 3 (load the particle, load the force, store the
+    /// force) plus one run per non-empty side of `ii` — one for a block
+    /// not holding `ii`, two inside it unless `ii` is at an edge.
+    fn run_calls(n: usize, b: usize) -> u64 {
+        let blocks: Vec<(usize, usize)> = (0..n).step_by(b).map(|j| (j, b.min(n - j))).collect();
+        let mut calls = n;
+        for ii in 0..n {
+            for &(j, bj) in &blocks {
+                let sides = if (j..j + bj).contains(&ii) {
+                    usize::from(ii > j) + usize::from(ii + 1 < j + bj)
+                } else {
+                    1
+                };
+                calls += 3 + sides;
+            }
+        }
+        calls as u64
+    }
+
+    #[test]
+    fn block_runs_cut_the_call_count_to_the_closed_form() {
+        let (n, b) = (40, 6); // 7 blocks, the last of 4
+        let mut mem = CountRuns {
+            inner: RawMem::new(2 * n * WORDS_PER_BODY),
+            runs: 0,
+        };
+        simmed_nbody_wa(&mut mem, n, b);
+        assert_eq!(mem.runs, run_calls(n, b));
+        // 40 stores + 40·7·3 + 40·6 off-block runs + 2·(40 − 7) in-block.
+        assert_eq!(mem.runs, 40 + 840 + 240 + 66);
+        let mut per_pair = CountRuns {
+            inner: RawMem::new(2 * n * WORDS_PER_BODY),
+            runs: 0,
+        };
+        per_pair_nbody_wa(&mut per_pair, n, b);
+        assert_eq!(per_pair.runs, (n + n * 7 * 3 + n * (n - 1)) as u64);
+    }
 
     #[test]
     fn simmed_matches_reference() {
@@ -112,8 +273,8 @@ mod tests {
         }
     }
 
-    /// Prop 6.2 for the N-body algorithm: LRU write-backs ≈ N (in lines:
-    /// N·4/8), with five blocks' worth of cache.
+    /// Prop 6.2 for the N-body algorithm: LRU write-backs equal N (in
+    /// lines: N·4/8), with five blocks' worth of cache.
     #[test]
     fn lru_writebacks_equal_output_size() {
         let n = 256;
@@ -134,8 +295,8 @@ mod tests {
         let c = mem.sim.llc();
         let writes = c.victims_m + c.flush_victims_m;
         let out_lines = (n * WORDS_PER_BODY / 8) as u64;
-        assert!(
-            writes <= out_lines + out_lines / 4,
+        assert_eq!(
+            writes, out_lines,
             "write-backs {writes} vs output {out_lines} lines"
         );
     }
