@@ -68,9 +68,12 @@ fn ghost_ranges(a: &Csr, r0: usize, r1: usize, maxdeg: usize) -> Vec<(usize, usi
 
 /// Compute rows `[r0, r1)` of all basis columns for seed `v` (degree 0) up
 /// to degree `maxdeg`, using ghost zones. Returns, for each degree `j`,
-/// the values on `rg[j]` (so callers can slice out `[r0, r1)`), plus the
-/// ranges. Charges reads for the seed (resident at nominal address
-/// `vseed`) and the matrix rows touched (values at `va`).
+/// the window of values on `rg[j]` (row `i` at `levels[j][i − rg[j].0]`),
+/// plus the ranges. Each level is computed from the previous level's
+/// window alone, in the same per-row order as a full [`Csr::spmv`], so the
+/// values equal `j` full products restricted to `rg[j]`. Charges reads for
+/// the seed (resident at nominal address `vseed`) and the matrix rows
+/// touched (values at `va`).
 #[allow(clippy::too_many_arguments)] // matrix + seed + range + two addresses; the recursion-free body keeps them flat
 fn block_powers<S: Sink>(
     a: &Csr,
@@ -84,31 +87,29 @@ fn block_powers<S: Sink>(
     io: &mut SimIo<S>,
 ) -> (Vec<Vec<f64>>, Vec<(usize, usize)>) {
     let rg = ghost_ranges(a, r0, r1, maxdeg);
-    let n = a.rows;
     let mut levels: Vec<Vec<f64>> = Vec::with_capacity(maxdeg + 1);
     // Degree 0: read the seed on the widest range.
     let (lo0, hi0) = rg[0];
     io.read_at(vseed + lo0, hi0 - lo0);
-    let mut cur = vec![0.0; n];
-    cur[lo0..hi0].copy_from_slice(&v[lo0..hi0]);
-    levels.push(cur.clone());
+    levels.push(v[lo0..hi0].to_vec());
     for j in 0..maxdeg {
+        let (clo, _) = rg[j];
         let (lo, hi) = rg[j + 1];
-        let mut next = vec![0.0; n];
-        a.spmv_range(&cur, &mut next, lo, hi);
+        let cur = &levels[j];
+        let mut next = vec![0.0; hi - lo];
+        a.spmv_window(cur, clo, &mut next, lo);
         // Matrix rows [lo, hi) are read once per level.
         let nnz_rows: usize = a.row_ptr[hi] - a.row_ptr[lo];
         io.read_at(va + a.row_ptr[lo], nnz_rows);
         io.flop(2 * nnz_rows);
         let theta = shifts.shift(j);
         if theta != 0.0 {
-            for i in lo..hi {
-                next[i] -= theta * cur[i];
+            for (y, &c) in next.iter_mut().zip(&cur[lo - clo..hi - clo]) {
+                *y -= theta * c;
             }
             io.flop(2 * (hi - lo));
         }
-        levels.push(next.clone());
-        cur = next;
+        levels.push(next);
     }
     (levels, rg)
 }
@@ -174,14 +175,14 @@ pub fn ca_cg<S: Sink>(
         let mut r0 = 0;
         while r0 < n {
             let r1 = (r0 + bs).min(n);
-            let (pl, _) = block_powers(a, &p, vp, va, r0, r1, s, &opts.basis, io);
-            let (rl, _) = block_powers(a, &r, vr, va, r0, r1, s - 1, &opts.basis, io);
+            let (pl, prg) = block_powers(a, &p, vp, va, r0, r1, s, &opts.basis, io);
+            let (rl, rrg) = block_powers(a, &r, vr, va, r0, r1, s - 1, &opts.basis, io);
             // Column view of this block: degrees 0..s from p, 0..s-1 from r.
             let col = |j: usize, i: usize| -> f64 {
                 if j <= s {
-                    pl[j][i]
+                    pl[j][i - prg[j].0]
                 } else {
-                    rl[j - s - 1][i]
+                    rl[j - s - 1][i - rrg[j - s - 1].0]
                 }
             };
             // G += V(I,:)ᵀ V(I,:). Indexing (not iterators): the symmetric
@@ -287,13 +288,13 @@ pub fn ca_cg<S: Sink>(
                 // Streaming recomputation reads the *old* p and r at
                 // their original addresses (the new vectors land at the
                 // same spans only after this block's writes).
-                let (pl, _) = block_powers(a, &p_old, vp, va, r0b, r1b, s, &opts.basis, io);
-                let (rl, _) = block_powers(a, &r_old, vr, va, r0b, r1b, s - 1, &opts.basis, io);
+                let (pl, prg) = block_powers(a, &p_old, vp, va, r0b, r1b, s, &opts.basis, io);
+                let (rl, rrg) = block_powers(a, &r_old, vr, va, r0b, r1b, s - 1, &opts.basis, io);
                 let col = |j: usize, i: usize| -> f64 {
                     if j <= s {
-                        pl[j][i]
+                        pl[j][i - prg[j].0]
                     } else {
-                        rl[j - s - 1][i]
+                        rl[j - s - 1][i - rrg[j - s - 1].0]
                     }
                 };
                 for i in r0b..r1b {
@@ -348,6 +349,52 @@ mod tests {
     use crate::stencil::{band_1d, laplacian_2d};
     use wa_core::Traffic;
     use wa_core::XorShift;
+
+    /// Each windowed level equals, bit for bit, `j` full products with
+    /// the basis shifts (`w ← A·w − θ_j·w`) on its ghost range `rg[j]`,
+    /// which contains the block. Blocks at both ends of the matrix, in the
+    /// middle and spanning it whole, on a 2-D Laplacian (wide reach) and a
+    /// band matrix, in the monomial and Newton bases.
+    #[test]
+    fn windowed_block_powers_equal_full_spmvs() {
+        let mats = [laplacian_2d(7, 6, 0.3), band_1d(50, 2, 0.5)];
+        let bases = [BasisKind::Monomial, BasisKind::Newton(vec![4.0, 4.5, 4.25])];
+        for a in &mats {
+            let n = a.rows;
+            let v: Vec<f64> = (0..n).map(|i| ((i * 5 + 3) as f64).sin()).collect();
+            for basis in &bases {
+                for (r0, r1) in [(0, 5), (n - 7, n), (n / 3, n / 3 + 9), (0, n)] {
+                    let maxdeg = 4;
+                    let mut io = SimIo::new(Traffic::ZERO);
+                    let (levels, rg) = block_powers(a, &v, 0, 0, r0, r1, maxdeg, basis, &mut io);
+                    assert_eq!(rg[maxdeg], (r0, r1));
+                    let mut full = v.clone();
+                    for (j, level) in levels.iter().enumerate() {
+                        let (lo, hi) = rg[j];
+                        assert!(lo <= r0 && r1 <= hi, "rg[{j}] = {:?}", rg[j]);
+                        assert_eq!(level.len(), hi - lo);
+                        for (i, (&got, &want)) in level.iter().zip(&full[lo..hi]).enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{basis:?} [{r0}, {r1}) level {j} row {}",
+                                lo + i
+                            );
+                        }
+                        let mut next = vec![0.0; n];
+                        a.spmv(&full, &mut next);
+                        let theta = basis.shift(j);
+                        if theta != 0.0 {
+                            for (y, &w) in next.iter_mut().zip(&full) {
+                                *y -= theta * w;
+                            }
+                        }
+                        full = next;
+                    }
+                }
+            }
+        }
+    }
 
     /// BUG GUARD: streaming recovery must use the *old* p/r for
     /// recomputation within a block even while overwriting them — hence

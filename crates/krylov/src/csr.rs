@@ -55,15 +55,23 @@ impl Csr {
         self.spmv_range(x, y, 0, self.rows);
     }
 
-    /// `y[r] = Σ A[r,c]·x[c]` for rows `r ∈ [r0, r1)` only (the blockwise
-    /// matrix-powers building block; other entries of `y` untouched).
+    /// `y[r] = Σ A[r,c]·x[c]` for rows `r ∈ [r0, r1)` only (other entries
+    /// of `y` untouched).
     pub fn spmv_range(&self, x: &[f64], y: &mut [f64], r0: usize, r1: usize) {
         assert!(x.len() >= self.cols && y.len() >= self.rows && r1 <= self.rows);
-        for (r, yr) in y[r0..r1].iter_mut().enumerate() {
-            let r = r0 + r;
+        self.spmv_window(x, 0, &mut y[r0..r1], r0);
+    }
+
+    /// Windowed SpMV, the blockwise matrix-powers building block: `x`
+    /// holds entries `[x0, x0 + x.len())` of the input vector and `y`
+    /// receives rows `[r0, r0 + y.len())`, `y[r − r0] = Σ A[r,c]·x[c − x0]`.
+    /// Every column the rows reach must lie in `x`'s window. Each row
+    /// sums in [`Csr::spmv`]'s order, so the values are bit-identical.
+    pub fn spmv_window(&self, x: &[f64], x0: usize, y: &mut [f64], r0: usize) {
+        for (r, yr) in (r0..).zip(y.iter_mut()) {
             let mut acc = 0.0;
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.vals[k] * x[self.col_idx[k]];
+                acc += self.vals[k] * x[self.col_idx[k] - x0];
             }
             *yr = acc;
         }
@@ -79,16 +87,7 @@ impl Csr {
         std::thread::scope(|s| {
             for (t, slab) in slabs.into_iter().enumerate() {
                 let r0 = t * chunk;
-                s.spawn(move || {
-                    for (i, out) in slab.iter_mut().enumerate() {
-                        let r = r0 + i;
-                        let mut acc = 0.0;
-                        for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                            acc += self.vals[k] * x[self.col_idx[k]];
-                        }
-                        *out = acc;
-                    }
-                });
+                s.spawn(move || self.spmv_window(x, 0, slab, r0));
             }
         });
     }

@@ -50,8 +50,10 @@
 //! distinct-line touch, holding a 1 at each line's most recent tick.
 //! Before a touch the tree holds exactly one 1 per live line, so a line
 //! last touched at tick `pos` has distance `live − prefix(pos)`: one
-//! prefix query per touch, and two point updates move the line's 1 from
-//! `pos` to the new tick.
+//! prefix query per touch. One walk then moves the line's 1 from `pos`
+//! to the new tick. The update paths of the two positions meet at a
+//! common node, above which the −1 and the +1 cancel, so the walk stops
+//! there.
 //!
 //! The tick space is compacted: when the ticks reach the end of the
 //! tree and at most a quarter of its slots hold a live line, one linear
@@ -150,6 +152,24 @@ impl Fenwick {
         while i <= self.n {
             self.fen[i] += v;
             i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Move a 1 from position `from` to position `to`: the same tree as
+    /// `add(from, -1); add(to, 1)` in one walk. The two update paths
+    /// rise to a common node (at worst the root `n`), and from there on
+    /// the −1 and the +1 cancel; advancing whichever index is smaller
+    /// meets that node without passing it.
+    fn shift(&mut self, mut from: usize, mut to: usize) {
+        debug_assert!(from >= 1 && to >= 1 && from.max(to) <= self.n);
+        while from != to {
+            if from < to {
+                self.fen[from] -= 1;
+                from += from & from.wrapping_neg();
+            } else {
+                self.fen[to] += 1;
+                to += to & to.wrapping_neg();
+            }
         }
     }
 
@@ -506,8 +526,7 @@ impl StackSim {
             }
             // A read deepens `maxd` (a clean line stays CLEAN).
             st.maxd = if is_write { 0 } else { st.maxd.max(d) };
-            self.fen.add(st.pos as usize, -1);
-            self.fen.add(tick, 1);
+            self.fen.shift(st.pos as usize, tick);
         }
         st.pos = tick as u32;
         self.owner[tick] = line as u32;
@@ -573,6 +592,32 @@ impl StackSim {
 mod tests {
     use super::*;
     use crate::hierarchy::MemSim;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// One `shift` walk leaves the tree exactly as the two point
+        /// updates it replaces, on any tree and any `from < to`.
+        #[test]
+        fn shift_equals_two_point_updates(
+            log_n in 1u32..9,
+            seed_adds in prop::collection::vec((0usize..1 << 16, -3i64..4), 0..64),
+            a in 0usize..1 << 16,
+            b in 0usize..1 << 16,
+        ) {
+            let n = 1usize << log_n;
+            let mut one = Fenwick { fen: vec![0; n + 1], n };
+            for &(i, v) in &seed_adds {
+                one.add(1 + i % n, v);
+            }
+            let (from, to) = (1 + a % n, 1 + b % n);
+            prop_assume!(from < to);
+            let mut two = Fenwick { fen: one.fen.clone(), n };
+            one.shift(from, to);
+            two.add(from, -1);
+            two.add(to, 1);
+            prop_assert_eq!(one.fen, two.fen);
+        }
+    }
 
     /// Reference: run the same word trace through a flushed FA-LRU
     /// `MemSim` at `cap_words` and return

@@ -50,15 +50,24 @@ pub fn explicit_nbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
     f
 }
 
-/// Two-level WA (N,3)-body: `F_i = Σ_{j<k} Φ₃(P_i, P_j, P_k)` with three
-/// nested block loops at `b = M/4`, not exploiting symmetry (the paper's
-/// k-loop structure; the full sweep over ordered pairs is halved by the
-/// `j<k` convention of the reference, so we sweep ordered pairs and halve).
-pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
-    let n = p.len();
+/// The block schedule of the two-level WA (N,3)-body kernel: three
+/// nested block loops at `b = M/4` (`k + 1 = 4` particle arrays resident:
+/// `P(1)`, `P(2)`, `P(3)` and the force block `F(1)`), with every
+/// [`ExplicitHier`] load, allocation, flop charge, free and store.
+///
+/// `body((i, bi), (j, bj), (k, bk))` runs once per resident block triple,
+/// after the k block's load and before its `bi·bj·bk` flop charge; the
+/// blocks are `[i, i + bi)`, `[j, j + bj)` and `[k, k + bk)`. No count
+/// depends on what the body does, so an empty body charges the same
+/// traffic as [`explicit_kbody_wa`]: with `nb = ⌈N/b⌉` blocks, loads
+/// `N + nb·N + nb²·N` words in `nb + nb² + nb³` messages (`N + N²/b +
+/// N³/b²` when `b` divides `N`), `N` stores and `N³` flops.
+pub fn kbody_schedule(
+    n: usize,
+    hier: &mut ExplicitHier,
+    mut body: impl FnMut((usize, usize), (usize, usize), (usize, usize)),
+) {
     let b = ((hier.capacity(1) / 4) as usize).max(1); // k+1 = 4 arrays
-    let mut f = vec![Vec3::default(); n];
-
     let mut i = 0;
     while i < n {
         let bi = b.min(n - i);
@@ -72,20 +81,7 @@ pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
             while k < n {
                 let bk = b.min(n - k);
                 hier.load(0, bk as u64); // P(3)(i3)
-                for ii in i..i + bi {
-                    let mut acc = f[ii];
-                    for jj in (j..j + bj).filter(|&jj| jj != ii) {
-                        let pair = Phi3Pair::new(p[ii], p[jj]);
-                        for (kk, &pk) in (k..k + bk).zip(&p[k..k + bk]) {
-                            if kk != ii && kk != jj {
-                                // Ordered pairs double-count each {j,k}:
-                                // scale by 1/2 to match the reference.
-                                acc = acc.add(pair.with(pk).scale(0.5));
-                            }
-                        }
-                    }
-                    f[ii] = acc;
-                }
+                body((i, bi), (j, bj), (k, bk));
                 hier.flop((bi * bj * bk) as u64);
                 hier.free(1, bk as u64);
                 k += bk;
@@ -97,6 +93,29 @@ pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
         hier.free(1, 2 * bi as u64);
         i += bi;
     }
+}
+
+/// Two-level WA (N,3)-body: `F_i = Σ_{j<k} Φ₃(P_i, P_j, P_k)` on the
+/// [`kbody_schedule`] block loops, not exploiting symmetry (the paper's
+/// k-loop structure). Each block triple sweeps ordered pairs `(j, k)`, so
+/// every unordered pair is met twice and each term is halved to match
+/// the reference's `j<k` convention.
+pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
+    let mut f = vec![Vec3::default(); p.len()];
+    kbody_schedule(p.len(), hier, |(i, bi), (j, bj), (k, bk)| {
+        for ii in i..i + bi {
+            let mut acc = f[ii];
+            for jj in (j..j + bj).filter(|&jj| jj != ii) {
+                let pair = Phi3Pair::new(p[ii], p[jj]);
+                for (kk, &pk) in (k..k + bk).zip(&p[k..k + bk]) {
+                    if kk != ii && kk != jj {
+                        acc = acc.add(pair.with(pk).scale(0.5));
+                    }
+                }
+            }
+            f[ii] = acc;
+        }
+    });
     f
 }
 
@@ -104,6 +123,7 @@ pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
 mod tests {
     use super::*;
     use crate::force::{reference_forces, reference_forces_3body};
+    use proptest::prelude::*;
 
     #[test]
     fn wa_2body_matches_reference() {
@@ -198,6 +218,34 @@ mod tests {
         assert_eq!(t.load_words, n + n * n / b + n * n * n / (b * b));
         assert_eq!(t.store_words, n);
         assert_eq!(h.flops(), n * n * n);
+    }
+
+    proptest! {
+        /// The schedule alone charges exactly the full kernel's traffic,
+        /// and both equal the closed form (at paper scale, n = 384 and
+        /// m = 128: 60288 load words, 1884 load messages, 384 stores and
+        /// 56623104 flops).
+        #[test]
+        fn kbody_schedule_charges_the_kernels_traffic(n in 1usize..41, m in 4u64..41) {
+            let p = Particle::random_cloud(n, 18);
+            let mut full = ExplicitHier::two_level(m);
+            let _ = explicit_kbody_wa(&p, &mut full);
+            let mut sched = ExplicitHier::two_level(m);
+            kbody_schedule(n, &mut sched, |_, _, _| {});
+            prop_assert_eq!(sched.traffic(), full.traffic());
+            prop_assert_eq!(sched.writes_into_level(1), full.writes_into_level(1));
+            prop_assert_eq!(sched.flops(), full.flops());
+            prop_assert_eq!(sched.peak(1), full.peak(1));
+
+            let (n, b) = (n as u64, (m / 4).max(1));
+            let nb = n.div_ceil(b);
+            let t = sched.traffic().boundary(0);
+            prop_assert_eq!(t.load_words, n + nb * n + nb * nb * n);
+            prop_assert_eq!(t.load_msgs, nb + nb * nb + nb * nb * nb);
+            prop_assert_eq!(t.store_words, n);
+            prop_assert_eq!(t.store_msgs, nb);
+            prop_assert_eq!(sched.flops(), n * n * n);
+        }
     }
 
     #[test]
