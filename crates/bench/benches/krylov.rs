@@ -1,5 +1,5 @@
 //! Krylov benches: CG vs CA-CG (storing vs streaming — the ablation of the
-//! §8 write optimization) and the parallel SpMV substrate.
+//! §8 write optimization) and the serial SpMV substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use krylov::cacg::{ca_cg, CaCgOptions};
@@ -63,16 +63,6 @@ fn bench_spmv(c: &mut Criterion) {
         let mut y = vec![0.0; n];
         b.iter(|| a.spmv(&x, &mut y));
     });
-    for threads in [2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &threads| {
-                let mut y = vec![0.0; n];
-                b.iter(|| a.spmv_parallel(&x, &mut y, threads));
-            },
-        );
-    }
     g.finish();
 }
 

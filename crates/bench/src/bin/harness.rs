@@ -68,6 +68,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let rest = &args[1.min(args.len())..];
+    check_flags(cmd, rest);
     match cmd {
         "list" => list(
             &registry(),
@@ -89,9 +90,98 @@ fn main() {
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--json|--csv]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-cell wall-clock deadline (float seconds); the watchdog fires the\n                   cancel token and the worker joins as `cancelled` (a worker stuck in\n                   uncancellable code is detached as legacy `timed-out`)\n  --retries N      re-attempt panicked/cancelled/timed-out/retriable cells N times\n                   (deterministic backoff)\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
+        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-cell wall-clock deadline (float seconds); the watchdog fires the\n                   cancel token and the worker joins as `cancelled` (a worker stuck in\n                   uncancellable code is detached as legacy `timed-out`)\n  --retries N      re-attempt panicked/cancelled/timed-out/retriable cells N times\n                   (deterministic backoff)\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
     );
     std::process::exit(code);
+}
+
+/// Flags every cell-running subcommand takes: its limits and fault plan.
+const LIMIT_FLAGS: [&str; 4] = ["--timeout", "--retries", "--mem-budget", "--fault-plan"];
+
+/// The arguments subcommand `cmd` accepts: how many leading positionals
+/// (a workload or experiment name), its switches, and its flags that
+/// take a value. `None` for an unknown command.
+type Accepted = (usize, &'static [&'static str], Vec<&'static str>);
+
+fn accepted_args(cmd: &str) -> Option<Accepted> {
+    let limited = |values: &[&'static str]| [values, &LIMIT_FLAGS[..]].concat();
+    Some(match cmd {
+        "list" => (0, &["--json", "--markdown"], vec![]),
+        "run" => (
+            1,
+            &["--reuse", "--json", "--degrade"],
+            limited(&[
+                "--backend",
+                "--scale",
+                "--depth",
+                "--repeat",
+                "--trace",
+                "--trace-clock",
+            ]),
+        ),
+        "profile" => (
+            1,
+            &["--reuse", "--degrade"],
+            limited(&["--backend", "--scale", "--depth", "--trace-clock"]),
+        ),
+        "curve" => (
+            1,
+            &["--json", "--csv", "--degrade"],
+            limited(&["--capacities", "--geometric", "--scale", "--repeat"]),
+        ),
+        "sweep" => (
+            0,
+            &[
+                "--curve",
+                "--json",
+                "--csv",
+                "--degrade",
+                "--fail-fast",
+                "--resume",
+            ],
+            limited(&[
+                "--group",
+                "--backend",
+                "--scale",
+                "--depth",
+                "--threads",
+                "--repeat",
+                "--journal",
+                "--metrics",
+            ]),
+        ),
+        "exp" => (1, &[], vec!["--scale", "--policy"]),
+        "help" | "--help" | "-h" => (0, &[], vec![]),
+        _ => return None,
+    })
+}
+
+/// Print usage (exit 0) on `--help`/`-h`, and reject (exit 2) any
+/// argument `cmd` does not take, a flag missing its value, or a stray
+/// positional: an ignored typo such as `--thread 1` would silently run
+/// with the default.
+fn check_flags(cmd: &str, args: &[String]) {
+    let Some((positionals, switches, values)) = accepted_args(cmd) else {
+        return;
+    };
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if a == "--help" || a == "-h" {
+            usage(0);
+        }
+        if values.contains(&a) {
+            if i + 1 == args.len() {
+                eprintln!("`{a}` needs a value (see `harness --help`)");
+                std::process::exit(2);
+            }
+            i += 1;
+        } else if !switches.contains(&a) && (i >= positionals || a.starts_with('-')) {
+            eprintln!("unknown argument `{a}` for `harness {cmd}` (see `harness --help`)");
+            std::process::exit(2);
+        }
+        i += 1;
+    }
 }
 
 /// The workspace registry, with the `--fault-plan` / `WA_FAULT_PLAN`

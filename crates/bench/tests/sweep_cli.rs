@@ -469,3 +469,49 @@ fn degenerate_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
     }
 }
+
+/// Each subcommand takes only its own flags: anything else exits 2
+/// before any cell runs, and `--help`/`-h` prints the usage and exits 0
+/// without running (no sweep, no journal).
+#[test]
+fn unknown_arguments_are_usage_errors_and_help_exits_zero() {
+    let dir = tmp_dir("flags");
+    // Each case with the argument the error must name.
+    for (args, bad) in [
+        (vec!["sweep", "--thread", "1"], "--thread"),
+        (vec!["sweep", "--group", "dense", "--jsn"], "--jsn"),
+        (vec!["sweep", "extra"], "extra"),
+        (vec!["run", "matmul-wa", "--scales", "paper"], "--scales"),
+        (vec!["run", "matmul-wa", "extra"], "extra"),
+        (vec!["run", "matmul-wa", "--backend"], "--backend"), // no value
+        (vec!["profile", "matmul-wa", "--json"], "--json"),
+        (vec!["curve", "matmul-wa", "--threads", "2"], "--threads"),
+        (vec!["list", "--csv"], "--csv"),
+        (vec!["exp", "wa-optimal", "--threads", "2"], "--threads"),
+    ] {
+        let out = harness().current_dir(&dir).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(bad), "{args:?}: {}", stderr(&out));
+    }
+    for args in [
+        vec!["sweep", "--help"],
+        vec!["sweep", "--group", "dense", "-h"],
+        vec!["run", "matmul-wa", "--help"],
+        vec!["curve", "-h"],
+        vec!["--help"],
+    ] {
+        let out = harness().current_dir(&dir).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("usage:"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "{args:?} ran something");
+    }
+    assert!(
+        !dir.join("sweep.journal.jsonl").exists(),
+        "`sweep --help` must not sweep"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

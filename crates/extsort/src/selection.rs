@@ -24,11 +24,17 @@ pub fn low_write_sort(data: &mut [f64], m: usize, io: &mut Traffic) {
     let mut thr = f64::NEG_INFINITY;
     let mut thr_emitted = 0usize;
 
+    // Fast-memory working set of a pass: the m smallest candidates >
+    // threshold (plus threshold duplicates not yet emitted), gathered
+    // unsorted in a buffer of up to 2m. When it fills, the m smallest are
+    // selected and the rest dropped; from then on no value ≥ `cut` (the
+    // largest kept) can be among the m smallest. The kept values are the
+    // same multiset as a sorted insert would keep.
+    let mut batch: Vec<f64> = Vec::with_capacity(2 * m);
     while emitted < n {
         let _span = wa_core::obs::span("selection-pass", "extsort");
-        // Fast-memory working set: up to m smallest candidates > threshold
-        // (plus threshold duplicates not yet emitted).
-        let mut batch: Vec<f64> = Vec::with_capacity(m + 1);
+        batch.clear();
+        let mut cut = None;
         let mut skip = thr_emitted; // threshold copies to skip this pass
         io.load_run(n as u64);
         for &x in &input {
@@ -39,15 +45,18 @@ pub fn low_write_sort(data: &mut [f64], m: usize, io: &mut Traffic) {
                 skip -= 1;
                 continue;
             }
-            // Insert into the sorted batch, keeping at most m elements.
-            let pos = batch.partition_point(|&b| b <= x);
-            if pos < m {
-                batch.insert(pos, x);
-                if batch.len() > m {
-                    batch.pop();
-                }
+            if cut.is_some_and(|c| x >= c) {
+                continue;
+            }
+            batch.push(x);
+            if batch.len() == 2 * m {
+                batch.select_nth_unstable_by(m - 1, f64::total_cmp);
+                batch.truncate(m);
+                cut = Some(batch[m - 1]);
             }
         }
+        batch.sort_unstable_by(f64::total_cmp);
+        batch.truncate(m);
         let take = batch.len().min(n - emitted);
         data[emitted..emitted + take].copy_from_slice(&batch[..take]);
         io.store_run(take as u64);

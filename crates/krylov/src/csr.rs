@@ -77,21 +77,6 @@ impl Csr {
         }
     }
 
-    /// Parallel SpMV over `threads` row slabs using std scoped threads.
-    /// Deterministic (each thread owns a disjoint output slab).
-    pub fn spmv_parallel(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        assert!(threads >= 1);
-        let rows = self.rows;
-        let chunk = rows.div_ceil(threads);
-        let slabs: Vec<&mut [f64]> = y[..rows].chunks_mut(chunk).collect();
-        std::thread::scope(|s| {
-            for (t, slab) in slabs.into_iter().enumerate() {
-                let r0 = t * chunk;
-                s.spawn(move || self.spmv_window(x, 0, slab, r0));
-            }
-        });
-    }
-
     /// Smallest and largest column index reachable from rows `[r0, r1)` —
     /// one step of range-based dependency closure (exact for banded
     /// matrices, conservative in general). Returns `(c_min, c_max+1)`.
@@ -125,7 +110,6 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wa_core::XorShift;
 
     fn small() -> Csr {
         // [2 1 0]
@@ -168,29 +152,6 @@ mod tests {
         let mut y = vec![-1.0; 3];
         a.spmv_range(&[1.0, 1.0, 1.0], &mut y, 1, 2);
         assert_eq!(y, vec![-1.0, 3.0, -1.0]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let n = 500;
-        let mut rng = XorShift::new(4);
-        let mut t = Vec::new();
-        for r in 0..n {
-            for _ in 0..5 {
-                t.push((r, rng.next_below(n), rng.next_unit()));
-            }
-        }
-        let a = Csr::from_triplets(n, n, t);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        a.spmv(&x, &mut y1);
-        for threads in [1, 2, 4, 7] {
-            a.spmv_parallel(&x, &mut y2, threads);
-            for (u, v) in y1.iter().zip(&y2) {
-                assert!((u - v).abs() < 1e-14);
-            }
-        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! of writes to slow memory by Θ(s) — at the cost of computing the Krylov
 //! basis twice (≤ 2× reads and flops).
 //!
-//! * [`csr`] — compressed-sparse-row matrices with sequential, ranged, and
-//!   thread-parallel SpMV;
+//! * [`csr`] — compressed-sparse-row matrices with sequential, ranged and
+//!   windowed SpMV;
 //! * [`stencil`] — (2b+1)^d-point Laplacian-type stencils on 1/2/3-D
 //!   meshes, the paper's model problems;
 //! * [`counter`] — [`SimIo`], the charging surface the kernels drive:

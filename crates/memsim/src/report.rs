@@ -188,6 +188,7 @@ pub fn stack_report(sim: &StackSim, fast_words: usize, report: RunReport) -> Run
                 ("word_accesses", st.word_accesses),
                 ("repeats", st.repeats),
                 ("memo_d1_hits", st.memo_d1_hits),
+                ("seq_hits", st.seq_hits),
                 ("full_queries", st.full_queries),
                 ("compactions", st.compactions),
                 ("tree_slots", st.tree_slots),

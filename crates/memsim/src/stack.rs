@@ -50,10 +50,10 @@
 //! distinct-line touch, holding a 1 at each line's most recent tick.
 //! Before a touch the tree holds exactly one 1 per live line, so a line
 //! last touched at tick `pos` has distance `live − prefix(pos)`: one
-//! prefix query per touch. One walk then moves the line's 1 from `pos`
-//! to the new tick. The update paths of the two positions meet at a
-//! common node, above which the −1 and the +1 cancel, so the walk stops
-//! there.
+//! prefix query per touch, at most. One walk then moves the line's 1
+//! from `pos` to the new tick. The update paths of the two positions
+//! meet at a common node, above which the −1 and the +1 cancel, so the
+//! walk stops there.
 //!
 //! The tick space is compacted: when the ticks reach the end of the
 //! tree and at most a quarter of its slots hold a live line, one linear
@@ -69,6 +69,39 @@
 //! consecutive repeats are O(1) (distance 0 touches no histogram), and
 //! the second-most-recent line has distance exactly 1 by construction,
 //! so its touch skips the prefix query.
+//!
+//! Blocked kernels re-read a block in the order they last read it, and
+//! there most touches need no query either. Say line `A`, last touched
+//! at tick `p`, is touched at tick `T + 1` with distance `D`, the number
+//! of live ticks in `(p, T]`. If the next distinct-line touch is of the
+//! line `B` at tick `p + 1`, its distance counts the live ticks in
+//! `(p + 1, T + 1]`: the same interval less `B` itself, plus `A` at
+//! `T + 1`. So it is `D − 1 + 1 = D`, the previous touch's distance.
+//! The simulator keeps the previous touch's old tick and distance and
+//! reuses them on such a touch. The second-most-recent line is checked
+//! first, so a distance-1 touch always counts as a memo hit. The kept
+//! state is stamped with its touch's tick and serves only the very next
+//! touch: a cold touch in between adds a 1 inside the interval, and
+//! after a distance-1 touch the line at `p + 1` can only be the memo2
+//! line. [`StackSim`]'s `make_room` clears it (a compaction renumbers
+//! the ticks).
+//!
+//! A run of such touches moves the 1s of a contiguous span of old ticks
+//! to a contiguous span of new ticks. Those moves are deferred and land
+//! as one interval update: the nodes inside each span gain their
+//! overlap with it, and the ancestors of the right ends gain the rest.
+//! That walk stops at the first node covering both spans, where the
+//! `−k` and the `+k` cancel, so a run of `k` moves costs `O(k + log n)`
+//! rather than `k` walks. Fenwick updates commute, and a prefix query
+//! adds the pending run's share in `O(1)` (of each span, the ticks up
+//! to the queried one), so the run never has to land before a read: it
+//! lands when the next run starts, a doubling carries it along (it
+//! moves no mass), and a compaction rebuilds the tree from the lines'
+//! ticks and drops it. [`StackSim::curve`] therefore reads exact
+//! distances mid-run and stays `&self`, and a run can span many calls,
+//! as a block re-read row by row does. Only reused-distance touches
+//! defer: a queried or distance-1 touch moves its 1 at once, as before,
+//! so a stream with few runs (fft) does no extra work.
 //!
 //! The same stack serves the `--reuse` histogram of the `simmed`
 //! backend: a [`crate::MemSim`] whose probe asks for reuse tees every
@@ -91,18 +124,34 @@ pub use wa_core::AccessRun;
 /// Fenwick (binary-indexed) tree over access ticks `1..=n`, holding a 1
 /// at each live line's most recent tick. Grows by doubling;
 /// [`Fenwick::reset`] rebuilds it at any size for a compacted tick space.
+///
+/// Moves of a 1 may be deferred ([`Fenwick::defer_move`]): one pending
+/// run of them, the 1s at `run_from..run_from + run_len` bound for
+/// `run_to..run_to + run_len`, lands in one [`Fenwick::flush`]. Updates
+/// commute, and [`Fenwick::prefix`] counts the run as landed, so it
+/// only has to land when a new run replaces it.
 struct Fenwick {
     /// `fen.len() == n + 1`; index 0 unused.
     fen: Vec<i64>,
     /// Tree size (power of two).
     n: usize,
+    run_from: usize,
+    run_to: usize,
+    run_len: usize,
 }
 
 impl Fenwick {
     fn new() -> Fenwick {
+        Fenwick::with_size(64)
+    }
+
+    fn with_size(n: usize) -> Fenwick {
         Fenwick {
-            fen: vec![0; 65],
-            n: 64,
+            fen: vec![0; n + 1],
+            n,
+            run_from: 0,
+            run_to: 0,
+            run_len: 0,
         }
     }
 
@@ -117,7 +166,9 @@ impl Fenwick {
     /// is the new root `2n` (covers `1..=2n`); its value is the current
     /// total, which at size `n` (a power of two) is exactly `fen[n]`.
     /// Every other new node's range lies wholly in the not-yet-ticked
-    /// future, so zero is correct.
+    /// future, so zero is correct. A pending run lies inside `1..=n` and
+    /// moves no mass, so it leaves `fen[n]` right and lands the same way
+    /// in the doubled tree.
     fn grow(&mut self) {
         let total = self.fen[self.n];
         self.n *= 2;
@@ -132,9 +183,11 @@ impl Fenwick {
 
     /// Rebuild as a tree of `n` slots (a power of two) holding a 1 at
     /// each of the positions `1..=ones` and 0 elsewhere, in `O(n)`:
-    /// each node passes its finished sum up to its parent once.
+    /// each node passes its finished sum up to its parent once. The
+    /// pending run is dropped: the new contents already place its 1s.
     fn reset(&mut self, n: usize, ones: usize) {
         debug_assert!(n.is_power_of_two() && ones <= n);
+        self.run_len = 0;
         self.n = n;
         self.fen.clear();
         self.fen.resize(n + 1, 0);
@@ -173,9 +226,71 @@ impl Fenwick {
         }
     }
 
-    /// Sum of positions `1..=i`.
+    /// Move the 1s at `from..from + k` to `to..to + k` (`from < to`; the
+    /// ranges may overlap): the same tree as `k` pairs of point updates,
+    /// in `O(k + log n)`. Node `i` covers `(i − lowbit(i), i]`, so the
+    /// nodes that meet a range are the ones inside it and the ancestors
+    /// of its right end; each gains its overlap with the `+1` range less
+    /// its overlap with the `−1` range. The ancestors of `from + k − 1`
+    /// above `to + k − 1` are ancestors of `to + k − 1` too, and once a
+    /// node covers both ranges whole the two overlaps cancel, so the walk
+    /// stops there.
+    fn move_run(&mut self, from: usize, to: usize, k: usize) {
+        debug_assert!(1 <= from && from < to && to + k - 1 <= self.n);
+        let (hi_from, hi_to) = (from + k - 1, to + k - 1);
+        // Overlap of node `i` with `lo..=hi`, for `i ≥ lo`.
+        let overlap = |i: usize, lo: usize, hi: usize| {
+            let start = (i - (i & i.wrapping_neg())).max(lo - 1);
+            hi.min(i).saturating_sub(start) as i64
+        };
+        for i in from..=hi_from {
+            self.fen[i] -= overlap(i, from, hi_from);
+        }
+        for i in to..=hi_to {
+            self.fen[i] += overlap(i, to, hi_to);
+        }
+        let mut i = hi_from + (hi_from & hi_from.wrapping_neg());
+        while i <= hi_to {
+            self.fen[i] -= overlap(i, from, hi_from);
+            i += i & i.wrapping_neg();
+        }
+        let mut i = hi_to + (hi_to & hi_to.wrapping_neg());
+        while i <= self.n && i - (i & i.wrapping_neg()) >= from {
+            self.fen[i] += overlap(i, to, hi_to) - overlap(i, from, hi_from);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Defer moving a 1 from `from` to `to`, extending the pending run
+    /// when both positions continue it and landing it first otherwise.
+    fn defer_move(&mut self, from: usize, to: usize) {
+        if self.run_len > 0
+            && from == self.run_from + self.run_len
+            && to == self.run_to + self.run_len
+        {
+            self.run_len += 1;
+        } else {
+            self.flush();
+            (self.run_from, self.run_to, self.run_len) = (from, to, 1);
+        }
+    }
+
+    /// Land the pending run: one walk for a single move, one
+    /// [`Fenwick::move_run`] for more.
+    fn flush(&mut self) {
+        match self.run_len {
+            0 => return,
+            1 => self.shift(self.run_from, self.run_to),
+            k => self.move_run(self.run_from, self.run_to, k),
+        }
+        self.run_len = 0;
+    }
+
+    /// Sum of positions `1..=i`, counting the pending run as landed: of
+    /// each of its two ranges, the positions up to `i` (a clamp, `O(1)`).
     fn prefix(&self, mut i: usize) -> i64 {
-        let mut s = 0;
+        let landed = |start: usize| (i + 1).saturating_sub(start).min(self.run_len) as i64;
+        let mut s = landed(self.run_to) - landed(self.run_from);
         while i > 0 {
             s += self.fen[i];
             i -= i & i.wrapping_neg();
@@ -208,6 +323,9 @@ pub struct StackStats {
     pub repeats: u64,
     /// Touches of the second-most-recent line (distance 1, no query).
     pub memo_d1_hits: u64,
+    /// Touches of the line one tick after the previous touch's line:
+    /// same distance as that touch, no query.
+    pub seq_hits: u64,
     /// Touches that took a Fenwick prefix query.
     pub full_queries: u64,
     /// Tick-space compactions so far.
@@ -248,10 +366,19 @@ pub struct StackSim {
     /// distance exactly 1 (only `memo` intervened), so no Fenwick
     /// prefix query is needed.
     memo2: Option<usize>,
+    /// Order state of the last queried or reused-distance touch, made at
+    /// tick `seq_tick`: its old tick plus one, and its distance. The
+    /// touch right after it, if it hits the line at `seq_pos`, is at
+    /// distance `seq_d`. A compaction clears `seq_pos` (0 is no tick).
+    seq_pos: usize,
+    seq_d: u32,
+    seq_tick: usize,
     word_accesses: u64,
     repeats: u64,
     cold: u64,
     memo_d1_hits: u64,
+    seq_hits: u64,
+    full_queries: u64,
     compactions: u64,
     /// Exact distance histogram over non-cold, non-repeat touches.
     dist: Vec<u64>,
@@ -319,10 +446,15 @@ impl StackSim {
             memo: None,
             memo_dirty: false,
             memo2: None,
+            seq_pos: 0,
+            seq_d: 0,
+            seq_tick: 0,
             word_accesses: 0,
             repeats: 0,
             cold: 0,
             memo_d1_hits: 0,
+            seq_hits: 0,
+            full_queries: 0,
             compactions: 0,
             dist: Vec::new(),
             wb_lo: Vec::new(),
@@ -361,12 +493,12 @@ impl StackSim {
 
     /// The work counters so far.
     pub fn stats(&self) -> StackStats {
-        let touched = self.dist.iter().sum::<u64>();
         StackStats {
             word_accesses: self.word_accesses,
             repeats: self.repeats,
             memo_d1_hits: self.memo_d1_hits,
-            full_queries: touched - self.memo_d1_hits,
+            seq_hits: self.seq_hits,
+            full_queries: self.full_queries,
             compactions: self.compactions,
             tree_slots: self.fen.len() as u64,
             footprint_lines: self.live as u64,
@@ -446,8 +578,11 @@ impl StackSim {
 
     /// Make tick `self.tick + 1` addressable: compact the tick space if
     /// at most a quarter of the full tree is live, else double the tree.
+    /// Either way the previous touch's order is forgotten (a compaction
+    /// renumbers its tick).
     #[cold]
     fn make_room(&mut self) {
+        self.seq_pos = 0;
         if 4 * self.live <= self.fen.len() {
             // Renumber the live ticks 1..=live in order. A slot `p` is
             // live iff its owner still sits there; `next ≤ p` throughout,
@@ -506,15 +641,28 @@ impl StackSim {
             st.maxd = if is_write { 0 } else { CLEAN };
             self.fen.add(tick, 1);
         } else {
+            let pos = st.pos as usize;
             let d = if self.memo2 == Some(line) {
                 // Second-most-recent line: exactly one distinct line
                 // (the memo) was touched since.
                 self.memo_d1_hits += 1;
+                self.fen.shift(pos, tick);
                 1
+            } else if pos == self.seq_pos && tick == self.seq_tick + 1 {
+                // The previous touch moved the line at `pos − 1`; this
+                // line leaves the counted interval as that one enters.
+                self.seq_hits += 1;
+                self.fen.defer_move(pos, tick);
+                (self.seq_pos, self.seq_tick) = (pos + 1, tick);
+                self.seq_d
             } else {
                 // Distinct other lines touched since the previous touch:
                 // the live lines whose tick lies after `pos`.
-                (self.live - self.fen.prefix(st.pos as usize) as usize) as u32
+                self.full_queries += 1;
+                let d = (self.live - self.fen.prefix(pos) as usize) as u32;
+                self.fen.shift(pos, tick);
+                (self.seq_pos, self.seq_d, self.seq_tick) = (pos + 1, d, tick);
+                d
             };
             bump(&mut self.dist, d as usize);
             // The eviction this access would re-fetch after is dirty for
@@ -526,7 +674,6 @@ impl StackSim {
             }
             // A read deepens `maxd` (a clean line stays CLEAN).
             st.maxd = if is_write { 0 } else { st.maxd.max(d) };
-            self.fen.shift(st.pos as usize, tick);
         }
         st.pos = tick as u32;
         self.owner[tick] = line as u32;
@@ -605,16 +752,86 @@ mod tests {
             b in 0usize..1 << 16,
         ) {
             let n = 1usize << log_n;
-            let mut one = Fenwick { fen: vec![0; n + 1], n };
+            let mut one = Fenwick::with_size(n);
             for &(i, v) in &seed_adds {
                 one.add(1 + i % n, v);
             }
             let (from, to) = (1 + a % n, 1 + b % n);
             prop_assume!(from < to);
-            let mut two = Fenwick { fen: one.fen.clone(), n };
+            let mut two = Fenwick::with_size(n);
+            two.fen.clone_from(&one.fen);
             one.shift(from, to);
             two.add(from, -1);
             two.add(to, 1);
+            prop_assert_eq!(one.fen, two.fen);
+        }
+
+        /// One `move_run` leaves the tree exactly as the `2k` point
+        /// updates it replaces, overlapping ranges included.
+        #[test]
+        fn move_run_equals_point_updates(
+            log_n in 1u32..9,
+            seed_adds in prop::collection::vec((0usize..1 << 16, -3i64..4), 0..64),
+            a in 0usize..1 << 16,
+            b in 0usize..1 << 16,
+            c in 0usize..1 << 16,
+        ) {
+            let n = 1usize << log_n;
+            let mut one = Fenwick::with_size(n);
+            for &(i, v) in &seed_adds {
+                one.add(1 + i % n, v);
+            }
+            let from = 1 + a % (n - 1);
+            let to = from + 1 + b % (n - from);
+            let k = 1 + c % (n - to + 1);
+            let mut two = Fenwick::with_size(n);
+            two.fen.clone_from(&one.fen);
+            one.move_run(from, to, k);
+            for j in 0..k {
+                two.add(from + j, -1);
+                two.add(to + j, 1);
+            }
+            prop_assert_eq!(one.fen, two.fen);
+        }
+
+        /// Any sequence of deferred moves reads, through `prefix`, and
+        /// after a flush stores, exactly what the point updates it
+        /// replaces would: runs extend only when both the old and the
+        /// new positions continue them.
+        #[test]
+        fn deferred_moves_equal_point_updates(
+            steps in prop::collection::vec((0u8..4, 0usize..1 << 16, 1usize..6), 1..40),
+        ) {
+            let n = 256;
+            let mut one = Fenwick::with_size(n);
+            let mut two = Fenwick::with_size(n);
+            let (mut from, mut to) = (1, 2);
+            for &(kind, x, gap) in &steps {
+                (from, to) = match kind {
+                    // Continue the run, or skip a new position (a cold
+                    // touch in between), or an old one.
+                    0 => (from + 1, to + 1),
+                    1 => (from + 1, to + gap),
+                    2 => (from + gap, to + 1),
+                    _ => {
+                        let f = 1 + x % (n / 2);
+                        (f, f + gap)
+                    }
+                };
+                // An old tick always precedes the new one.
+                if from >= to {
+                    to = from + gap;
+                }
+                if to > n {
+                    break;
+                }
+                one.defer_move(from, to);
+                two.add(from, -1);
+                two.add(to, 1);
+                let prefixes = |f: &Fenwick| (0..=n).map(|i| f.prefix(i)).collect::<Vec<_>>();
+                prop_assert_eq!(prefixes(&one), prefixes(&two));
+            }
+            one.flush();
             prop_assert_eq!(one.fen, two.fen);
         }
     }
@@ -784,11 +1001,86 @@ mod tests {
         assert!(st.tree_slots <= 64, "tree grew to {} slots", st.tree_slots);
         assert!(st.compactions > 10_000, "{} compactions", st.compactions);
         assert_eq!(st.footprint_lines, 8);
-        assert_eq!(st.full_queries + st.memo_d1_hits + 8, 1_000_000);
+        assert_eq!(
+            st.full_queries + st.memo_d1_hits + st.seq_hits + 8,
+            1_000_000
+        );
         // Every re-touch of the 8-line cycle is at distance 7.
         let c = s.curve();
         assert_eq!(c.at(7 * 8).fills, 1_000_000);
         assert_eq!(c.at(8 * 8).fills, 8);
+    }
+
+    /// Runs through `StackSim::run` vs flushed per-capacity `MemSim`
+    /// references, at every capacity up to one line past `lines`.
+    fn assert_matches_runs(s: &StackSim, runs: &[AccessRun], lines: usize) {
+        let curve = s.curve();
+        for c in 1..=lines + 1 {
+            let mut m = MemSim::single_level_lru(c * 8);
+            m.run(runs);
+            m.flush();
+            let r = m.llc();
+            let p = curve.at((c * 8) as u64);
+            assert_eq!(
+                (p.fills, p.writebacks, p.flush_writebacks, p.hits),
+                (r.fills, r.victims_m, r.flush_victims_m, r.hits),
+                "at {c} lines"
+            );
+        }
+    }
+
+    #[test]
+    fn pending_moves_stay_exact_at_curve_compaction_and_doubling() {
+        // At `curve`: re-reading 12 lines in order takes 1 full query and
+        // leaves a run of 11 moves (the reused distances) pending.
+        let runs = [AccessRun::read(0, 96), AccessRun::write(0, 96)];
+        let mut s = StackSim::new();
+        s.run(&runs);
+        let st = s.stats();
+        assert_eq!((st.full_queries, st.seq_hits), (1, 11));
+        assert_matches_runs(&s, &runs, 12);
+
+        // At a compaction: 8 lines cycled in order inside one call fill
+        // the 64-slot tree with a run pending.
+        let runs = vec![AccessRun::read(0, 64); 20];
+        let mut s = StackSim::new();
+        s.run(&runs);
+        let st = s.stats();
+        assert!(st.compactions >= 2, "{st:?}");
+        assert_eq!(st.tree_slots, 64);
+        assert!(st.seq_hits > 100, "{st:?}");
+        assert_matches_runs(&s, &runs, 8);
+
+        // At a doubling: 40 lines re-read in order reach the end of the
+        // tree, with more than a quarter of it live and a run pending.
+        let runs = [
+            AccessRun::read(0, 320),
+            AccessRun::write(0, 320),
+            AccessRun::read(8, 312),
+        ];
+        let mut s = StackSim::new();
+        s.run(&runs);
+        let st = s.stats();
+        assert_eq!((st.compactions, st.tree_slots), (0, 128), "{st:?}");
+        assert_matches_runs(&s, &runs, 40);
+    }
+
+    #[test]
+    fn order_state_does_not_outlive_a_compaction() {
+        // Cycling 8 lines in order ends at tick 64 with a reused distance
+        // (7): the order state holds tick 57, stamped 64. The compaction
+        // renumbers the lines 1..=8. Cold lines then climb back to tick
+        // 60, and a ping-pong of the last two (distance-1 touches, which
+        // leave the order state alone) to 64; the tree doubles, so the
+        // next touch takes tick 65. Without the reset the state would
+        // pass the stamp check and give the line now at tick 57 distance
+        // 7; it is 3.
+        let mut trace: Vec<(usize, bool)> = (0..64).map(|t| ((t % 8) * 8, t % 3 == 0)).collect();
+        trace.extend((8..60).map(|l| (l * 8, false)));
+        trace.extend([58, 59, 58, 59, 56].map(|l| (l * 8, l == 59)));
+        let st = stack_of(&trace).stats();
+        assert_eq!((st.compactions, st.tree_slots), (1, 128), "{st:?}");
+        assert_matches_reference(&trace, &(1..=9).collect::<Vec<_>>());
     }
 
     /// A one-word-line stack fed `lines` as reads, so word = line.

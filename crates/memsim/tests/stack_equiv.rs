@@ -233,9 +233,87 @@ proptest! {
         assert_matches_reference(&s.curve(), &runs, &caps);
         let st = s.stats();
         prop_assert_eq!(st.tree_slots, 64);
-        if st.full_queries + st.memo_d1_hits + st.footprint_lines > 64 {
+        if st.full_queries + st.memo_d1_hits + st.seq_hits + st.footprint_lines > 64 {
             prop_assert!(st.compactions > 0);
         }
+    }
+
+    /// Blocked kernels re-read a block of lines in the order they last
+    /// read it, which is where a touch reuses the previous touch's
+    /// distance and its Fenwick move joins a deferred run. Random blocks
+    /// repeated in order (one run per pass, or one run per line), with
+    /// single-line touches and partial runs between them, reads mixed
+    /// with writes, over footprints that compact the 64-slot tree (up to
+    /// 16 lines) or double it (more). Fed in random batches through
+    /// `run`, `read_range` and `write_range`, with a curve taken
+    /// mid-stream and at the end.
+    #[test]
+    fn repeated_blocks_in_order_match_mid_trace_and_at_end(
+        span_lines in 1usize..41,
+        ops in prop::collection::vec(
+            (0u8..4, 0usize..1 << 16, 1usize..13, 1usize..5, 0u8..3),
+            1..120,
+        ),
+        batches in prop::collection::vec(1usize..40, 1..40),
+        cut in 0usize..1 << 16,
+    ) {
+        let mut runs = Vec::new();
+        for &(kind, x, len, reps, w) in &ops {
+            let first = x % span_lines;
+            let len = len.min(span_lines - first);
+            let is_write = w == 0;
+            match kind {
+                0 => {
+                    for _ in 0..reps {
+                        runs.push(AccessRun { addr: first * 8, words: len * 8, is_write });
+                    }
+                }
+                1 => {
+                    for r in 0..reps {
+                        for l in first..first + len {
+                            let words = 1 + (x + l + r) % 8;
+                            let is_write = is_write && l % 2 == 0;
+                            runs.push(AccessRun { addr: l * 8, words, is_write });
+                        }
+                    }
+                }
+                2 => runs.push(AccessRun { addr: first * 8 + x % 8, words: 1, is_write }),
+                _ => {
+                    let addr = first * 8 + x % 8;
+                    let words = (len * 3).min(span_lines * 8 - addr);
+                    runs.push(AccessRun { addr, words, is_write });
+                }
+            }
+        }
+        let cut = cut % (runs.len() + 1);
+        let caps: Vec<usize> = (1..=span_lines + 1).collect();
+        let mut s = StackSim::new();
+        let mut fed = 0;
+        let mut feed = |s: &mut StackSim, end: usize| {
+            for &b in batches.iter().cycle() {
+                if fed == end {
+                    break;
+                }
+                let next = (fed + b).min(end);
+                match b % 3 {
+                    0 => s.run(&runs[fed..next]),
+                    _ => {
+                        for r in &runs[fed..next] {
+                            if r.is_write {
+                                s.write_range(r.addr, r.words);
+                            } else {
+                                s.read_range(r.addr, r.words);
+                            }
+                        }
+                    }
+                }
+                fed = next;
+            }
+        };
+        feed(&mut s, cut);
+        assert_matches_reference(&s.curve(), &runs[..cut], &caps);
+        feed(&mut s, runs.len());
+        assert_matches_reference(&s.curve(), &runs, &caps);
     }
 }
 
