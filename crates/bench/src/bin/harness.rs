@@ -90,7 +90,7 @@ fn main() {
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-cell wall-clock deadline (float seconds); the watchdog fires the\n                   cancel token and the worker joins as `cancelled` (a worker stuck in\n                   uncancellable code is detached as legacy `timed-out`)\n  --retries N      re-attempt panicked/cancelled/timed-out/retriable cells N times\n                   (deterministic backoff)\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
+        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-attempt wall-clock deadline (float seconds): the cell is `cancelled`\n                   at its first cancel checkpoint after the deadline\n  --retries N      re-attempt panicked/deadline-cancelled/report-invariant/retriable cells\n                   N times (deterministic backoff); an interrupt is never retried\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
     );
     std::process::exit(code);
 }
@@ -157,18 +157,27 @@ fn accepted_args(cmd: &str) -> Option<Accepted> {
 }
 
 /// Print usage (exit 0) on `--help`/`-h`, and reject (exit 2) any
-/// argument `cmd` does not take, a flag missing its value, or a stray
-/// positional: an ignored typo such as `--thread 1` would silently run
-/// with the default.
+/// argument `cmd` does not take, a flag missing its value, a flag given
+/// twice, or a stray positional: an ignored typo such as `--thread 1`
+/// would silently run with the default, and a repeated `--scale` with
+/// its first value.
 fn check_flags(cmd: &str, args: &[String]) {
     let Some((positionals, switches, values)) = accepted_args(cmd) else {
         return;
     };
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if a == "--help" || a == "-h" {
             usage(0);
+        }
+        if values.contains(&a) || switches.contains(&a) {
+            if seen.contains(&a) {
+                eprintln!("`{a}` given more than once (see `harness --help`)");
+                std::process::exit(2);
+            }
+            seen.push(a);
         }
         if values.contains(&a) {
             if i + 1 == args.len() {
@@ -451,7 +460,7 @@ fn run(reg: &Registry, args: &[String]) {
         obs::uninstall();
     }
     // Write the trace on success *and* failure: a trace of the run that
-    // panicked or timed out is exactly the one worth looking at.
+    // panicked or was cancelled is exactly the one worth looking at.
     if let (Some(path), Some(rec)) = (&trace_path, &rec) {
         match std::fs::write(path, rec.to_chrome_json()) {
             Ok(()) => eprintln!("trace: {} events -> {}", rec.num_events(), path.display()),

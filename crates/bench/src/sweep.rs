@@ -19,7 +19,7 @@
 //! ```
 //!
 //! `status` is `ok` or an [`wa_core::EngineError::kind`] tag
-//! (`panicked`, `timed-out`, `cancelled`, `failed`, …). `crc` is the
+//! (`panicked`, `cancelled`, `report-invariant`, `failed`, …). `crc` is the
 //! FNV-1a-64 hash (16 hex digits) of the record *without* the crc field:
 //! a record whose checksum fails to verify — a bit flip, not just a torn
 //! tail — is treated as missing on `--resume`, so the cell re-runs.

@@ -1,20 +1,21 @@
-//! Property tests for cooperative cancellation inside the simulators:
+//! Property tests for cooperative cancellation on every charge path:
 //! firing the ambient token at an *arbitrary* access count always
 //! surfaces as a typed `Cancelled` error — never a completed report,
 //! never a leaked panic — and the cancellation point lands within one
 //! check interval of the firing access, on the word-level cache
 //! simulator (`MemSim`), the stack-distance simulator (`StackSim`) and
 //! the streaming `traced` tally (`TraceTally`), each driven through a
-//! `SimMem`.
+//! `SimMem`, on `RawMem` driven through its runs, and on the explicit
+//! model's `Traffic` word charges.
 
-use memsim::{MemSim, SimMem, StackSim, TraceTally};
+use memsim::{Mem, MemSim, RawMem, SimMem, StackSim, TraceTally};
 use proptest::prelude::*;
 use wa_core::cancel::{self, CHECK_INTERVAL};
 use wa_core::engine::{
     BackendKind, EngineError, FnWorkload, RunCfg, Workload, DEFAULT_FOOTPRINT_BYTES,
 };
 use wa_core::report::RunReport;
-use wa_core::{CancelReason, Registry, Scale};
+use wa_core::{CancelReason, Registry, Scale, Traffic};
 
 /// Words the driven simulators hold; large enough that every access in
 /// the loop below is in range.
@@ -30,7 +31,13 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
         "cancel-prop",
         "test",
         "fires the ambient token mid-simulation",
-        &[BackendKind::Simmed, BackendKind::Stack, BackendKind::Traced],
+        &[
+            BackendKind::Simmed,
+            BackendKind::Stack,
+            BackendKind::Traced,
+            BackendKind::Raw,
+            BackendKind::Explicit,
+        ],
         &[],
         |_, _| DEFAULT_FOOTPRINT_BYTES,
         move |cfg: RunCfg| {
@@ -48,18 +55,32 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
                 BackendKind::Simmed => {
                     let sim = MemSim::single_level_lru(256);
                     let mut mem = SimMem::from_vec(vec![0.0; WORDS], sim);
-                    drive(&mut |i| memsim::Mem::ld(&mut mem, i));
+                    drive(&mut |i| mem.ld(i));
                 }
                 BackendKind::Stack => {
                     let mut mem = SimMem::from_vec(vec![0.0; WORDS], StackSim::new());
-                    drive(&mut |i| memsim::Mem::ld(&mut mem, i));
+                    drive(&mut |i| mem.ld(i));
                 }
                 BackendKind::Traced => {
                     let tally = TraceTally::with_span(WORDS);
                     let mut mem = SimMem::from_vec(vec![0.0; WORDS], tally);
-                    drive(&mut |i| memsim::Mem::ld(&mut mem, i));
+                    drive(&mut |i| mem.ld(i));
                 }
-                other => unreachable!("undeclared backend {other}"),
+                BackendKind::Raw => {
+                    let mut mem = RawMem::from_vec(vec![0.0; WORDS]);
+                    drive(&mut |i| {
+                        let mut out = [0.0];
+                        mem.ld_run(i, &mut out);
+                        out[0]
+                    });
+                }
+                BackendKind::Explicit => {
+                    let mut traffic = Traffic::ZERO;
+                    drive(&mut |_| {
+                        traffic.load(1);
+                        0.0
+                    });
+                }
             }
             Ok(RunReport::new("cancel-prop", cfg.backend, cfg.scale))
         },
@@ -126,5 +147,15 @@ proptest! {
     #[test]
     fn firing_at_any_access_count_cancels_the_traced_backend(fire_at in 0u64..20_000) {
         assert_cancels(BackendKind::Traced, fire_at)?;
+    }
+
+    #[test]
+    fn firing_at_any_access_count_cancels_the_raw_backend(fire_at in 0u64..20_000) {
+        assert_cancels(BackendKind::Raw, fire_at)?;
+    }
+
+    #[test]
+    fn firing_at_any_access_count_cancels_the_explicit_backend(fire_at in 0u64..20_000) {
+        assert_cancels(BackendKind::Explicit, fire_at)?;
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end proof that the engine's fault-isolation layer works against
 //! the *real* registry: injected panics are contained to their cell,
-//! injected stalls are cancelled cooperatively (the worker observes the
-//! token and *joins* — no leaked threads), retries recover
+//! injected stalls are cancelled cooperatively (the stall observes the
+//! token's deadline on the caller's thread — no thread is left behind),
+//! retries recover
 //! deterministically, and injected counter corruption is rejected by the
 //! report validator — while every untargeted cell of the sweep completes
 //! normally.
@@ -48,8 +49,8 @@ fn sweep_with_injected_panic_and_stall_completes_all_other_cells() {
             Err(e) => {
                 if name == "lu-wa" {
                     // The stalled cell is cancelled *cooperatively*: the
-                    // worker observed the token mid-stall and was joined,
-                    // so the error carries the deadline reason.
+                    // stall observed the token's passed deadline, so the
+                    // error carries the deadline reason.
                     match e {
                         EngineError::Cancelled { reason, .. } => {
                             assert_eq!(*reason, CancelReason::Deadline)
@@ -70,9 +71,10 @@ fn sweep_with_injected_panic_and_stall_completes_all_other_cells() {
     );
 }
 
-/// Satellite 1: a deadline-cancelled worker must *join*, not leak. After
-/// a stalled cell is cancelled, no `wa-cell-*` worker thread may remain
-/// in this process's task list.
+/// A deadline-cancelled attempt must leave no thread behind. The attempt
+/// runs on the caller's thread, so after a stalled cell is cancelled no
+/// `wa-cell-*` thread (the name a per-cell worker would carry) may be in
+/// this process's task list.
 #[test]
 fn cancelled_worker_threads_join_and_do_not_leak() {
     let mut reg = registry();
@@ -92,9 +94,9 @@ fn cancelled_worker_threads_join_and_do_not_leak() {
         }
         other => panic!("expected Cancelled, got {other:?}"),
     }
-    // run_cfg returned, so the worker was joined — its named thread must
-    // be gone. Only this test runs trsm-wa with a deadline, so the exact
-    // name cannot collide with workers of concurrently running tests.
+    // run_cfg returned, so no thread of this cell may remain. Only this
+    // test runs trsm-wa with a deadline, so the exact name cannot collide
+    // with threads of concurrently running tests.
     let leaked: Vec<String> = live_thread_names()
         .into_iter()
         .filter(|n| n == "wa-cell-trsm-wa")
@@ -191,8 +193,8 @@ fn corrupted_counters_are_rejected_by_the_report_validator() {
 
 #[test]
 fn timeout_limits_do_not_change_a_clean_cells_counters() {
-    // The watchdog path runs the cell on a helper thread; counters must
-    // be identical to the inline path.
+    // A deadline only adds a clock to the attempt's cancel token;
+    // counters must be identical to a run without one.
     let reg = registry();
     let inline = reg
         .run_cfg(

@@ -488,6 +488,20 @@ fn unknown_arguments_are_usage_errors_and_help_exits_zero() {
         (vec!["curve", "matmul-wa", "--threads", "2"], "--threads"),
         (vec!["list", "--csv"], "--csv"),
         (vec!["exp", "wa-optimal", "--threads", "2"], "--threads"),
+        (
+            vec![
+                "run",
+                "matmul-wa",
+                "--backend",
+                "explicit",
+                "--scale",
+                "small",
+                "--scale",
+                "paper",
+                "--json",
+            ],
+            "--scale",
+        ),
     ] {
         let out = harness().current_dir(&dir).args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

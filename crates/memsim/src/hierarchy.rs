@@ -16,6 +16,7 @@
 use crate::cache::{CacheConfig, Level, LevelCounters, Touch, Victim};
 use crate::probe::{Probe, Snapshot};
 use crate::stack::StackSim;
+use wa_core::cancel::CancelPoll;
 pub use wa_core::AccessRun;
 
 /// Multi-level cache simulator. See the module docs for semantics.
@@ -72,13 +73,9 @@ pub struct MemSim {
     reuse: Option<Box<StackSim>>,
     /// Phase marks seen; used to throttle trace counter-track emission.
     phase_marks: u64,
-    /// Cancel token captured from the constructing thread (the engine's
-    /// cell worker installs one per attempt); `None` outside an engine
-    /// dispatch.
-    cancel_token: Option<wa_core::CancelToken>,
-    /// Clock value at which the token is next polled. `u64::MAX` when no
-    /// token is installed, so the hot path pays one predictable compare.
-    cancel_check_at: u64,
+    /// Checkpoint on `clock` for the cancel token of the constructing
+    /// thread (the engine installs one per attempt).
+    cancel: CancelPoll,
 }
 
 impl MemSim {
@@ -110,34 +107,7 @@ impl MemSim {
             probe: None,
             reuse: None,
             phase_marks: 0,
-            cancel_token: wa_core::cancel::current(),
-            cancel_check_at: 0,
-        }
-        .with_cancel_schedule()
-    }
-
-    /// Initialize the cancellation polling schedule after construction:
-    /// first poll after one check interval, or never if no token is
-    /// installed on this thread.
-    fn with_cancel_schedule(mut self) -> Self {
-        self.cancel_check_at = if self.cancel_token.is_some() {
-            wa_core::cancel::CHECK_INTERVAL
-        } else {
-            u64::MAX
-        };
-        self
-    }
-
-    /// Poll the captured cancel token (the cold branch of the per-access
-    /// check) and unwind with the current clock if it has fired.
-    #[cold]
-    fn cancel_checkpoint(&mut self) {
-        self.cancel_check_at = self.clock + wa_core::cancel::CHECK_INTERVAL;
-        if let Some(t) = &self.cancel_token {
-            if t.is_cancelled() {
-                let reason = t.reason().unwrap_or(wa_core::CancelReason::Deadline);
-                wa_core::cancel::raise(self.clock, reason);
-            }
+            cancel: CancelPoll::new(),
         }
     }
 
@@ -386,9 +356,7 @@ impl MemSim {
 
     fn access(&mut self, addr: u64, is_write: bool) {
         self.clock += 1;
-        if self.clock >= self.cancel_check_at {
-            self.cancel_checkpoint();
-        }
+        self.cancel.at(self.clock);
         let line = addr / self.line_words as u64;
 
         if self.fast_path {

@@ -3,8 +3,9 @@
 //! Kernels in `dense`, `cdag` and `nbody` are written once against
 //! [`Mem`] and run unchanged on three stores:
 //!
-//! * [`RawMem`] — plain `Vec<f64>` access, zero overhead: used for numeric
-//!   verification and wall-clock benchmarks;
+//! * [`RawMem`] — plain `Vec<f64>` access: used for numeric verification
+//!   and wall-clock benchmarks. Its only instrumentation is the cancel
+//!   checkpoint its runs tick;
 //! * [`SimMem`] — every access drives a [`Sink`] *and* performs the
 //!   arithmetic, so counts come from real executions with verified
 //!   outputs. The sink is the cache simulator ([`crate::MemSim`],
@@ -17,6 +18,7 @@
 
 use crate::backend::Sink;
 use crate::hierarchy::MemSim;
+use wa_core::cancel::CancelPoll;
 
 /// Word-addressed memory with read/write instrumentation hooks.
 ///
@@ -95,20 +97,33 @@ impl<M: Mem + ?Sized> Mem for &mut M {
     }
 }
 
-/// Uninstrumented backing store.
+/// Uncounted backing store. Its runs (`ld_run`/`st_run`) tick the words
+/// they move on a cancel checkpoint, so a raw cell honors its deadline;
+/// the per-word `ld`/`st` stay bare.
 pub struct RawMem {
     pub data: Vec<f64>,
+    /// Words moved by runs so far: the clock `cancel` is checked on.
+    run_words: u64,
+    cancel: CancelPoll,
 }
 
 impl RawMem {
     pub fn new(words: usize) -> Self {
-        RawMem {
-            data: vec![0.0; words],
-        }
+        RawMem::from_vec(vec![0.0; words])
     }
 
     pub fn from_vec(data: Vec<f64>) -> Self {
-        RawMem { data }
+        RawMem {
+            data,
+            run_words: 0,
+            cancel: CancelPoll::new(),
+        }
+    }
+
+    #[inline]
+    fn tick(&mut self, words: usize) {
+        self.run_words += words as u64;
+        self.cancel.at(self.run_words);
     }
 }
 
@@ -125,11 +140,13 @@ impl Mem for RawMem {
 
     #[inline]
     fn ld_run(&mut self, addr: usize, out: &mut [f64]) {
+        self.tick(out.len());
         out.copy_from_slice(&self.data[addr..addr + out.len()]);
     }
 
     #[inline]
     fn st_run(&mut self, addr: usize, src: &[f64]) {
+        self.tick(src.len());
         self.data[addr..addr + src.len()].copy_from_slice(src);
     }
 

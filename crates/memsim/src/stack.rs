@@ -118,6 +118,7 @@
 //! machine each rank's bump-allocated heap, and the benchmark replays
 //! streams recorded from `SimMem`-style kernels.
 
+use wa_core::cancel::CancelPoll;
 use wa_core::curve::CapacityCurve;
 pub use wa_core::AccessRun;
 
@@ -385,11 +386,9 @@ pub struct StackSim {
     /// Dirty-eviction interval emissions (see module docs).
     wb_lo: Vec<u64>,
     wb_hi: Vec<u64>,
-    /// Cancel token captured at construction (see [`crate::MemSim`]).
-    cancel_token: Option<wa_core::CancelToken>,
-    /// Word-access count at which the token is next polled; `u64::MAX`
-    /// when no token is installed.
-    cancel_check_at: u64,
+    /// Checkpoint on `word_accesses` for the constructing thread's
+    /// cancel token.
+    cancel: CancelPoll,
 }
 
 impl Default for StackSim {
@@ -428,12 +427,6 @@ impl StackSim {
             line_words.is_power_of_two(),
             "line size must be a power of two"
         );
-        let cancel_token = wa_core::cancel::current();
-        let cancel_check_at = if cancel_token.is_some() {
-            wa_core::cancel::CHECK_INTERVAL
-        } else {
-            u64::MAX
-        };
         let fen = Fenwick::new();
         StackSim {
             line_words,
@@ -459,21 +452,7 @@ impl StackSim {
             dist: Vec::new(),
             wb_lo: Vec::new(),
             wb_hi: Vec::new(),
-            cancel_token,
-            cancel_check_at,
-        }
-    }
-
-    /// Poll the captured cancel token (cold branch of the per-access
-    /// check) and unwind with the current access count if it has fired.
-    #[cold]
-    fn cancel_checkpoint(&mut self) {
-        self.cancel_check_at = self.word_accesses + wa_core::cancel::CHECK_INTERVAL;
-        if let Some(t) = &self.cancel_token {
-            if t.is_cancelled() {
-                let reason = t.reason().unwrap_or(wa_core::CancelReason::Deadline);
-                wa_core::cancel::raise(self.word_accesses, reason);
-            }
+            cancel: CancelPoll::new(),
         }
     }
 
@@ -509,9 +488,7 @@ impl StackSim {
     #[inline]
     pub fn read(&mut self, addr: usize) {
         self.word_accesses += 1;
-        if self.word_accesses >= self.cancel_check_at {
-            self.cancel_checkpoint();
-        }
+        self.cancel.at(self.word_accesses);
         self.touch_line(addr >> self.line_shift, false);
     }
 
@@ -519,9 +496,7 @@ impl StackSim {
     #[inline]
     pub fn write(&mut self, addr: usize) {
         self.word_accesses += 1;
-        if self.word_accesses >= self.cancel_check_at {
-            self.cancel_checkpoint();
-        }
+        self.cancel.at(self.word_accesses);
         self.touch_line(addr >> self.line_shift, true);
     }
 
@@ -551,9 +526,7 @@ impl StackSim {
             let line_end = (line + 1) << sh;
             let in_line = line_end.min(end) - a;
             self.word_accesses += in_line as u64;
-            if self.word_accesses >= self.cancel_check_at {
-                self.cancel_checkpoint();
-            }
+            self.cancel.at(self.word_accesses);
             self.touch_line(line, is_write);
             if in_line > 1 {
                 // The remaining words of the interval are distance-0

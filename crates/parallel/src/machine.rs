@@ -22,6 +22,11 @@
 //! ("charge what the network delivers") and NVM-staged data additionally
 //! crosses to the backing store via [`Machine::sim_writeback`]
 //! (clwb-style, [`Sink::writeback_range`]).
+//!
+//! Every counter charge ([`Machine::transfer`], [`Machine::l3_read`],
+//! [`Machine::l3_write`], [`Machine::local_wa_gemm`]) ticks the words it
+//! charges on the cancel clock ([`wa_core::cancel::tick`]), so a
+//! counters-only run honors its deadline like a simulated one.
 
 use memsim::{memsim_boundaries, Mem, MemSim, Sink, StackSim, TraceTally, LINE_WORDS};
 use std::cmp::Reverse;
@@ -224,6 +229,7 @@ impl<S: Sink> Machine<S> {
         src_addr: usize,
         dst_addr: usize,
     ) {
+        wa_core::cancel::tick(words);
         {
             let s = &mut self.nodes[src];
             if src_at == Staging::L3 {
@@ -253,6 +259,7 @@ impl<S: Sink> Machine<S> {
 
     /// Charge node `i` for an NVM read of `words` (L3 → L2).
     pub fn l3_read(&mut self, i: usize, words: u64) {
+        wa_core::cancel::tick(words);
         let n = &mut self.nodes[i];
         n.l3_read_words += words;
         n.l3_read_msgs += 1;
@@ -260,6 +267,7 @@ impl<S: Sink> Machine<S> {
 
     /// Charge node `i` for an NVM write of `words` (L2 → L3).
     pub fn l3_write(&mut self, i: usize, words: u64) {
+        wa_core::cancel::tick(words);
         let n = &mut self.nodes[i];
         n.l3_write_words += words;
         n.l3_write_msgs += 1;
@@ -309,6 +317,7 @@ impl<S: Sink> Machine<S> {
         let b = (((m1 / 3) as f64).sqrt().floor() as u64).max(1);
         let n = &mut self.nodes[i];
         let reads = m * l + 2 * m * k * l / b;
+        wa_core::cancel::tick(reads + m * l);
         n.l2_read_words += reads;
         n.l2_read_msgs += reads / b.max(1) + 1;
         n.l2_write_words += m * l;
@@ -502,6 +511,26 @@ pub fn replay_block_rw<M: Mem>(mem: &mut M, addr: usize, b: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counters_only_transfers_unwind_on_a_fired_token() {
+        use wa_core::cancel::{self, CancelReason, CancelToken, CancellationUnwind};
+        let token = CancelToken::new();
+        let _g = cancel::install(token.clone());
+        let mut m = Machine::new(2, CostParams::nvm_cluster());
+        token.cancel(CancelReason::Deadline);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for _ in 0..cancel::CHECK_INTERVAL {
+                m.transfer(0, 1, 1, Staging::L2, Staging::L2, 0, 0);
+            }
+        }))
+        .unwrap_err();
+        let c = unwound
+            .downcast_ref::<CancellationUnwind>()
+            .expect("typed cancellation payload");
+        assert_eq!(c.reason, CancelReason::Deadline);
+        assert_eq!(c.after_accesses, cancel::CHECK_INTERVAL);
+    }
 
     #[test]
     fn transfer_charges_both_ends() {

@@ -1,15 +1,23 @@
 //! Cooperative cancellation: the shared token the engine, the parallel
-//! sweep, and the simulators all observe.
+//! sweep, the simulators and the explicit tallies all observe.
 //!
 //! Rust threads cannot be killed, so a deadline or a Ctrl-C can only
-//! reclaim a running cell if the cell *checks*. This module provides the
-//! check in a form cheap enough for simulator hot paths:
+//! reclaim a running cell if the cell *checks*. Every backend counts the
+//! words it moves on one clock and checks the token every
+//! [`CHECK_INTERVAL`] words:
 //!
-//! * [`CancelToken`] — a clonable handle around a shared atomic
-//!   generation counter. `is_cancelled()` is two relaxed loads (the
-//!   token's own generation plus the process-wide interrupt epoch), so
-//!   checking every N line-accesses costs amortized O(1) and nothing on
-//!   the untriggered path.
+//! * [`CancelToken`] — a clonable handle carrying the attempt's deadline
+//!   (if any), a shared fired flag, and the process interrupt epoch it
+//!   was born under. [`CancelToken::reason`] compares `Instant::now()`
+//!   with the deadline, so an expired deadline is seen at the first
+//!   checkpoint after it, with no other thread involved. An interrupt
+//!   outranks a deadline, so Ctrl-C never uses up retries.
+//! * [`CancelPoll`] — the per-object checkpoint for charge paths that own
+//!   an access clock (`MemSim`, `StackSim`, `RawMem`): it captures the
+//!   ambient token at construction and costs one compare per charge.
+//! * [`tick`] — the same checkpoint on a thread-local clock, for charge
+//!   paths that are plain counters (`Traffic`, `TraceMem`, `TraceTally`,
+//!   `parallel::Machine`).
 //! * [`install`]/[`current`] — a thread-local registration, so deeply
 //!   nested code (a kernel inside a simulator inside a worker thread)
 //!   reaches the ambient token without threading it through every
@@ -33,12 +41,12 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How many line-accesses (or traffic charges) between token checks on
-/// the simulator hot paths. Small enough that a fired deadline is
-/// observed within microseconds of simulated work, large enough that the
-/// check never shows up in a profile.
+/// How many words (line-accesses, traffic words, raw-memory run words)
+/// between token checks on the charge paths. Small enough that an
+/// expired deadline is observed within microseconds of work, large
+/// enough that the check never shows up in a profile.
 pub const CHECK_INTERVAL: u64 = 8192;
 
 /// Process exit code for "interrupted, journal flushed, resumable" —
@@ -53,7 +61,7 @@ static PROCESS_GEN: AtomicU64 = AtomicU64::new(0);
 /// Why a token fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelReason {
-    /// The watchdog's deadline expired. Retriable: the next attempt gets
+    /// The attempt's deadline expired. Retriable: the next attempt gets
     /// a fresh deadline.
     Deadline,
     /// The process was interrupted (Ctrl-C). Not retriable: the sweep is
@@ -70,60 +78,70 @@ impl CancelReason {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shared {
-    generation: AtomicU64,
-    /// 0 = unset, 1 = Deadline, 2 = Interrupt.
-    reason: AtomicU8,
-}
+/// [`CancelToken::cancel`] codes in the shared fired flag.
+const UNFIRED: u8 = 0;
+const FIRED_DEADLINE: u8 = 1;
+const FIRED_INTERRUPT: u8 = 2;
 
-/// Clonable cancellation handle. All clones share one generation
-/// counter; any clone may fire it, every clone observes it.
+/// Clonable cancellation handle. All clones share one fired flag and one
+/// deadline; any clone may fire it, every clone observes it.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
-    shared: Arc<Shared>,
+    fired: Arc<AtomicU8>,
     born_process: u64,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
-    /// A fresh, unfired token bound to the current interrupt epoch.
+    /// A fresh, unfired token with no deadline, bound to the current
+    /// interrupt epoch.
     pub fn new() -> Self {
         CancelToken {
-            shared: Arc::new(Shared::default()),
+            fired: Arc::new(AtomicU8::new(UNFIRED)),
             born_process: PROCESS_GEN.load(Ordering::Relaxed),
+            deadline: None,
+        }
+    }
+
+    /// A fresh token that reads as cancelled ([`CancelReason::Deadline`])
+    /// from `deadline` on.
+    pub fn with_deadline(deadline: Instant) -> Self {
+        CancelToken {
+            deadline: Some(deadline),
+            ..CancelToken::new()
         }
     }
 
     /// Fire the token. Idempotent; the first reason wins.
     pub fn cancel(&self, reason: CancelReason) {
         let code = match reason {
-            CancelReason::Deadline => 1,
-            CancelReason::Interrupt => 2,
+            CancelReason::Deadline => FIRED_DEADLINE,
+            CancelReason::Interrupt => FIRED_INTERRUPT,
         };
+        // Relaxed: the flag publishes no other data, and a checkpoint
+        // only needs to see it eventually.
         let _ = self
-            .shared
-            .reason
-            .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
-        self.shared.generation.fetch_add(1, Ordering::Release);
+            .fired
+            .compare_exchange(UNFIRED, code, Ordering::Relaxed, Ordering::Relaxed);
     }
 
-    /// Two relaxed loads: the token's own generation and the process
-    /// interrupt epoch relative to the token's birth.
-    #[inline]
+    /// Whether the token has fired, the process was interrupted since
+    /// its birth, or its deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.shared.generation.load(Ordering::Relaxed) != 0
-            || PROCESS_GEN.load(Ordering::Relaxed) != self.born_process
+        self.reason().is_some()
     }
 
-    /// The reason the token fired, if it has.
+    /// Why the token reads as cancelled, if it does. An interrupt
+    /// outranks a deadline: a cell cut by Ctrl-C after its deadline
+    /// passed reports `Interrupt`, which the engine does not retry.
     pub fn reason(&self) -> Option<CancelReason> {
-        match self.shared.reason.load(Ordering::Relaxed) {
-            1 => Some(CancelReason::Deadline),
-            2 => Some(CancelReason::Interrupt),
-            _ if PROCESS_GEN.load(Ordering::Relaxed) != self.born_process => {
-                Some(CancelReason::Interrupt)
-            }
-            _ => None,
+        let fired = self.fired.load(Ordering::Relaxed);
+        if fired == FIRED_INTERRUPT || interrupted_since(self.born_process) {
+            Some(CancelReason::Interrupt)
+        } else if fired == FIRED_DEADLINE || self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(CancelReason::Deadline)
+        } else {
+            None
         }
     }
 }
@@ -134,13 +152,63 @@ impl Default for CancelToken {
     }
 }
 
+/// The checkpoint of a charge path that owns its access clock: the
+/// ambient token captured at construction, and the clock value at which
+/// it is next checked (`u64::MAX` when no token is installed, so the hot
+/// path pays one predictable compare and never polls).
+#[derive(Debug)]
+pub struct CancelPoll {
+    token: Option<CancelToken>,
+    next: u64,
+}
+
+impl CancelPoll {
+    /// Capture this thread's ambient token (see [`install`]); the first
+    /// check is due after [`CHECK_INTERVAL`] words.
+    pub fn new() -> Self {
+        let token = current();
+        let next = if token.is_some() {
+            CHECK_INTERVAL
+        } else {
+            u64::MAX
+        };
+        CancelPoll { token, next }
+    }
+
+    /// The owner's clock now reads `clock` (words moved so far): check
+    /// the token if a check is due, unwinding with `clock` as the
+    /// cancellation point if it has fired.
+    #[inline]
+    pub fn at(&mut self, clock: u64) {
+        if clock >= self.next {
+            self.check(clock);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn check(&mut self, clock: u64) {
+        self.next = clock.saturating_add(CHECK_INTERVAL);
+        if let Some(reason) = self.token.as_ref().and_then(CancelToken::reason) {
+            raise(clock, reason);
+        }
+    }
+}
+
+impl Default for CancelPoll {
+    fn default() -> Self {
+        CancelPoll::new()
+    }
+}
+
 thread_local! {
     static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-    /// Countdown + cumulative counters for [`tick`]-based checkpoints
-    /// (the `Traffic`/`ExplicitHier` paths, which have no per-object
-    /// access clock to piggyback on).
-    static TICK_BUDGET: Cell<u64> = const { Cell::new(CHECK_INTERVAL) };
-    static TICK_TOTAL: Cell<u64> = const { Cell::new(0) };
+    /// The thread-local clock behind [`tick`]: words ticked since the
+    /// last [`install`], and the count at which the token is next
+    /// checked — the [`CancelPoll`] scheme for charge paths that are
+    /// plain counters with no object to own a clock.
+    static TICK_CLOCK: Cell<u64> = const { Cell::new(0) };
+    static TICK_NEXT: Cell<u64> = const { Cell::new(CHECK_INTERVAL) };
 }
 
 /// Restores the previously installed token (if any) on drop.
@@ -155,12 +223,13 @@ impl Drop for InstallGuard {
 }
 
 /// Install `token` as this thread's ambient cancellation token. The
-/// returned guard restores the previous token when dropped. The tick
-/// counters reset, so `after_accesses` counts from this installation.
+/// returned guard restores the previous token when dropped. The
+/// thread-local [`tick`] clock resets, so `after_accesses` counts from
+/// this installation.
 pub fn install(token: CancelToken) -> InstallGuard {
     let previous = CURRENT.with(|c| c.borrow_mut().replace(token));
-    TICK_BUDGET.with(|b| b.set(CHECK_INTERVAL));
-    TICK_TOTAL.with(|t| t.set(0));
+    TICK_CLOCK.with(|c| c.set(0));
+    TICK_NEXT.with(|n| n.set(CHECK_INTERVAL));
     InstallGuard { previous }
 }
 
@@ -231,46 +300,40 @@ pub fn raise(after_accesses: u64, reason: CancelReason) -> ! {
     })
 }
 
-/// Checkpoint for counterless charge paths (`Traffic`, `ExplicitHier`,
-/// `TraceMem`, `TraceTally`): accumulate `n` accesses on a thread-local
-/// budget and check the ambient token every [`CHECK_INTERVAL`]. No-op
-/// (one Cell arithmetic) when the budget has headroom; no-op entirely
-/// when no token is installed.
+/// Checkpoint for charge paths that are plain counters (`Traffic`,
+/// `TraceMem`, `TraceTally`, `parallel::Machine`): advance the thread-local clock by `n` words
+/// and check the ambient token every [`CHECK_INTERVAL`] words. One Cell
+/// update and a compare when no check is due; a check with no token
+/// installed does nothing.
 #[inline]
 pub fn tick(n: u64) {
-    let due = TICK_BUDGET.with(|b| {
-        let v = b.get();
-        if v > n {
-            b.set(v - n);
-            false
-        } else {
-            b.set(CHECK_INTERVAL);
-            true
-        }
+    let clock = TICK_CLOCK.with(|c| {
+        let v = c.get().saturating_add(n);
+        c.set(v);
+        v
     });
-    TICK_TOTAL.with(|t| t.set(t.get().saturating_add(n)));
-    if due {
+    if clock >= TICK_NEXT.with(Cell::get) {
+        TICK_NEXT.with(|next| next.set(clock.saturating_add(CHECK_INTERVAL)));
         check_now();
     }
 }
 
-/// Check the ambient token immediately; unwind if it has fired.
+/// Check the ambient token immediately; unwind with the thread-local
+/// [`tick`] clock as the cancellation point if it reads as cancelled.
 pub fn check_now() {
-    if let Some(tok) = CURRENT.with(|c| c.borrow().clone()) {
-        if tok.is_cancelled() {
-            let total = TICK_TOTAL.with(|t| t.get());
-            raise(total, tok.reason().unwrap_or(CancelReason::Interrupt));
-        }
+    let reason = CURRENT.with(|c| c.borrow().as_ref().and_then(CancelToken::reason));
+    if let Some(reason) = reason {
+        raise(TICK_CLOCK.with(Cell::get), reason);
     }
 }
 
 /// Sleep for `total`, checking the ambient token every ~10 ms — the
 /// cooperative replacement for `std::thread::sleep` in injected stalls,
-/// so a stalled cell still honors its deadline by *joining*, not by
-/// being detached.
+/// so a stalled cell still ends as `Cancelled` within a slice of its
+/// deadline.
 pub fn sleep_cooperatively(total: Duration) {
     const SLICE: Duration = Duration::from_millis(10);
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     loop {
         check_now();
         let elapsed = t0.elapsed();
@@ -374,6 +437,29 @@ mod tests {
             "{}",
             c.after_accesses
         );
+    }
+
+    #[test]
+    fn deadline_reads_as_cancelled_once_it_passes() {
+        let later = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+        assert_eq!(later.reason(), None);
+        let passed = CancelToken::with_deadline(Instant::now());
+        assert_eq!(passed.reason(), Some(CancelReason::Deadline));
+        // Clones share the deadline.
+        assert!(passed.clone().is_cancelled());
+    }
+
+    #[test]
+    fn poll_unwinds_within_one_interval_with_its_owners_clock() {
+        let _g = install(CancelToken::with_deadline(Instant::now()));
+        let mut poll = CancelPoll::new();
+        poll.at(CHECK_INTERVAL - 1); // no check due yet
+        let unwound = std::panic::catch_unwind(move || poll.at(CHECK_INTERVAL + 5)).unwrap_err();
+        let c = unwound
+            .downcast_ref::<CancellationUnwind>()
+            .expect("typed cancellation payload");
+        assert_eq!(c.reason, CancelReason::Deadline);
+        assert_eq!(c.after_accesses, CHECK_INTERVAL + 5);
     }
 
     #[test]

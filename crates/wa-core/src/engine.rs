@@ -14,7 +14,6 @@ use crate::rng::XorShift;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How a workload executes and how its traffic is measured.
@@ -125,13 +124,15 @@ pub const MAX_RETRIES_CAP: u32 = 16;
 pub const DEFAULT_FOOTPRINT_BYTES: u64 = 1 << 30;
 
 /// Execution-policy limits for one dispatch: how long a cell may run and
-/// how often a *retriable* failure (panic, timeout, transient error) is
+/// how often a *retriable* failure (panic, deadline, transient error) is
 /// re-attempted. Limits never change what a workload computes — they are
 /// deliberately excluded from [`RunCfg::cell_key`] so a journal written
 /// under one timeout resumes cleanly under another.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RunLimits {
     /// Wall-clock deadline per attempt; `None` (the default) waits forever.
+    /// The attempt is cancelled at its first checkpoint after the
+    /// deadline (see [`crate::cancel`]).
     pub timeout: Option<Duration>,
     /// Extra attempts after a retriable failure (0 = single attempt).
     pub retries: u32,
@@ -339,21 +340,10 @@ pub enum EngineError {
         workload: String,
         payload: String,
     },
-    /// The dispatch outlived its [`RunLimits::timeout`] deadline *and*
-    /// never observed the fired cancel token within the grace period —
-    /// the worker thread could not be stopped and was detached. Only
-    /// cells whose execution path has no cancellation checkpoints (raw
-    /// busy loops, foreign blocking calls) end up here; instrumented
-    /// kernels produce [`EngineError::Cancelled`] instead.
-    TimedOut {
-        workload: String,
-        elapsed: Duration,
-        deadline: Duration,
-    },
-    /// The attempt observed a fired [`crate::cancel::CancelToken`] and
-    /// unwound cooperatively — the worker thread *joined*; no orphan
-    /// work is left behind. `after_accesses` is the observing counter's
-    /// access count at the checkpoint that saw the token.
+    /// A checkpoint saw the attempt's [`crate::cancel::CancelToken`]
+    /// cancelled — its deadline passed or the process was interrupted —
+    /// and the attempt unwound cooperatively. `after_accesses` is the
+    /// observing clock's word count at that checkpoint.
     Cancelled {
         workload: String,
         reason: crate::cancel::CancelReason,
@@ -388,7 +378,6 @@ impl EngineError {
             EngineError::UnsupportedDepth { .. } => "unsupported-depth",
             EngineError::InvalidConfig { .. } => "invalid-config",
             EngineError::Panicked { .. } => "panicked",
-            EngineError::TimedOut { .. } => "timed-out",
             EngineError::Cancelled { .. } => "cancelled",
             EngineError::ReportInvariant { .. } => "report-invariant",
             EngineError::Retriable { .. } => "retriable",
@@ -405,7 +394,6 @@ impl EngineError {
     pub fn is_retriable(&self) -> bool {
         match self {
             EngineError::Panicked { .. }
-            | EngineError::TimedOut { .. }
             | EngineError::ReportInvariant { .. }
             | EngineError::Retriable { .. } => true,
             EngineError::Cancelled { reason, .. } => {
@@ -459,18 +447,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::Panicked { workload, payload } => {
                 write!(f, "workload `{workload}` panicked: {payload}")
-            }
-            EngineError::TimedOut {
-                workload,
-                elapsed,
-                deadline,
-            } => {
-                write!(
-                    f,
-                    "workload `{workload}` timed out after {:.1} ms (deadline {:.1} ms)",
-                    elapsed.as_secs_f64() * 1e3,
-                    deadline.as_secs_f64() * 1e3
-                )
             }
             EngineError::Cancelled {
                 workload,
@@ -641,19 +617,17 @@ impl Workload for FnWorkload {
 /// for listing; lookup is by exact name.
 ///
 /// Dispatch through [`Registry::run_cfg`] is *fault-isolated*: every run
-/// executes under `catch_unwind` (a panicking workload becomes
-/// [`EngineError::Panicked`], not a process abort), an optional watchdog
-/// enforces the scenario's [`RunLimits::timeout`] on a helper thread, and
-/// retriable failures are re-attempted up to [`RunLimits::retries`] times
-/// with deterministic backoff ([`backoff_delay`]). An installed
+/// executes on the caller's thread under `catch_unwind` (a panicking
+/// workload becomes [`EngineError::Panicked`], not a process abort), the
+/// scenario's [`RunLimits::timeout`] rides in the attempt's cancel token,
+/// and retriable failures are re-attempted up to [`RunLimits::retries`]
+/// times with deterministic backoff ([`backoff_delay`]). An installed
 /// [`FaultPlan`] injects faults inside this guarded path.
 #[derive(Default)]
 pub struct Registry {
     order: Vec<String>,
-    // Arc (not Box) so the watchdog path can hand a clone to a detached
-    // worker thread — a timed-out cell's thread may outlive the dispatch.
-    by_name: BTreeMap<String, Arc<dyn Workload>>,
-    fault_plan: Option<Arc<FaultPlan>>,
+    by_name: BTreeMap<String, Box<dyn Workload>>,
+    fault_plan: Option<FaultPlan>,
 }
 
 impl Registry {
@@ -670,17 +644,17 @@ impl Registry {
             "duplicate workload registration: {name}"
         );
         self.order.push(name.clone());
-        self.by_name.insert(name, Arc::from(w));
+        self.by_name.insert(name, w);
     }
 
     /// Install a deterministic fault-injection plan; every subsequent
     /// dispatch consults it. `None` clears it.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan.map(Arc::new);
+        self.fault_plan = plan;
     }
 
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_deref()
+        self.fault_plan.as_ref()
     }
 
     /// Register a whole batch (the per-crate `workloads()` vectors).
@@ -728,10 +702,9 @@ impl Registry {
     ///
     /// Per attempt: an injected fault (if a plan is installed and a rule
     /// fires) is applied inside the guarded section, the run executes
-    /// under `catch_unwind`, and — when `cfg.limits.timeout` is set — a
-    /// watchdog bounds the attempt's wall clock. A timed-out worker
-    /// thread cannot be killed; it is detached and its eventual result
-    /// discarded. Retriable failures back off deterministically
+    /// under `catch_unwind`, and — when `cfg.limits.timeout` is set — the
+    /// attempt is cancelled at its first checkpoint after the deadline.
+    /// Retriable failures back off deterministically
     /// ([`backoff_delay`] seeded from the cell's config hash) and retry
     /// up to `cfg.limits.retries` times.
     pub fn run_cfg_traced(&self, name: &str, cfg: RunCfg) -> (Result<RunReport, EngineError>, u32) {
@@ -800,7 +773,7 @@ impl Registry {
             attempt += 1;
             let attempt_span = crate::obs::span("attempt", "engine");
             let fault = self.fault_plan.as_ref().and_then(|p| p.on_invocation(name));
-            let res = run_guarded(Arc::clone(w), name, cfg, fault);
+            let res = run_guarded(w.as_ref(), name, cfg, fault);
             drop(attempt_span);
             match res {
                 Ok(mut r) => {
@@ -858,88 +831,6 @@ fn degrade_cfg(w: &dyn Workload, cfg: RunCfg, budget: u64) -> Option<(RunCfg, St
     None
 }
 
-/// One guarded attempt: apply the injected fault, contain panics, and —
-/// when a deadline is set — run on a helper thread bounded by a watchdog
-/// wait. Without a deadline the attempt runs inline (no thread cost).
-fn run_guarded(
-    w: Arc<dyn Workload>,
-    name: &str,
-    cfg: RunCfg,
-    fault: Option<FaultKind>,
-) -> Result<RunReport, EngineError> {
-    let token = crate::cancel::CancelToken::new();
-    let Some(deadline) = cfg.limits.timeout else {
-        let _guard = crate::cancel::install(token);
-        return execute_contained(&*w, name, cfg, fault, Instant::now());
-    };
-    crate::obs::instant("watchdog:arm", "engine");
-    let (tx, rx) = mpsc::channel();
-    let owned = name.to_string();
-    let worker_token = token.clone();
-    let t0 = Instant::now();
-    let handle = std::thread::Builder::new()
-        .name(format!("wa-cell-{name}"))
-        .spawn(move || {
-            let _guard = crate::cancel::install(worker_token);
-            let r = execute_contained(&*w, &owned, cfg, fault, t0);
-            let _ = tx.send(r); // receiver may have given up: fine
-        })
-        .expect("spawn cell worker thread");
-    match rx.recv_timeout(deadline) {
-        Ok(r) => {
-            let _ = handle.join();
-            r
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            crate::obs::instant("watchdog:fire", "engine");
-            token.cancel(crate::cancel::CancelReason::Deadline);
-            // Cooperative workers observe the token within one check
-            // interval; give them a grace window to unwind and join.
-            // A worker stuck in truly uncancellable code (e.g. a raw
-            // syscall) is detached as before — the legacy `TimedOut`
-            // path — so the watchdog never hangs.
-            let grace = deadline.max(Duration::from_millis(250));
-            match rx.recv_timeout(grace) {
-                Ok(Err(e)) => {
-                    let _ = handle.join();
-                    Err(e)
-                }
-                // The worker finished cleanly inside the grace window:
-                // the deadline still governs, so the result is discarded.
-                Ok(Ok(_)) => {
-                    let _ = handle.join();
-                    Err(EngineError::TimedOut {
-                        workload: name.to_string(),
-                        elapsed: t0.elapsed(),
-                        deadline,
-                    })
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => Err(EngineError::TimedOut {
-                    workload: name.to_string(),
-                    elapsed: t0.elapsed(),
-                    deadline,
-                }),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = handle.join();
-                    Err(EngineError::Panicked {
-                        workload: name.to_string(),
-                        payload: "cell worker thread vanished".to_string(),
-                    })
-                }
-            }
-        }
-        // Unreachable in practice: execute_contained never unwinds, so
-        // the sender is dropped only after a send.
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            let _ = handle.join();
-            Err(EngineError::Panicked {
-                workload: name.to_string(),
-                payload: "cell worker thread vanished".to_string(),
-            })
-        }
-    }
-}
-
 /// Trace-instant name for an injected fault.
 fn fault_tag(f: FaultKind) -> &'static str {
     match f {
@@ -949,18 +840,26 @@ fn fault_tag(f: FaultKind) -> &'static str {
     }
 }
 
-/// The innermost attempt body: inject the fault, run the workload, and
-/// convert any unwind into [`EngineError::Panicked`]. A cancellation's
-/// `elapsed` counts from `t0`, the instant the attempt's deadline (if
-/// any) counts from, so a deadline cancel never reports less than its
-/// deadline however late the worker thread was scheduled.
-fn execute_contained(
+/// One guarded attempt on the caller's thread: install a fresh cancel
+/// token carrying the attempt's deadline, inject the fault, run the
+/// workload, and convert an unwind into [`EngineError::Cancelled`] (a
+/// checkpoint saw the token cancelled) or [`EngineError::Panicked`].
+/// The deadline counts from `t0`, and a checkpoint only reports it once
+/// it has passed, so a deadline cancel never reports less than its
+/// deadline.
+fn run_guarded(
     w: &dyn Workload,
     name: &str,
     cfg: RunCfg,
     fault: Option<FaultKind>,
-    t0: Instant,
 ) -> Result<RunReport, EngineError> {
+    let t0 = Instant::now();
+    // A deadline too far away to represent is no deadline.
+    let token = match cfg.limits.timeout.and_then(|d| t0.checked_add(d)) {
+        Some(deadline) => crate::cancel::CancelToken::with_deadline(deadline),
+        None => crate::cancel::CancelToken::new(),
+    };
+    let _guard = crate::cancel::install(token);
     crate::cancel::silence_cancellation_unwinds();
     let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
         // The guard closes the span on every exit from this closure,
@@ -973,7 +872,7 @@ fn execute_contained(
             Some(FaultKind::Panic) => panic!("fault-injected panic in `{name}`"),
             // A cooperative stall: observes the cancel token in 10 ms
             // slices, so a stalled cell yields `Cancelled` under a
-            // deadline rather than leaking a detached sleeper.
+            // deadline.
             Some(FaultKind::Stall(d)) => crate::cancel::sleep_cooperatively(d),
             Some(FaultKind::Corrupt) | None => {}
         }
@@ -1121,40 +1020,6 @@ mod tests {
         }
         assert_eq!(err.kind(), "panicked");
         assert!(err.is_retriable());
-    }
-
-    #[test]
-    fn watchdog_enforces_deadline() {
-        let mut r = Registry::new();
-        r.register(FnWorkload::boxed(
-            "sleeper",
-            "test",
-            "stalls forever (well, 10s)",
-            &[BackendKind::Raw],
-            &[],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
-            |cfg| {
-                std::thread::sleep(std::time::Duration::from_secs(10));
-                Ok(RunReport::new("sleeper", cfg.backend, cfg.scale))
-            },
-        ));
-        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small)
-            .with_limits(RunLimits::new(Some(Duration::from_millis(50)), 0));
-        let t0 = Instant::now();
-        let err = r.run_cfg("sleeper", cfg).unwrap_err();
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "watchdog did not fire"
-        );
-        match err {
-            EngineError::TimedOut {
-                elapsed, deadline, ..
-            } => {
-                assert_eq!(deadline, Duration::from_millis(50));
-                assert!(elapsed >= deadline);
-            }
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1333,10 +1198,10 @@ mod tests {
     #[test]
     fn cooperative_cancellation_joins_and_reports_accesses() {
         // The workload spins on `cancel::tick`, never finishing on its
-        // own. The watchdog fires the token at the deadline; the worker
-        // observes it within one check interval, unwinds, and *joins* —
-        // so the whole dispatch returns quickly with `Cancelled`, not
-        // after the (absent) natural end of the run.
+        // own. The first checkpoint after the deadline sees the token
+        // cancelled and unwinds, so the dispatch returns quickly with
+        // `Cancelled` on the caller's thread, not after the (absent)
+        // natural end of the run.
         let mut r = Registry::new();
         r.register(FnWorkload::boxed(
             "spinner",
@@ -1355,7 +1220,7 @@ mod tests {
         let err = r.run_cfg("spinner", cfg).unwrap_err();
         assert!(
             t0.elapsed() < Duration::from_secs(5),
-            "cancelled worker did not join promptly"
+            "cancelled attempt did not return promptly"
         );
         match err {
             EngineError::Cancelled {

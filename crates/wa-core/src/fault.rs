@@ -11,8 +11,10 @@
 //! * [`FaultKind::Panic`] — the dispatch panics before the workload runs;
 //!   containment must surface `EngineError::Panicked`.
 //! * [`FaultKind::Stall`] — the dispatch sleeps for the given duration
-//!   before running; with a shorter [`crate::engine::RunLimits::timeout`]
-//!   the watchdog must surface `EngineError::TimedOut`.
+//!   before running, checking the cancel token every 10 ms
+//!   ([`crate::cancel::sleep_cooperatively`]); with a shorter
+//!   [`crate::engine::RunLimits::timeout`] the attempt must surface
+//!   `EngineError::Cancelled` with the `deadline` reason.
 //! * [`FaultKind::Corrupt`] — the workload runs normally, then its
 //!   counters are deterministically corrupted ([`corrupt_report`]), so
 //!   downstream agreement checks must flag the report.

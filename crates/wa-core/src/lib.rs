@@ -31,7 +31,8 @@
 //!   corruption on a workload's Nth invocation), the rig that exercises
 //!   the engine's containment, deadline, and retry machinery;
 //! * [`cancel`] — cooperative cancellation: the [`cancel::CancelToken`]
-//!   the watchdog fires and the simulators observe every N accesses, the
+//!   that carries an attempt's deadline, the one clock every backend
+//!   ticks with the words it moves (checked every N words), the
 //!   thread-local install point, and the SIGINT → resumable-exit path;
 //! * [`obs`] — the zero-cost-when-off span/event recorder behind
 //!   `harness run --trace` and `harness profile`: the engine and `par`

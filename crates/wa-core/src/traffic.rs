@@ -68,18 +68,20 @@ impl Traffic {
         store_msgs: 0,
     };
 
-    /// Record a slow→fast transfer of `words` words as one message.
+    /// Record a slow→fast transfer of `words` words as one message. The
+    /// words tick the cancel clock ([`crate::cancel::tick`]).
     #[inline]
     pub fn load(&mut self, words: u64) {
-        crate::cancel::tick(1);
+        crate::cancel::tick(words);
         self.load_words += words;
         self.load_msgs += 1;
     }
 
-    /// Record a fast→slow transfer of `words` words as one message.
+    /// Record a fast→slow transfer of `words` words as one message. The
+    /// words tick the cancel clock.
     #[inline]
     pub fn store(&mut self, words: u64) {
-        crate::cancel::tick(1);
+        crate::cancel::tick(words);
         self.store_words += words;
         self.store_msgs += 1;
     }

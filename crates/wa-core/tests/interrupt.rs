@@ -4,6 +4,7 @@
 //! process, so these tests cannot share a binary with the rest of the
 //! cancellation suite.
 
+use std::time::Instant;
 use wa_core::cancel::{self, CancelReason, CancelToken};
 use wa_core::engine::{
     BackendKind, EngineError, FnWorkload, RunCfg, RunLimits, DEFAULT_FOOTPRINT_BYTES,
@@ -18,8 +19,10 @@ use wa_core::{Registry, Scale};
 fn interrupt_cancels_prior_tokens_and_suppresses_engine_retries() {
     // --- token-level semantics -----------------------------------------
     let before = CancelToken::new();
+    let expired = CancelToken::with_deadline(Instant::now());
     let gen0 = cancel::process_generation();
     assert!(!before.is_cancelled());
+    assert_eq!(expired.reason(), Some(CancelReason::Deadline));
     assert!(!cancel::interrupted_since(gen0));
 
     cancel::interrupt_now();
@@ -27,6 +30,9 @@ fn interrupt_cancels_prior_tokens_and_suppresses_engine_retries() {
     assert!(cancel::interrupted_since(gen0));
     assert!(before.is_cancelled(), "pre-interrupt tokens must fire");
     assert_eq!(before.reason(), Some(CancelReason::Interrupt));
+    // An interrupt outranks a passed deadline, so Ctrl-C never reads as
+    // a retriable deadline.
+    assert_eq!(expired.reason(), Some(CancelReason::Interrupt));
 
     // A token born after the interrupt is clean: new work (a --resume
     // run) is not poisoned by a stale epoch.
