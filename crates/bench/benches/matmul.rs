@@ -81,20 +81,20 @@ fn bench_variants(c: &mut Criterion) {
 }
 
 fn bench_explicit_model(c: &mut Criterion) {
-    // The explicit-movement accounting overhead (Algorithm 1 bookkeeping).
+    // The explicit-movement accounting overhead (Algorithm 1's block
+    // schedule, charged from shapes alone).
     let mut g = c.benchmark_group("matmul/explicit_model");
     let n = 96;
-    let a = Mat::random(n, n, 1);
-    let bm = Mat::random(n, n, 2);
+    let bs = dense::explicit_mm::block_for(768);
     for order in [LoopOrder::Ijk, LoopOrder::Kij] {
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("{order:?}")),
             &order,
             |b, &order| {
                 b.iter(|| {
-                    let mut cm = Mat::zeros(n, n);
                     let mut h = memsim::ExplicitHier::two_level(768);
-                    dense::explicit_mm::explicit_mm_two_level(&a, &bm, &mut cm, &mut h, order);
+                    let orders = (order, order);
+                    dense::explicit_mm::mm_schedule((n, n, n), &[bs], orders, &mut h, |_, _, _| {});
                     h.traffic().boundary(0).store_words
                 });
             },

@@ -229,11 +229,14 @@ fn parse_size(s: &str) -> Option<u64> {
 /// Parse `--timeout SECS` (float), `--retries N`, `--mem-budget BYTES`
 /// (K/M/G suffixes) and `--degrade` into [`RunLimits`].
 fn parse_limits(args: &[String]) -> RunLimits {
-    let timeout = flag_value(args, "--timeout").map(|s| match s.parse::<f64>() {
-        Ok(secs) if secs > 0.0 && secs.is_finite() => Duration::from_secs_f64(secs),
-        _ => {
-            eprintln!("bad --timeout `{s}` (expected seconds > 0)");
-            std::process::exit(2);
+    let timeout = flag_value(args, "--timeout").map(|s| {
+        let secs = s.parse::<f64>().ok().filter(|&secs| secs > 0.0);
+        match secs.and_then(|secs| Duration::try_from_secs_f64(secs).ok()) {
+            Some(timeout) => timeout,
+            None => {
+                eprintln!("bad --timeout `{s}` (expected seconds > 0 and below 2^64)");
+                std::process::exit(2);
+            }
         }
     });
     let retries = match flag_value(args, "--retries") {

@@ -110,60 +110,39 @@ pub fn strassen_table(sizes: &[usize], m: usize) {
     );
 }
 
+/// One Theorem 1 table row: writes into fast memory and total loads +
+/// stores across boundary 0.
+fn theorem1_row(name: &str, h: &memsim::ExplicitHier) -> Vec<String> {
+    let (wf, tot) = h.theorem1_check(0);
+    vec![name.to_string(), wf.to_string(), tot.to_string()]
+}
+
 /// Theorem 1 check across explicit-model kernels: writes-to-fast ≥ half
 /// the total loads+stores.
 pub fn theorem1_table() {
     use memsim::ExplicitHier;
     let mut rows = Vec::new();
 
-    let a = Mat::random(24, 24, 1);
-    let b = Mat::random(24, 24, 2);
-    let mut c = Mat::zeros(24, 24);
+    // Every count is a block schedule's, charged from shapes alone.
+    let bs = dense::explicit_mm::block_for(48);
     let mut h = ExplicitHier::two_level(48);
-    dense::explicit_mm::explicit_mm_two_level(
-        &a,
-        &b,
-        &mut c,
-        &mut h,
-        dense::matmul::LoopOrder::Ijk,
-    );
-    let (wf, tot) = h.theorem1_check(0);
-    rows.push(vec![
-        "matmul (WA)".to_string(),
-        wf.to_string(),
-        tot.to_string(),
-    ]);
+    let wa = (dense::matmul::LoopOrder::Ijk, dense::matmul::LoopOrder::Ijk);
+    dense::explicit_mm::mm_schedule((24, 24, 24), &[bs], wa, &mut h, |_, _, _| {});
+    rows.push(theorem1_row("matmul (WA)", &h));
 
-    let t = Mat::random_upper_triangular(24, 3);
-    let mut bb = Mat::random(24, 24, 4);
     let mut h = ExplicitHier::two_level(48);
-    dense::explicit_trsm::explicit_trsm_wa(&t, &mut bb, &mut h);
-    let (wf, tot) = h.theorem1_check(0);
-    rows.push(vec![
-        "TRSM (WA)".to_string(),
-        wf.to_string(),
-        tot.to_string(),
-    ]);
+    let trsm_wa = dense::trsm::TrsmVariant::WriteAvoiding;
+    dense::explicit_trsm::trsm_schedule((24, 24), bs, trsm_wa, &mut h, |_| {});
+    rows.push(theorem1_row("TRSM (WA)", &h));
 
-    let mut spd = Mat::random_spd(24, 5);
     let mut h = ExplicitHier::two_level(48);
-    dense::explicit_cholesky::explicit_cholesky_ll(&mut spd, &mut h);
-    let (wf, tot) = h.theorem1_check(0);
-    rows.push(vec![
-        "Cholesky (LL)".to_string(),
-        wf.to_string(),
-        tot.to_string(),
-    ]);
+    let ll = dense::cholesky::CholVariant::LeftLooking;
+    dense::explicit_cholesky::cholesky_schedule(24, bs, ll, &mut h, |_| {});
+    rows.push(theorem1_row("Cholesky (LL)", &h));
 
-    let cloud = nbody::force::Particle::random_cloud(64, 6);
     let mut h = ExplicitHier::two_level(12);
-    let _ = nbody::explicit::explicit_nbody_wa(&cloud, &mut h);
-    let (wf, tot) = h.theorem1_check(0);
-    rows.push(vec![
-        "N-body (WA)".to_string(),
-        wf.to_string(),
-        tot.to_string(),
-    ]);
+    nbody::explicit::nbody_wa_schedule(64, &mut h, |_, _| {});
+    rows.push(theorem1_row("N-body (WA)", &h));
 
     print_table(
         "Theorem 1: writes to fast memory ≥ (loads+stores)/2",

@@ -3,60 +3,47 @@
 //! level induction holds at three levels.
 
 use crate::util::print_table;
-use dense::explicit_cholesky::explicit_cholesky_ll;
-use dense::explicit_mm::{explicit_mm_multilevel, explicit_mm_two_level};
-use dense::explicit_trsm::explicit_trsm_wa;
+use dense::cholesky::CholVariant;
+use dense::explicit_cholesky::cholesky_schedule;
+use dense::explicit_mm::{block_for, mm_schedule};
+use dense::explicit_trsm::trsm_schedule;
 use dense::matmul::LoopOrder;
+use dense::trsm::TrsmVariant;
 use memsim::ExplicitHier;
-use nbody::explicit::explicit_nbody_wa;
-use nbody::force::Particle;
-use wa_core::Mat;
+use nbody::explicit::nbody_wa_schedule;
+
+/// One table row: stores to slow memory, the output size, loads.
+fn row(name: &str, h: &ExplicitHier, output: String) -> Vec<String> {
+    let t = h.traffic().boundary(0);
+    vec![
+        name.to_string(),
+        t.store_words.to_string(),
+        output,
+        t.load_words.to_string(),
+    ]
+}
 
 pub fn run(n: usize) {
+    // Every count is a block schedule's, charged from shapes alone.
+    let wa = (LoopOrder::Ijk, LoopOrder::Ijk);
+    let bs = block_for(48);
     let mut rows = Vec::new();
 
-    let a = Mat::random(n, n, 1);
-    let b = Mat::random(n, n, 2);
-    let mut c = Mat::zeros(n, n);
     let mut h = ExplicitHier::two_level(48);
-    explicit_mm_two_level(&a, &b, &mut c, &mut h, LoopOrder::Ijk);
-    rows.push(vec![
-        "matmul (Alg 1)".to_string(),
-        h.traffic().boundary(0).store_words.to_string(),
-        (n * n).to_string(),
-        h.traffic().boundary(0).load_words.to_string(),
-    ]);
+    mm_schedule((n, n, n), &[bs], wa, &mut h, |_, _, _| {});
+    rows.push(row("matmul (Alg 1)", &h, (n * n).to_string()));
 
-    let t = Mat::random_upper_triangular(n, 3);
-    let mut bm = Mat::random(n, n, 4);
     let mut h = ExplicitHier::two_level(48);
-    explicit_trsm_wa(&t, &mut bm, &mut h);
-    rows.push(vec![
-        "TRSM (Alg 2)".to_string(),
-        h.traffic().boundary(0).store_words.to_string(),
-        (n * n).to_string(),
-        h.traffic().boundary(0).load_words.to_string(),
-    ]);
+    trsm_schedule((n, n), bs, TrsmVariant::WriteAvoiding, &mut h, |_| {});
+    rows.push(row("TRSM (Alg 2)", &h, (n * n).to_string()));
 
-    let mut spd = Mat::random_spd(n, 5);
     let mut h = ExplicitHier::two_level(48);
-    explicit_cholesky_ll(&mut spd, &mut h);
-    rows.push(vec![
-        "Cholesky (Alg 3)".to_string(),
-        h.traffic().boundary(0).store_words.to_string(),
-        format!("~{}", n * n / 2),
-        h.traffic().boundary(0).load_words.to_string(),
-    ]);
+    cholesky_schedule(n, bs, CholVariant::LeftLooking, &mut h, |_| {});
+    rows.push(row("Cholesky (Alg 3)", &h, format!("~{}", n * n / 2)));
 
-    let cloud = Particle::random_cloud(n * n / 8, 6);
     let mut h = ExplicitHier::two_level(12);
-    let _ = explicit_nbody_wa(&cloud, &mut h);
-    rows.push(vec![
-        "N-body (Alg 4)".to_string(),
-        h.traffic().boundary(0).store_words.to_string(),
-        (n * n / 8).to_string(),
-        h.traffic().boundary(0).load_words.to_string(),
-    ]);
+    nbody_wa_schedule(n * n / 8, &mut h, |_, _| {});
+    rows.push(row("N-body (Alg 4)", &h, (n * n / 8).to_string()));
 
     print_table(
         &format!("Explicit-model WA optimality (two-level, n={n}): stores == output"),
@@ -66,11 +53,9 @@ pub fn run(n: usize) {
 
     // Multi-level induction at three levels.
     let (m, l) = (2 * n, 2 * n);
-    let a = Mat::random(m, m, 7);
-    let b = Mat::random(m, l, 8);
-    let mut c = Mat::zeros(m, l);
     let mut h3 = ExplicitHier::new(&[12, 192, u64::MAX]);
-    explicit_mm_multilevel(&a, &b, &mut c, &mut h3);
+    let blocks = [block_for(192), block_for(12)];
+    mm_schedule((m, m, l), &blocks, wa, &mut h3, |_, _, _| {});
     let rows3 = vec![vec![
         "matmul, 3 levels".to_string(),
         h3.writes_into_level(1).to_string(),

@@ -502,6 +502,17 @@ fn unknown_arguments_are_usage_errors_and_help_exits_zero() {
             ],
             "--scale",
         ),
+        (
+            vec![
+                "run",
+                "matmul-wa",
+                "--backend",
+                "explicit",
+                "--timeout",
+                "1e300",
+            ],
+            "--timeout",
+        ),
     ] {
         let out = harness().current_dir(&dir).args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

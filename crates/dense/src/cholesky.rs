@@ -1,6 +1,7 @@
 //! Access-driven blocked Cholesky (Algorithm 3) over a [`memsim::Mem`].
 
 use crate::desc::MatDesc;
+use crate::explicit_cholesky::{cholesky_schedule, CholOp};
 use crate::matmul::kernel::mm_kernel_sub_bt;
 use memsim::Mem;
 
@@ -88,52 +89,16 @@ fn trsm_rt_base<M: Mem>(mem: &mut M, l: MatDesc, b: MatDesc) {
 
 /// Blocked Cholesky: `a` (symmetric positive definite, only the lower
 /// triangle is accessed) is overwritten by `L` in its lower triangle.
+/// Runs [`crate::explicit_cholesky::cholesky_schedule`] with the block kernels as its body.
 pub fn blocked_cholesky<M: Mem>(mem: &mut M, a: MatDesc, bsize: usize, variant: CholVariant) {
     assert_eq!(a.rows, a.cols);
-    let nb = a.nblocks_rows(bsize);
-    match variant {
-        CholVariant::LeftLooking => {
-            for i in 0..nb {
-                for k in 0..i {
-                    syrk_base(mem, a.block(i, k, bsize), a.block(i, i, bsize));
-                }
-                chol_base(mem, a.block(i, i, bsize));
-                for j in i + 1..nb {
-                    for k in 0..i {
-                        mm_kernel_sub_bt(
-                            mem,
-                            a.block(j, k, bsize),
-                            a.block(i, k, bsize),
-                            a.block(j, i, bsize),
-                        );
-                    }
-                    trsm_rt_base(mem, a.block(i, i, bsize), a.block(j, i, bsize));
-                }
-            }
-        }
-        CholVariant::RightLooking => {
-            for i in 0..nb {
-                chol_base(mem, a.block(i, i, bsize));
-                for j in i + 1..nb {
-                    trsm_rt_base(mem, a.block(i, i, bsize), a.block(j, i, bsize));
-                }
-                for j in i + 1..nb {
-                    for k in i + 1..=j {
-                        if k == j {
-                            syrk_base(mem, a.block(j, i, bsize), a.block(j, j, bsize));
-                        } else {
-                            mm_kernel_sub_bt(
-                                mem,
-                                a.block(j, i, bsize),
-                                a.block(k, i, bsize),
-                                a.block(j, k, bsize),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let blk = |i, j| a.block(i, j, bsize);
+    cholesky_schedule(a.rows, bsize, variant, &mut (), |op| match op {
+        CholOp::Syrk { i, k } => syrk_base(mem, blk(i, k), blk(i, i)),
+        CholOp::Factor { i } => chol_base(mem, blk(i, i)),
+        CholOp::Update { j, i, k } => mm_kernel_sub_bt(mem, blk(j, k), blk(i, k), blk(j, i)),
+        CholOp::Solve { j, i } => trsm_rt_base(mem, blk(i, i), blk(j, i)),
+    });
 }
 
 #[cfg(test)]

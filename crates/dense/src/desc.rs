@@ -77,17 +77,6 @@ impl MatDesc {
         }
     }
 
-    /// Number of block rows at block size `b` (`round_up` in the paper's
-    /// listing).
-    pub fn nblocks_rows(&self, b: usize) -> usize {
-        self.rows.div_ceil(b)
-    }
-
-    /// Number of block columns at block size `b`.
-    pub fn nblocks_cols(&self, b: usize) -> usize {
-        self.cols.div_ceil(b)
-    }
-
     /// Copy a [`Mat`] into memory at this descriptor.
     pub fn store_mat<M: Mem>(&self, mem: &mut M, m: &Mat) {
         assert_eq!((m.rows(), m.cols()), (self.rows, self.cols));
@@ -150,7 +139,6 @@ mod tests {
         let d = MatDesc::new(0, 10, 10);
         let b = d.block(3, 3, 3); // starts at (9,9)
         assert_eq!((b.rows, b.cols), (1, 1));
-        assert_eq!(d.nblocks_rows(3), 4);
     }
 
     #[test]

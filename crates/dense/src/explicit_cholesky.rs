@@ -1,180 +1,125 @@
-//! Algorithm 3 — explicitly blocked Cholesky `A = L·Lᵀ` with exact
-//! load/store accounting.
+//! Algorithm 3 — blocked Cholesky `A = L·Lᵀ` as one block schedule with
+//! exact load/store accounting.
 //!
-//! The paper's *left-looking* order (Algorithm 3) computes each block
-//! column of `L` by reading already-finished columns to its left, storing
-//! each output block exactly once: ≈ `n²/2` writes to slow memory. The
-//! *right-looking* order updates the whole Schur complement after each
-//! panel, storing `Θ(n³/(6b))` words — asymptotically more (§4.3).
+//! [`cholesky_schedule`] owns the block loops and every explicit charge;
+//! the explicit model runs it with an empty body and
+//! [`crate::cholesky::blocked_cholesky`] with the block kernels as the
+//! body. The paper's *left-looking* order (Algorithm 3) computes each
+//! block column of `L` by reading already-finished columns to its left,
+//! storing each output block exactly once: ≈ `n²/2` writes to slow
+//! memory. The *right-looking* order updates the whole Schur complement
+//! after each panel, storing `Θ(n³/(6b))` words — asymptotically more
+//! (§4.3).
 
+use crate::cholesky::CholVariant;
 use crate::explicit_mm::tri_words;
-use memsim::ExplicitHier;
-use wa_core::Mat;
+use memsim::Charges;
 
-/// `A[d, d] -= A[d, kcols] · A[d, kcols]ᵀ`, lower half only (SYRK).
-fn syrk_sub_lower(a: &mut Mat, (d0, d1): (usize, usize), (k0, k1): (usize, usize)) {
-    for i in d0..d1 {
-        for j in d0..=i {
-            let mut acc = a[(i, j)];
-            for k in k0..k1 {
-                acc -= a[(i, k)] * a[(j, k)];
-            }
-            a[(i, j)] = acc;
-        }
-    }
+/// One block operation of [`cholesky_schedule`], on block indices of `A`
+/// (lower triangle only).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CholOp {
+    /// `A(i,i) -= A(i,k)·A(i,k)ᵀ`, lower half (SYRK).
+    Syrk { i: usize, k: usize },
+    /// Factor the diagonal block in place: `A(i,i) = L(i,i)·L(i,i)ᵀ`.
+    Factor { i: usize },
+    /// `A(j,i) -= A(j,k)·A(i,k)ᵀ`.
+    Update { j: usize, i: usize, k: usize },
+    /// `A(j,i) := A(j,i)·L(i,i)⁻ᵀ`, a block of `L` below the diagonal.
+    Solve { j: usize, i: usize },
 }
 
-/// `A[rrange, crange] -= A[rrange, k] · A[crange, k]ᵀ`.
-fn mm_sub_bt_range(
-    a: &mut Mat,
-    (r0, r1): (usize, usize),
-    (c0, c1): (usize, usize),
-    (k0, k1): (usize, usize),
+/// The block loops of blocked Cholesky `A = L·Lᵀ` of an `n×n` matrix at
+/// block size `bsize`, with every explicit charge; `body` runs each
+/// [`CholOp`] after its operands are loaded.
+///
+/// The left-looking order (Algorithm 3) finishes each block of `L` while
+/// it is resident, reading the finished columns to its left, and stores
+/// it once: the lower triangle, ≈ `n²/2` words. The right-looking order
+/// updates the whole trailing Schur complement after each panel, storing
+/// `Θ(n³/(6b))` words (§4.3).
+pub fn cholesky_schedule<H: Charges>(
+    n: usize,
+    bsize: usize,
+    variant: CholVariant,
+    hier: &mut H,
+    mut body: impl FnMut(CholOp),
 ) {
-    for i in r0..r1 {
-        for j in c0..c1 {
-            let mut acc = a[(i, j)];
-            for k in k0..k1 {
-                acc -= a[(i, k)] * a[(j, k)];
-            }
-            a[(i, j)] = acc;
-        }
-    }
-}
-
-/// Unblocked in-place Cholesky of the diagonal block `A[d0..d1, d0..d1]`
-/// (lower triangle).
-fn chol_in_place(a: &mut Mat, (d0, d1): (usize, usize)) {
-    for j in d0..d1 {
-        let mut djj = a[(j, j)];
-        for k in d0..j {
-            djj -= a[(j, k)] * a[(j, k)];
-        }
-        assert!(djj > 0.0, "matrix not positive definite at {j}");
-        let ljj = djj.sqrt();
-        a[(j, j)] = ljj;
-        for i in j + 1..d1 {
-            let mut v = a[(i, j)];
-            for k in d0..j {
-                v -= a[(i, k)] * a[(j, k)];
-            }
-            a[(i, j)] = v / ljj;
-        }
-    }
-}
-
-/// Solve `X · L[d,d]ᵀ = A[rrange, d]` in place (forward substitution over
-/// columns), where `L` is the already-factored lower-triangular diagonal
-/// block stored in `A[d, d]`.
-fn trsm_right_lt(a: &mut Mat, (r0, r1): (usize, usize), (d0, d1): (usize, usize)) {
-    for i in r0..r1 {
-        for c in d0..d1 {
-            let mut acc = a[(i, c)];
-            for t in d0..c {
-                acc -= a[(i, t)] * a[(c, t)];
-            }
-            a[(i, c)] = acc / a[(c, c)];
-        }
-    }
-}
-
-/// Left-looking WA blocked Cholesky (Algorithm 3). `a` is overwritten with
-/// `L` in its lower triangle. Requires `n` divisible by the block size for
-/// the exact-count tests; clipped blocks are handled.
-pub fn explicit_cholesky_ll(a: &mut Mat, hier: &mut ExplicitHier) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n);
-    let bs = crate::explicit_mm::block_for(hier.capacity(1));
-    let nb = n.div_ceil(bs);
-    let w = |blk: usize| bs.min(n - blk * bs);
-
+    assert!(bsize > 0);
+    let nb = n.div_ceil(bsize);
+    let w = |blk: usize| bsize.min(n - blk * bsize);
     for i in 0..nb {
         let ci = w(i);
-        let di = (i * bs, i * bs + ci);
         hier.load(0, tri_words(ci)); // A(i,i) lower half
-        for k in 0..i {
-            let ck = w(k);
-            hier.load(0, (ci * ck) as u64); // A(i,k)
-            syrk_sub_lower(a, di, (k * bs, k * bs + ck));
-            hier.flop((ci * ci * ck) as u64);
-            hier.free(1, (ci * ck) as u64);
-        }
-        chol_in_place(a, di);
-        hier.flop((ci * ci * ci) as u64 / 3);
-        hier.store(0, tri_words(ci)); // L(i,i)
-        hier.free(1, tri_words(ci));
-
-        for j in i + 1..nb {
-            let cj = w(j);
-            let rj = (j * bs, j * bs + cj);
-            hier.load(0, (cj * ci) as u64); // A(j,i)
-            for k in 0..i {
-                let ck = w(k);
-                hier.load(0, (ci * ck) as u64); // A(i,k)
-                hier.load(0, (cj * ck) as u64); // A(j,k)
-                mm_sub_bt_range(a, rj, di, (k * bs, k * bs + ck));
-                hier.flop(2 * (cj * ci * ck) as u64);
-                hier.free(1, ((ci + cj) * ck) as u64);
-            }
-            hier.load(0, tri_words(ci)); // L(i,i) lower half
-            trsm_right_lt(a, rj, di);
-            hier.flop((cj * ci * ci) as u64);
-            hier.free(1, tri_words(ci));
-            hier.store(0, (cj * ci) as u64); // L(j,i)
-            hier.free(1, (cj * ci) as u64);
-        }
-    }
-}
-
-/// Right-looking (non-WA) blocked Cholesky: each panel eagerly updates the
-/// trailing Schur complement, rewriting it to slow memory every step.
-pub fn explicit_cholesky_rl(a: &mut Mat, hier: &mut ExplicitHier) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n);
-    let bs = crate::explicit_mm::block_for(hier.capacity(1));
-    let nb = n.div_ceil(bs);
-    let w = |blk: usize| bs.min(n - blk * bs);
-
-    for i in 0..nb {
-        let ci = w(i);
-        let di = (i * bs, i * bs + ci);
-        hier.load(0, tri_words(ci));
-        chol_in_place(a, di);
-        hier.flop((ci * ci * ci) as u64 / 3);
-        hier.store(0, tri_words(ci));
-
-        // Panel: L(j,i) = A(j,i) * L(i,i)^-T.
-        for j in i + 1..nb {
-            let cj = w(j);
-            hier.load(0, (cj * ci) as u64); // A(j,i)
-            trsm_right_lt(a, (j * bs, j * bs + cj), di);
-            hier.flop((cj * ci * ci) as u64);
-            hier.store(0, (cj * ci) as u64);
-            hier.free(1, (cj * ci) as u64);
-        }
-        hier.free(1, tri_words(ci));
-
-        // Trailing update: A(j,k) -= L(j,i) L(k,i)^T for i < k <= j.
-        for j in i + 1..nb {
-            let cj = w(j);
-            for k in i + 1..=j {
-                let ck = w(k);
-                hier.load(0, (cj * ci) as u64); // L(j,i)
-                hier.load(0, (ck * ci) as u64); // L(k,i)
-                let words = if j == k {
-                    tri_words(cj)
-                } else {
-                    (cj * ck) as u64
-                };
-                hier.load(0, words); // A(j,k)
-                if j == k {
-                    syrk_sub_lower(a, (j * bs, j * bs + cj), di);
-                } else {
-                    mm_sub_bt_range(a, (j * bs, j * bs + cj), (k * bs, k * bs + ck), di);
+        match variant {
+            CholVariant::LeftLooking => {
+                for k in 0..i {
+                    let ck = w(k);
+                    hier.load(0, (ci * ck) as u64); // A(i,k)
+                    body(CholOp::Syrk { i, k });
+                    hier.flop((ci * ci * ck) as u64);
+                    hier.free(1, (ci * ck) as u64);
                 }
-                hier.flop(2 * (cj * ck * ci) as u64);
-                hier.store(0, words); // eagerly written back
-                hier.free(1, (cj * ci + ck * ci) as u64 + words);
+                body(CholOp::Factor { i });
+                hier.flop((ci * ci * ci) as u64 / 3);
+                hier.store(0, tri_words(ci)); // L(i,i)
+                hier.free(1, tri_words(ci));
+                for j in i + 1..nb {
+                    let cj = w(j);
+                    hier.load(0, (cj * ci) as u64); // A(j,i)
+                    for k in 0..i {
+                        let ck = w(k);
+                        hier.load(0, (ci * ck) as u64); // A(i,k)
+                        hier.load(0, (cj * ck) as u64); // A(j,k)
+                        body(CholOp::Update { j, i, k });
+                        hier.flop(2 * (cj * ci * ck) as u64);
+                        hier.free(1, ((ci + cj) * ck) as u64);
+                    }
+                    hier.load(0, tri_words(ci)); // L(i,i) lower half
+                    body(CholOp::Solve { j, i });
+                    hier.flop((cj * ci * ci) as u64);
+                    hier.free(1, tri_words(ci));
+                    hier.store(0, (cj * ci) as u64); // L(j,i)
+                    hier.free(1, (cj * ci) as u64);
+                }
+            }
+            CholVariant::RightLooking => {
+                body(CholOp::Factor { i });
+                hier.flop((ci * ci * ci) as u64 / 3);
+                hier.store(0, tri_words(ci));
+                // Panel: L(j,i) = A(j,i)·L(i,i)⁻ᵀ, with L(i,i) resident.
+                for j in i + 1..nb {
+                    let cj = w(j);
+                    hier.load(0, (cj * ci) as u64); // A(j,i)
+                    body(CholOp::Solve { j, i });
+                    hier.flop((cj * ci * ci) as u64);
+                    hier.store(0, (cj * ci) as u64);
+                    hier.free(1, (cj * ci) as u64);
+                }
+                hier.free(1, tri_words(ci));
+                // Trailing update: A(j,k) -= L(j,i)·L(k,i)ᵀ for i < k ≤ j.
+                for j in i + 1..nb {
+                    let cj = w(j);
+                    for k in i + 1..=j {
+                        let ck = w(k);
+                        hier.load(0, (cj * ci) as u64); // L(j,i)
+                        hier.load(0, (ck * ci) as u64); // L(k,i)
+                        let words = if j == k {
+                            tri_words(cj)
+                        } else {
+                            (cj * ck) as u64
+                        };
+                        hier.load(0, words); // A(j,k)
+                        body(if j == k {
+                            CholOp::Syrk { i: j, k: i }
+                        } else {
+                            CholOp::Update { j, i: k, k: i }
+                        });
+                        hier.flop(2 * (cj * ck * ci) as u64);
+                        hier.store(0, words); // eagerly written back
+                        hier.free(1, (cj * ci + ck * ci) as u64 + words);
+                    }
+                }
             }
         }
     }
@@ -183,12 +128,34 @@ pub fn explicit_cholesky_rl(a: &mut Mat, hier: &mut ExplicitHier) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::ExplicitHier;
+    use crate::cholesky::blocked_cholesky;
+    use crate::desc::alloc_layout;
+    use crate::explicit_mm::block_for;
+    use memsim::{ExplicitHier, RawMem};
+    use wa_core::Mat;
+
+    /// The schedule's charges on a two-level model of `m_words`.
+    fn charges(n: usize, m_words: u64, variant: CholVariant) -> ExplicitHier {
+        let mut h = ExplicitHier::two_level(m_words);
+        cholesky_schedule(n, block_for(m_words), variant, &mut h, |_| {});
+        h
+    }
+
+    /// Factor `a0` with `blocked_cholesky` (the schedule with the block
+    /// kernels as its body) at the explicit model's block size for
+    /// `m_words`; returns `L`.
+    fn factor(a0: &Mat, m_words: u64, variant: CholVariant) -> Mat {
+        let n = a0.rows();
+        let (d, words) = alloc_layout(&[(n, n)]);
+        let mut mem = RawMem::new(words);
+        d[0].store_mat(&mut mem, a0);
+        blocked_cholesky(&mut mem, d[0], block_for(m_words), variant);
+        d[0].load_mat(&mut mem).lower_triangular()
+    }
 
     fn check_factor(a0: &Mat, l: &Mat) {
         let n = a0.rows();
-        let ll = l.lower_triangular();
-        let prod = ll.matmul_ref(&ll.transpose());
+        let prod = l.matmul_ref(&l.transpose());
         for i in 0..n {
             for j in 0..=i {
                 assert!(
@@ -204,42 +171,27 @@ mod tests {
     #[test]
     fn left_looking_factors_correctly() {
         let a0 = Mat::random_spd(16, 3);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_cholesky_ll(&mut a, &mut h);
-        check_factor(&a0, &a);
+        check_factor(&a0, &factor(&a0, 48, CholVariant::LeftLooking));
     }
 
     #[test]
     fn right_looking_factors_correctly() {
         let a0 = Mat::random_spd(16, 4);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_cholesky_rl(&mut a, &mut h);
-        check_factor(&a0, &a);
+        check_factor(&a0, &factor(&a0, 48, CholVariant::RightLooking));
     }
 
     #[test]
     fn both_orders_agree() {
         let a0 = Mat::random_spd(20, 5);
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        let mut h1 = ExplicitHier::two_level(48);
-        let mut h2 = ExplicitHier::two_level(48);
-        explicit_cholesky_ll(&mut a1, &mut h1);
-        explicit_cholesky_rl(&mut a2, &mut h2);
-        let l1 = a1.lower_triangular();
-        let l2 = a2.lower_triangular();
+        let l1 = factor(&a0, 48, CholVariant::LeftLooking);
+        let l2 = factor(&a0, 48, CholVariant::RightLooking);
         assert!(l1.max_abs_diff(&l2) < 1e-8);
     }
 
     #[test]
     fn ll_stores_about_half_n_squared() {
         let n = 16;
-        let a0 = Mat::random_spd(n, 6);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_cholesky_ll(&mut a, &mut h);
+        let h = charges(n, 48, CholVariant::LeftLooking);
         let bs = 4u64;
         let nb = n as u64 / bs;
         // stores = nb * tri(b) + b² * nb(nb-1)/2 (the exact lower triangle
@@ -251,15 +203,14 @@ mod tests {
     #[test]
     fn rl_stores_asymptotically_more_than_ll() {
         let n = 32;
-        let a0 = Mat::random_spd(n, 7);
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        let mut h_ll = ExplicitHier::two_level(48);
-        let mut h_rl = ExplicitHier::two_level(48);
-        explicit_cholesky_ll(&mut a1, &mut h_ll);
-        explicit_cholesky_rl(&mut a2, &mut h_rl);
-        let s_ll = h_ll.traffic().boundary(0).store_words;
-        let s_rl = h_rl.traffic().boundary(0).store_words;
+        let s_ll = charges(n, 48, CholVariant::LeftLooking)
+            .traffic()
+            .boundary(0)
+            .store_words;
+        let s_rl = charges(n, 48, CholVariant::RightLooking)
+            .traffic()
+            .boundary(0)
+            .store_words;
         assert!(
             s_rl > 2 * s_ll,
             "right-looking {s_rl} should far exceed left-looking {s_ll}"
@@ -268,10 +219,7 @@ mod tests {
 
     #[test]
     fn capacity_and_theorem1() {
-        let a0 = Mat::random_spd(24, 8);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_cholesky_ll(&mut a, &mut h);
+        let h = charges(24, 48, CholVariant::LeftLooking);
         assert!(h.peak(1) <= 48);
         let (wf, total) = h.theorem1_check(0);
         assert!(2 * wf >= total);
@@ -280,9 +228,6 @@ mod tests {
     #[test]
     fn uneven_block_boundary_still_correct() {
         let a0 = Mat::random_spd(18, 9); // 18 = 4*4 + 2
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_cholesky_ll(&mut a, &mut h);
-        check_factor(&a0, &a);
+        check_factor(&a0, &factor(&a0, 48, CholVariant::LeftLooking));
     }
 }

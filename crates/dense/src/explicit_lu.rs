@@ -1,178 +1,127 @@
-//! Explicitly blocked LU factorization (no pivoting) with exact
-//! load/store accounting.
+//! Blocked LU factorization (no pivoting) as one block schedule with
+//! exact load/store accounting.
 //!
 //! The sequential substrate of the paper's Section 7.2 (LL-LUNP /
-//! RL-LUNP), in the same style as [`crate::explicit_cholesky`]: the
-//! *left-looking* order brings each block of `A` into fast memory once,
-//! applies every update from the already-finished block column(s) to its
-//! left while it is resident, and stores it exactly once — `n²` words of
-//! slow-memory writes, the output size. The *right-looking* order
-//! (CALU-style without pivoting) eagerly rewrites the whole trailing
-//! submatrix after each panel: `Θ(n³/(3b))` writes. `A = L·U` with
-//! unit-diagonal `L` below the diagonal and `U` on/above it.
+//! RL-LUNP), in the same style as [`crate::explicit_cholesky`]:
+//! [`lu_schedule`] owns the block loops and every explicit charge, the
+//! explicit model runs it with an empty body and [`crate::lu::blocked_lu`]
+//! with the block kernels as the body. The *left-looking* order brings
+//! each block of `A` into fast memory once, applies every update from the
+//! already-finished block column(s) to its left while it is resident, and
+//! stores it exactly once — `n²` words of slow-memory writes, the output
+//! size. The *right-looking* order (CALU-style without pivoting) eagerly
+//! rewrites the whole trailing submatrix after each panel: `Θ(n³/(3b))`
+//! writes. `A = L·U` with unit-diagonal `L` below the diagonal and `U`
+//! on/above it.
 
 use crate::explicit_mm::{strict_lower_words, tri_words};
-use memsim::ExplicitHier;
-use wa_core::Mat;
+use crate::lu::LuVariant;
+use memsim::Charges;
 
-/// `A[rr, cr] -= A[rr, kr] · A[kr, cr]` (the L(j,k)·U(k,i) update).
-fn mm_sub_range(
-    a: &mut Mat,
-    (r0, r1): (usize, usize),
-    (c0, c1): (usize, usize),
-    (k0, k1): (usize, usize),
+/// One block operation of [`lu_schedule`], on block indices of `A`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LuOp {
+    /// `A(j,i) -= L(j,k)·U(k,i)`.
+    Update { j: usize, i: usize, k: usize },
+    /// `A(j,i) := L(j,j)⁻¹·A(j,i)` with the unit lower triangle of the
+    /// factored diagonal block `A(j,j)`: a block of `U` right of it.
+    LowerSolve { j: usize, i: usize },
+    /// Factor the diagonal block in place: `A(i,i) = L(i,i)·U(i,i)`.
+    Factor { i: usize },
+    /// `A(j,i) := A(j,i)·U(i,i)⁻¹` with the upper triangle of the factored
+    /// diagonal block `A(i,i)`: a block of `L` below it.
+    UpperSolve { j: usize, i: usize },
+}
+
+/// The block loops of blocked LU without pivoting of an `n×n` matrix at
+/// block size `bsize`, with every explicit charge; `body` runs each
+/// [`LuOp`] after its operands are loaded.
+///
+/// The left-looking order walks block column `i` top-down: each `A(j,i)`
+/// is loaded once, takes every update from the finished columns to its
+/// left while resident, is solved (or factored, on the diagonal) and is
+/// stored once — `n²` words to slow memory, the output size. Top-down
+/// finalizes each `U(k,i)` before the rows below read it and factors the
+/// diagonal before the panel solves under it. The right-looking order
+/// eagerly rewrites the whole trailing submatrix after each panel:
+/// `Θ(n³/(3b))` words.
+pub fn lu_schedule<H: Charges>(
+    n: usize,
+    bsize: usize,
+    variant: LuVariant,
+    hier: &mut H,
+    mut body: impl FnMut(LuOp),
 ) {
-    for i in r0..r1 {
-        for j in c0..c1 {
-            let mut acc = a[(i, j)];
-            for k in k0..k1 {
-                acc -= a[(i, k)] * a[(k, j)];
-            }
-            a[(i, j)] = acc;
-        }
-    }
-}
-
-/// Unblocked in-place LU (no pivoting) of the diagonal block
-/// `A[d0..d1, d0..d1]`.
-fn lu_in_place(a: &mut Mat, (d0, d1): (usize, usize)) {
-    for k in d0..d1 {
-        let akk = a[(k, k)];
-        assert!(akk.abs() > 1e-300, "zero pivot without pivoting at {k}");
-        for i in k + 1..d1 {
-            let lik = a[(i, k)] / akk;
-            a[(i, k)] = lik;
-            for j in k + 1..d1 {
-                a[(i, j)] -= lik * a[(k, j)];
-            }
-        }
-    }
-}
-
-/// Solve `L[d,d] · X = A[d, cr]` in place (unit lower-triangular `L` from
-/// the factored diagonal block): produces a `U` block above the diagonal.
-fn trsm_lower_unit_range(a: &mut Mat, (d0, d1): (usize, usize), (c0, c1): (usize, usize)) {
-    for i in d0..d1 {
-        for c in c0..c1 {
-            let mut acc = a[(i, c)];
-            for t in d0..i {
-                acc -= a[(i, t)] * a[(t, c)];
-            }
-            a[(i, c)] = acc;
-        }
-    }
-}
-
-/// Solve `X · U[d,d] = A[rr, d]` in place (upper-triangular `U` from the
-/// factored diagonal block): produces an `L` block below the diagonal.
-fn trsm_upper_right_range(a: &mut Mat, (r0, r1): (usize, usize), (d0, d1): (usize, usize)) {
-    for i in r0..r1 {
-        for c in d0..d1 {
-            let mut acc = a[(i, c)];
-            for t in d0..c {
-                acc -= a[(i, t)] * a[(t, c)];
-            }
-            a[(i, c)] = acc / a[(c, c)];
-        }
-    }
-}
-
-/// Left-looking WA blocked LU without pivoting. `a` is overwritten with
-/// `L\U`. Every block of `A` is stored exactly once: slow-memory writes
-/// equal `n²` words. Clipped (uneven) trailing blocks are handled.
-pub fn explicit_lu_ll(a: &mut Mat, hier: &mut ExplicitHier) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n);
-    let bs = crate::explicit_mm::block_for(hier.capacity(1));
-    let nb = n.div_ceil(bs);
-    let w = |blk: usize| bs.min(n - blk * bs);
-
+    assert!(bsize > 0);
+    let nb = n.div_ceil(bsize);
+    let w = |blk: usize| bsize.min(n - blk * bsize);
     for i in 0..nb {
         let ci = w(i);
-        let ir = (i * bs, i * bs + ci);
-        // j ascending finalizes U(j,i) (j < i) before rows below read it
-        // and factors the diagonal before the j > i panel solves.
-        for j in 0..nb {
-            let cj = w(j);
-            let jr = (j * bs, j * bs + cj);
-            hier.load(0, (cj * ci) as u64); // A(j,i), resident to the store
-            for k in 0..j.min(i) {
-                let ck = w(k);
-                let kr = (k * bs, k * bs + ck);
-                hier.load(0, (cj * ck) as u64); // L(j,k)
-                hier.load(0, (ck * ci) as u64); // U(k,i)
-                mm_sub_range(a, jr, ir, kr);
-                hier.flop(2 * (cj * ck * ci) as u64);
-                hier.free(1, ((cj + ci) * ck) as u64);
+        match variant {
+            LuVariant::LeftLooking => {
+                for j in 0..nb {
+                    let cj = w(j);
+                    hier.load(0, (cj * ci) as u64); // A(j,i), resident to the store
+                    for k in 0..j.min(i) {
+                        let ck = w(k);
+                        hier.load(0, (cj * ck) as u64); // L(j,k)
+                        hier.load(0, (ck * ci) as u64); // U(k,i)
+                        body(LuOp::Update { j, i, k });
+                        hier.flop(2 * (cj * ck * ci) as u64);
+                        hier.free(1, ((cj + ci) * ck) as u64);
+                    }
+                    if j < i {
+                        hier.load(0, strict_lower_words(cj)); // L(j,j), unit diag
+                        body(LuOp::LowerSolve { j, i });
+                        hier.flop((cj * cj * ci) as u64);
+                        hier.free(1, strict_lower_words(cj));
+                    } else if j == i {
+                        body(LuOp::Factor { i });
+                        hier.flop(2 * (ci * ci * ci) as u64 / 3);
+                    } else {
+                        hier.load(0, tri_words(ci)); // U(i,i) upper half
+                        body(LuOp::UpperSolve { j, i });
+                        hier.flop((cj * ci * ci) as u64);
+                        hier.free(1, tri_words(ci));
+                    }
+                    hier.store(0, (cj * ci) as u64); // finished L(j,i) / U(j,i)
+                    hier.free(1, (cj * ci) as u64);
+                }
             }
-            if j < i {
-                hier.load(0, strict_lower_words(cj)); // L(j,j), unit diag
-                trsm_lower_unit_range(a, jr, ir);
-                hier.flop((cj * cj * ci) as u64);
-                hier.free(1, strict_lower_words(cj));
-            } else if j == i {
-                lu_in_place(a, ir);
+            LuVariant::RightLooking => {
+                hier.load(0, (ci * ci) as u64); // A(i,i), resident through both panels
+                body(LuOp::Factor { i });
                 hier.flop(2 * (ci * ci * ci) as u64 / 3);
-            } else {
-                hier.load(0, tri_words(ci)); // U(i,i) upper half
-                trsm_upper_right_range(a, jr, ir);
-                hier.flop((cj * ci * ci) as u64);
-                hier.free(1, tri_words(ci));
-            }
-            hier.store(0, (cj * ci) as u64); // finished L(j,i) / U(j,i)
-            hier.free(1, (cj * ci) as u64);
-        }
-    }
-}
+                hier.store(0, (ci * ci) as u64);
+                for j in i + 1..nb {
+                    let cj = w(j);
+                    hier.load(0, (cj * ci) as u64); // A(j,i) -> L(j,i)
+                    body(LuOp::UpperSolve { j, i });
+                    hier.flop((cj * ci * ci) as u64);
+                    hier.store(0, (cj * ci) as u64);
+                    hier.free(1, (cj * ci) as u64);
 
-/// Right-looking (non-WA) blocked LU without pivoting: each panel eagerly
-/// updates the trailing submatrix, rewriting it to slow memory every step.
-pub fn explicit_lu_rl(a: &mut Mat, hier: &mut ExplicitHier) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n);
-    let bs = crate::explicit_mm::block_for(hier.capacity(1));
-    let nb = n.div_ceil(bs);
-    let w = |blk: usize| bs.min(n - blk * bs);
-
-    for i in 0..nb {
-        let ci = w(i);
-        let ir = (i * bs, i * bs + ci);
-        hier.load(0, (ci * ci) as u64); // A(i,i), resident through both panels
-        lu_in_place(a, ir);
-        hier.flop(2 * (ci * ci * ci) as u64 / 3);
-        hier.store(0, (ci * ci) as u64);
-
-        for j in i + 1..nb {
-            let cj = w(j);
-            let jr = (j * bs, j * bs + cj);
-            hier.load(0, (cj * ci) as u64); // A(j,i) -> L(j,i)
-            trsm_upper_right_range(a, jr, ir);
-            hier.flop((cj * ci * ci) as u64);
-            hier.store(0, (cj * ci) as u64);
-            hier.free(1, (cj * ci) as u64);
-
-            hier.load(0, (ci * cj) as u64); // A(i,j) -> U(i,j)
-            trsm_lower_unit_range(a, ir, jr);
-            hier.flop((ci * ci * cj) as u64);
-            hier.store(0, (ci * cj) as u64);
-            hier.free(1, (ci * cj) as u64);
-        }
-        hier.free(1, (ci * ci) as u64);
-
-        // Trailing update: A(j,k) -= L(j,i) · U(i,k), eagerly written back.
-        for j in i + 1..nb {
-            let cj = w(j);
-            let jr = (j * bs, j * bs + cj);
-            for k in i + 1..nb {
-                let ck = w(k);
-                let kr = (k * bs, k * bs + ck);
-                hier.load(0, (cj * ci) as u64); // L(j,i)
-                hier.load(0, (ci * ck) as u64); // U(i,k)
-                hier.load(0, (cj * ck) as u64); // A(j,k)
-                mm_sub_range(a, jr, kr, ir);
-                hier.flop(2 * (cj * ci * ck) as u64);
-                hier.store(0, (cj * ck) as u64);
-                hier.free(1, (cj * ci + ci * ck + cj * ck) as u64);
+                    hier.load(0, (ci * cj) as u64); // A(i,j) -> U(i,j)
+                    body(LuOp::LowerSolve { j: i, i: j });
+                    hier.flop((ci * ci * cj) as u64);
+                    hier.store(0, (ci * cj) as u64);
+                    hier.free(1, (ci * cj) as u64);
+                }
+                hier.free(1, (ci * ci) as u64);
+                // Trailing update: A(j,k) -= L(j,i)·U(i,k), eagerly written back.
+                for j in i + 1..nb {
+                    let cj = w(j);
+                    for k in i + 1..nb {
+                        let ck = w(k);
+                        hier.load(0, (cj * ci) as u64); // L(j,i)
+                        hier.load(0, (ci * ck) as u64); // U(i,k)
+                        hier.load(0, (cj * ck) as u64); // A(j,k)
+                        body(LuOp::Update { j, i: k, k: i });
+                        hier.flop(2 * (cj * ci * ck) as u64);
+                        hier.store(0, (cj * ck) as u64);
+                        hier.free(1, (cj * ci + ci * ck + cj * ck) as u64);
+                    }
+                }
             }
         }
     }
@@ -181,7 +130,30 @@ pub fn explicit_lu_rl(a: &mut Mat, hier: &mut ExplicitHier) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::ExplicitHier;
+    use crate::desc::alloc_layout;
+    use crate::explicit_mm::block_for;
+    use crate::lu::blocked_lu;
+    use memsim::{ExplicitHier, RawMem};
+    use wa_core::Mat;
+
+    /// The schedule's charges on a two-level model of `m_words`.
+    fn charges(n: usize, m_words: u64, variant: LuVariant) -> ExplicitHier {
+        let mut h = ExplicitHier::two_level(m_words);
+        lu_schedule(n, block_for(m_words), variant, &mut h, |_| {});
+        h
+    }
+
+    /// Factor `a0` with `blocked_lu` (the schedule with the block kernels
+    /// as its body) at the explicit model's block size for `m_words`;
+    /// returns `L\U`.
+    fn factor(a0: &Mat, m_words: u64, variant: LuVariant) -> Mat {
+        let n = a0.rows();
+        let (d, words) = alloc_layout(&[(n, n)]);
+        let mut mem = RawMem::new(words);
+        d[0].store_mat(&mut mem, a0);
+        blocked_lu(&mut mem, d[0], block_for(m_words), variant);
+        d[0].load_mat(&mut mem)
+    }
 
     fn reconstruct(lu: &Mat) -> Mat {
         let n = lu.rows();
@@ -206,55 +178,41 @@ mod tests {
     #[test]
     fn left_looking_factors_correctly() {
         let a0 = Mat::random_diagdom(16, 3);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_lu_ll(&mut a, &mut h);
-        check_factor(&a0, &a);
+        check_factor(&a0, &factor(&a0, 48, LuVariant::LeftLooking));
     }
 
     #[test]
     fn right_looking_factors_correctly() {
         let a0 = Mat::random_diagdom(16, 4);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_lu_rl(&mut a, &mut h);
-        check_factor(&a0, &a);
+        check_factor(&a0, &factor(&a0, 48, LuVariant::RightLooking));
     }
 
     #[test]
     fn both_orders_agree() {
         let a0 = Mat::random_diagdom(20, 5);
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        let mut h1 = ExplicitHier::two_level(48);
-        let mut h2 = ExplicitHier::two_level(48);
-        explicit_lu_ll(&mut a1, &mut h1);
-        explicit_lu_rl(&mut a2, &mut h2);
+        let a1 = factor(&a0, 48, LuVariant::LeftLooking);
+        let a2 = factor(&a0, 48, LuVariant::RightLooking);
         assert!(a1.max_abs_diff(&a2) < 1e-8);
     }
 
     #[test]
     fn ll_stores_exactly_the_output_size() {
         let n = 16;
-        let a0 = Mat::random_diagdom(n, 6);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_lu_ll(&mut a, &mut h);
+        let h = charges(n, 48, LuVariant::LeftLooking);
         assert_eq!(h.traffic().boundary(0).store_words, (n * n) as u64);
     }
 
     #[test]
     fn rl_stores_more_than_ll() {
         let n = 32;
-        let a0 = Mat::random_diagdom(n, 7);
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        let mut h_ll = ExplicitHier::two_level(48);
-        let mut h_rl = ExplicitHier::two_level(48);
-        explicit_lu_ll(&mut a1, &mut h_ll);
-        explicit_lu_rl(&mut a2, &mut h_rl);
-        let s_ll = h_ll.traffic().boundary(0).store_words;
-        let s_rl = h_rl.traffic().boundary(0).store_words;
+        let s_ll = charges(n, 48, LuVariant::LeftLooking)
+            .traffic()
+            .boundary(0)
+            .store_words;
+        let s_rl = charges(n, 48, LuVariant::RightLooking)
+            .traffic()
+            .boundary(0)
+            .store_words;
         assert_eq!(s_ll, (n * n) as u64);
         // RL rewrites the trailing submatrix every panel: with nb = n/b
         // panels the write volume approaches n³/(3b).
@@ -266,10 +224,7 @@ mod tests {
 
     #[test]
     fn capacity_and_theorem1() {
-        let a0 = Mat::random_diagdom(24, 8);
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_lu_ll(&mut a, &mut h);
+        let h = charges(24, 48, LuVariant::LeftLooking);
         assert!(h.peak(1) <= 48);
         let (wf, total) = h.theorem1_check(0);
         assert!(2 * wf >= total);
@@ -278,11 +233,9 @@ mod tests {
     #[test]
     fn uneven_block_boundary_still_correct() {
         let a0 = Mat::random_diagdom(18, 9); // 18 = 4*4 + 2
-        let mut a = a0.clone();
-        let mut h = ExplicitHier::two_level(48);
-        explicit_lu_ll(&mut a, &mut h);
-        check_factor(&a0, &a);
+        check_factor(&a0, &factor(&a0, 48, LuVariant::LeftLooking));
         // Stores remain exactly the output even with clipped blocks.
+        let h = charges(18, 48, LuVariant::LeftLooking);
         assert_eq!(h.traffic().boundary(0).store_words, (18 * 18) as u64);
     }
 }

@@ -1,5 +1,11 @@
-//! Algorithm 1 — explicitly blocked classical matmul with exact
-//! load/store accounting, two-level and multi-level.
+//! Algorithm 1 — blocked classical matmul as one block schedule with
+//! exact load/store accounting, two-level and multi-level.
+//!
+//! [`mm_schedule`] owns the block loops and issues every explicit charge.
+//! The explicit model runs it on an [`memsim::ExplicitHier`] with an empty
+//! body; [`crate::matmul::blocked_matmul`] and
+//! [`crate::matmul::ml_matmul`] run it on `()` with the row kernel as the
+//! body, so both measurements see one instruction order.
 //!
 //! The two-level WA version attains (paper §4.1):
 //!
@@ -14,28 +20,7 @@
 //! at every boundary.
 
 use crate::matmul::LoopOrder;
-use memsim::ExplicitHier;
-use wa_core::Mat;
-
-/// Real arithmetic over index ranges: `C[i0.., j0..] += A[i0.., k0..] * B`.
-fn mm_range(
-    a: &Mat,
-    b: &Mat,
-    c: &mut Mat,
-    (i0, i1): (usize, usize),
-    (j0, j1): (usize, usize),
-    (k0, k1): (usize, usize),
-) {
-    for i in i0..i1 {
-        for j in j0..j1 {
-            let mut acc = c[(i, j)];
-            for k in k0..k1 {
-                acc += a[(i, k)] * b[(k, j)];
-            }
-            c[(i, j)] = acc;
-        }
-    }
-}
+use memsim::Charges;
 
 /// Largest block size `b` with three `b×b` blocks fitting in `m` words —
 /// the paper's `b = √(M/3)`.
@@ -44,7 +29,7 @@ pub fn block_for(m: u64) -> usize {
 }
 
 /// Triangle words (diagonal included) of a `b×b` block — the stored half
-/// of a symmetric/triangular operand in the explicit kernels.
+/// of a symmetric/triangular operand in the block schedules.
 pub fn tri_words(b: usize) -> u64 {
     (b * (b + 1) / 2) as u64
 }
@@ -55,204 +40,155 @@ pub fn strict_lower_words(b: usize) -> u64 {
     (b * (b - 1) / 2) as u64
 }
 
-/// Two-level Algorithm 1: `C += A·B` with explicit block movement across
-/// boundary 0 of `hier` (fast memory `M1`). `order` chooses the block-loop
-/// nest; `Ijk`/`Jik` (k innermost) are the WA orders.
-pub fn explicit_mm_two_level(
-    a: &Mat,
-    b: &Mat,
-    c: &mut Mat,
-    hier: &mut ExplicitHier,
+/// A block of rows or columns: `(first index, width)`.
+pub type Span = (usize, usize);
+
+/// The block loops of `C += A·B` (`m×n` times `n×l`), one level per entry
+/// of `blocks` (largest first), with every explicit charge. `top` orders
+/// the outermost level's loops and `rest` every deeper one.
+///
+/// Each level moves its blocks into the level named by its depth from the
+/// leaf: the last entry of `blocks` into L1 across boundary 0, the one
+/// before it into L2 across boundary 1, and so on, so an r-level
+/// [`memsim::ExplicitHier`] takes `r − 1` block sizes. Under a
+/// write-avoiding order (`k` innermost) the `C` block is loaded before
+/// the `k` loop and stored once after it; under any other order every
+/// step loads `C`, `A` and `B` and stores `C`. `body(i, j, k)` runs once
+/// per leaf, on the rows `i` of `C`/`A`, the columns `j` of `C`/`B` and
+/// the shared range `k`, after the leaf's operands are loaded; the leaf
+/// is charged `2·|i|·|j|·|k|` flops.
+///
+/// With `blocks = [√(M/3)]` on a two-level hierarchy this is Algorithm 1
+/// (§4.1): loads `ml + 2·mnl/b` and stores `ml` when `b` divides the
+/// shapes; with one `√(M_s/3)` per level it is the multi-level induction.
+pub fn mm_schedule<H: Charges, F: FnMut(Span, Span, Span)>(
+    (m, n, l): (usize, usize, usize),
+    blocks: &[usize],
+    (top, rest): (LoopOrder, LoopOrder),
+    hier: &mut H,
+    mut body: F,
+) {
+    mm_level((0, m), (0, l), (0, n), blocks, top, rest, hier, &mut body);
+}
+
+/// One level of [`mm_schedule`] over the sub-problem `C[i, j] += A[i, k]
+/// · B[k, j]`.
+#[allow(clippy::too_many_arguments)] // three spans, the levels below and the two targets
+fn mm_level<H: Charges, F: FnMut(Span, Span, Span)>(
+    ir: Span,
+    jr: Span,
+    kr: Span,
+    blocks: &[usize],
     order: LoopOrder,
+    rest: LoopOrder,
+    hier: &mut H,
+    body: &mut F,
 ) {
-    let (m, n, l) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(c.rows(), m);
-    assert_eq!(c.cols(), l);
-    assert_eq!(b.rows(), n);
-    let bs = block_for(hier.capacity(1));
-    let nb_i = m.div_ceil(bs);
-    let nb_j = l.div_ceil(bs);
-    let nb_k = n.div_ceil(bs);
-
-    let bw = |i0: usize, lim: usize| -> u64 { (bs.min(lim - i0 * bs)) as u64 };
-
-    match order {
-        LoopOrder::Ijk | LoopOrder::Jik => {
-            // WA: k innermost; C block resident across the whole k sweep.
-            for i in 0..nb_i {
-                for j in 0..nb_j {
-                    let (ci, cj) = (bw(i, m), bw(j, l));
-                    hier.load(0, ci * cj); // C(i,j): L2 -> L1
-                    for k in 0..nb_k {
-                        let ck = bw(k, n);
-                        hier.load(0, ci * ck); // A(i,k)
-                        hier.load(0, ck * cj); // B(k,j)
-                        mm_range(
-                            a,
-                            b,
-                            c,
-                            (i * bs, i * bs + ci as usize),
-                            (j * bs, j * bs + cj as usize),
-                            (k * bs, k * bs + ck as usize),
-                        );
-                        hier.flop(2 * ci * ck * cj);
-                        hier.free(1, ci * ck + ck * cj);
-                    }
-                    hier.store(0, ci * cj); // C(i,j): L1 -> L2
-                    hier.free(1, ci * cj);
-                }
-            }
-        }
-        _ => {
-            // Non-WA: C block loaded and stored once per k step.
-            for k in 0..nb_k {
-                for i in 0..nb_i {
-                    for j in 0..nb_j {
-                        let (ci, cj, ck) = (bw(i, m), bw(j, l), bw(k, n));
-                        hier.load(0, ci * cj); // C(i,j)
-                        hier.load(0, ci * ck); // A(i,k)
-                        hier.load(0, ck * cj); // B(k,j)
-                        mm_range(
-                            a,
-                            b,
-                            c,
-                            (i * bs, i * bs + ci as usize),
-                            (j * bs, j * bs + cj as usize),
-                            (k * bs, k * bs + ck as usize),
-                        );
-                        hier.flop(2 * ci * ck * cj);
-                        hier.store(0, ci * cj);
-                        hier.free(1, ci * cj + ci * ck + ck * cj);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Multi-level WA Algorithm 1 over an r-level [`ExplicitHier`]: data starts
-/// in the backing store `L_r`; each level `s` blocks at `b_s = √(M_s/3)` and
-/// the innermost level performs the arithmetic.
-pub fn explicit_mm_multilevel(a: &Mat, b: &Mat, c: &mut Mat, hier: &mut ExplicitHier) {
-    let blocks: Vec<usize> = (1..hier.num_levels())
-        .map(|lvl| block_for(hier.capacity(lvl)))
-        .collect();
-    explicit_mm_multilevel_blocks(a, b, c, hier, &blocks);
-}
-
-/// [`explicit_mm_multilevel`] with caller-chosen per-level block sizes:
-/// `blocks[s]` is the edge of the blocks moved *into* level `s+1`
-/// (1-indexed; `blocks[0]` is the innermost, L1-resident block). Used by
-/// the cross-model tests, which must run the explicit kernel and the cache
-/// simulator on identical blockings (line-aligned, Prop-6.2 slack) for the
-/// per-boundary counts to be comparable.
-pub fn explicit_mm_multilevel_blocks(
-    a: &Mat,
-    b: &Mat,
-    c: &mut Mat,
-    hier: &mut ExplicitHier,
-    blocks: &[usize],
-) {
-    let r = hier.num_levels();
-    assert_eq!(blocks.len(), r - 1, "one block size per cache level");
-    for w in blocks.windows(2) {
-        assert!(w[0] <= w[1], "block sizes must grow away from L1");
-    }
-    for (s, &bsz) in blocks.iter().enumerate() {
-        assert!(
-            3 * (bsz * bsz) as u64 <= hier.capacity(s + 1),
-            "three {bsz}x{bsz} blocks must fit in L{} ({} words)",
-            s + 1,
-            hier.capacity(s + 1)
-        );
-    }
-    let (m, l) = (a.rows(), b.cols());
-    let n = a.cols();
-    rec_mm(a, b, c, hier, blocks, r, (0, m), (0, l), (0, n));
-}
-
-/// Multiply the sub-blocks `C[ir, jr] += A[ir, kr] * B[kr, jr]`, with the
-/// operands resident in level `lvl` (1-indexed; `lvl = num_levels` means
-/// the backing store).
-#[allow(clippy::too_many_arguments)] // three index ranges + hierarchy; a struct would obscure the recursion
-fn rec_mm(
-    a: &Mat,
-    b: &Mat,
-    c: &mut Mat,
-    hier: &mut ExplicitHier,
-    blocks: &[usize],
-    lvl: usize,
-    ir: (usize, usize),
-    jr: (usize, usize),
-    kr: (usize, usize),
-) {
-    if lvl == 1 {
-        // Operands are in L1: compute.
-        mm_range(a, b, c, ir, jr, kr);
-        hier.flop(2 * (ir.1 - ir.0) as u64 * (jr.1 - jr.0) as u64 * (kr.1 - kr.0) as u64);
+    let Some((&bs, deeper)) = blocks.split_first() else {
+        body(ir, jr, kr);
+        hier.flop(2 * (ir.1 * jr.1 * kr.1) as u64);
         return;
-    }
-    let dest = lvl - 1; // move blocks into L_{lvl-1}
-    let bnd = dest - 1; // boundary between L_dest and L_lvl
-    let bs = blocks[dest - 1];
-    let (i0, i1) = ir;
-    let (j0, j1) = jr;
-    let (k0, k1) = kr;
-    let mut i = i0;
-    while i < i1 {
-        let ci = bs.min(i1 - i);
-        let mut j = j0;
-        while j < j1 {
-            let cj = bs.min(j1 - j);
-            hier.load(bnd, (ci * cj) as u64); // C block
-            let mut k = k0;
-            while k < k1 {
-                let ck = bs.min(k1 - k);
-                hier.load(bnd, (ci * ck) as u64); // A block
-                hier.load(bnd, (ck * cj) as u64); // B block
-                rec_mm(
-                    a,
-                    b,
-                    c,
-                    hier,
-                    blocks,
-                    dest,
-                    (i, i + ci),
-                    (j, j + cj),
-                    (k, k + ck),
-                );
-                hier.free(dest, (ci * ck + ck * cj) as u64);
-                k += ck;
+    };
+    assert!(bs > 0);
+    let dest = blocks.len(); // the level these blocks move into
+    let bnd = dest - 1;
+    let part = |r: Span, blk: usize| (r.0 + blk * bs, bs.min(r.1 - blk * bs));
+    let wa = order.is_write_avoiding();
+    let (t0, t1, t2) = order.trips(ir.1.div_ceil(bs), jr.1.div_ceil(bs), kr.1.div_ceil(bs));
+    for o in 0..t0 {
+        for mid in 0..t1 {
+            // k innermost: the C block stays resident across the k sweep.
+            let (i, j, _) = order.map(o, mid, 0);
+            let c_words = (part(ir, i).1 * part(jr, j).1) as u64;
+            if wa {
+                hier.load(bnd, c_words); // C(i,j)
             }
-            hier.store(bnd, (ci * cj) as u64);
-            hier.free(dest, (ci * cj) as u64);
-            j += cj;
+            for inr in 0..t2 {
+                let (i, j, k) = order.map(o, mid, inr);
+                let (si, sj, sk) = (part(ir, i), part(jr, j), part(kr, k));
+                let c_words = (si.1 * sj.1) as u64;
+                let ab_words = (si.1 * sk.1 + sk.1 * sj.1) as u64;
+                if !wa {
+                    hier.load(bnd, c_words); // C(i,j), once per k step
+                }
+                hier.load(bnd, (si.1 * sk.1) as u64); // A(i,k)
+                hier.load(bnd, (sk.1 * sj.1) as u64); // B(k,j)
+                mm_level(si, sj, sk, deeper, rest, rest, hier, body);
+                if wa {
+                    hier.free(dest, ab_words);
+                } else {
+                    hier.store(bnd, c_words);
+                    hier.free(dest, c_words + ab_words);
+                }
+            }
+            if wa {
+                hier.store(bnd, c_words);
+                hier.free(dest, c_words);
+            }
         }
-        i += ci;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::ExplicitHier;
+    use crate::desc::alloc_layout;
+    use crate::matmul::{ml_matmul, RecOrder};
+    use memsim::{ExplicitHier, RawMem};
+    use wa_core::Mat;
 
-    fn setup(m: usize, n: usize, l: usize) -> (Mat, Mat, Mat, Mat) {
+    /// Algorithm 1's charges on a two-level model of `m_words`.
+    fn two_level(dims: (usize, usize, usize), m_words: u64, order: LoopOrder) -> ExplicitHier {
+        let mut h = ExplicitHier::two_level(m_words);
+        mm_schedule(
+            dims,
+            &[block_for(m_words)],
+            (order, order),
+            &mut h,
+            |_, _, _| {},
+        );
+        h
+    }
+
+    /// The multi-level WA charges, blocking each level at `√(M_s/3)`.
+    fn multilevel(dims: (usize, usize, usize), sizes: &[u64]) -> ExplicitHier {
+        let mut h = ExplicitHier::new(sizes);
+        let blocks: Vec<usize> = (1..h.num_levels())
+            .rev()
+            .map(|lvl| block_for(h.capacity(lvl)))
+            .collect();
+        let wa = (LoopOrder::Ijk, LoopOrder::Ijk);
+        mm_schedule(dims, &blocks, wa, &mut h, |_, _, _| {});
+        h
+    }
+
+    /// Largest error of the schedule run with the row kernel as its body
+    /// (`ml_matmul`, blocks largest first) against the reference product.
+    fn product_error((m, n, l): (usize, usize, usize), blocks: &[usize]) -> f64 {
         let a = Mat::random(m, n, 1);
         let b = Mat::random(n, l, 2);
-        let c = Mat::zeros(m, l);
-        let want = a.matmul_ref(&b);
-        (a, b, c, want)
+        let (d, words) = alloc_layout(&[(m, n), (n, l), (m, l)]);
+        let mut mem = RawMem::new(words);
+        d[0].store_mat(&mut mem, &a);
+        d[1].store_mat(&mut mem, &b);
+        ml_matmul(
+            &mut mem,
+            d[0],
+            d[1],
+            d[2],
+            blocks,
+            RecOrder::COuter,
+            RecOrder::COuter,
+        );
+        d[2].load_mat(&mut mem).max_abs_diff(&a.matmul_ref(&b))
     }
 
     #[test]
     fn two_level_wa_counts_match_algorithm_1_exactly() {
         // b = sqrt(48/3) = 4; 12x12x12 matrices, all divisible.
         let (m, n, l) = (12, 12, 12);
-        let (a, b, mut c, want) = setup(m, n, l);
-        let mut h = ExplicitHier::two_level(48);
-        explicit_mm_two_level(&a, &b, &mut c, &mut h, LoopOrder::Ijk);
-        assert!(c.max_abs_diff(&want) < 1e-12);
+        let h = two_level((m, n, l), 48, LoopOrder::Ijk);
+        assert!(product_error((m, n, l), &[4]) < 1e-12);
 
         let bs = 4u64;
         let t = h.traffic().boundary(0);
@@ -270,26 +206,23 @@ mod tests {
     #[test]
     fn non_wa_order_stores_c_every_k_step() {
         let (m, n, l) = (12, 12, 12);
-        let (a, b, mut c, want) = setup(m, n, l);
-        let mut h = ExplicitHier::two_level(48);
-        explicit_mm_two_level(&a, &b, &mut c, &mut h, LoopOrder::Kij);
-        assert!(c.max_abs_diff(&want) < 1e-12);
         let bs = 4u64;
-        let t = h.traffic().boundary(0);
         let (mf, nf, lf) = (m as u64, n as u64, l as u64);
-        assert_eq!(t.store_words, mf * nf * lf / bs); // n/b times more
-        assert_eq!(t.load_words, 3 * mf * nf * lf / bs);
+        for order in LoopOrder::ALL
+            .into_iter()
+            .filter(|o| !o.is_write_avoiding())
+        {
+            let t = two_level((m, n, l), 48, order).traffic().boundary(0);
+            assert_eq!(t.store_words, mf * nf * lf / bs, "{order:?}"); // n/b times more
+            assert_eq!(t.load_words, 3 * mf * nf * lf / bs, "{order:?}");
+        }
     }
 
     #[test]
     fn wa_vs_nonwa_write_ratio_is_n_over_b() {
         let (m, n, l) = (24, 24, 24);
-        let (a, b, mut c1, _) = setup(m, n, l);
-        let mut c2 = c1.clone();
-        let mut h_wa = ExplicitHier::two_level(48);
-        let mut h_rw = ExplicitHier::two_level(48);
-        explicit_mm_two_level(&a, &b, &mut c1, &mut h_wa, LoopOrder::Ijk);
-        explicit_mm_two_level(&a, &b, &mut c2, &mut h_rw, LoopOrder::Kij);
+        let h_wa = two_level((m, n, l), 48, LoopOrder::Ijk);
+        let h_rw = two_level((m, n, l), 48, LoopOrder::Kij);
         let wa = h_wa.traffic().boundary(0).store_words;
         let rw = h_rw.traffic().boundary(0).store_words;
         assert_eq!(rw / wa, (n / 4) as u64);
@@ -298,10 +231,8 @@ mod tests {
     #[test]
     fn uneven_dimensions_still_correct_and_bounded() {
         let (m, n, l) = (13, 7, 10);
-        let (a, b, mut c, want) = setup(m, n, l);
-        let mut h = ExplicitHier::two_level(48);
-        explicit_mm_two_level(&a, &b, &mut c, &mut h, LoopOrder::Ijk);
-        assert!(c.max_abs_diff(&want) < 1e-12);
+        assert!(product_error((m, n, l), &[4]) < 1e-12);
+        let h = two_level((m, n, l), 48, LoopOrder::Ijk);
         // Stores still exactly the output size.
         assert_eq!(h.traffic().boundary(0).store_words, (m * l) as u64);
     }
@@ -310,10 +241,8 @@ mod tests {
     fn multilevel_three_levels_wa_at_every_boundary() {
         // L1 = 12 words (b1 = 2), L2 = 48 (b2 = 4), L3 backing store.
         let (m, n, l) = (16, 16, 16);
-        let (a, b, mut c, want) = setup(m, n, l);
-        let mut h = ExplicitHier::new(&[12, 48, u64::MAX]);
-        explicit_mm_multilevel(&a, &b, &mut c, &mut h);
-        assert!(c.max_abs_diff(&want) < 1e-12);
+        let h = multilevel((m, n, l), &[12, 48, u64::MAX]);
+        assert!(product_error((m, n, l), &[4, 2]) < 1e-12);
 
         let (mf, nf, lf) = (m as u64, n as u64, l as u64);
         // Writes to the backing store (stores across boundary 1) = output.
@@ -341,9 +270,7 @@ mod tests {
     #[test]
     fn multilevel_writes_to_l2_asymptotically_fewer_than_to_l1() {
         let (m, n, l) = (32, 32, 32);
-        let (a, b, mut c, _) = setup(m, n, l);
-        let mut h = ExplicitHier::new(&[12, 192, u64::MAX]);
-        explicit_mm_multilevel(&a, &b, &mut c, &mut h);
+        let h = multilevel((m, n, l), &[12, 192, u64::MAX]);
         let w_l1 = h.writes_into_level(1);
         let w_l2 = h.writes_into_level(2);
         let w_l3 = h.writes_into_level(3);
@@ -354,9 +281,7 @@ mod tests {
 
     #[test]
     fn peak_residency_within_fast_memory() {
-        let (a, b, mut c, _) = setup(20, 20, 20);
-        let mut h = ExplicitHier::two_level(48);
-        explicit_mm_two_level(&a, &b, &mut c, &mut h, LoopOrder::Ijk);
+        let h = two_level((20, 20, 20), 48, LoopOrder::Ijk);
         assert!(h.peak(1) <= 48);
     }
 }

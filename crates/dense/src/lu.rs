@@ -6,6 +6,7 @@
 //! `L` stored below the diagonal and `U` on/above it.
 
 use crate::desc::MatDesc;
+use crate::explicit_lu::{lu_schedule, LuOp};
 use crate::matmul::kernel::mm_kernel_sub;
 use memsim::Mem;
 
@@ -106,61 +107,28 @@ fn trsm_upper_right<M: Mem>(mem: &mut M, u: MatDesc, b: MatDesc) {
 }
 
 /// Blocked LU without pivoting; `a` is overwritten by `L\U`.
+/// Runs [`crate::explicit_lu::lu_schedule`] with the block kernels as its body.
 pub fn blocked_lu<M: Mem>(mem: &mut M, a: MatDesc, bsize: usize, variant: LuVariant) {
     assert_eq!(a.rows, a.cols);
-    let nb = a.nblocks_rows(bsize);
-    match variant {
-        LuVariant::LeftLooking => {
-            for i in 0..nb {
-                // Update block column i using columns to its left,
-                // top-down so each U(k,i) is finalized (by its TRSM)
-                // before rows below consume it.
-                for j in 0..nb {
-                    for k in 0..j.min(i) {
-                        mem.phase("update");
-                        mm_kernel_sub(
-                            mem,
-                            a.block(j, k, bsize),
-                            a.block(k, i, bsize),
-                            a.block(j, i, bsize),
-                        );
-                    }
-                    if j < i {
-                        mem.phase("trsm");
-                        trsm_lower_unit(mem, a.block(j, j, bsize), a.block(j, i, bsize));
-                    }
-                }
-                mem.phase("panel");
-                lu_base(mem, a.block(i, i, bsize));
-                for j in i + 1..nb {
-                    mem.phase("trsm");
-                    trsm_upper_right(mem, a.block(i, i, bsize), a.block(j, i, bsize));
-                }
-            }
+    let blk = |i, j| a.block(i, j, bsize);
+    lu_schedule(a.rows, bsize, variant, &mut (), |op| match op {
+        LuOp::Update { j, i, k } => {
+            mem.phase("update");
+            mm_kernel_sub(mem, blk(j, k), blk(k, i), blk(j, i));
         }
-        LuVariant::RightLooking => {
-            for i in 0..nb {
-                mem.phase("panel");
-                lu_base(mem, a.block(i, i, bsize));
-                for j in i + 1..nb {
-                    mem.phase("trsm");
-                    trsm_upper_right(mem, a.block(i, i, bsize), a.block(j, i, bsize));
-                    trsm_lower_unit(mem, a.block(i, i, bsize), a.block(i, j, bsize));
-                }
-                for j in i + 1..nb {
-                    for k in i + 1..nb {
-                        mem.phase("update");
-                        mm_kernel_sub(
-                            mem,
-                            a.block(j, i, bsize),
-                            a.block(i, k, bsize),
-                            a.block(j, k, bsize),
-                        );
-                    }
-                }
-            }
+        LuOp::LowerSolve { j, i } => {
+            mem.phase("trsm");
+            trsm_lower_unit(mem, blk(j, j), blk(j, i));
         }
-    }
+        LuOp::Factor { i } => {
+            mem.phase("panel");
+            lu_base(mem, blk(i, i));
+        }
+        LuOp::UpperSolve { j, i } => {
+            mem.phase("trsm");
+            trsm_upper_right(mem, blk(i, i), blk(j, i));
+        }
+    });
 }
 
 #[cfg(test)]

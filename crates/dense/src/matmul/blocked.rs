@@ -8,6 +8,7 @@
 //! each `C` block is re-read and re-written `n/b` times.
 
 use crate::desc::MatDesc;
+use crate::explicit_mm::mm_schedule;
 use crate::matmul::kernel::mm_kernel;
 use memsim::Mem;
 
@@ -41,7 +42,7 @@ impl LoopOrder {
     /// Map the loop nest position `(outer, middle, inner)` to `(i, j, k)`
     /// block indices.
     #[inline]
-    fn map(self, o: usize, m: usize, inr: usize) -> (usize, usize, usize) {
+    pub(crate) fn map(self, o: usize, m: usize, inr: usize) -> (usize, usize, usize) {
         match self {
             LoopOrder::Ijk => (o, m, inr),
             LoopOrder::Ikj => (o, inr, m),
@@ -53,7 +54,7 @@ impl LoopOrder {
     }
 
     /// Trip counts for the nest positions given block counts `(ni, nj, nk)`.
-    fn trips(self, ni: usize, nj: usize, nk: usize) -> (usize, usize, usize) {
+    pub(crate) fn trips(self, ni: usize, nj: usize, nk: usize) -> (usize, usize, usize) {
         match self {
             LoopOrder::Ijk => (ni, nj, nk),
             LoopOrder::Ikj => (ni, nk, nj),
@@ -65,7 +66,8 @@ impl LoopOrder {
     }
 }
 
-/// `C += A·B`, blocked at size `b`, block loops in `order`.
+/// `C += A·B`, blocked at size `b`, block loops in `order`: one level of
+/// [`crate::explicit_mm::mm_schedule`] with [`mm_kernel`] as its body.
 ///
 /// ```
 /// use dense::desc::alloc_layout;
@@ -92,23 +94,15 @@ pub fn blocked_matmul<M: Mem>(
     assert_eq!(a.rows, c.rows);
     assert_eq!(b.cols, c.cols);
     assert_eq!(a.cols, b.rows);
-    let ni = c.nblocks_rows(bsize);
-    let nj = c.nblocks_cols(bsize);
-    let nk = a.nblocks_cols(bsize);
-    let (t0, t1, t2) = order.trips(ni, nj, nk);
-    for o in 0..t0 {
-        for m in 0..t1 {
-            for inr in 0..t2 {
-                let (i, j, k) = order.map(o, m, inr);
-                mm_kernel(
-                    mem,
-                    a.block(i, k, bsize),
-                    b.block(k, j, bsize),
-                    c.block(i, j, bsize),
-                );
-            }
-        }
-    }
+    let dims = (c.rows, a.cols, c.cols);
+    mm_schedule(dims, &[bsize], (order, order), &mut (), |i, j, k| {
+        mm_kernel(
+            mem,
+            a.sub(i.0, k.0, i.1, k.1),
+            b.sub(k.0, j.0, k.1, j.1),
+            c.sub(i.0, j.0, i.1, j.1),
+        )
+    });
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //! Fig 4a ≙ `(COuter, COuter)`, Fig 4b ≙ `(COuter, AOuter)`.
 
 use crate::desc::MatDesc;
+use crate::explicit_mm::mm_schedule;
 use crate::matmul::kernel::mm_kernel;
+use crate::matmul::LoopOrder;
 use memsim::Mem;
 
 /// Loop order at one recursion level (paper Fig 4 naming).
@@ -28,10 +30,22 @@ pub enum RecOrder {
     AOuter,
 }
 
+impl RecOrder {
+    /// The same nest in [`LoopOrder`] terms (`i` over C rows, `j` over C
+    /// columns, `k` shared): `COuter` is `Ijk`, `AOuter` is `Kij`.
+    pub(crate) fn loop_order(self) -> LoopOrder {
+        match self {
+            RecOrder::COuter => LoopOrder::Ijk,
+            RecOrder::AOuter => LoopOrder::Kij,
+        }
+    }
+}
+
 /// Multi-level blocked `C += A·B`. `block_sizes` lists the block size per
 /// recursion level, largest (outermost cache) first; when the list is
 /// empty the base kernel runs. `top` gives the loop order for the first
-/// (outermost) level, `rest` for all deeper levels.
+/// (outermost) level, `rest` for all deeper levels. Runs
+/// [`crate::explicit_mm::mm_schedule`] with [`mm_kernel`] as its body.
 pub fn ml_matmul<M: Mem>(
     mem: &mut M,
     a: MatDesc,
@@ -41,46 +55,16 @@ pub fn ml_matmul<M: Mem>(
     top: RecOrder,
     rest: RecOrder,
 ) {
-    let Some((&bsize, deeper)) = block_sizes.split_first() else {
-        mm_kernel(mem, a, b, c);
-        return;
-    };
-    assert!(bsize > 0);
-    let ni = c.nblocks_rows(bsize);
-    let nk = c.nblocks_cols(bsize);
-    let nj = a.nblocks_cols(bsize);
-    // Indices follow the paper's listing: C is (i,k), A is (i,j), B is (j,k).
-    let body = |mem: &mut M, i: usize, k: usize, j: usize| {
-        ml_matmul(
+    let dims = (c.rows, a.cols, c.cols);
+    let orders = (top.loop_order(), rest.loop_order());
+    mm_schedule(dims, block_sizes, orders, &mut (), |i, j, k| {
+        mm_kernel(
             mem,
-            a.block(i, j, bsize),
-            b.block(j, k, bsize),
-            c.block(i, k, bsize),
-            deeper,
-            rest,
-            rest,
-        );
-    };
-    match top {
-        RecOrder::COuter => {
-            for i in 0..ni {
-                for k in 0..nk {
-                    for j in 0..nj {
-                        body(mem, i, k, j);
-                    }
-                }
-            }
-        }
-        RecOrder::AOuter => {
-            for j in 0..nj {
-                for i in 0..ni {
-                    for k in 0..nk {
-                        body(mem, i, k, j);
-                    }
-                }
-            }
-        }
-    }
+            a.sub(i.0, k.0, i.1, k.1),
+            b.sub(k.0, j.0, k.1, j.1),
+            c.sub(i.0, j.0, i.1, j.1),
+        )
+    });
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! innermost) or the non-WA right-looking order (updates pushed eagerly).
 
 use crate::desc::MatDesc;
+use crate::explicit_trsm::{trsm_schedule, TrsmOp};
 use crate::matmul::kernel::mm_kernel_sub;
 use memsim::Mem;
 
@@ -49,6 +50,7 @@ fn solve_diag<M: Mem>(mem: &mut M, t: MatDesc, b: MatDesc) {
 
 /// Blocked TRSM: `t` is `n×n` upper triangular, `b` is `n×nrhs` and is
 /// overwritten with the solution.
+/// Runs [`crate::explicit_trsm::trsm_schedule`] with the block kernels as its body.
 pub fn blocked_trsm<M: Mem>(
     mem: &mut M,
     t: MatDesc,
@@ -58,40 +60,11 @@ pub fn blocked_trsm<M: Mem>(
 ) {
     assert_eq!(t.rows, t.cols);
     assert_eq!(t.rows, b.rows);
-    let nb = t.nblocks_rows(bsize);
-    let njb = b.nblocks_cols(bsize);
-    match variant {
-        TrsmVariant::WriteAvoiding => {
-            for j in 0..njb {
-                for i in (0..nb).rev() {
-                    for k in i + 1..nb {
-                        mm_kernel_sub(
-                            mem,
-                            t.block(i, k, bsize),
-                            b.block(k, j, bsize),
-                            b.block(i, j, bsize),
-                        );
-                    }
-                    solve_diag(mem, t.block(i, i, bsize), b.block(i, j, bsize));
-                }
-            }
-        }
-        TrsmVariant::RightLooking => {
-            for j in 0..njb {
-                for i in (0..nb).rev() {
-                    solve_diag(mem, t.block(i, i, bsize), b.block(i, j, bsize));
-                    for k in 0..i {
-                        mm_kernel_sub(
-                            mem,
-                            t.block(k, i, bsize),
-                            b.block(i, j, bsize),
-                            b.block(k, j, bsize),
-                        );
-                    }
-                }
-            }
-        }
-    }
+    let blk = |d: MatDesc, i, j| d.block(i, j, bsize);
+    trsm_schedule((b.rows, b.cols), bsize, variant, &mut (), |op| match op {
+        TrsmOp::Update { i, k, j } => mm_kernel_sub(mem, blk(t, i, k), blk(b, k, j), blk(b, i, j)),
+        TrsmOp::Solve { i, j } => solve_diag(mem, blk(t, i, i), blk(b, i, j)),
+    });
 }
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
 //! Engine registrations for the dense kernels.
 //!
 //! Each paper algorithm variant registers once; the run function projects
-//! whichever backend was requested into a [`RunReport`]. The `explicit`
-//! arm runs its own kernel; the other four stage the matrices and hand
-//! the access-driven kernel to [`memsim::run_on_backend`]:
+//! whichever backend was requested into a [`RunReport`]. Every algorithm
+//! has one block schedule (`mm_schedule`, `trsm_schedule`,
+//! `cholesky_schedule`, `lu_schedule`). The `explicit` arm runs it with
+//! an empty body, from shapes alone; the other four stage the matrices
+//! and hand the access-driven kernel — the same schedule with the block
+//! kernels as its body — to [`memsim::run_on_backend`]:
 //!
-//! * `explicit` — the Algorithm 1–3 explicit-movement kernels (plus the
-//!   §7.2 LU orders) on a two-level [`ExplicitHier`] whose fast memory is
-//!   the scale's L3;
+//! * `explicit` — the Algorithm 1–3 block schedules (plus the §7.2 LU
+//!   orders) charging a two-level [`ExplicitHier`] whose fast memory is
+//!   the scale's L3, at the explicit block size `√(M/3)`; no matrix is
+//!   built;
 //! * `simmed` — the access-driven kernels through a fully-associative
 //!   true-LRU L3-sized simulator (the Propositions 6.1/6.2 setting),
 //!   flushed before reporting so end-of-run dirty state is charged;
@@ -27,18 +31,18 @@
 //! write-backs are exactly the output size for WA orders (Prop 6.1).
 //!
 //! `matmul-wa` additionally models hierarchy depths 2 and 3 (see
-//! [`deep_geometry`]): the explicit kernel recurses through
-//! [`explicit_mm_multilevel_blocks`] and the simulator stacks one
-//! fully-associative LRU level per depth, on *identical* line-aligned
-//! blockings with Prop-6.2 slack, so the per-boundary write counts of the
-//! two models are directly comparable at every level.
+//! [`deep_geometry`]): the explicit cell charges [`mm_schedule`] through
+//! every level and the simulator stacks one fully-associative LRU level
+//! per depth, on *identical* line-aligned blockings with Prop-6.2 slack,
+//! so the per-boundary write counts of the two models are directly
+//! comparable at every level.
 
 use crate::cholesky::{blocked_cholesky, CholVariant};
 use crate::desc::alloc_layout;
-use crate::explicit_cholesky::{explicit_cholesky_ll, explicit_cholesky_rl};
-use crate::explicit_lu::{explicit_lu_ll, explicit_lu_rl};
-use crate::explicit_mm::{explicit_mm_multilevel_blocks, explicit_mm_two_level};
-use crate::explicit_trsm::{explicit_trsm_rl, explicit_trsm_wa};
+use crate::explicit_cholesky::cholesky_schedule;
+use crate::explicit_lu::lu_schedule;
+use crate::explicit_mm::{block_for, mm_schedule};
+use crate::explicit_trsm::trsm_schedule;
 use crate::lu::{blocked_lu, LuVariant};
 use crate::matmul::multilevel::{ml_matmul, RecOrder};
 use crate::matmul::{blocked_matmul, co_matmul, LoopOrder};
@@ -112,6 +116,28 @@ fn base_report(name: &str, backend: BackendKind, scale: Scale, n: usize) -> RunR
         .config("fast_words", fast_words(scale))
 }
 
+/// An `explicit` cell: `schedule` charges `h` from the problem's shapes
+/// alone, timed, and the counts become the report.
+fn explicit_cell(
+    name: &str,
+    scale: Scale,
+    n: usize,
+    mut h: ExplicitHier,
+    schedule: impl FnOnce(&mut ExplicitHier),
+) -> RunReport {
+    let (_, ns) = timed(|| schedule(&mut h));
+    let mut r = explicit_report(&h, base_report(name, BackendKind::Explicit, scale, n));
+    r.wall_ns = ns;
+    r
+}
+
+/// A two-level model whose fast memory is the scale's L3, and the
+/// explicit block size `√(M/3)` for it.
+fn two_level(scale: Scale) -> (ExplicitHier, usize) {
+    let m = fast_words(scale) as u64;
+    (ExplicitHier::two_level(m), block_for(m))
+}
+
 /// The depth ≥ 2 `simmed` kernel: the multi-level recursion over the
 /// descriptors, blocks largest first. A struct rather than a closure so
 /// the kernel stays monomorphized on the simulated store.
@@ -138,31 +164,28 @@ fn run_matmul_wa_deep(cfg: RunCfg) -> Result<RunReport, EngineError> {
         ..
     } = cfg;
     let (blocks, caps, n) = deep_geometry(scale, depth);
-    let a = Mat::random(n, n, 11);
-    let b = Mat::random(n, n, 12);
     let blocks_echo = blocks
         .iter()
         .map(|b| b.to_string())
         .collect::<Vec<_>>()
         .join("/");
+    let big_first: Vec<usize> = blocks.iter().rev().copied().collect();
     match backend {
         BackendKind::Explicit => {
-            let mut c = Mat::zeros(n, n);
             let mut sizes = caps.clone();
             sizes.push(u64::MAX);
-            let mut h = ExplicitHier::new(&sizes);
-            let (_, ns) = timed(|| explicit_mm_multilevel_blocks(&a, &b, &mut c, &mut h, &blocks));
-            let mut r = explicit_report(&h, base_report("matmul-wa", backend, scale, n))
-                .config("depth", depth)
-                .config("blocks", &blocks_echo);
-            r.wall_ns = ns;
-            Ok(r)
+            let h = ExplicitHier::new(&sizes);
+            let wa = (LoopOrder::Ijk, LoopOrder::Ijk);
+            let r = explicit_cell("matmul-wa", scale, n, h, |h| {
+                mm_schedule((n, n, n), &big_first, wa, h, |_, _, _| {})
+            });
+            Ok(r.config("depth", depth).config("blocks", &blocks_echo))
         }
         BackendKind::Simmed => {
+            let a = Mat::random(n, n, 11);
+            let b = Mat::random(n, n, 12);
             let c0 = Mat::zeros(n, n);
             let (d, data) = stage(&[&a, &b, &c0]);
-            let mut big_first = blocks.clone();
-            big_first.reverse();
             let caps: Vec<usize> = caps.iter().map(|&w| w as usize).collect();
             let base = base_report("matmul-wa", backend, scale, n);
             let r = run_on_backend(backend, base, data, &caps, DeepMatmul { d, big_first });
@@ -197,7 +220,7 @@ fn matmul_workload(
             BackendKind::Stack,
         ]
     };
-    // Only the WA order has a multi-level explicit kernel (§4.1 induction)
+    // Only the WA order has a multi-level explicit cell (§4.1 induction)
     // to compare the stacked simulator against.
     let depths: &[(BackendKind, usize)] = if order == Some(LoopOrder::Ijk) {
         &[(BackendKind::Explicit, 3), (BackendKind::Simmed, 3)]
@@ -217,18 +240,16 @@ fn matmul_workload(
                 return run_matmul_wa_deep(cfg);
             }
             let (bsize, n) = sim_block_and_dim(scale);
-            let a = Mat::random(n, n, 11);
-            let b = Mat::random(n, n, 12);
             if backend == BackendKind::Explicit {
                 let order = order.expect("explicit requires a loop order");
-                let mut c = Mat::zeros(n, n);
-                let mut h = ExplicitHier::two_level(fast_words(scale) as u64);
-                let (_, ns) = timed(|| explicit_mm_two_level(&a, &b, &mut c, &mut h, order));
-                let mut r = explicit_report(&h, base_report(name, backend, scale, n))
-                    .config("order", format!("{order:?}"));
-                r.wall_ns = ns;
-                return Ok(r);
+                let (h, bs) = two_level(scale);
+                let r = explicit_cell(name, scale, n, h, |h| {
+                    mm_schedule((n, n, n), &[bs], (order, order), h, |_, _, _| {})
+                });
+                return Ok(r.config("order", format!("{order:?}")));
             }
+            let a = Mat::random(n, n, 11);
+            let b = Mat::random(n, n, 12);
             let c0 = Mat::zeros(n, n);
             let (d, data) = stage(&[&a, &b, &c0]);
             let base = base_report(name, backend, scale, n);
@@ -310,28 +331,20 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Box
         dense_footprint(4),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
-            let t = Mat::random_upper_triangular(n, 21);
-            let x = Mat::random(n, n, 22);
-            let rhs = t.matmul_ref(&x);
-            if backend == BackendKind::Explicit {
-                let mut b = rhs.clone();
-                let mut h = ExplicitHier::two_level(fast_words(scale) as u64);
-                let (_, ns) = timed(|| {
-                    if wa {
-                        explicit_trsm_wa(&t, &mut b, &mut h)
-                    } else {
-                        explicit_trsm_rl(&t, &mut b, &mut h)
-                    }
-                });
-                let mut r = explicit_report(&h, base_report(name, backend, scale, n));
-                r.wall_ns = ns;
-                return Ok(r);
-            }
             let variant = if wa {
                 TrsmVariant::WriteAvoiding
             } else {
                 TrsmVariant::RightLooking
             };
+            if backend == BackendKind::Explicit {
+                let (h, bs) = two_level(scale);
+                return Ok(explicit_cell(name, scale, n, h, |h| {
+                    trsm_schedule((n, n), bs, variant, h, |_| {})
+                }));
+            }
+            let t = Mat::random_upper_triangular(n, 21);
+            let x = Mat::random(n, n, 22);
+            let rhs = t.matmul_ref(&x);
             let (d, data) = stage(&[&t, &rhs]);
             let base = base_report(name, backend, scale, n);
             let caps = [fast_words(scale)];
@@ -360,26 +373,18 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
         dense_footprint(3),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
-            let spd = Mat::random_spd(n, 31);
-            if backend == BackendKind::Explicit {
-                let mut a = spd.clone();
-                let mut h = ExplicitHier::two_level(fast_words(scale) as u64);
-                let (_, ns) = timed(|| {
-                    if wa {
-                        explicit_cholesky_ll(&mut a, &mut h)
-                    } else {
-                        explicit_cholesky_rl(&mut a, &mut h)
-                    }
-                });
-                let mut r = explicit_report(&h, base_report(name, backend, scale, n));
-                r.wall_ns = ns;
-                return Ok(r);
-            }
             let variant = if wa {
                 CholVariant::LeftLooking
             } else {
                 CholVariant::RightLooking
             };
+            if backend == BackendKind::Explicit {
+                let (h, bs) = two_level(scale);
+                return Ok(explicit_cell(name, scale, n, h, |h| {
+                    cholesky_schedule(n, bs, variant, h, |_| {})
+                }));
+            }
+            let spd = Mat::random_spd(n, 31);
             let (d, data) = stage(&[&spd]);
             let base = base_report(name, backend, scale, n);
             let caps = [fast_words(scale)];
@@ -412,18 +417,13 @@ fn lu_workload(
         dense_footprint(3),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
-            let a = Mat::random_diagdom(n, 41);
             if backend == BackendKind::Explicit {
-                let mut lu = a.clone();
-                let mut h = ExplicitHier::two_level(fast_words(scale) as u64);
-                let (_, ns) = timed(|| match variant {
-                    LuVariant::LeftLooking => explicit_lu_ll(&mut lu, &mut h),
-                    LuVariant::RightLooking => explicit_lu_rl(&mut lu, &mut h),
-                });
-                let mut r = explicit_report(&h, base_report(name, backend, scale, n));
-                r.wall_ns = ns;
-                return Ok(r);
+                let (h, bs) = two_level(scale);
+                return Ok(explicit_cell(name, scale, n, h, |h| {
+                    lu_schedule(n, bs, variant, h, |_| {})
+                }));
             }
+            let a = Mat::random_diagdom(n, 41);
             let (d, data) = stage(&[&a]);
             let base = base_report(name, backend, scale, n);
             let caps = [fast_words(scale)];

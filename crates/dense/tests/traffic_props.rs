@@ -1,13 +1,29 @@
-//! Property tests on the dense kernels' *traffic* (not just numerics):
-//! the explicit-model counts obey the paper's closed forms for random
-//! divisible shapes, and the WA invariants hold under shape variation.
+//! Property tests on the dense block schedules' *traffic*: the explicit
+//! counts obey the paper's closed forms for random divisible shapes, and
+//! the WA invariants hold under shape variation.
 
-use dense::explicit_mm::{block_for, explicit_mm_two_level};
-use dense::explicit_trsm::explicit_trsm_wa;
+use dense::desc::alloc_layout;
+use dense::explicit_mm::{block_for, mm_schedule};
+use dense::explicit_trsm::trsm_schedule;
 use dense::matmul::LoopOrder;
-use memsim::ExplicitHier;
+use dense::trsm::{blocked_trsm, TrsmVariant};
+use memsim::{ExplicitHier, RawMem};
 use proptest::prelude::*;
 use wa_core::Mat;
+
+/// Algorithm 1's charges for an `m×n` by `n×l` product on a two-level
+/// model of `mem_words`.
+fn matmul_charges(dims: (usize, usize, usize), mem_words: u64, order: LoopOrder) -> ExplicitHier {
+    let mut h = ExplicitHier::two_level(mem_words);
+    mm_schedule(
+        dims,
+        &[block_for(mem_words)],
+        (order, order),
+        &mut h,
+        |_, _, _| {},
+    );
+    h
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -20,18 +36,12 @@ proptest! {
         nb in 1usize..5,
         lb in 1usize..5,
         bpow in 1usize..4,
-        seed in 0u64..500,
     ) {
         let bsz = 1 << bpow; // block size
         let mem_words = (3 * bsz * bsz) as u64;
         prop_assume!(block_for(mem_words) == bsz);
         let (m, n, l) = (mb * bsz, nb * bsz, lb * bsz);
-        let a = Mat::random(m, n, seed);
-        let b = Mat::random(n, l, seed + 1);
-        let mut c = Mat::zeros(m, l);
-        let mut h = ExplicitHier::two_level(mem_words);
-        explicit_mm_two_level(&a, &b, &mut c, &mut h, LoopOrder::Ijk);
-        prop_assert!(c.max_abs_diff(&a.matmul_ref(&b)) < 1e-9);
+        let h = matmul_charges((m, n, l), mem_words, LoopOrder::Ijk);
         let t = h.traffic().boundary(0);
         let (mf, nf, lf, bf) = (m as u64, n as u64, l as u64, bsz as u64);
         prop_assert_eq!(t.load_words, mf * lf + 2 * mf * nf * lf / bf);
@@ -42,30 +52,22 @@ proptest! {
     }
 
     /// WA vs non-WA store ratio equals the number of k-blocks, for every
-    /// divisible shape.
+    /// divisible shape and every non-WA order.
     #[test]
     fn store_ratio_equals_k_blocks(
         nb in 2usize..6,
-        seed in 0u64..500,
+        o in 0usize..6,
     ) {
-        let bsz = 4;
-        let n = nb * bsz;
-        let a = Mat::random(n, n, seed);
-        let b = Mat::random(n, n, seed + 3);
-        let mut c1 = Mat::zeros(n, n);
-        let mut c2 = Mat::zeros(n, n);
-        let mut h1 = ExplicitHier::two_level(48);
-        let mut h2 = ExplicitHier::two_level(48);
-        explicit_mm_two_level(&a, &b, &mut c1, &mut h1, LoopOrder::Ijk);
-        explicit_mm_two_level(&a, &b, &mut c2, &mut h2, LoopOrder::Kij);
-        prop_assert!(c1.max_abs_diff(&c2) < 1e-9);
-        let s1 = h1.traffic().boundary(0).store_words;
-        let s2 = h2.traffic().boundary(0).store_words;
+        let order = LoopOrder::ALL[o];
+        prop_assume!(!order.is_write_avoiding());
+        let n = nb * 4;
+        let s1 = matmul_charges((n, n, n), 48, LoopOrder::Ijk).traffic().boundary(0).store_words;
+        let s2 = matmul_charges((n, n, n), 48, order).traffic().boundary(0).store_words;
         prop_assert_eq!(s2, s1 * nb as u64);
     }
 
     /// TRSM stores exactly the output for any divisible shape, and the
-    /// solve is correct.
+    /// solve on the same schedule (`blocked_trsm`) is correct.
     #[test]
     fn trsm_stores_equal_output(
         nb in 1usize..5,
@@ -74,30 +76,17 @@ proptest! {
     ) {
         let bsz = 4;
         let (n, nrhs) = (nb * bsz, rb * bsz);
+        let mut h = ExplicitHier::two_level(48);
+        trsm_schedule((n, nrhs), block_for(48), TrsmVariant::WriteAvoiding, &mut h, |_| {});
+        prop_assert_eq!(h.traffic().boundary(0).store_words, (n * nrhs) as u64);
+
         let t = Mat::random_upper_triangular(n, seed);
         let x = Mat::random(n, nrhs, seed + 7);
-        let mut b = t.matmul_ref(&x);
-        let mut h = ExplicitHier::two_level(48);
-        explicit_trsm_wa(&t, &mut b, &mut h);
-        prop_assert!(b.max_abs_diff(&x) < 1e-7);
-        prop_assert_eq!(h.traffic().boundary(0).store_words, (n * nrhs) as u64);
-    }
-
-    /// The shared-memory WA schedule writes C exactly once for any thread
-    /// count and shape, and matches the sequential product.
-    #[test]
-    fn parallel_wa_write_invariant(
-        m in 1usize..30,
-        n in 1usize..30,
-        l in 1usize..30,
-        threads in 1usize..6,
-        seed in 0u64..500,
-    ) {
-        let a = Mat::random(m, n, seed);
-        let b = Mat::random(n, l, seed + 11);
-        let mut c = Mat::zeros(m, l);
-        let stats = dense::shared::par_matmul_wa(&a, &b, &mut c, 8, threads);
-        prop_assert!(c.max_abs_diff(&a.matmul_ref(&b)) < 1e-9);
-        prop_assert_eq!(dense::shared::total_c_writes(&stats), (m * l) as u64);
+        let (d, words) = alloc_layout(&[(n, n), (n, nrhs)]);
+        let mut mem = RawMem::new(words);
+        d[0].store_mat(&mut mem, &t);
+        d[1].store_mat(&mut mem, &t.matmul_ref(&x));
+        blocked_trsm(&mut mem, d[0], d[1], bsz, TrsmVariant::WriteAvoiding);
+        prop_assert!(d[1].load_mat(&mut mem).max_abs_diff(&x) < 1e-7);
     }
 }

@@ -177,6 +177,52 @@ impl ExplicitHier {
     }
 }
 
+/// Where a block schedule sends its explicit charges. An
+/// [`ExplicitHier`] counts them; `()` drops them, so an access-driven
+/// kernel can run the same schedule with its arithmetic as the body and
+/// neither pays for the charges nor ticks the cancellation clock with
+/// them (its [`crate::Mem`] measures the accesses instead).
+pub trait Charges {
+    /// [`ExplicitHier::load`].
+    fn load(&mut self, b: usize, words: u64);
+    /// [`ExplicitHier::store`].
+    fn store(&mut self, b: usize, words: u64);
+    /// [`ExplicitHier::free`].
+    fn free(&mut self, lvl: usize, words: u64);
+    /// [`ExplicitHier::flop`].
+    fn flop(&mut self, n: u64);
+}
+
+impl Charges for ExplicitHier {
+    #[inline]
+    fn load(&mut self, b: usize, words: u64) {
+        ExplicitHier::load(self, b, words);
+    }
+    #[inline]
+    fn store(&mut self, b: usize, words: u64) {
+        ExplicitHier::store(self, b, words);
+    }
+    #[inline]
+    fn free(&mut self, lvl: usize, words: u64) {
+        ExplicitHier::free(self, lvl, words);
+    }
+    #[inline]
+    fn flop(&mut self, n: u64) {
+        ExplicitHier::flop(self, n);
+    }
+}
+
+impl Charges for () {
+    #[inline]
+    fn load(&mut self, _: usize, _: u64) {}
+    #[inline]
+    fn store(&mut self, _: usize, _: u64) {}
+    #[inline]
+    fn free(&mut self, _: usize, _: u64) {}
+    #[inline]
+    fn flop(&mut self, _: u64) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

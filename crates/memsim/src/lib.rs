@@ -60,7 +60,7 @@ pub mod xeon;
 
 pub use backend::{run_on_backend, Kernel, Sink};
 pub use cache::{CacheConfig, LevelCounters};
-pub use explicit::ExplicitHier;
+pub use explicit::{Charges, ExplicitHier};
 pub use hierarchy::{AccessRun, MemSim};
 pub use mem::{Mem, RawMem, SimMem, TraceMem};
 pub use policy::Policy;

@@ -14,15 +14,23 @@ pub fn block2_for(m_particles: u64) -> usize {
     ((m_particles / 3) as usize).max(1)
 }
 
-/// Two-level WA Algorithm 4: `F_i = Σ_j Φ₂(P_i, P_j)`.
+/// The block schedule of two-level WA Algorithm 4: two nested block
+/// loops at `b = M/3` (`P(1)`, `P(2)` and the force block `F(1)`
+/// resident), with every [`ExplicitHier`] load, allocation, flop charge,
+/// free and store.
 ///
-/// Explicit counts attained: loads `N + N²/b`, local (R2) writes `N` for
-/// the force accumulators, stores `N` — the output size.
-pub fn explicit_nbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
-    let n = p.len();
+/// `body((i, bi), (j, bj))` runs once per resident block pair, after the
+/// j block's load and before its `bi·bj` flop charge. No count depends on
+/// what the body does, so an empty body charges the same traffic as
+/// [`explicit_nbody_wa`]: loads `N + nb·N` words (`N + N²/b` when `b`
+/// divides `N`), local (R2) writes `N` for the force accumulators, stores
+/// `N` — the output size — and `N²` flops.
+pub fn nbody_wa_schedule(
+    n: usize,
+    hier: &mut ExplicitHier,
+    mut body: impl FnMut((usize, usize), (usize, usize)),
+) {
     let b = block2_for(hier.capacity(1));
-    let mut f = vec![Vec3::default(); n];
-
     let mut i = 0;
     while i < n {
         let bi = b.min(n - i);
@@ -32,13 +40,7 @@ pub fn explicit_nbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
         while j < n {
             let bj = b.min(n - j);
             hier.load(0, bj as u64); // P(2)(j)
-            for ii in i..i + bi {
-                for jj in j..j + bj {
-                    if ii != jj {
-                        f[ii] = f[ii].add(phi2(p[ii], p[jj]));
-                    }
-                }
-            }
+            body((i, bi), (j, bj));
             hier.flop((bi * bj) as u64);
             hier.free(1, bj as u64);
             j += bj;
@@ -47,6 +49,21 @@ pub fn explicit_nbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
         hier.free(1, 2 * bi as u64); // P(1)(i) and F(1)(i)
         i += bi;
     }
+}
+
+/// Two-level WA Algorithm 4: `F_i = Σ_j Φ₂(P_i, P_j)` on the
+/// [`nbody_wa_schedule`] block loops.
+pub fn explicit_nbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
+    let mut f = vec![Vec3::default(); p.len()];
+    nbody_wa_schedule(p.len(), hier, |(i, bi), (j, bj)| {
+        for ii in i..i + bi {
+            for jj in j..j + bj {
+                if ii != jj {
+                    f[ii] = f[ii].add(phi2(p[ii], p[jj]));
+                }
+            }
+        }
+    });
     f
 }
 
@@ -221,6 +238,30 @@ mod tests {
     }
 
     proptest! {
+        /// The Algorithm 4 schedule alone charges exactly the full
+        /// kernel's traffic, and both equal the closed form.
+        #[test]
+        fn nbody_wa_schedule_charges_the_kernels_traffic(n in 1usize..41, m in 3u64..41) {
+            let p = Particle::random_cloud(n, 19);
+            let mut full = ExplicitHier::two_level(m);
+            let _ = explicit_nbody_wa(&p, &mut full);
+            let mut sched = ExplicitHier::two_level(m);
+            nbody_wa_schedule(n, &mut sched, |_, _| {});
+            prop_assert_eq!(sched.traffic(), full.traffic());
+            prop_assert_eq!(sched.writes_into_level(1), full.writes_into_level(1));
+            prop_assert_eq!(sched.flops(), full.flops());
+            prop_assert_eq!(sched.peak(1), full.peak(1));
+
+            let (n, b) = (n as u64, (m / 3).max(1));
+            let nb = n.div_ceil(b);
+            let t = sched.traffic().boundary(0);
+            prop_assert_eq!(t.load_words, n + nb * n);
+            prop_assert_eq!(t.load_msgs, nb + nb * nb);
+            prop_assert_eq!(t.store_words, n);
+            prop_assert_eq!(sched.writes_into_level(1), n + nb * n + n);
+            prop_assert_eq!(sched.flops(), n * n);
+        }
+
         /// The schedule alone charges exactly the full kernel's traffic,
         /// and both equal the closed form (at paper scale, n = 384 and
         /// m = 128: 60288 load words, 1884 load messages, 384 stores and

@@ -10,15 +10,20 @@
 use crate::force::{phi2, Particle, Vec3};
 use memsim::ExplicitHier;
 
-/// Two-level blocked symmetric N-body: the interaction loop runs over
-/// unordered block pairs `(i, j)`, `j ≥ i`, updating both `F(i)` and
-/// `F(j)`; `F(j)` must be stored back each pass.
-pub fn explicit_nbody_symmetric(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
-    let n = p.len();
-    // Four resident blocks now: P(i), P(j), F(i), F(j).
+/// The block schedule of the two-level symmetric N-body kernel: the
+/// interaction loop runs over unordered block pairs `(i, j)`, `j ≥ i`, at
+/// `b = M/4` (four resident blocks: `P(i)`, `P(j)`, `F(i)`, `F(j)`), with
+/// every [`ExplicitHier`] charge. `F(j)` is stored back every pass.
+///
+/// `body((i, bi), (j, bj))` runs once per block pair, after both blocks
+/// are loaded; the pair charges one flop per unordered particle pair.
+/// No count depends on what the body does.
+pub fn nbody_symmetric_schedule(
+    n: usize,
+    hier: &mut ExplicitHier,
+    mut body: impl FnMut((usize, usize), (usize, usize)),
+) {
     let b = ((hier.capacity(1) / 4) as usize).max(1);
-    let mut f = vec![Vec3::default(); n];
-
     let mut i = 0;
     while i < n {
         let bi = b.min(n - i);
@@ -31,14 +36,7 @@ pub fn explicit_nbody_symmetric(p: &[Particle], hier: &mut ExplicitHier) -> Vec<
                 hier.load(0, bj as u64); // P(j)
                 hier.load(0, bj as u64); // F(j): partial sums re-read
             }
-            for ii in i..i + bi {
-                let jj0 = if j == i { ii + 1 } else { j };
-                for jj in jj0..j + bj {
-                    let fij = phi2(p[ii], p[jj]);
-                    f[ii] = f[ii].add(fij);
-                    f[jj] = f[jj].sub(fij);
-                }
-            }
+            body((i, bi), (j, bj));
             // One Φ₂ evaluation per unordered pair in this block pair.
             let interactions = if j == i {
                 bi * bi.saturating_sub(1) / 2
@@ -56,6 +54,23 @@ pub fn explicit_nbody_symmetric(p: &[Particle], hier: &mut ExplicitHier) -> Vec<
         hier.free(1, 2 * bi as u64);
         i += bi;
     }
+}
+
+/// Two-level blocked symmetric N-body on the
+/// [`nbody_symmetric_schedule`] block loops: each unordered pair's force
+/// is computed once and applied to both particles.
+pub fn explicit_nbody_symmetric(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
+    let mut f = vec![Vec3::default(); p.len()];
+    nbody_symmetric_schedule(p.len(), hier, |(i, bi), (j, bj)| {
+        for ii in i..i + bi {
+            let jj0 = if j == i { ii + 1 } else { j };
+            for jj in jj0..j + bj {
+                let fij = phi2(p[ii], p[jj]);
+                f[ii] = f[ii].add(fij);
+                f[jj] = f[jj].sub(fij);
+            }
+        }
+    });
     f
 }
 
@@ -98,6 +113,21 @@ mod tests {
             "symmetric stores {s_sym} should scale with N²/b"
         );
         assert!(s_sym > 4 * s_wa);
+    }
+
+    #[test]
+    fn schedule_charges_the_kernels_traffic() {
+        for (n, m) in [(1usize, 4u64), (7, 4), (30, 16), (40, 17), (64, 41)] {
+            let p = Particle::random_cloud(n, 24);
+            let mut full = ExplicitHier::two_level(m);
+            let _ = explicit_nbody_symmetric(&p, &mut full);
+            let mut sched = ExplicitHier::two_level(m);
+            nbody_symmetric_schedule(n, &mut sched, |_, _| {});
+            assert_eq!(sched.traffic(), full.traffic(), "n {n} m {m}");
+            assert_eq!(sched.flops(), full.flops(), "n {n} m {m}");
+            assert_eq!(sched.peak(1), full.peak(1), "n {n} m {m}");
+            assert_eq!(sched.flops(), (n * (n - 1) / 2) as u64, "n {n} m {m}");
+        }
     }
 
     #[test]

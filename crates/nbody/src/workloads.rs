@@ -8,10 +8,10 @@
 //! tests can convert (`words ≈ particles × WORDS_PER_BODY` for the force
 //! output, which dominates slow-memory writes).
 
-use crate::explicit::{explicit_nbody_wa, kbody_schedule};
+use crate::explicit::{kbody_schedule, nbody_wa_schedule};
 use crate::force::{Particle, WORDS_PER_BODY};
 use crate::simmed::{simmed_nbody_wa, store_cloud};
-use crate::symmetric::explicit_nbody_symmetric;
+use crate::symmetric::nbody_symmetric_schedule;
 use memsim::xeon::XeonGeometry;
 use memsim::{explicit_report, run_on_backend, ExplicitHier, Kernel, Mem, RawMem};
 use wa_core::engine::{BackendKind, FnWorkload, Scale, Workload};
@@ -44,18 +44,24 @@ fn nbody_footprint(scale: Scale, _depth: usize) -> u64 {
     2 * (n as u64) * (WORDS_PER_BODY as u64 + 3) * 8
 }
 
+/// An `explicit` cell: the block schedule alone, run with an empty body
+/// on `n` particles over a two-level model of `m` particles. Every count
+/// is the schedule's, so no cloud is built and no force is evaluated;
+/// the full kernels (`explicit_nbody_wa`, `explicit_nbody_symmetric`,
+/// `explicit_kbody_wa`) run the same schedule with the force body, and
+/// their reference tests check that arithmetic.
 fn explicit_run(
     name: &str,
     scale: Scale,
-    kernel: impl Fn(&[Particle], &mut ExplicitHier) -> Vec<crate::force::Vec3>,
+    (m, n): (u64, usize),
+    schedule: impl FnOnce(usize, &mut ExplicitHier),
 ) -> RunReport {
-    let (m, n) = particles_geometry(scale);
-    let p = Particle::random_cloud(n, 61);
     let mut h = ExplicitHier::two_level(m);
-    let (_, ns) = timed(|| kernel(&p, &mut h));
+    let (_, ns) = timed(|| schedule(n, &mut h));
     let mut r = explicit_report(&h, base(name, BackendKind::Explicit, scale, n))
         .config("units", "particles")
-        .config("m_particles", m);
+        .config("m_particles", m)
+        .note("block schedule only: forces are not evaluated (the reference tests check the arithmetic)");
     r.wall_ns = ns;
     r
 }
@@ -89,9 +95,12 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
             &[],
             nbody_footprint,
             |wa_core::engine::RunCfg { backend, scale, .. }| match backend {
-                BackendKind::Explicit => Ok(explicit_run("nbody-wa", scale, |p, h| {
-                    explicit_nbody_wa(p, h)
-                })),
+                BackendKind::Explicit => Ok(explicit_run(
+                    "nbody-wa",
+                    scale,
+                    particles_geometry(scale),
+                    |n, h| nbody_wa_schedule(n, h, |_, _| {}),
+                )),
                 _ => {
                     let (m, n) = particles_geometry(scale);
                     // The explicit model places blocks by hand, so b = M/3
@@ -124,9 +133,12 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
             &[],
             nbody_footprint,
             |wa_core::engine::RunCfg { scale, .. }| {
-                Ok(explicit_run("nbody-symmetric", scale, |p, h| {
-                    explicit_nbody_symmetric(p, h)
-                }))
+                Ok(explicit_run(
+                    "nbody-symmetric",
+                    scale,
+                    particles_geometry(scale),
+                    |n, h| nbody_symmetric_schedule(n, h, |_, _| {}),
+                ))
             },
         ),
         FnWorkload::boxed(
@@ -140,18 +152,12 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 // A shrunk cloud, N = 3·(M/8), sized for the O(N^3) kernel.
                 let (m, _) = particles_geometry(scale);
                 let m = (m / 8).max(4);
-                let n = 3 * m as usize;
-                // Every count is the block schedule's, so the cell runs
-                // the schedule alone; `explicit_kbody_wa`'s tests check
-                // the Φ₃ arithmetic against the reference.
-                let mut h = ExplicitHier::two_level(m);
-                let (_, ns) = timed(|| kbody_schedule(n, &mut h, |_, _, _| {}));
-                let mut r = explicit_report(&h, base("kbody-3", BackendKind::Explicit, scale, n))
-                    .config("units", "particles")
-                    .config("m_particles", m)
-                    .note("block schedule only: Phi3 is not evaluated (its arithmetic is checked by the reference tests)");
-                r.wall_ns = ns;
-                Ok(r)
+                Ok(explicit_run(
+                    "kbody-3",
+                    scale,
+                    (m, 3 * m as usize),
+                    |n, h| kbody_schedule(n, h, |_, _, _| {}),
+                ))
             },
         ),
     ]

@@ -4,12 +4,14 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Demonstrates the two instrumentation substrates on the same kernel:
-//! the *explicit-movement* model (the paper's Algorithm 1 accounting) and
-//! the *cache simulator* (the paper's Section 6 hardware-counter view).
+//! Demonstrates the two instrumentation substrates on one algorithm: its
+//! block schedule charged to the *explicit-movement* model from shapes
+//! alone (the paper's Algorithm 1 accounting), and the same schedule with
+//! the arithmetic as its body on the *cache simulator* (the paper's
+//! Section 6 hardware-counter view).
 
 use write_avoiding::dense::desc::alloc_layout;
-use write_avoiding::dense::explicit_mm::explicit_mm_two_level;
+use write_avoiding::dense::explicit_mm::{block_for, mm_schedule};
 use write_avoiding::dense::matmul::{blocked_matmul, LoopOrder};
 use write_avoiding::memsim::{CacheConfig, ExplicitHier, MemSim, Policy, SimMem};
 use write_avoiding::wa_core::{bounds, Mat};
@@ -21,14 +23,13 @@ fn main() {
     let b = Mat::random(n, n, 2);
 
     // ---------------------------------------------------------------
-    // 1. Explicit-movement model: the algorithm issues block transfers.
+    // 1. Explicit-movement model: the schedule issues block transfers.
     // ---------------------------------------------------------------
     println!("== explicit model (Algorithm 1, M = {fast_words} words) ==");
+    let bs = block_for(fast_words as u64); // three b x b blocks fit
     for order in [LoopOrder::Ijk, LoopOrder::Kij] {
-        let mut c = Mat::zeros(n, n);
         let mut hier = ExplicitHier::two_level(fast_words as u64);
-        explicit_mm_two_level(&a, &b, &mut c, &mut hier, order);
-        assert!(c.max_abs_diff(&a.matmul_ref(&b)) < 1e-9);
+        mm_schedule((n, n, n), &[bs], (order, order), &mut hier, |_, _, _| {});
         let t = hier.traffic().boundary(0);
         println!(
             "{order:?} (write-avoiding: {}): loads = {:7} w, stores = {:7} w  (output = {} w)",
@@ -67,6 +68,7 @@ fn main() {
         blocked_matmul(&mut mem, d[0], d[1], d[2], bsize, order);
         mem.sim.flush();
         let c = mem.sim.llc();
+        assert!(d[2].load_mat(&mut mem).max_abs_diff(&a.matmul_ref(&b)) < 1e-9);
         println!(
             "{order:?}: VICTIMS.M = {:5} lines, VICTIMS.E = {:6} lines, FILLS = {:6} lines (C = {} lines)",
             c.victims_m + c.flush_victims_m,
