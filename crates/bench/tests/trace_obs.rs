@@ -109,4 +109,32 @@ fn trace_json_is_schema_valid_deterministic_and_carries_phase_rows() {
         );
     }
     assert!(phases_cg.iter().map(|p| p.dram_writes).sum::<u64>() > 0);
+
+    // CA-CG and streaming TSQR name every phase that moves words, so no
+    // access is left in "(init)". Access-free phases (CA-CG's `gram` and
+    // `coef-update`) are marked but carry no row.
+    let cacg: &[&str] = &["residual", "basis", "gram", "coef-update", "vec-update"];
+    let cacg_moving: &[&str] = &["residual", "basis", "vec-update"];
+    let tsqr: &[&str] = &["block-qr", "r-write"];
+    for (name, phases, moving) in [
+        ("ca-cg", cacg, cacg_moving),
+        ("ca-cg-streaming", cacg, cacg_moving),
+        ("tsqr-stream", tsqr, tsqr),
+    ] {
+        let (_, _, rows) = capture(name);
+        let seen: Vec<&str> = rows.iter().map(|p| p.phase.as_str()).collect();
+        for want in moving {
+            assert!(
+                rows.iter().any(|p| p.phase == *want && p.accesses > 0),
+                "{name} missing phase {want}: {seen:?}"
+            );
+        }
+        for p in &rows {
+            assert!(
+                p.phase == "(flush)" || phases.contains(&p.phase.as_str()),
+                "{name}: unexpected phase {} in {seen:?}",
+                p.phase
+            );
+        }
+    }
 }

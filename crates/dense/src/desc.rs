@@ -38,20 +38,6 @@ impl MatDesc {
         self.base + i * self.stride + j
     }
 
-    /// Words this view spans in memory (footprint, not element count).
-    pub fn span(&self) -> usize {
-        if self.rows == 0 || self.cols == 0 {
-            0
-        } else {
-            (self.rows - 1) * self.stride + self.cols
-        }
-    }
-
-    /// Number of elements.
-    pub fn elems(&self) -> usize {
-        self.rows * self.cols
-    }
-
     /// The `(bi, bj)`-th block of size up to `b × b` (clipped at the
     /// edges), as in `denseMat::block(i, j, b)` in the paper's listings.
     pub fn block(&self, bi: usize, bj: usize, b: usize) -> MatDesc {
@@ -122,7 +108,6 @@ mod tests {
         let d = MatDesc::new(100, 3, 5);
         assert_eq!(d.idx(0, 0), 100);
         assert_eq!(d.idx(2, 4), 100 + 2 * 5 + 4);
-        assert_eq!(d.span(), 15);
     }
 
     #[test]

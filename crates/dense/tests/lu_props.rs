@@ -102,7 +102,7 @@ proptest! {
             blocked_lu(mem, d[0], bsize, LuVariant::LeftLooking)
         });
         let out = (n * n / 8) as u64;
-        prop_assert!(lu == out, "lu-wa at {} block rows: {} write-backs for {} lines", nb, lu, out);
+        prop_assert_eq!(lu, out, "lu-wa write-backs vs output lines at {} block rows", nb);
 
         let nrhs = rb * bsize;
         let t = Mat::random_upper_triangular(n, seed + 1);
@@ -111,17 +111,14 @@ proptest! {
             blocked_trsm(mem, d[0], d[1], bsize, TrsmVariant::WriteAvoiding)
         });
         let out = (n * nrhs / 8) as u64;
-        prop_assert!(trsm == out, "trsm-wa at {} block rows: {} write-backs for {} lines", nb, trsm, out);
+        prop_assert_eq!(trsm, out, "trsm-wa write-backs vs output lines at {} block rows", nb);
 
         let spd = Mat::random_spd(n, seed + 3);
         let chol = lru_writebacks(&[&spd], bsize, |mem, d| {
             blocked_cholesky(mem, d[0], bsize, CholVariant::LeftLooking)
         });
         let lower = output_lines(MatDesc::new(0, n, n), |i, j| j <= i);
-        prop_assert!(
-            chol == lower,
-            "cholesky-wa at {} block rows: {} write-backs for {} lines", nb, chol, lower
-        );
+        prop_assert_eq!(chol, lower, "cholesky-wa write-backs vs output lines at {} block rows", nb);
     }
 
     /// Simulated-LU counters are deterministic: two runs of the same

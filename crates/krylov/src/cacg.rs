@@ -17,6 +17,17 @@
 //! outer iteration, a `Θ(s)` write reduction for ≤ 2× more reads and
 //! flops. Both forms perform identical arithmetic (the tests check
 //! bit-identical iterates).
+//!
+//! The ghost zones depend only on the matrix, the row block and `s`, so a
+//! solve plans them once: each row block's [`ghost_ranges`] to degree `s`
+//! serve the `p` basis, and their suffix `rg[1..]` (the degree-`s−1`
+//! ranges) the `r` basis. The `s+1` and `s` level buffers of
+//! [`block_powers`], the Gram matrix and the storing form's `V` live for
+//! the whole solve; each block's `2s+1` basis columns are plain slices of
+//! the level windows, so the Gram entries and the recovery are dot
+//! products over slices. Profiling sinks see the phases `residual`,
+//! `basis` (steps 1 and, streaming, 4's recomputation), `gram`,
+//! `coef-update` and `vec-update` (step 4's recovery and writes).
 
 use crate::basis::{h_apply, BasisKind};
 use crate::cg::SolveResult;
@@ -56,7 +67,8 @@ impl Default for CaCgOptions {
 
 /// Dependency ranges for one row block: `rg[j]` is the row range on which
 /// the degree-`j` basis vector must be known so that rows `[r0, r1)` of
-/// the degree-`maxdeg` vector are computable.
+/// the degree-`maxdeg` vector are computable. The ranges to `maxdeg − 1`
+/// are the suffix `rg[1..]`.
 fn ghost_ranges(a: &Csr, r0: usize, r1: usize, maxdeg: usize) -> Vec<(usize, usize)> {
     let mut rg = vec![(r0, r1); maxdeg + 1];
     for j in (0..maxdeg).rev() {
@@ -66,38 +78,38 @@ fn ghost_ranges(a: &Csr, r0: usize, r1: usize, maxdeg: usize) -> Vec<(usize, usi
     rg
 }
 
-/// Compute rows `[r0, r1)` of all basis columns for seed `v` (degree 0) up
-/// to degree `maxdeg`, using ghost zones. Returns, for each degree `j`,
-/// the window of values on `rg[j]` (row `i` at `levels[j][i − rg[j].0]`),
-/// plus the ranges. Each level is computed from the previous level's
-/// window alone, in the same per-row order as a full [`Csr::spmv`], so the
-/// values equal `j` full products restricted to `rg[j]`. Charges reads for
-/// the seed (resident at nominal address `vseed`) and the matrix rows
-/// touched (values at `va`).
-#[allow(clippy::too_many_arguments)] // matrix + seed + range + two addresses; the recursion-free body keeps them flat
+/// Compute the block's rows of all basis columns for seed `v` (degree 0)
+/// up to degree `rg.len() − 1`, using the ghost ranges `rg` (the block is
+/// the last range). Fills `levels[j]` with the window of values on
+/// `rg[j]` (row `i` at `levels[j][i − rg[j].0]`), reusing the buffers'
+/// capacity. Each level is computed from the previous level's window
+/// alone, in the same per-row order as a full [`Csr::spmv`], so the values
+/// equal `j` full products restricted to `rg[j]`. Charges reads for the
+/// seed (resident at nominal address `vseed`) and the matrix rows touched
+/// (values at `va`).
 fn block_powers<S: Sink>(
     a: &Csr,
     v: &[f64],
-    vseed: usize,
-    va: usize,
-    r0: usize,
-    r1: usize,
-    maxdeg: usize,
+    (vseed, va): (usize, usize),
+    rg: &[(usize, usize)],
     shifts: &BasisKind,
+    levels: &mut [Vec<f64>],
     io: &mut SimIo<S>,
-) -> (Vec<Vec<f64>>, Vec<(usize, usize)>) {
-    let rg = ghost_ranges(a, r0, r1, maxdeg);
-    let mut levels: Vec<Vec<f64>> = Vec::with_capacity(maxdeg + 1);
+) {
+    debug_assert_eq!(levels.len(), rg.len());
     // Degree 0: read the seed on the widest range.
     let (lo0, hi0) = rg[0];
     io.read_at(vseed + lo0, hi0 - lo0);
-    levels.push(v[lo0..hi0].to_vec());
-    for j in 0..maxdeg {
+    levels[0].clear();
+    levels[0].extend_from_slice(&v[lo0..hi0]);
+    for j in 0..rg.len() - 1 {
         let (clo, _) = rg[j];
         let (lo, hi) = rg[j + 1];
-        let cur = &levels[j];
-        let mut next = vec![0.0; hi - lo];
-        a.spmv_window(cur, clo, &mut next, lo);
+        let (done, rest) = levels.split_at_mut(j + 1);
+        let (cur, next) = (&done[j], &mut rest[0]);
+        next.clear();
+        next.resize(hi - lo, 0.0);
+        a.spmv_window(cur, clo, next, lo);
         // Matrix rows [lo, hi) are read once per level.
         let nnz_rows: usize = a.row_ptr[hi] - a.row_ptr[lo];
         io.read_at(va + a.row_ptr[lo], nnz_rows);
@@ -109,9 +121,46 @@ fn block_powers<S: Sink>(
             }
             io.flop(2 * (hi - lo));
         }
-        levels.push(next);
     }
-    (levels, rg)
+}
+
+/// The `2s+1` basis columns of rows `[r0, r1)` as slices of the level
+/// windows: degrees `0..=s` of `p` (on `rg`), then `0..s` of `r` (on
+/// `rg[1..]`).
+fn block_cols<'a>(
+    pl: &'a [Vec<f64>],
+    rl: &'a [Vec<f64>],
+    rg: &[(usize, usize)],
+    (r0, r1): (usize, usize),
+) -> Vec<&'a [f64]> {
+    pl.iter()
+        .zip(rg)
+        .chain(rl.iter().zip(&rg[1..]))
+        .map(|(level, &(lo, _))| &level[r0 - lo..r1 - lo])
+        .collect()
+}
+
+/// Step 4 on one row block: `[p, r] = V·[p̂, r̂]` and `x += V·x̂`, where
+/// `cols` are the block's basis columns and `p`, `r`, `x` its rows.
+fn recover(
+    cols: &[&[f64]],
+    (ph, rh, xh): (&[f64], &[f64], &[f64]),
+    p: &mut [f64],
+    r: &mut [f64],
+    x: &mut [f64],
+) {
+    for (i, ((pi, ri), xi)) in p.iter_mut().zip(r.iter_mut()).zip(x.iter_mut()).enumerate() {
+        let (mut np, mut nr, mut nx) = (0.0, 0.0, 0.0);
+        for (j, col) in cols.iter().enumerate() {
+            let vij = col[i];
+            np += vij * ph[j];
+            nr += vij * rh[j];
+            nx += vij * xh[j];
+        }
+        *pi = np;
+        *ri = nr;
+        *xi += nx;
+    }
 }
 
 /// CA-CG solve of SPD `A·x = b`. See [`CaCgOptions`]; returns iterates
@@ -137,6 +186,27 @@ pub fn ca_cg<S: Sink>(
     let (vx, vr, vp, vb, va) = (0, n8, 2 * n8, 3 * n8, 4 * n8);
     let vv = va + a.nnz().div_ceil(LINE_WORDS) * LINE_WORDS;
 
+    // The block plan: each row block `[r0, r1)` with its ghost ranges to
+    // degree `s` (the `r` basis uses `rg[1..]`).
+    let plan: Vec<_> = (0..n)
+        .step_by(bs)
+        .map(|r0| {
+            let r1 = (r0 + bs).min(n);
+            (r0, r1, ghost_ranges(a, r0, r1, s))
+        })
+        .collect();
+    // Per-solve buffers: level windows, the Gram matrix and the storing
+    // variant's V (every entry rewritten each outer iteration).
+    let mut pl: Vec<Vec<f64>> = vec![Vec::new(); s + 1];
+    let mut rl: Vec<Vec<f64>> = vec![Vec::new(); s];
+    let mut g = vec![vec![0.0; m]; m];
+    let mut v_store = if opts.streaming {
+        Vec::new()
+    } else {
+        vec![vec![0.0; n]; m]
+    };
+
+    io.phase("residual");
     let mut x = x0.to_vec();
     // r = b − A·x0; p = r.
     let mut r = vec![0.0; n];
@@ -166,34 +236,31 @@ pub fn ca_cg<S: Sink>(
     while outer < opts.max_outer && delta.sqrt() / bnorm > opts.tol {
         // ---- Steps 1 + 2: basis and Gram matrix, blockwise. The storing
         // variant also materializes V (n×m) in slow memory.
-        let mut g = vec![vec![0.0; m]; m];
-        let mut v_store: Option<Vec<Vec<f64>>> = if opts.streaming {
-            None
-        } else {
-            Some(vec![vec![0.0; n]; m])
-        };
-        let mut r0 = 0;
-        while r0 < n {
-            let r1 = (r0 + bs).min(n);
-            let (pl, prg) = block_powers(a, &p, vp, va, r0, r1, s, &opts.basis, io);
-            let (rl, rrg) = block_powers(a, &r, vr, va, r0, r1, s - 1, &opts.basis, io);
-            // Column view of this block: degrees 0..s from p, 0..s-1 from r.
-            let col = |j: usize, i: usize| -> f64 {
-                if j <= s {
-                    pl[j][i - prg[j].0]
-                } else {
-                    rl[j - s - 1][i - rrg[j - s - 1].0]
-                }
-            };
-            // G += V(I,:)ᵀ V(I,:). Indexing (not iterators): the symmetric
-            // write g[j2][j1] needs the second row by index anyway.
+        for row in &mut g {
+            row.fill(0.0);
+        }
+        for &(r0, r1, ref rg) in &plan {
+            io.phase("basis");
+            block_powers(a, &p, (vp, va), rg, &opts.basis, &mut pl, io);
+            block_powers(a, &r, (vr, va), &rg[1..], &opts.basis, &mut rl, io);
+            let cols = block_cols(&pl, &rl, rg, (r0, r1));
+            for (j, (vj, col)) in v_store.iter_mut().zip(&cols).enumerate() {
+                vj[r0..r1].copy_from_slice(col);
+                // One write run per basis column block: the storing
+                // variant's Θ(s·n) slow-memory writes.
+                io.write_at(vv + j * n8 + r0, r1 - r0);
+            }
+            io.phase("gram");
+            // G += V(I,:)ᵀ V(I,:), each entry summed over the rows in
+            // order. Indexing: the symmetric write g[j2][j1] needs the
+            // second row by index anyway.
             #[allow(clippy::needless_range_loop)]
             for j1 in 0..m {
                 for j2 in j1..m {
-                    let mut acc = 0.0;
-                    for i in r0..r1 {
-                        acc += col(j1, i) * col(j2, i);
-                    }
+                    let acc = cols[j1]
+                        .iter()
+                        .zip(cols[j2])
+                        .fold(0.0, |acc, (u, w)| acc + u * w);
                     g[j1][j2] += acc;
                     if j1 != j2 {
                         g[j2][j1] = g[j1][j2];
@@ -201,20 +268,10 @@ pub fn ca_cg<S: Sink>(
                 }
             }
             io.flop(2 * m * m * (r1 - r0) / 2);
-            if let Some(vs) = v_store.as_mut() {
-                for (j, vj) in vs.iter_mut().enumerate() {
-                    for (i, v) in vj[r0..r1].iter_mut().enumerate() {
-                        *v = col(j, r0 + i);
-                    }
-                    // One write run per basis column block: the storing
-                    // variant's Θ(s·n) slow-memory writes.
-                    io.write_at(vv + j * n8 + r0, r1 - r0);
-                }
-            }
-            r0 = r1;
         }
 
         // ---- Step 3: s steps in coefficient space (fast memory only).
+        io.phase("coef-update");
         let mut xh = vec![0.0; m];
         let mut ph = vec![0.0; m];
         ph[0] = 1.0;
@@ -265,57 +322,31 @@ pub fn ca_cg<S: Sink>(
         } else {
             (Vec::new(), Vec::new())
         };
-        let mut r0b = 0;
-        while r0b < n {
-            let r1b = (r0b + bs).min(n);
-            if let Some(vs) = v_store.as_ref() {
-                for j in 0..m {
-                    io.read_at(vv + j * n8 + r0b, r1b - r0b);
-                }
-                for i in r0b..r1b {
-                    let (mut np, mut nr, mut nx) = (0.0, 0.0, 0.0);
-                    for j in 0..m {
-                        let vij = vs[j][i];
-                        np += vij * ph[j];
-                        nr += vij * rh[j];
-                        nx += vij * xh[j];
-                    }
-                    p[i] = np;
-                    r[i] = nr;
-                    x[i] += nx;
-                }
-            } else {
+        let coefs = (&ph[..], &rh[..], &xh[..]);
+        for &(r0b, r1b, ref rg) in &plan {
+            let (pb, rb, xb) = (&mut p[r0b..r1b], &mut r[r0b..r1b], &mut x[r0b..r1b]);
+            if opts.streaming {
                 // Streaming recomputation reads the *old* p and r at
                 // their original addresses (the new vectors land at the
                 // same spans only after this block's writes).
-                let (pl, prg) = block_powers(a, &p_old, vp, va, r0b, r1b, s, &opts.basis, io);
-                let (rl, rrg) = block_powers(a, &r_old, vr, va, r0b, r1b, s - 1, &opts.basis, io);
-                let col = |j: usize, i: usize| -> f64 {
-                    if j <= s {
-                        pl[j][i - prg[j].0]
-                    } else {
-                        rl[j - s - 1][i - rrg[j - s - 1].0]
-                    }
-                };
-                for i in r0b..r1b {
-                    let (mut np, mut nr, mut nx) = (0.0, 0.0, 0.0);
-                    for j in 0..m {
-                        let vij = col(j, i);
-                        np += vij * ph[j];
-                        nr += vij * rh[j];
-                        nx += vij * xh[j];
-                    }
-                    p[i] = np;
-                    r[i] = nr;
-                    x[i] += nx;
+                io.phase("basis");
+                block_powers(a, &p_old, (vp, va), rg, &opts.basis, &mut pl, io);
+                block_powers(a, &r_old, (vr, va), &rg[1..], &opts.basis, &mut rl, io);
+                io.phase("vec-update");
+                recover(&block_cols(&pl, &rl, rg, (r0b, r1b)), coefs, pb, rb, xb);
+            } else {
+                io.phase("vec-update");
+                for j in 0..m {
+                    io.read_at(vv + j * n8 + r0b, r1b - r0b);
                 }
+                let cols: Vec<&[f64]> = v_store.iter().map(|vj| &vj[r0b..r1b]).collect();
+                recover(&cols, coefs, pb, rb, xb);
             }
             io.flop(6 * m * (r1b - r0b));
             // p, r, x — the only writes of the streaming variant.
             io.write_at(vp + r0b, r1b - r0b);
             io.write_at(vr + r0b, r1b - r0b);
             io.write_at(vx + r0b, r1b - r0b);
-            r0b = r1b;
         }
 
         delta = dp.max(0.0);
@@ -363,10 +394,13 @@ mod tests {
             let n = a.rows;
             let v: Vec<f64> = (0..n).map(|i| ((i * 5 + 3) as f64).sin()).collect();
             for basis in &bases {
+                // One set of level buffers across blocks, as a solve reuses them.
+                let mut levels = vec![Vec::new(); 5];
                 for (r0, r1) in [(0, 5), (n - 7, n), (n / 3, n / 3 + 9), (0, n)] {
                     let maxdeg = 4;
+                    let rg = ghost_ranges(a, r0, r1, maxdeg);
                     let mut io = SimIo::new(Traffic::ZERO);
-                    let (levels, rg) = block_powers(a, &v, 0, 0, r0, r1, maxdeg, basis, &mut io);
+                    block_powers(a, &v, (0, 0), &rg, basis, &mut levels, &mut io);
                     assert_eq!(rg[maxdeg], (r0, r1));
                     let mut full = v.clone();
                     for (j, level) in levels.iter().enumerate() {
@@ -391,6 +425,27 @@ mod tests {
                         }
                         full = next;
                     }
+                }
+            }
+        }
+    }
+
+    /// The `r` basis runs on the suffix of the `p` basis's plan: the
+    /// ghost ranges to degree `s − 1` are those to degree `s` without
+    /// their first (widest) entry, for blocks at both ends, in the middle
+    /// and spanning the matrix whole.
+    #[test]
+    fn lower_degree_ghost_ranges_are_a_suffix() {
+        for a in [laplacian_2d(7, 6, 0.3), band_1d(50, 2, 0.5)] {
+            let n = a.rows;
+            for (r0, r1) in [(0, 5), (n - 7, n), (n / 3, n / 3 + 9), (0, n)] {
+                for s in 1..=5 {
+                    let rg = ghost_ranges(&a, r0, r1, s);
+                    assert_eq!(
+                        ghost_ranges(&a, r0, r1, s - 1),
+                        rg[1..],
+                        "[{r0}, {r1}) s = {s}"
+                    );
                 }
             }
         }

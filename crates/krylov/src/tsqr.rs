@@ -76,7 +76,9 @@ pub fn householder_qr_r(a: &mut [f64], r: usize, c: usize) -> Vec<f64> {
 /// R-combining: R ← qr([R_prev; R_block]). In streaming mode (`store =
 /// false`) blocks are discarded after use and only O(s²) state persists;
 /// with `store = true` the blocks are also written back to slow memory
-/// (the non-WA baseline, counted in `io`).
+/// (the non-WA baseline, counted in `io`). Profiling sinks see the
+/// phases `block-qr` (each block's read, store and local QR) and
+/// `r-write`.
 pub fn tsqr_r<S: Sink>(
     nblocks: usize,
     rows_per_block: usize,
@@ -91,6 +93,7 @@ pub fn tsqr_r<S: Sink>(
     let bwords = rows_per_block * s;
     let v_r = (nblocks * bwords).div_ceil(LINE_WORDS) * LINE_WORDS;
     let mut r_acc: Option<Vec<f64>> = None;
+    io.phase("block-qr");
     for b in 0..nblocks {
         let block = gen(b);
         assert_eq!(block.len(), bwords);
@@ -116,6 +119,7 @@ pub fn tsqr_r<S: Sink>(
         r_acc = Some(r_new);
     }
     let r = r_acc.expect("at least one block");
+    io.phase("r-write");
     io.write_at(v_r, s * s); // only the O(s²) R factor leaves fast memory
     r
 }

@@ -143,6 +143,18 @@ macro_rules! prop_assert_eq {
             r
         );
     }};
+    ($left:expr, $right:expr, $($fmt:tt)+) => {{
+        let (l, r) = (&$left, &$right);
+        $crate::prop_assert!(
+            *l == *r,
+            "assertion failed: {} == {} (left: {:?}, right: {:?}): {}",
+            stringify!($left),
+            stringify!($right),
+            l,
+            r,
+            format!($($fmt)+)
+        );
+    }};
 }
 
 #[macro_export]
@@ -152,4 +164,26 @@ macro_rules! prop_assume {
             return ::std::result::Result::Err($crate::test_runner::TestCaseError::Reject);
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::test_runner::TestCaseError;
+
+    fn check(left: u64, right: u64) -> Result<(), TestCaseError> {
+        prop_assert_eq!(left, right, "at {} block rows", 3);
+        Ok(())
+    }
+
+    #[test]
+    fn prop_assert_eq_takes_a_message_and_keeps_the_echo() {
+        assert!(check(4, 4).is_ok());
+        match check(4, 5) {
+            Err(TestCaseError::Fail(msg)) => assert_eq!(
+                msg,
+                "assertion failed: left == right (left: 4, right: 5): at 3 block rows"
+            ),
+            other => panic!("expected a failure, got {other:?}"),
+        }
+    }
 }
