@@ -6,7 +6,9 @@
 //! simulator (`MemSim`), the stack-distance simulator (`StackSim`) and
 //! the streaming `traced` tally (`TraceTally`), each driven through a
 //! `SimMem`, on `RawMem` driven through its runs, and on the explicit
-//! model's `Traffic` word charges.
+//! model's `Traffic` word charges. The two simulators are also driven
+//! with a block re-read in order, where each pass is one long in-order
+//! stretch that they count in one step.
 
 use memsim::{Mem, MemSim, RawMem, SimMem, StackSim, TraceTally};
 use proptest::prelude::*;
@@ -21,11 +23,36 @@ use wa_core::{CancelReason, Registry, Scale, Traffic};
 /// the loop below is in range.
 const WORDS: usize = 4 * CHECK_INTERVAL as usize;
 
+/// Words of the block [`reread_block`] reads per pass: 24 lines, which
+/// the simmed cache (32 lines) holds.
+const BLOCK: usize = 192;
+
+/// Read one block over and over in order, one run per pass, until
+/// `total` accesses, firing the ambient token before the first pass
+/// that starts at `fire_at` accesses or later. After the first pass,
+/// each pass is one in-order stretch.
+fn reread_block(mem: &mut dyn Mem, fire_at: u64, total: u64) {
+    let mut buf = [0.0; BLOCK];
+    let mut done = 0;
+    let mut fired = false;
+    while done < total {
+        if done >= fire_at && !fired {
+            cancel::current()
+                .expect("engine must install a token")
+                .cancel(CancelReason::Deadline);
+            fired = true;
+        }
+        mem.ld_run(0, &mut buf);
+        done += BLOCK as u64;
+    }
+}
+
 /// A workload that performs simulator accesses forever-ish, firing the
 /// ambient cancel token after `fire_at` accesses. If cancellation were
 /// lost it would finish all `total` accesses and return Ok — the
-/// property rejects that.
-fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
+/// property rejects that. With `stretches`, the simulators read through
+/// [`reread_block`] instead.
+fn driven_workload(fire_at: u64, stretches: bool) -> Box<dyn Workload> {
     let total = fire_at + 3 * CHECK_INTERVAL;
     FnWorkload::boxed(
         "cancel-prop",
@@ -52,6 +79,15 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
                 }
             };
             match cfg.backend {
+                BackendKind::Simmed if stretches => {
+                    let sim = MemSim::single_level_lru(256);
+                    let mut mem = SimMem::from_vec(vec![0.0; WORDS], sim);
+                    reread_block(&mut mem, fire_at, total);
+                }
+                BackendKind::Stack if stretches => {
+                    let mut mem = SimMem::from_vec(vec![0.0; WORDS], StackSim::new());
+                    reread_block(&mut mem, fire_at, total);
+                }
                 BackendKind::Simmed => {
                     let sim = MemSim::single_level_lru(256);
                     let mut mem = SimMem::from_vec(vec![0.0; WORDS], sim);
@@ -90,9 +126,10 @@ fn driven_workload(fire_at: u64) -> Box<dyn Workload> {
 fn assert_cancels(
     backend: BackendKind,
     fire_at: u64,
+    stretches: bool,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let mut reg = Registry::new();
-    reg.register(driven_workload(fire_at));
+    reg.register(driven_workload(fire_at, stretches));
     let res = reg.run_cfg("cancel-prop", RunCfg::new(backend, Scale::Small));
     match res {
         Err(EngineError::Cancelled {
@@ -136,26 +173,36 @@ proptest! {
 
     #[test]
     fn firing_at_any_access_count_cancels_the_simmed_backend(fire_at in 0u64..20_000) {
-        assert_cancels(BackendKind::Simmed, fire_at)?;
+        assert_cancels(BackendKind::Simmed, fire_at, false)?;
     }
 
     #[test]
     fn firing_at_any_access_count_cancels_the_stack_backend(fire_at in 0u64..20_000) {
-        assert_cancels(BackendKind::Stack, fire_at)?;
+        assert_cancels(BackendKind::Stack, fire_at, false)?;
     }
 
     #[test]
     fn firing_at_any_access_count_cancels_the_traced_backend(fire_at in 0u64..20_000) {
-        assert_cancels(BackendKind::Traced, fire_at)?;
+        assert_cancels(BackendKind::Traced, fire_at, false)?;
     }
 
     #[test]
     fn firing_at_any_access_count_cancels_the_raw_backend(fire_at in 0u64..20_000) {
-        assert_cancels(BackendKind::Raw, fire_at)?;
+        assert_cancels(BackendKind::Raw, fire_at, false)?;
     }
 
     #[test]
     fn firing_at_any_access_count_cancels_the_explicit_backend(fire_at in 0u64..20_000) {
-        assert_cancels(BackendKind::Explicit, fire_at)?;
+        assert_cancels(BackendKind::Explicit, fire_at, false)?;
+    }
+
+    #[test]
+    fn firing_at_any_access_count_cancels_simmed_stretches(fire_at in 0u64..20_000) {
+        assert_cancels(BackendKind::Simmed, fire_at, true)?;
+    }
+
+    #[test]
+    fn firing_at_any_access_count_cancels_stack_stretches(fire_at in 0u64..20_000) {
+        assert_cancels(BackendKind::Stack, fire_at, true)?;
     }
 }

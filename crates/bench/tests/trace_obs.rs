@@ -99,34 +99,29 @@ fn trace_json_is_schema_valid_deterministic_and_carries_phase_rows() {
         "matmul-wa phases must carry DRAM writes"
     );
 
-    // And a Krylov workload: cg marks spmv/dot/vec-update through SimIo.
-    let (_, _, phases_cg) = capture("cg");
-    for want in ["spmv", "dot", "vec-update"] {
-        assert!(
-            phases_cg.iter().any(|p| p.phase == want),
-            "cg missing phase {want}: {:?}",
-            phases_cg.iter().map(|p| &p.phase).collect::<Vec<_>>()
-        );
-    }
-    assert!(phases_cg.iter().map(|p| p.dram_writes).sum::<u64>() > 0);
-
-    // CA-CG and streaming TSQR name every phase that moves words, so no
-    // access is left in "(init)". Access-free phases (CA-CG's `gram` and
-    // `coef-update`) are marked but carry no row.
+    // The Krylov solvers mark their phases through SimIo and name every
+    // phase that moves words, so no access is left in "(init)". Every
+    // named phase has a row: CA-CG's `gram` and `coef-update` move no
+    // words, and their rows carry their wall time.
+    let cg: &[&str] = &["residual", "spmv", "dot", "vec-update"];
     let cacg: &[&str] = &["residual", "basis", "gram", "coef-update", "vec-update"];
     let cacg_moving: &[&str] = &["residual", "basis", "vec-update"];
     let tsqr: &[&str] = &["block-qr", "r-write"];
     for (name, phases, moving) in [
+        ("cg", cg, cg),
         ("ca-cg", cacg, cacg_moving),
         ("ca-cg-streaming", cacg, cacg_moving),
         ("tsqr-stream", tsqr, tsqr),
     ] {
         let (_, _, rows) = capture(name);
         let seen: Vec<&str> = rows.iter().map(|p| p.phase.as_str()).collect();
+        for want in phases {
+            assert!(seen.contains(want), "{name} missing phase {want}: {seen:?}");
+        }
         for want in moving {
             assert!(
                 rows.iter().any(|p| p.phase == *want && p.accesses > 0),
-                "{name} missing phase {want}: {seen:?}"
+                "{name}: phase {want} moves no words: {seen:?}"
             );
         }
         for p in &rows {
@@ -136,5 +131,6 @@ fn trace_json_is_schema_valid_deterministic_and_carries_phase_rows() {
                 p.phase
             );
         }
+        assert!(rows.iter().map(|p| p.dram_writes).sum::<u64>() > 0);
     }
 }

@@ -70,6 +70,7 @@ pub fn cg<S: Sink>(
     let n8 = n.div_ceil(LINE_WORDS) * LINE_WORDS;
     let (vx, vr, vp, vw, vb, va) = (0, n8, 2 * n8, 3 * n8, 4 * n8, 5 * n8);
     // r = b − A x0
+    io.phase("residual");
     a.spmv(&x, &mut r);
     io.run(&[
         AccessRun::read(va, a.nnz()),

@@ -64,13 +64,6 @@ impl LevelCounters {
     }
 }
 
-/// The result of touching a level. A hit carries the slot index so the
-/// hierarchy can memoize it for the line-granular fast path.
-pub(crate) enum Touch {
-    Hit(usize),
-    Miss,
-}
-
 /// Victim metadata returned by an insertion that displaced a line.
 pub(crate) struct Victim {
     pub line: u64,
@@ -196,6 +189,26 @@ impl FaLru {
         self.next[s] = NIL;
     }
 
+    /// Move the segment `first..=last` of the recency list, in list
+    /// order, to the MRU end in O(1): the list that moving each of its
+    /// slots to MRU in turn would leave.
+    fn splice_mru(&mut self, first: usize, last: usize) {
+        if last as u32 == self.tail {
+            return;
+        }
+        let (p, n) = (self.prev[first], self.next[last]);
+        if p == NIL {
+            self.head = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        self.prev[n as usize] = p;
+        self.prev[first] = self.tail;
+        self.next[self.tail as usize] = first as u32;
+        self.next[last] = NIL;
+        self.tail = last as u32;
+    }
+
     fn push_mru(&mut self, s: usize) {
         self.prev[s] = self.tail;
         self.next[s] = NIL;
@@ -309,9 +322,14 @@ impl Level {
         set * self.ways..(set + 1) * self.ways
     }
 
+    /// Is this level fully associative (an O(1) recency list)?
+    pub fn is_fully_associative(&self) -> bool {
+        self.fa.is_some()
+    }
+
     /// Find the slot holding `line`, if present.
     #[inline]
-    fn find(&self, line: u64) -> Option<usize> {
+    pub fn find(&self, line: u64) -> Option<usize> {
         if let Some(fa) = &self.fa {
             return fa.index.find(line, &self.tags);
         }
@@ -320,25 +338,16 @@ impl Level {
     }
 
     /// Probe for `line`; on hit update replacement metadata (and dirtiness
-    /// if `make_dirty`).
-    pub fn touch(&mut self, line: u64, now: u64, make_dirty: bool) -> Touch {
+    /// if `make_dirty`). Returns whether it hit.
+    pub fn touch(&mut self, line: u64, now: u64, make_dirty: bool) -> bool {
         match self.find(line) {
             Some(slot) => {
-                self.counters.hits += 1;
-                if let Some(fa) = &mut self.fa {
-                    fa.unlink(slot);
-                    fa.push_mru(slot);
-                } else {
-                    self.cfg.policy.on_hit(&mut self.meta[slot], now);
-                }
-                if make_dirty {
-                    self.dirty[slot] = true;
-                }
-                Touch::Hit(slot)
+                self.rehit(slot, now, make_dirty);
+                true
             }
             None => {
                 self.counters.misses += 1;
-                Touch::Miss
+                false
             }
         }
     }
@@ -379,14 +388,50 @@ impl Level {
     pub fn rehit(&mut self, slot: usize, now: u64, make_dirty: bool) {
         self.counters.hits += 1;
         if let Some(fa) = &mut self.fa {
-            fa.unlink(slot);
-            fa.push_mru(slot);
+            fa.splice_mru(slot, slot);
         } else {
             self.cfg.policy.on_hit(&mut self.meta[slot], now);
         }
         if make_dirty {
             self.dirty[slot] = true;
         }
+    }
+
+    /// Touch an in-order stretch of a run, starting with `line` at
+    /// `slot`: while the recency-list successor of the stretch's last
+    /// slot holds the run's next line (up to `last_line`), the stretch
+    /// takes it. Its lines are then touched in run order in one step:
+    /// dirtied on a write, and spliced to the MRU end, which is where
+    /// moving them to MRU one at a time would leave them. The caller
+    /// counts the hits. The stretch never takes the MRU line as its
+    /// second line: that line is the hierarchy's `memo[0]`, which the
+    /// per-line path would find in `memo[1]` there. Returns the number
+    /// of lines and the stretch's last slot and, with two lines or more,
+    /// the slot before it. Fully associative levels only.
+    pub fn hit_stretch(
+        &mut self,
+        slot: usize,
+        line: u64,
+        last_line: u64,
+        make_dirty: bool,
+    ) -> (u64, usize, usize) {
+        let fa = self
+            .fa
+            .as_mut()
+            .expect("stretches walk a fully associative recency list");
+        let (mut lines, mut last, mut before) = (1, slot, slot);
+        self.dirty[slot] |= make_dirty;
+        while line + lines <= last_line {
+            let s = fa.next[last];
+            if s == NIL || self.tags[s as usize] != line + lines || (lines == 1 && s == fa.tail) {
+                break;
+            }
+            (before, last) = (last, s as usize);
+            self.dirty[last] |= make_dirty;
+            lines += 1;
+        }
+        fa.splice_mru(slot, last);
+        (lines, last, before)
     }
 
     /// Is `line` present?
@@ -545,8 +590,8 @@ mod tests {
     fn hit_after_insert() {
         let mut l = tiny(0, Policy::Lru);
         assert!(l.insert(5, 1, false).1.is_none());
-        assert!(matches!(l.touch(5, 2, false), Touch::Hit(_)));
-        assert!(matches!(l.touch(6, 3, false), Touch::Miss));
+        assert!(l.touch(5, 2, false));
+        assert!(!l.touch(6, 3, false));
     }
 
     #[test]

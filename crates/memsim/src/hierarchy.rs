@@ -13,7 +13,7 @@
 //! (`LLC_VICTIMS.M`), `victims_e` the clean forgotten lines
 //! (`LLC_VICTIMS.E`), and `fills` the DRAM→LLC reads (`LLC_S_FILLS.E`).
 
-use crate::cache::{CacheConfig, Level, LevelCounters, Touch, Victim};
+use crate::cache::{CacheConfig, Level, LevelCounters, Victim};
 use crate::probe::{Probe, Snapshot};
 use crate::stack::StackSim;
 use wa_core::cancel::CancelPoll;
@@ -59,10 +59,13 @@ pub struct MemSim {
     /// Lines written back to DRAM (dirty LLC victims; includes flush if
     /// [`MemSim::flush`] is called).
     pub dram_writes_lines: u64,
-    /// Accesses served by the last-line memo (the PR-4 fast path),
-    /// including the bulk repeat-hits of `read_range`/`write_range`.
+    /// Accesses served by the line memo, including the bulk repeat-hits
+    /// of `read_range`/`write_range` (every word of a line after its
+    /// first).
     pub memo_hits: u64,
-    /// Accesses that took the full multi-level walk.
+    /// Accesses that took the full multi-level walk, plus the first word
+    /// of each line of an in-order stretch (an L1 hit that the per-line
+    /// path would walk to).
     pub memo_misses: u64,
     /// Optional per-phase observer (attached automatically by the
     /// [`MemSim::single_level_lru`]/[`MemSim::stacked_lru`] constructors
@@ -275,11 +278,18 @@ impl MemSim {
 
     /// Record a sequential scan of `[addr, addr + words)`.
     ///
-    /// Line-granular: the span is decomposed into its line intervals and
-    /// each line takes one full hierarchy walk; the remaining words of the
-    /// interval are L1 repeat-hits and are counted in O(1) per line.
+    /// Line-granular: the span is decomposed into its line intervals. The
+    /// first word of a line is a memo hit or takes one hierarchy walk, and
+    /// the interval's other words are L1 repeat hits, counted in O(1).
+    /// With a fully associative L1, lines that sit there in the order the
+    /// span reads them (each the recency-list successor of the one
+    /// before) form an in-order stretch: its hits are counted in one step
+    /// and its segment is spliced to the MRU end in O(1), so a blocked
+    /// kernel re-reading a block in the order it last read it pays one
+    /// index lookup per stretch, not a walk per line.
     /// Counters are byte-identical to the per-word loop
-    /// `for a in addr..addr+words { self.read(a) }` (property-tested in
+    /// `for a in addr..addr+words { self.read(a) }`, and the memo counters
+    /// to one call per line interval (property-tested in
     /// `tests/range_equiv.rs`).
     pub fn read_range(&mut self, addr: usize, words: usize) {
         self.range_access(addr, words, false);
@@ -327,23 +337,63 @@ impl MemSim {
             return;
         }
         let lw = self.line_words;
+        let stretches = self.levels[0].is_fully_associative();
         let end = addr + words;
         let mut a = addr;
         while a < end {
             let line_end = (a / lw + 1) * lw;
-            let in_line = line_end.min(end) - a;
-            // First word of the line interval: full walk (or memo hit).
-            self.access(a as u64, is_write);
-            if in_line > 1 {
+            // First word of the line interval: a memo hit, an in-order
+            // stretch of L1 hits, or a full walk.
+            self.clock += 1;
+            self.cancel.at(self.clock);
+            let line = (a / lw) as u64;
+            let slot = match self.memo_hit(line, is_write) {
+                Some(slot) => slot,
+                None => match self.levels[0].find(line) {
+                    Some(slot) if stretches => {
+                        a = self.stretch(a, end, line, slot, is_write);
+                        continue;
+                    }
+                    l1 => self.walk(line, l1, is_write),
+                },
+            };
+            let rest = (line_end.min(end) - a - 1) as u64;
+            if rest > 0 {
                 // The remaining words of the interval are consecutive
                 // same-line accesses: L1 repeat-hits, counted in bulk.
-                let (_, slot) = self.memo[0].expect("access() always sets the memo");
-                self.clock += (in_line - 1) as u64;
-                self.levels[0].fast_hits(slot, (in_line - 1) as u64, is_write);
-                self.memo_hits += (in_line - 1) as u64;
+                self.clock += rest;
+                self.levels[0].fast_hits(slot, rest, is_write);
+                self.memo_hits += rest;
             }
             a = line_end;
         }
+    }
+
+    /// Count the in-order stretch of the run `[a, end)` that starts at
+    /// `a` with `line`, which sits in L1 at `slot` and in neither memo
+    /// entry; the clock already holds its first word. The stretch's lines
+    /// are the ones [`Level::hit_stretch`] takes: each is an L1 hit that
+    /// the per-line path would walk (its first word a memo miss, the rest
+    /// memo hits), and an L1 hit never reaches the lower levels. Returns
+    /// the address after the stretch.
+    fn stretch(&mut self, a: usize, end: usize, line: u64, slot: usize, is_write: bool) -> usize {
+        let lw = self.line_words;
+        let last_line = ((end - 1) / lw) as u64;
+        let (lines, last, before) = self.levels[0].hit_stretch(slot, line, last_line, is_write);
+        let stop = ((line + lines) as usize * lw).min(end);
+        let words = (stop - a) as u64;
+        self.levels[0].counters.hits += words;
+        self.clock += words - 1;
+        self.memo_misses += lines;
+        self.memo_hits += words - lines;
+        let last_line = line + lines - 1;
+        self.memo[1] = if lines > 1 {
+            Some((last_line - 1, before))
+        } else {
+            self.memo[0]
+        };
+        self.memo[0] = Some((last_line, last));
+        stop
     }
 
     /// Disable the line memo and the line-granular range decomposition,
@@ -354,52 +404,67 @@ impl MemSim {
         self.memo = [None, None];
     }
 
-    fn access(&mut self, addr: u64, is_write: bool) {
+    /// One word access; returns the L1 slot its line now occupies.
+    fn access(&mut self, addr: u64, is_write: bool) -> usize {
         self.clock += 1;
         self.cancel.at(self.clock);
         let line = addr / self.line_words as u64;
-
         if self.fast_path {
-            // memo[0]: the line of the immediately preceding access is
-            // resident and MRU in L1 — a repeat touch only bumps the hit
-            // counter (and dirtiness); replacement state cannot change.
-            if let Some((memo_line, slot)) = self.memo[0] {
-                if memo_line == line {
-                    self.levels[0].fast_hits(slot, 1, is_write);
-                    self.memo_hits += 1;
-                    return;
-                }
-            }
-            // memo[1]: the previous distinct line. If its slot still
-            // holds it (walks since may have evicted it), this is an L1
-            // hit that skips only the index lookup and the level walk —
-            // the recency update is the real one, since the line is not
-            // MRU.
-            if let Some((memo_line, slot)) = self.memo[1] {
-                if memo_line == line && self.levels[0].slot_holds(slot, line) {
-                    self.levels[0].rehit(slot, self.clock, is_write);
-                    self.memo_hits += 1;
-                    self.memo.swap(0, 1);
-                    return;
-                }
+            if let Some(slot) = self.memo_hit(line, is_write) {
+                return slot;
             }
         }
-        self.memo_misses += 1;
+        let l1 = self.levels[0].find(line);
+        self.walk(line, l1, is_write)
+    }
 
+    /// Serve an access to `line` from the memo if it can, returning the
+    /// line's L1 slot (the clock already counts the access).
+    #[inline]
+    fn memo_hit(&mut self, line: u64, is_write: bool) -> Option<usize> {
+        // memo[0]: the line of the immediately preceding access is
+        // resident and MRU in L1 — a repeat touch only bumps the hit
+        // counter (and dirtiness); replacement state cannot change.
+        if let Some((memo_line, slot)) = self.memo[0] {
+            if memo_line == line {
+                self.levels[0].fast_hits(slot, 1, is_write);
+                self.memo_hits += 1;
+                return Some(slot);
+            }
+        }
+        // memo[1]: the previous distinct line. If its slot still holds
+        // it (walks since may have evicted it), this is an L1 hit that
+        // skips only the index lookup and the level walk — the recency
+        // update is the real one, since the line is not MRU.
+        if let Some((memo_line, slot)) = self.memo[1] {
+            if memo_line == line && self.levels[0].slot_holds(slot, line) {
+                self.levels[0].rehit(slot, self.clock, is_write);
+                self.memo_hits += 1;
+                self.memo.swap(0, 1);
+                return Some(slot);
+            }
+        }
+        None
+    }
+
+    /// The full hierarchy walk for an access to `line`, given L1's index
+    /// lookup `l1` (so it is looked up once). Returns the line's L1 slot.
+    fn walk(&mut self, line: u64, l1: Option<usize>, is_write: bool) -> usize {
+        self.memo_misses += 1;
         let n = self.levels.len();
         // Walk down until a hit; dirtiness is tracked at L1 only.
         let mut hit = n; // n = missed everywhere (DRAM)
         let mut l1_slot = usize::MAX;
-        for i in 0..n {
-            match self.levels[i].touch(line, self.clock, is_write && i == 0) {
-                Touch::Hit(slot) => {
+        if let Some(slot) = l1 {
+            self.levels[0].rehit(slot, self.clock, is_write);
+            (hit, l1_slot) = (0, slot);
+        } else {
+            self.levels[0].counters.misses += 1;
+            for i in 1..n {
+                if self.levels[i].touch(line, self.clock, false) {
                     hit = i;
-                    if i == 0 {
-                        l1_slot = slot;
-                    }
                     break;
                 }
-                Touch::Miss => {}
             }
         }
         if hit == n {
@@ -408,7 +473,7 @@ impl MemSim {
 
         // Fill the line into every level above the hit, slowest first so
         // inclusion holds when victim handling back-invalidates.
-        for i in (0..hit.min(n)).rev() {
+        for i in (0..hit).rev() {
             let dirty_here = is_write && i == 0;
             let (slot, victim) = self.levels[i].insert(line, self.clock, dirty_here);
             if i == 0 {
@@ -423,6 +488,7 @@ impl MemSim {
         // walk's evictions may have displaced it).
         self.memo[1] = self.memo[0];
         self.memo[0] = Some((line, l1_slot));
+        l1_slot
     }
 
     /// A victim was displaced from level `i`: back-invalidate faster

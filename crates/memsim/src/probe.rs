@@ -139,19 +139,23 @@ impl Probe {
 
     /// The per-phase table with the still-open tail phase closed at `now`
     /// — non-mutating, so it can run from a `&MemSim` report adapter.
-    /// Phases with no simulator activity at all are dropped; a phase with
-    /// traffic but no accesses (e.g. `"(flush)"`, which only drains) is
-    /// kept — flush write-backs are the paper's headline number.
+    /// Every named phase keeps its row, so the wall time of a phase that
+    /// moves no words (CA-CG's `gram`) is attributed too, and a phase
+    /// with traffic but no accesses (e.g. `"(flush)"`, which only drains)
+    /// carries the flush write-backs, the paper's headline number. Only
+    /// an `"(init)"` with no simulator activity is dropped.
     pub fn finalized(&self, now: Snapshot) -> Vec<PhaseStats> {
         let mut out = self.phases.clone();
         out[self.current].add_delta(&self.start, &now, self.start_t.elapsed().as_nanos());
-        out.retain(|p| {
-            p.accesses > 0
-                || p.dram_reads > 0
-                || p.dram_writes > 0
-                || p.fills.iter().any(|&f| f > 0)
-                || p.writebacks.iter().any(|&w| w > 0)
-        });
+        let init = &out[0];
+        if init.accesses == 0
+            && init.dram_reads == 0
+            && init.dram_writes == 0
+            && init.fills.iter().all(|&f| f == 0)
+            && init.writebacks.iter().all(|&w| w == 0)
+        {
+            out.remove(0);
+        }
         out
     }
 }
@@ -208,5 +212,22 @@ mod tests {
         let again = p.finalized(now);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].accesses, 4);
+    }
+
+    #[test]
+    fn finalized_keeps_named_phases_that_move_no_words() {
+        let mut p = Probe::new(1);
+        let snap = |accesses: u64| Snapshot {
+            accesses,
+            counters: vec![LevelCounters::default()],
+            ..Snapshot::default()
+        };
+        p.mark("basis", snap(3)); // (init): 3 accesses
+        p.mark("gram", snap(9)); // basis: 6
+        p.mark("vec-update", snap(9)); // gram: none
+        let rows = p.finalized(snap(12));
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["(init)", "basis", "gram", "vec-update"]);
+        assert_eq!(rows[2].accesses, 0);
     }
 }

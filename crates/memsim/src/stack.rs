@@ -46,24 +46,28 @@
 //!
 //! # Cost
 //!
-//! Distances come from a Fenwick tree over *ticks*, one tick per
-//! distinct-line touch, holding a 1 at each line's most recent tick.
-//! Before a touch the tree holds exactly one 1 per live line, so a line
-//! last touched at tick `pos` has distance `live − prefix(pos)`: one
-//! prefix query per touch, at most. One walk then moves the line's 1
-//! from `pos` to the new tick. The update paths of the two positions
-//! meet at a common node, above which the −1 and the +1 cancel, so the
-//! walk stops there.
+//! Distances come from the set of *ticks*, one tick per distinct-line
+//! touch, that holds each live line's most recent tick. Before a touch
+//! the set holds exactly one tick per live line, so a line last touched
+//! at tick `pos` has distance `live − prefix(pos)`, where `prefix(pos)`
+//! counts the live ticks up to `pos`: one prefix query per touch, at
+//! most. The set is a bitset of `u64` words, one bit per tick, plus a
+//! Fenwick tree over the words' counts (64-tick chunks), so a query is
+//! a chunk prefix plus one `popcount`. Moving a line to its new tick
+//! flips two bits. Only when the two ticks lie in different chunks does
+//! it walk the chunk tree, and that walk stops where the update paths
+//! of the two chunks meet, above which the −1 and the +1 cancel.
 //!
-//! The tick space is compacted: when the ticks reach the end of the
-//! tree and at most a quarter of its slots hold a live line, one linear
-//! scan renumbers the live lines `1..=L` in recency order and the tree
-//! is rebuilt as ones on `1..=L` at `max(64, next_pow2(4L))` slots. A
-//! distance counts only the live positions between two ticks, so
-//! renumbering in order keeps every distance exact. The tree never
-//! exceeds `max(64, 8 × footprint)` slots, so the simulator costs
-//! `O(footprint)` memory and `O(log footprint)` amortized work per
-//! distinct-line touch, however long the trace.
+//! The tick space is compacted: when the ticks reach its end and at
+//! most a quarter of it is live, one scan over the set bits renumbers
+//! the live lines `1..=L` in recency order, and the set is rebuilt with
+//! `1..=L` live among `max(64, next_pow2(4L))` ticks. A distance counts
+//! only the live ticks between two ticks, so renumbering in order keeps
+//! every distance exact. The tick space never exceeds
+//! `max(64, 8 × footprint)` ticks and a compaction costs
+//! `O(ticks / 64 + L)`, so the simulator costs `O(footprint)` memory and
+//! `O(log footprint)` amortized work per distinct-line touch, however
+//! long the trace.
 //!
 //! A two-entry recency memo keeps the hot patterns cheaper still:
 //! consecutive repeats are O(1) (distance 0 touches no histogram), and
@@ -81,27 +85,21 @@
 //! reuses them on such a touch. The second-most-recent line is checked
 //! first, so a distance-1 touch always counts as a memo hit. The kept
 //! state is stamped with its touch's tick and serves only the very next
-//! touch: a cold touch in between adds a 1 inside the interval, and
+//! touch: a cold touch in between adds a tick inside the interval, and
 //! after a distance-1 touch the line at `p + 1` can only be the memo2
 //! line. [`StackSim`]'s `make_room` clears it (a compaction renumbers
 //! the ticks).
 //!
-//! A run of such touches moves the 1s of a contiguous span of old ticks
-//! to a contiguous span of new ticks. Those moves are deferred and land
-//! as one interval update: the nodes inside each span gain their
-//! overlap with it, and the ancestors of the right ends gain the rest.
-//! That walk stops at the first node covering both spans, where the
-//! `−k` and the `+k` cancel, so a run of `k` moves costs `O(k + log n)`
-//! rather than `k` walks. Fenwick updates commute, and a prefix query
-//! adds the pending run's share in `O(1)` (of each span, the ticks up
-//! to the queried one), so the run never has to land before a read: it
-//! lands when the next run starts, a doubling carries it along (it
-//! moves no mass), and a compaction rebuilds the tree from the lines'
-//! ticks and drops it. [`StackSim::curve`] therefore reads exact
-//! distances mid-run and stays `&self`, and a run can span many calls,
-//! as a block re-read row by row does. Only reused-distance touches
-//! defer: a queried or distance-1 touch moves its 1 at once, as before,
-//! so a stream with few runs (fft) does no extra work.
+//! The range API walks a run's in-order touches as one *stretch*: the
+//! lines whose old ticks are `p + 1, p + 2, …` take the ticks
+//! `T + 1, T + 2, …` in one tight loop. Each line gets the kept
+//! distance, its `maxd` and write-back emission, its tick and its
+//! tick's owner; the distance and write-back histograms are bumped once
+//! by their counts; and the two spans of ticks flip a word at a time,
+//! with one chunk update per chunk they touch. A stretch stops at the
+//! end of the tick space, so every move has landed when `make_room` or
+//! [`StackSim::curve`] reads the set, and the order state carries it on
+//! across calls, as a block re-read row by row needs.
 //!
 //! The same stack serves the `--reuse` histogram of the `simmed`
 //! backend: a [`crate::MemSim`] whose probe asks for reuse tees every
@@ -122,84 +120,39 @@ use wa_core::cancel::CancelPoll;
 use wa_core::curve::CapacityCurve;
 pub use wa_core::AccessRun;
 
-/// Fenwick (binary-indexed) tree over access ticks `1..=n`, holding a 1
-/// at each live line's most recent tick. Grows by doubling;
-/// [`Fenwick::reset`] rebuilds it at any size for a compacted tick space.
-///
-/// Moves of a 1 may be deferred ([`Fenwick::defer_move`]): one pending
-/// run of them, the 1s at `run_from..run_from + run_len` bound for
-/// `run_to..run_to + run_len`, lands in one [`Fenwick::flush`]. Updates
-/// commute, and [`Fenwick::prefix`] counts the run as landed, so it
-/// only has to land when a new run replaces it.
+/// Fenwick (binary-indexed) tree over `1..=n` (a power of two): the
+/// live-tick counts of a [`TickSet`]'s 64-tick chunks.
 struct Fenwick {
     /// `fen.len() == n + 1`; index 0 unused.
     fen: Vec<i64>,
-    /// Tree size (power of two).
     n: usize,
-    run_from: usize,
-    run_to: usize,
-    run_len: usize,
 }
 
 impl Fenwick {
-    fn new() -> Fenwick {
-        Fenwick::with_size(64)
-    }
-
-    fn with_size(n: usize) -> Fenwick {
-        Fenwick {
-            fen: vec![0; n + 1],
-            n,
-            run_from: 0,
-            run_to: 0,
-            run_len: 0,
+    /// The tree over `vals` (a power-of-two count), in `O(n)`: each node
+    /// passes its finished sum up to its parent once.
+    fn build(vals: impl Iterator<Item = i64>) -> Fenwick {
+        let mut fen: Vec<i64> = std::iter::once(0).chain(vals).collect();
+        let n = fen.len() - 1;
+        debug_assert!(n.is_power_of_two());
+        for i in 1..n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                fen[parent] += fen[i];
+            }
         }
-    }
-
-    /// Grow until `tick` is addressable.
-    fn ensure(&mut self, tick: usize) {
-        while tick > self.n {
-            self.grow();
-        }
+        Fenwick { fen, n }
     }
 
     /// Double the tree. The only node whose range reaches into the past
     /// is the new root `2n` (covers `1..=2n`); its value is the current
     /// total, which at size `n` (a power of two) is exactly `fen[n]`.
-    /// Every other new node's range lies wholly in the not-yet-ticked
-    /// future, so zero is correct. A pending run lies inside `1..=n` and
-    /// moves no mass, so it leaves `fen[n]` right and lands the same way
-    /// in the doubled tree.
+    /// Every other new node's range lies wholly in the new, empty half.
     fn grow(&mut self) {
         let total = self.fen[self.n];
         self.n *= 2;
         self.fen.resize(self.n + 1, 0);
         self.fen[self.n] = total;
-    }
-
-    /// Tree size: the highest addressable position.
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Rebuild as a tree of `n` slots (a power of two) holding a 1 at
-    /// each of the positions `1..=ones` and 0 elsewhere, in `O(n)`:
-    /// each node passes its finished sum up to its parent once. The
-    /// pending run is dropped: the new contents already place its 1s.
-    fn reset(&mut self, n: usize, ones: usize) {
-        debug_assert!(n.is_power_of_two() && ones <= n);
-        self.run_len = 0;
-        self.n = n;
-        self.fen.clear();
-        self.fen.resize(n + 1, 0);
-        self.fen.shrink_to_fit();
-        self.fen[1..=ones].fill(1);
-        for i in 1..n {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= n {
-                self.fen[parent] += self.fen[i];
-            }
-        }
     }
 
     fn add(&mut self, mut i: usize, v: i64) {
@@ -209,94 +162,118 @@ impl Fenwick {
         }
     }
 
-    /// Move a 1 from position `from` to position `to`: the same tree as
-    /// `add(from, -1); add(to, 1)` in one walk. The two update paths
+    /// Move `v` from position `from` to position `to`: the same tree as
+    /// `add(from, -v); add(to, v)` in one walk. The two update paths
     /// rise to a common node (at worst the root `n`), and from there on
-    /// the −1 and the +1 cancel; advancing whichever index is smaller
+    /// the two changes cancel; advancing whichever index is smaller
     /// meets that node without passing it.
-    fn shift(&mut self, mut from: usize, mut to: usize) {
-        debug_assert!(from >= 1 && to >= 1 && from.max(to) <= self.n);
+    fn shift(&mut self, mut from: usize, mut to: usize, v: i64) {
         while from != to {
             if from < to {
-                self.fen[from] -= 1;
+                self.fen[from] -= v;
                 from += from & from.wrapping_neg();
             } else {
-                self.fen[to] += 1;
+                self.fen[to] += v;
                 to += to & to.wrapping_neg();
             }
         }
     }
 
-    /// Move the 1s at `from..from + k` to `to..to + k` (`from < to`; the
-    /// ranges may overlap): the same tree as `k` pairs of point updates,
-    /// in `O(k + log n)`. Node `i` covers `(i − lowbit(i), i]`, so the
-    /// nodes that meet a range are the ones inside it and the ancestors
-    /// of its right end; each gains its overlap with the `+1` range less
-    /// its overlap with the `−1` range. The ancestors of `from + k − 1`
-    /// above `to + k − 1` are ancestors of `to + k − 1` too, and once a
-    /// node covers both ranges whole the two overlaps cancel, so the walk
-    /// stops there.
-    fn move_run(&mut self, from: usize, to: usize, k: usize) {
-        debug_assert!(1 <= from && from < to && to + k - 1 <= self.n);
-        let (hi_from, hi_to) = (from + k - 1, to + k - 1);
-        // Overlap of node `i` with `lo..=hi`, for `i ≥ lo`.
-        let overlap = |i: usize, lo: usize, hi: usize| {
-            let start = (i - (i & i.wrapping_neg())).max(lo - 1);
-            hi.min(i).saturating_sub(start) as i64
-        };
-        for i in from..=hi_from {
-            self.fen[i] -= overlap(i, from, hi_from);
-        }
-        for i in to..=hi_to {
-            self.fen[i] += overlap(i, to, hi_to);
-        }
-        let mut i = hi_from + (hi_from & hi_from.wrapping_neg());
-        while i <= hi_to {
-            self.fen[i] -= overlap(i, from, hi_from);
-            i += i & i.wrapping_neg();
-        }
-        let mut i = hi_to + (hi_to & hi_to.wrapping_neg());
-        while i <= self.n && i - (i & i.wrapping_neg()) >= from {
-            self.fen[i] += overlap(i, to, hi_to) - overlap(i, from, hi_from);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Defer moving a 1 from `from` to `to`, extending the pending run
-    /// when both positions continue it and landing it first otherwise.
-    fn defer_move(&mut self, from: usize, to: usize) {
-        if self.run_len > 0
-            && from == self.run_from + self.run_len
-            && to == self.run_to + self.run_len
-        {
-            self.run_len += 1;
-        } else {
-            self.flush();
-            (self.run_from, self.run_to, self.run_len) = (from, to, 1);
-        }
-    }
-
-    /// Land the pending run: one walk for a single move, one
-    /// [`Fenwick::move_run`] for more.
-    fn flush(&mut self) {
-        match self.run_len {
-            0 => return,
-            1 => self.shift(self.run_from, self.run_to),
-            k => self.move_run(self.run_from, self.run_to, k),
-        }
-        self.run_len = 0;
-    }
-
-    /// Sum of positions `1..=i`, counting the pending run as landed: of
-    /// each of its two ranges, the positions up to `i` (a clamp, `O(1)`).
+    /// Sum of positions `1..=i`.
     fn prefix(&self, mut i: usize) -> i64 {
-        let landed = |start: usize| (i + 1).saturating_sub(start).min(self.run_len) as i64;
-        let mut s = landed(self.run_to) - landed(self.run_from);
+        let mut s = 0;
         while i > 0 {
             s += self.fen[i];
             i -= i & i.wrapping_neg();
         }
         s
+    }
+}
+
+/// The set of live ticks among `1..=len()`: one bit per tick (tick `t`
+/// is bit `t − 1`) in `u64` words, plus a [`Fenwick`] tree over each
+/// word's count. A prefix count is a chunk prefix plus one `popcount`;
+/// a move flips bits and updates the chunk tree once per chunk it
+/// touches. The size is a power of two, at least 64.
+struct TickSet {
+    bits: Vec<u64>,
+    chunks: Fenwick,
+}
+
+/// The bits `lo..hi` of a word (`lo < hi ≤ 64`).
+fn span_mask(lo: usize, hi: usize) -> u64 {
+    (u64::MAX >> (64 - (hi - lo))) << lo
+}
+
+impl TickSet {
+    /// `n` ticks (a power of two, at least 64) with exactly `1..=ones`
+    /// live.
+    fn filled(n: usize, ones: usize) -> TickSet {
+        debug_assert!(n.is_power_of_two() && n >= 64 && ones <= n);
+        let mut bits = vec![u64::MAX; ones / 64];
+        let part = ones % 64;
+        if part > 0 {
+            bits.push(span_mask(0, part));
+        }
+        bits.resize(n / 64, 0);
+        let chunks = Fenwick::build(bits.iter().map(|w| w.count_ones() as i64));
+        TickSet { bits, chunks }
+    }
+
+    /// Number of ticks: the highest addressable one.
+    fn len(&self) -> usize {
+        64 * self.bits.len()
+    }
+
+    /// Double the tick space; the new half is empty.
+    fn grow(&mut self) {
+        self.bits.resize(2 * self.bits.len(), 0);
+        self.chunks.grow();
+    }
+
+    /// Move the live ticks `from..from + k` to the dead ticks
+    /// `to..to + k` (the spans are disjoint). When each span lies in one
+    /// chunk, as a single move always does, the chunk counts move in one
+    /// [`Fenwick::shift`] walk, and not at all within one chunk.
+    fn move_ticks(&mut self, from: usize, to: usize, k: usize) {
+        let (wf, wt) = ((from - 1) / 64, (to - 1) / 64);
+        if (from + k - 2) / 64 == wf && (to + k - 2) / 64 == wt {
+            let (bf, bt) = ((from - 1) % 64, (to - 1) % 64);
+            debug_assert!(self.bits[wf] & span_mask(bf, bf + k) == span_mask(bf, bf + k));
+            debug_assert!(self.bits[wt] & span_mask(bt, bt + k) == 0);
+            self.bits[wf] ^= span_mask(bf, bf + k);
+            self.bits[wt] ^= span_mask(bt, bt + k);
+            self.chunks.shift(wf + 1, wt + 1, k as i64);
+        } else {
+            self.flip(from, k, -1);
+            self.flip(to, k, 1);
+        }
+    }
+
+    /// Flip the ticks `t..t + k`, all live (`v = −1`) or all dead
+    /// (`v = 1`), a word at a time.
+    fn flip(&mut self, t: usize, k: usize, v: i64) {
+        let (mut b, end) = (t - 1, t - 1 + k);
+        while b < end {
+            let w = b / 64;
+            let hi = end.min(64 * (w + 1));
+            let mask = span_mask(b - 64 * w, hi - 64 * w);
+            debug_assert!(self.bits[w] & mask == if v < 0 { mask } else { 0 });
+            self.bits[w] ^= mask;
+            self.chunks.add(w + 1, v * (hi - b) as i64);
+            b = hi;
+        }
+    }
+
+    /// Live ticks in `1..=t`.
+    fn prefix(&self, t: usize) -> usize {
+        let (w, r) = (t / 64, t % 64);
+        let part = if r == 0 {
+            0
+        } else {
+            (self.bits[w] & span_mask(0, r)).count_ones()
+        };
+        self.chunks.prefix(w) as usize + part as usize
     }
 }
 
@@ -327,11 +304,11 @@ pub struct StackStats {
     /// Touches of the line one tick after the previous touch's line:
     /// same distance as that touch, no query.
     pub seq_hits: u64,
-    /// Touches that took a Fenwick prefix query.
+    /// Touches that took a prefix query.
     pub full_queries: u64,
     /// Tick-space compactions so far.
     pub compactions: u64,
-    /// Current Fenwick tree size in slots.
+    /// Current tick-space size in slots.
     pub tree_slots: u64,
     pub footprint_lines: u64,
 }
@@ -345,16 +322,16 @@ pub struct StackSim {
     line_words: usize,
     /// `log2(line_words)`: a line number is `addr >> line_shift`.
     line_shift: u32,
-    /// Last tick handed out (Fenwick positions `1..=tick` are in use).
+    /// Last tick handed out (ticks `1..=tick` are in use).
     tick: usize,
-    /// 1 at each live line's most recent tick.
-    fen: Fenwick,
+    /// Each live line's most recent tick.
+    ticks: TickSet,
     /// `owner[p]` is the line that took tick `p`; the slot is live iff
     /// that line's `pos` is still `p`.
     owner: Vec<u32>,
     /// Per-line state, indexed by line number.
     lines: Vec<LineState>,
-    /// Distinct lines touched so far (the 1s in `fen`).
+    /// Distinct lines touched so far (the ticks in `ticks`).
     live: usize,
     /// Most recently touched line: consecutive repeats are distance 0.
     memo: Option<usize>,
@@ -364,13 +341,14 @@ pub struct StackSim {
     /// the trace ends mid-streak — so repeat writes stay O(1).
     memo_dirty: bool,
     /// Second-most-recent distinct line: its next touch has stack
-    /// distance exactly 1 (only `memo` intervened), so no Fenwick
-    /// prefix query is needed.
+    /// distance exactly 1 (only `memo` intervened), so no prefix query
+    /// is needed.
     memo2: Option<usize>,
     /// Order state of the last queried or reused-distance touch, made at
     /// tick `seq_tick`: its old tick plus one, and its distance. The
     /// touch right after it, if it hits the line at `seq_pos`, is at
-    /// distance `seq_d`. A compaction clears `seq_pos` (0 is no tick).
+    /// distance `seq_d`. `seq_tick` is `usize::MAX` while there is none
+    /// (at the start, and after `make_room`).
     seq_pos: usize,
     seq_d: u32,
     seq_tick: usize,
@@ -397,11 +375,11 @@ impl Default for StackSim {
     }
 }
 
-fn bump(v: &mut Vec<u64>, i: usize) {
+fn bump(v: &mut Vec<u64>, i: usize, n: u64) {
     if v.len() <= i {
         v.resize(i + 1, 0);
     }
-    v[i] += 1;
+    v[i] += n;
 }
 
 /// Turn a histogram into its running (cumulative) sums, in place.
@@ -427,13 +405,13 @@ impl StackSim {
             line_words.is_power_of_two(),
             "line size must be a power of two"
         );
-        let fen = Fenwick::new();
+        let ticks = TickSet::filled(64, 0);
         StackSim {
             line_words,
             line_shift: line_words.trailing_zeros(),
             tick: 0,
-            owner: vec![0; fen.len() + 1],
-            fen,
+            owner: vec![0; ticks.len() + 1],
+            ticks,
             lines: Vec::new(),
             live: 0,
             memo: None,
@@ -441,7 +419,7 @@ impl StackSim {
             memo2: None,
             seq_pos: 0,
             seq_d: 0,
-            seq_tick: 0,
+            seq_tick: usize::MAX,
             word_accesses: 0,
             repeats: 0,
             cold: 0,
@@ -479,7 +457,7 @@ impl StackSim {
             seq_hits: self.seq_hits,
             full_queries: self.full_queries,
             compactions: self.compactions,
-            tree_slots: self.fen.len() as u64,
+            tree_slots: self.ticks.len() as u64,
             footprint_lines: self.live as u64,
         }
     }
@@ -487,17 +465,13 @@ impl StackSim {
     /// Record a read of word address `addr`.
     #[inline]
     pub fn read(&mut self, addr: usize) {
-        self.word_accesses += 1;
-        self.cancel.at(self.word_accesses);
-        self.touch_line(addr >> self.line_shift, false);
+        self.range_access(addr, 1, false);
     }
 
     /// Record a write of word address `addr`.
     #[inline]
     pub fn write(&mut self, addr: usize) {
-        self.word_accesses += 1;
-        self.cancel.at(self.word_accesses);
-        self.touch_line(addr >> self.line_shift, true);
+        self.range_access(addr, 1, true);
     }
 
     /// Record a sequential read scan of `[addr, addr + words)`.
@@ -523,19 +497,79 @@ impl StackSim {
         let mut a = addr;
         while a < end {
             let line = a >> sh;
-            let line_end = (line + 1) << sh;
-            let in_line = line_end.min(end) - a;
-            self.word_accesses += in_line as u64;
-            self.cancel.at(self.word_accesses);
-            self.touch_line(line, is_write);
-            if in_line > 1 {
-                // The remaining words of the interval are distance-0
-                // repeats of the line just touched; `touch_line` already
-                // applied the write's dirtying effect.
-                self.repeats += (in_line - 1) as u64;
+            let mut lines = self.seq_stretch(line, (end - 1) >> sh, is_write);
+            if lines == 0 {
+                self.touch_line(line, is_write);
+                lines = 1;
             }
-            a = line_end;
+            let stop = ((line + lines) << sh).min(end);
+            self.word_accesses += (stop - a) as u64;
+            self.cancel.at(self.word_accesses);
+            // The other words of each touched line are distance-0
+            // repeats; the line's touch already applied a write.
+            self.repeats += (stop - a - lines) as u64;
+            a = stop;
         }
+    }
+
+    /// Touch the run's lines `first..=last` in one step while each one
+    /// continues the order state: the line at tick `seq_pos + i` takes
+    /// tick `tick + 1 + i` at distance `seq_d` (module docs, "Cost").
+    /// Stops at the end of the tick space, and before a line that the
+    /// per-touch rules give to the distance-1 memo, so the work counters
+    /// match a touch at a time. Returns the number of lines touched, 0
+    /// when `first` does not continue the order.
+    fn seq_stretch(&mut self, first: usize, last: usize, is_write: bool) -> usize {
+        let (from, to, d) = (self.seq_pos, self.tick + 1, self.seq_d);
+        if self.tick != self.seq_tick
+            || self.tick == self.ticks.len()
+            || self.memo2 == Some(first)
+            || self.lines.get(first).map(|st| st.pos as usize) != Some(from)
+        {
+            return 0;
+        }
+        self.flush_memo_dirty();
+        // The second line would be the memo2 line if it is the memo line.
+        let end = if self.memo == Some(first + 1) {
+            first
+        } else {
+            last
+        };
+        let max = (end - first + 1).min(self.ticks.len() - self.tick);
+        let mut dirty_wb = 0;
+        let mut k = 0;
+        while k < max {
+            let line = first + k;
+            let Some(st) = self.lines.get_mut(line) else {
+                break;
+            };
+            if st.pos as usize != from + k {
+                break;
+            }
+            if st.maxd < d {
+                bump(&mut self.wb_lo, st.maxd as usize + 1, 1);
+                dirty_wb += 1;
+            }
+            st.maxd = if is_write { 0 } else { st.maxd.max(d) };
+            st.pos = (to + k) as u32;
+            self.owner[to + k] = line as u32;
+            k += 1;
+        }
+        self.ticks.move_ticks(from, to, k);
+        bump(&mut self.dist, d as usize, k as u64);
+        if dirty_wb > 0 {
+            bump(&mut self.wb_hi, d as usize, dirty_wb);
+        }
+        self.seq_hits += k as u64;
+        self.tick += k;
+        (self.seq_pos, self.seq_tick) = (from + k, self.tick);
+        self.memo2 = if k > 1 {
+            Some(first + k - 2)
+        } else {
+            self.memo
+        };
+        self.memo = Some(first + k - 1);
+        k
     }
 
     /// Apply a memo streak's pending repeat-write dirtying to the memo
@@ -550,43 +584,46 @@ impl StackSim {
     }
 
     /// Make tick `self.tick + 1` addressable: compact the tick space if
-    /// at most a quarter of the full tree is live, else double the tree.
-    /// Either way the previous touch's order is forgotten (a compaction
-    /// renumbers its tick).
+    /// at most a quarter of it is live, else double it. Either way the
+    /// previous touch's order is forgotten (a compaction renumbers its
+    /// tick).
     #[cold]
     fn make_room(&mut self) {
-        self.seq_pos = 0;
-        if 4 * self.live <= self.fen.len() {
-            // Renumber the live ticks 1..=live in order. A slot `p` is
-            // live iff its owner still sits there; `next ≤ p` throughout,
-            // so the scan rewrites `owner` in place, and a line already
-            // renumbered (pos = next ≤ p) never matches a later slot.
+        self.seq_tick = usize::MAX;
+        if 4 * self.live <= self.ticks.len() {
+            // Renumber the live ticks 1..=live in order: the owner of
+            // each live tick `p` sits there, and `next ≤ p` throughout,
+            // so the scan rewrites `owner` in place.
             let mut next = 0;
-            for p in 1..=self.tick {
-                let line = self.owner[p];
-                let st = &mut self.lines[line as usize];
-                if st.pos as usize == p {
+            for (w, &word) in self.ticks.bits.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let p = 64 * w + word.trailing_zeros() as usize + 1;
+                    word &= word - 1;
+                    let line = self.owner[p];
                     next += 1;
-                    st.pos = next as u32;
+                    self.lines[line as usize].pos = next as u32;
                     self.owner[next] = line;
                 }
             }
             debug_assert_eq!(next, self.live);
             self.tick = next;
             let slots = (4 * next).next_power_of_two().max(64);
-            self.fen.reset(slots, next);
+            self.ticks = TickSet::filled(slots, next);
             self.owner.resize(slots + 1, 0);
             self.compactions += 1;
         } else {
-            let slots = 2 * self.fen.len();
+            let slots = 2 * self.ticks.len();
             assert!(slots <= u32::MAX as usize, "tick space exceeds u32");
-            self.fen.ensure(slots);
+            self.ticks.grow();
             self.owner.resize(slots + 1, 0);
         }
     }
 
-    /// One line-granular touch: distance, fill/write-back emission, state
-    /// update. The word-level accounting is the caller's job.
+    /// One line-granular touch that does not continue the order state
+    /// (see [`StackSim::seq_stretch`]): distance, fill/write-back
+    /// emission, state update. The word-level accounting is the caller's
+    /// job.
     fn touch_line(&mut self, line: usize, is_write: bool) {
         if self.memo == Some(line) {
             // Distance 0: hits at every capacity ≥ 1 line, so it affects
@@ -597,7 +634,7 @@ impl StackSim {
             return;
         }
         self.flush_memo_dirty();
-        if self.tick == self.fen.len() {
+        if self.tick == self.ticks.len() {
             self.make_room();
         }
         if line >= self.lines.len() {
@@ -612,38 +649,30 @@ impl StackSim {
             self.cold += 1;
             self.live += 1;
             st.maxd = if is_write { 0 } else { CLEAN };
-            self.fen.add(tick, 1);
+            self.ticks.flip(tick, 1, 1);
         } else {
             let pos = st.pos as usize;
             let d = if self.memo2 == Some(line) {
                 // Second-most-recent line: exactly one distinct line
                 // (the memo) was touched since.
                 self.memo_d1_hits += 1;
-                self.fen.shift(pos, tick);
                 1
-            } else if pos == self.seq_pos && tick == self.seq_tick + 1 {
-                // The previous touch moved the line at `pos − 1`; this
-                // line leaves the counted interval as that one enters.
-                self.seq_hits += 1;
-                self.fen.defer_move(pos, tick);
-                (self.seq_pos, self.seq_tick) = (pos + 1, tick);
-                self.seq_d
             } else {
                 // Distinct other lines touched since the previous touch:
                 // the live lines whose tick lies after `pos`.
                 self.full_queries += 1;
-                let d = (self.live - self.fen.prefix(pos) as usize) as u32;
-                self.fen.shift(pos, tick);
+                let d = (self.live - self.ticks.prefix(pos)) as u32;
                 (self.seq_pos, self.seq_d, self.seq_tick) = (pos + 1, d, tick);
                 d
             };
-            bump(&mut self.dist, d as usize);
+            self.ticks.move_ticks(pos, tick, 1);
+            bump(&mut self.dist, d as usize, 1);
             // The eviction this access would re-fetch after is dirty for
             // capacities in [maxd+1, d] (empty when the line is clean or
             // already missed at every capacity it was dirty for).
             if st.maxd < d {
-                bump(&mut self.wb_lo, st.maxd as usize + 1);
-                bump(&mut self.wb_hi, d as usize);
+                bump(&mut self.wb_lo, st.maxd as usize + 1, 1);
+                bump(&mut self.wb_hi, d as usize, 1);
             }
             // A read deepens `maxd` (a clean line stays CLEAN).
             st.maxd = if is_write { 0 } else { st.maxd.max(d) };
@@ -682,16 +711,16 @@ impl StackSim {
             }
             // Distinct lines touched after this line's last access: the
             // line is evicted before end-of-trace iff capacity ≤ e.
-            let e = (self.live - self.fen.prefix(st.pos as usize) as usize) as u32;
+            let e = (self.live - self.ticks.prefix(st.pos as usize)) as u32;
             if maxd < e {
                 // Dirty-evicted during the run for C in [maxd+1, e],
                 // with no later access to emit it — fold it here.
-                bump(&mut wb_lo, maxd as usize + 1);
-                bump(&mut wb_hi, e as usize);
+                bump(&mut wb_lo, maxd as usize + 1, 1);
+                bump(&mut wb_hi, e as usize, 1);
             }
             // Still dirty-resident at end for C > max(maxd, e): charged
             // as a flush write-back.
-            bump(&mut flush, maxd.max(e) as usize + 1);
+            bump(&mut flush, maxd.max(e) as usize + 1, 1);
         }
         CapacityCurve {
             line_words: self.line_words as u64,
@@ -715,97 +744,64 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// One `shift` walk leaves the tree exactly as the two point
-        /// updates it replaces, on any tree and any `from < to`.
+        /// Any sequence of cold ticks, single and span moves, doublings
+        /// and rebuilds leaves `prefix(t)` equal to a naive count of the live
+        /// ticks in `1..=t`, for every `t`.
         #[test]
-        fn shift_equals_two_point_updates(
-            log_n in 1u32..9,
-            seed_adds in prop::collection::vec((0usize..1 << 16, -3i64..4), 0..64),
-            a in 0usize..1 << 16,
-            b in 0usize..1 << 16,
+        fn tick_set_prefix_equals_a_naive_count(
+            steps in prop::collection::vec(
+                (0u8..8, 0usize..1 << 16, 0usize..1 << 16, 1usize..150),
+                1..60,
+            ),
         ) {
-            let n = 1usize << log_n;
-            let mut one = Fenwick::with_size(n);
-            for &(i, v) in &seed_adds {
-                one.add(1 + i % n, v);
-            }
-            let (from, to) = (1 + a % n, 1 + b % n);
-            prop_assume!(from < to);
-            let mut two = Fenwick::with_size(n);
-            two.fen.clone_from(&one.fen);
-            one.shift(from, to);
-            two.add(from, -1);
-            two.add(to, 1);
-            prop_assert_eq!(one.fen, two.fen);
-        }
-
-        /// One `move_run` leaves the tree exactly as the `2k` point
-        /// updates it replaces, overlapping ranges included.
-        #[test]
-        fn move_run_equals_point_updates(
-            log_n in 1u32..9,
-            seed_adds in prop::collection::vec((0usize..1 << 16, -3i64..4), 0..64),
-            a in 0usize..1 << 16,
-            b in 0usize..1 << 16,
-            c in 0usize..1 << 16,
-        ) {
-            let n = 1usize << log_n;
-            let mut one = Fenwick::with_size(n);
-            for &(i, v) in &seed_adds {
-                one.add(1 + i % n, v);
-            }
-            let from = 1 + a % (n - 1);
-            let to = from + 1 + b % (n - from);
-            let k = 1 + c % (n - to + 1);
-            let mut two = Fenwick::with_size(n);
-            two.fen.clone_from(&one.fen);
-            one.move_run(from, to, k);
-            for j in 0..k {
-                two.add(from + j, -1);
-                two.add(to + j, 1);
-            }
-            prop_assert_eq!(one.fen, two.fen);
-        }
-
-        /// Any sequence of deferred moves reads, through `prefix`, and
-        /// after a flush stores, exactly what the point updates it
-        /// replaces would: runs extend only when both the old and the
-        /// new positions continue them.
-        #[test]
-        fn deferred_moves_equal_point_updates(
-            steps in prop::collection::vec((0u8..4, 0usize..1 << 16, 1usize..6), 1..40),
-        ) {
-            let n = 256;
-            let mut one = Fenwick::with_size(n);
-            let mut two = Fenwick::with_size(n);
-            let (mut from, mut to) = (1, 2);
-            for &(kind, x, gap) in &steps {
-                (from, to) = match kind {
-                    // Continue the run, or skip a new position (a cold
-                    // touch in between), or an old one.
-                    0 => (from + 1, to + 1),
-                    1 => (from + 1, to + gap),
-                    2 => (from + gap, to + 1),
-                    _ => {
-                        let f = 1 + x % (n / 2);
-                        (f, f + gap)
+            let mut set = TickSet::filled(64, 0);
+            let mut live = vec![false; 65];
+            for &(op, x, y, k) in &steps {
+                let n = set.len();
+                match op {
+                    // A single move (a queried or distance-1 touch) and a
+                    // span move (a stretch), from live ticks to dead ones.
+                    0..=3 => {
+                        let k = if op == 0 { 1 } else { k };
+                        let from = 1 + x % n;
+                        let k = (from..=n).take_while(|&t| live[t]).take(k).count();
+                        let to = 1 + y % n;
+                        let free = (to..=n).take_while(|&t| !live[t]).take(k).count();
+                        if k == 0 || free < k {
+                            continue;
+                        }
+                        set.move_ticks(from, to, k);
+                        for i in 0..k {
+                            (live[from + i], live[to + i]) = (false, true);
+                        }
                     }
-                };
-                // An old tick always precedes the new one.
-                if from >= to {
-                    to = from + gap;
+                    4 | 5 => {
+                        let t = 1 + x % n;
+                        if !live[t] {
+                            set.flip(t, 1, 1);
+                            live[t] = true;
+                        }
+                    }
+                    6 => {
+                        if n < 1 << 10 {
+                            set.grow();
+                            live.resize(2 * n + 1, false);
+                        }
+                    }
+                    _ => {
+                        let n = 64 << (x % 4);
+                        let ones = y % (n + 1);
+                        set = TickSet::filled(n, ones);
+                        live = (0..=n).map(|t| (1..=ones).contains(&t)).collect();
+                    }
                 }
-                if to > n {
-                    break;
+                prop_assert_eq!(set.len() + 1, live.len());
+                let mut count = 0;
+                for (t, &l) in live.iter().enumerate() {
+                    count += usize::from(l && t > 0);
+                    prop_assert_eq!(set.prefix(t), count);
                 }
-                one.defer_move(from, to);
-                two.add(from, -1);
-                two.add(to, 1);
-                let prefixes = |f: &Fenwick| (0..=n).map(|i| f.prefix(i)).collect::<Vec<_>>();
-                prop_assert_eq!(prefixes(&one), prefixes(&two));
             }
-            one.flush();
-            prop_assert_eq!(one.fen, two.fen);
         }
     }
 
@@ -1005,7 +1001,7 @@ mod tests {
     #[test]
     fn pending_moves_stay_exact_at_curve_compaction_and_doubling() {
         // At `curve`: re-reading 12 lines in order takes 1 full query and
-        // leaves a run of 11 moves (the reused distances) pending.
+        // one stretch of 11 reused distances.
         let runs = [AccessRun::read(0, 96), AccessRun::write(0, 96)];
         let mut s = StackSim::new();
         s.run(&runs);
@@ -1014,7 +1010,7 @@ mod tests {
         assert_matches_runs(&s, &runs, 12);
 
         // At a compaction: 8 lines cycled in order inside one call fill
-        // the 64-slot tree with a run pending.
+        // the 64-slot tick space mid-stretch.
         let runs = vec![AccessRun::read(0, 64); 20];
         let mut s = StackSim::new();
         s.run(&runs);
@@ -1025,7 +1021,7 @@ mod tests {
         assert_matches_runs(&s, &runs, 8);
 
         // At a doubling: 40 lines re-read in order reach the end of the
-        // tree, with more than a quarter of it live and a run pending.
+        // tick space mid-stretch, with more than a quarter of it live.
         let runs = [
             AccessRun::read(0, 320),
             AccessRun::write(0, 320),

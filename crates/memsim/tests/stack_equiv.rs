@@ -317,6 +317,38 @@ proptest! {
     }
 }
 
+/// A block re-read in order is a stretch of reused distances, which
+/// stops where the tick space ends and resumes after `make_room`. Ten lines fill the 64-slot tick space at the
+/// fourth line of the seventh pass, with few enough live to compact;
+/// forty fill it at the twenty-fourth line of the second pass, with too
+/// many, so it doubles.
+#[test]
+fn stretches_that_reach_the_end_of_the_tick_space_stay_exact() {
+    for (lines, passes, compactions, slots) in [(10, 9, 1, 64), (40, 3, 0, 128)] {
+        let runs: Vec<AccessRun> = (0..passes)
+            .map(|p| AccessRun {
+                addr: 0,
+                words: lines * 8,
+                is_write: p % 3 == 1,
+            })
+            .collect();
+        let mut s = StackSim::new();
+        s.run(&runs);
+        let st = s.stats();
+        assert_eq!(
+            (st.compactions, st.tree_slots),
+            (compactions, slots),
+            "{st:?}"
+        );
+        // Each pass's first line continues the previous pass's order, so
+        // only the first re-read and the touch after `make_room` query.
+        assert_eq!(st.full_queries, 2, "{st:?}");
+        assert_eq!(st.seq_hits, (passes - 1) * lines as u64 - 2, "{st:?}");
+        let caps: Vec<usize> = (1..=lines + 1).collect();
+        assert_matches_reference(&s.curve(), &runs, &caps);
+    }
+}
+
 #[test]
 fn empty_trace_is_all_zero_at_every_capacity() {
     assert_curve_matches(&[], &[1, 2, 7, 100]);
