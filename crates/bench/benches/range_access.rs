@@ -12,6 +12,13 @@
 //! All four produce byte-identical counters (see
 //! `memsim/tests/range_equiv.rs`); only the wall time differs. Numbers
 //! are recorded in `BENCH_simulator.json` at the repo root.
+//!
+//! Each geometry also streams once over a fresh buffer of the same
+//! word count (`cold_stream`): every line is a cold miss, which a fully
+//! associative L1 fills as one cold run. The geometries are one fully
+//! associative LRU level, the clock-policy set-associative Xeon
+//! hierarchy, and the Xeon capacities as three fully associative LRU
+//! levels, where the passes' re-reads miss L1 and L2 and hit L3.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use memsim::xeon::XeonGeometry;
@@ -52,10 +59,15 @@ fn bench_paths(c: &mut Criterion) {
     let passes = 4;
     let single = || MemSim::single_level_lru(1 << 12);
     let xeon = || XeonGeometry::default_scaled().build();
+    let xeon_fa = || {
+        let g = XeonGeometry::default_scaled();
+        MemSim::stacked_lru(&[g.l1_words, g.l2_words, g.l3_words])
+    };
 
     for (geom, make) in [
         ("l3_fa_lru", &single as &dyn Fn() -> MemSim),
         ("xeon_3level", &xeon),
+        ("xeon_3level_fa_lru", &xeon_fa),
     ] {
         let mut g = c.benchmark_group(format!("range_access/{geom}"));
         g.throughput(Throughput::Elements((2 * words * passes) as u64));
@@ -78,6 +90,13 @@ fn bench_paths(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::from_parameter("run_bulk"), &(), |b, _| {
             b.iter(|| drive_bulk(&mut make(), words, passes));
+        });
+        g.bench_with_input(BenchmarkId::from_parameter("cold_stream"), &(), |b, _| {
+            b.iter(|| {
+                let mut s = make();
+                s.read_range(0, 2 * words * passes);
+                s.llc().misses
+            });
         });
         g.finish();
     }

@@ -531,11 +531,13 @@ fn profile(reg: &Registry, args: &[String]) {
     );
     if !rows.is_empty() {
         print_phase_table(&rows);
-    } else if let Some(series) = stack_counters(&rec) {
-        println!("stack simulator work counters:");
-        for (k, v) in series {
-            println!("  {k:<16} {v:>12}");
+        if let Some(series) = last_counter(&rec, memsim::MEMSIM_WORK_TRACK) {
+            println!("\ncache simulator work counters:");
+            print_counters(series);
         }
+    } else if let Some(series) = last_counter(&rec, memsim::STACK_COUNTER_TRACK) {
+        println!("stack simulator work counters:");
+        print_counters(series);
     } else if backend == BackendKind::Simmed {
         println!(
             "no phase data: `{name}` runs one simulator per rank and reports \
@@ -553,15 +555,19 @@ fn profile(reg: &Registry, args: &[String]) {
     }
 }
 
-/// The last sample of the stack simulator's counter track, if a `stack`
-/// cell reported under the recorder.
-fn stack_counters(rec: &Recorder) -> Option<Vec<(String, u64)>> {
+/// The last sample of the counter track `track`, if the cell reported
+/// one under the recorder.
+fn last_counter(rec: &Recorder, track: &str) -> Option<Vec<(String, u64)>> {
     rec.events().into_iter().rev().find_map(|e| match e.kind {
-        obs::EventKind::Counter { name, series } if name == memsim::STACK_COUNTER_TRACK => {
-            Some(series)
-        }
+        obs::EventKind::Counter { name, series } if name == track => Some(series),
         _ => None,
     })
+}
+
+fn print_counters(series: Vec<(String, u64)>) {
+    for (k, v) in series {
+        println!("  {k:<18} {v:>12}");
+    }
 }
 
 /// Render the per-phase probe table: one row per phase, per-level fill and

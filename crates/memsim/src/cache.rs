@@ -10,6 +10,12 @@
 //!   evicted (obligatory write-backs to the slower level);
 //! * [`LevelCounters::victims_e`] ≙ `LLC_VICTIMS.E` — clean (exclusive)
 //!   lines evicted and forgotten.
+//!
+//! A level keeps its slots' tags, dirty bits and replacement state; the
+//! line→slot index is the hierarchy's one dense table (see
+//! [`crate::MemSim`]), so every method here takes the slot the caller
+//! looked up, and [`Level::insert`] hands back the victim's line for the
+//! caller to drop from that table.
 
 use crate::policy::Policy;
 
@@ -70,90 +76,13 @@ pub(crate) struct Victim {
     pub dirty: bool,
 }
 
-const NIL: u32 = u32::MAX;
+/// Absent-slot sentinel: an empty entry of the hierarchy's line table
+/// and a missing link of the recency list.
+pub(crate) const NIL: u32 = u32::MAX;
 
-/// Flat line→slot index: a power-of-two bucket array of chain heads plus a
-/// per-slot chain link, replacing the former `HashMap<u64, usize>`. Lookup
-/// walks the (short) chain comparing against the level's own `tags` array,
-/// so the hot path is two flat-array loads and a multiply — no SipHash,
-/// no heap buckets.
-struct FlatIndex {
-    /// `64 - log2(buckets)`: multiplicative-hash shift.
-    shift: u32,
-    /// Bucket → first slot in chain (NIL = empty).
-    head: Vec<u32>,
-    /// Slot → next slot in the same bucket's chain.
-    chain: Vec<u32>,
-}
-
-impl FlatIndex {
-    fn new(lines: usize) -> Self {
-        let buckets = (2 * lines.max(1)).next_power_of_two();
-        FlatIndex {
-            shift: 64 - buckets.trailing_zeros(),
-            head: vec![NIL; buckets],
-            chain: vec![NIL; lines],
-        }
-    }
-
-    /// Fibonacci hashing: the high bits of `line * φ⁻¹·2⁶⁴` index the
-    /// bucket, spreading the strided line numbers cache sims produce.
-    #[inline]
-    fn bucket(&self, line: u64) -> usize {
-        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    #[inline]
-    fn find(&self, line: u64, tags: &[u64]) -> Option<usize> {
-        let mut s = self.head[self.bucket(line)];
-        while s != NIL {
-            let si = s as usize;
-            if tags[si] == line {
-                return Some(si);
-            }
-            s = self.chain[si];
-        }
-        None
-    }
-
-    fn insert(&mut self, line: u64, slot: usize) {
-        let b = self.bucket(line);
-        self.chain[slot] = self.head[b];
-        self.head[b] = slot as u32;
-    }
-
-    fn remove(&mut self, line: u64, slot: usize) {
-        let b = self.bucket(line);
-        let mut cur = self.head[b];
-        if cur as usize == slot {
-            self.head[b] = self.chain[slot];
-            self.chain[slot] = NIL;
-            return;
-        }
-        while cur != NIL {
-            let ci = cur as usize;
-            let nx = self.chain[ci];
-            if nx as usize == slot {
-                self.chain[ci] = self.chain[slot];
-                self.chain[slot] = NIL;
-                return;
-            }
-            cur = nx;
-        }
-        debug_assert!(false, "removing line {line} that is not indexed");
-    }
-
-    fn clear(&mut self) {
-        self.head.iter_mut().for_each(|x| *x = NIL);
-        self.chain.iter_mut().for_each(|x| *x = NIL);
-    }
-}
-
-/// O(1) fully-associative LRU bookkeeping: a flat hash index plus an
-/// intrusive doubly-linked recency list over slots (head = LRU,
-/// tail = MRU) and a free-slot stack.
+/// O(1) fully-associative LRU bookkeeping: an intrusive doubly-linked
+/// recency list over slots (head = LRU, tail = MRU) and a free-slot stack.
 struct FaLru {
-    index: FlatIndex,
     prev: Vec<u32>,
     next: Vec<u32>,
     head: u32,
@@ -164,7 +93,6 @@ struct FaLru {
 impl FaLru {
     fn new(lines: usize) -> Self {
         FaLru {
-            index: FlatIndex::new(lines),
             prev: vec![NIL; lines],
             next: vec![NIL; lines],
             head: NIL,
@@ -221,41 +149,12 @@ impl FaLru {
     }
 
     fn clear(&mut self) {
-        self.index.clear();
         let lines = self.prev.len();
         self.prev.iter_mut().for_each(|x| *x = NIL);
         self.next.iter_mut().for_each(|x| *x = NIL);
         self.head = NIL;
         self.tail = NIL;
         self.free = (0..lines).rev().collect();
-    }
-}
-
-#[cfg(test)]
-mod flat_index_tests {
-    use super::*;
-
-    #[test]
-    fn insert_find_remove_with_collisions() {
-        // 4 slots -> 8 buckets; strided lines exercise chains.
-        let mut idx = FlatIndex::new(4);
-        let mut tags = vec![INVALID; 4];
-        for (slot, line) in [(0usize, 8u64), (1, 16), (2, 24), (3, 32)] {
-            tags[slot] = line;
-            idx.insert(line, slot);
-        }
-        for (slot, line) in [(0usize, 8u64), (1, 16), (2, 24), (3, 32)] {
-            assert_eq!(idx.find(line, &tags), Some(slot));
-        }
-        assert_eq!(idx.find(40, &tags), None);
-        idx.remove(16, 1);
-        tags[1] = INVALID;
-        assert_eq!(idx.find(16, &tags), None);
-        // Reuse the freed slot for a new line.
-        tags[1] = 48;
-        idx.insert(48, 1);
-        assert_eq!(idx.find(48, &tags), Some(1));
-        assert_eq!(idx.find(8, &tags), Some(0));
     }
 }
 
@@ -327,31 +226,6 @@ impl Level {
         self.fa.is_some()
     }
 
-    /// Find the slot holding `line`, if present.
-    #[inline]
-    pub fn find(&self, line: u64) -> Option<usize> {
-        if let Some(fa) = &self.fa {
-            return fa.index.find(line, &self.tags);
-        }
-        let set = self.set_of(line);
-        self.slot_range(set).find(|&s| self.tags[s] == line)
-    }
-
-    /// Probe for `line`; on hit update replacement metadata (and dirtiness
-    /// if `make_dirty`). Returns whether it hit.
-    pub fn touch(&mut self, line: u64, now: u64, make_dirty: bool) -> bool {
-        match self.find(line) {
-            Some(slot) => {
-                self.rehit(slot, now, make_dirty);
-                true
-            }
-            None => {
-                self.counters.misses += 1;
-                false
-            }
-        }
-    }
-
     /// Count `count` repeat hits on `slot` in O(1). Valid only when the
     /// slot's line was the *immediately preceding* access at this level:
     /// with no intervening access the line is already MRU (fully
@@ -381,9 +255,9 @@ impl Level {
 
     /// Count one hit on `slot` whose line was accessed *recently but not
     /// immediately before*: unlike [`Level::fast_hits`] the line need not
-    /// be MRU, so replacement metadata is refreshed exactly as
-    /// [`Level::touch`] would — only the index lookup is skipped. The
-    /// caller must have revalidated the slot via [`Level::slot_holds`].
+    /// be MRU, so replacement metadata is refreshed as for any hit. A
+    /// memo entry's slot must have been revalidated via
+    /// [`Level::slot_holds`] first.
     #[inline]
     pub fn rehit(&mut self, slot: usize, now: u64, make_dirty: bool) {
         self.counters.hits += 1;
@@ -434,81 +308,63 @@ impl Level {
         (lines, last, before)
     }
 
-    /// Is `line` present?
-    pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
+    /// Mark the line at `slot` dirty (a write-back arriving from a faster
+    /// level).
+    pub fn mark_dirty(&mut self, slot: usize) {
+        self.dirty[slot] = true;
     }
 
-    /// Mark an already-present line dirty (used for write-backs arriving
-    /// from a faster level). Returns false if absent.
-    pub fn mark_dirty(&mut self, line: u64) -> bool {
-        match self.find(line) {
-            Some(slot) => {
-                self.dirty[slot] = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Clear `line`'s dirty bit if present, returning its previous
-    /// dirtiness. Residency and replacement state are untouched — this is
-    /// the per-level step of the hierarchy's clwb-style
+    /// Clear the dirty bit at `slot`, returning its previous value.
+    /// Residency and replacement state are untouched — this is the
+    /// per-level step of the hierarchy's clwb-style
     /// `MemSim::writeback_range`, which pushes dirty data down without
     /// evicting it.
-    pub fn clean(&mut self, line: u64) -> Option<bool> {
-        let slot = self.find(line)?;
-        let was_dirty = self.dirty[slot];
-        self.dirty[slot] = false;
-        Some(was_dirty)
+    pub fn clean(&mut self, slot: usize) -> bool {
+        std::mem::take(&mut self.dirty[slot])
     }
 
-    /// Invalidate `line` if present (inclusion maintenance). Returns the
+    /// Drop the line at `slot` (inclusion maintenance), returning the
     /// dirtiness of the dropped copy.
-    pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let slot = self.find(line)?;
-        let was_dirty = self.dirty[slot];
+    pub fn invalidate(&mut self, slot: usize) -> bool {
         self.tags[slot] = INVALID;
-        self.dirty[slot] = false;
         // Keep FIFO/LRU metadata at 0 for empty slots: insertion will reset.
         self.meta[slot] = 0;
         if let Some(fa) = &mut self.fa {
-            fa.index.remove(line, slot);
             fa.unlink(slot);
             fa.free.push(slot);
         }
-        Some(was_dirty)
+        std::mem::take(&mut self.dirty[slot])
     }
 
-    /// Insert `line` (counting a fill), evicting a victim if the set is
-    /// full. Returns the slot the line landed in (memoized by the
-    /// hierarchy's fast path) plus the victim, if any. The caller (the
-    /// hierarchy) classifies the victim as M or E — a line clean here may
-    /// still be dirty in a faster level — and must call
+    /// Insert `line`, which must be absent (counting a fill), evicting a
+    /// victim if the set is full. Returns the slot the line landed in
+    /// plus the victim, if any, whose table entry the caller clears. The
+    /// caller (the hierarchy) classifies the victim as M or E — a line
+    /// clean here may still be dirty in a faster level — and must call
     /// [`Level::count_victim`] with the effective dirtiness.
     pub fn insert(&mut self, line: u64, now: u64, dirty: bool) -> (usize, Option<Victim>) {
-        debug_assert!(self.find(line).is_none(), "inserting a present line");
         self.counters.fills += 1;
 
         if let Some(fa) = &mut self.fa {
             // O(1) fully-associative LRU path.
             let (slot, victim) = match fa.free.pop() {
-                Some(s) => (s, None),
+                Some(s) => {
+                    fa.push_mru(s);
+                    (s, None)
+                }
                 None => {
-                    let s = fa.head as usize; // LRU slot
+                    // The LRU slot takes the line and becomes MRU.
+                    let s = fa.head as usize;
                     let v = Victim {
                         line: self.tags[s],
                         dirty: self.dirty[s],
                     };
-                    fa.index.remove(v.line, s);
-                    fa.unlink(s);
+                    fa.splice_mru(s, s);
                     (s, Some(v))
                 }
             };
             self.tags[slot] = line;
             self.dirty[slot] = dirty;
-            fa.index.insert(line, slot);
-            fa.push_mru(slot);
             return (slot, victim);
         }
 
@@ -586,12 +442,22 @@ mod tests {
         })
     }
 
+    /// The slot holding `line`, by a scan of the tags (the hierarchy's
+    /// table is the real index).
+    fn slot_of(l: &Level, line: u64) -> Option<usize> {
+        l.tags.iter().position(|&t| t == line)
+    }
+
     #[test]
     fn hit_after_insert() {
         let mut l = tiny(0, Policy::Lru);
-        assert!(l.insert(5, 1, false).1.is_none());
-        assert!(l.touch(5, 2, false));
-        assert!(!l.touch(6, 3, false));
+        let (slot, victim) = l.insert(5, 1, false);
+        assert!(victim.is_none());
+        assert_eq!(slot_of(&l, 5), Some(slot));
+        assert!(l.slot_holds(slot, 5));
+        l.rehit(slot, 2, false);
+        assert_eq!(l.counters.hits, 1);
+        assert_eq!(slot_of(&l, 6), None);
     }
 
     #[test]
@@ -601,7 +467,7 @@ mod tests {
             l.insert(*line, t as u64, false);
         }
         // Touch 10 so 11 becomes LRU.
-        l.touch(10, 100, false);
+        l.rehit(slot_of(&l, 10).unwrap(), 100, false);
         let v = l.insert(14, 101, false).1.expect("must evict");
         assert_eq!(v.line, 11);
         assert!(!v.dirty);
@@ -615,7 +481,8 @@ mod tests {
         for line in 0..4u64 {
             l.insert(line, line, false);
         }
-        l.touch(0, 10, true); // dirty line 0, also makes it MRU
+        // Dirty line 0, which also makes it MRU.
+        l.rehit(slot_of(&l, 0).unwrap(), 10, true);
         let v = l.insert(99, 11, false).1.expect("must evict");
         assert_eq!(v.line, 1);
         assert!(!v.dirty);
@@ -642,10 +509,21 @@ mod tests {
     #[test]
     fn invalidate_reports_dirtiness_and_frees_slot() {
         let mut l = tiny(0, Policy::Lru);
-        l.insert(7, 1, true);
-        assert_eq!(l.invalidate(7), Some(true));
-        assert_eq!(l.invalidate(7), None);
+        let (slot, _) = l.insert(7, 1, true);
+        assert!(l.invalidate(slot));
         assert_eq!(l.resident_lines(), 0);
+        assert!(!l.slot_holds(slot, 7));
+        // The freed slot takes the next line without a victim.
+        assert_eq!(l.insert(8, 2, false).0, slot);
+    }
+
+    #[test]
+    fn clean_returns_and_clears_the_dirty_bit() {
+        let mut l = tiny(2, Policy::Lru);
+        let (slot, _) = l.insert(3, 1, true);
+        assert!(l.clean(slot));
+        assert!(!l.clean(slot));
+        assert_eq!(l.resident_lines(), 1, "cleaning does not evict");
     }
 
     #[test]
@@ -662,9 +540,8 @@ mod tests {
     #[test]
     fn mark_dirty_only_when_present() {
         let mut l = tiny(0, Policy::Lru);
-        assert!(!l.mark_dirty(3));
-        l.insert(3, 1, false);
-        assert!(l.mark_dirty(3));
+        let (slot, _) = l.insert(3, 1, false);
+        l.mark_dirty(slot);
         let _ = l.insert(4, 2, false);
         // Fill to capacity and evict; line 3 should eventually leave dirty.
         l.insert(5, 3, false);

@@ -12,12 +12,36 @@
 //! `victims_m` is the number of obligatory DRAM write-backs
 //! (`LLC_VICTIMS.M`), `victims_e` the clean forgotten lines
 //! (`LLC_VICTIMS.E`), and `fills` the DRAM→LLC reads (`LLC_S_FILLS.E`).
+//!
+//! Which slot of which level holds a line is one load from a dense table
+//! indexed by line number (`addr / line_words`) with a row of one entry
+//! per level, grown on demand — the convention of [`crate::StackSim`] and
+//! [`crate::TraceTally`]. A feeder must therefore address a dense range
+//! from 0: the table spans every line up to the highest one touched.
 
-use crate::cache::{CacheConfig, Level, LevelCounters, Victim};
+use crate::cache::{CacheConfig, Level, LevelCounters, Victim, NIL};
 use crate::probe::{Probe, Snapshot};
 use crate::stack::StackSim;
 use wa_core::cancel::CancelPoll;
 pub use wa_core::AccessRun;
+
+/// How a [`MemSim`]'s memo misses were served: each is one `walk`, one
+/// line of an in-order stretch or one line of a cold run, so
+/// `walks + stretch_lines + cold_lines == memo_misses`. These measure the
+/// simulator's work, not the simulated machine: they stay out of every
+/// report (see [`crate::MEMSIM_WORK_TRACK`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemSimWork {
+    /// Lines that took the per-line hierarchy walk.
+    pub walks: u64,
+    /// Lines touched as part of an in-order stretch of L1 hits.
+    pub stretch_lines: u64,
+    /// Lines filled as part of a cold run of L1 misses.
+    pub cold_lines: u64,
+    /// Faster-level copies dropped because a slower level evicted their
+    /// line.
+    pub back_invalidations: u64,
+}
 
 /// Multi-level cache simulator. See the module docs for semantics.
 ///
@@ -34,16 +58,21 @@ pub use wa_core::AccessRun;
 /// ```
 pub struct MemSim {
     levels: Vec<Level>,
+    /// The hierarchy's line table: line `l`'s slot at level `i` is
+    /// `slots[l * levels.len() + i]`, [`NIL`] when the line is absent
+    /// there. It covers a power of two of lines and grows on demand; a
+    /// line beyond it is absent everywhere.
+    slots: Vec<u32>,
     line_words: usize,
     clock: u64,
     /// Two-entry line memo. `memo[0]` is the `(line, l1_slot)` of the most
     /// recent access: after any access that line is resident in L1 at
     /// `l1_slot` and is that level's MRU entry, so a consecutive access to
-    /// the same line short-circuits to an L1 hit-count bump — no index
+    /// the same line short-circuits to an L1 hit-count bump — no table
     /// lookup, no recency-list surgery. `memo[1]` is the previous
     /// *distinct* line: ping-pong patterns (fft's bit-reversal, nbody's
     /// pairwise sweep) alternate between two lines, so a `memo[1]` match
-    /// skips the index lookup and the multi-level walk but still performs
+    /// skips the table lookup and the multi-level walk but still performs
     /// the full L1 recency update ([`Level::rehit`]) — and, because walks
     /// since the entry was recorded may have evicted the line or reused
     /// the slot, the entry is revalidated against the L1 tag array first
@@ -64,9 +93,11 @@ pub struct MemSim {
     /// first).
     pub memo_hits: u64,
     /// Accesses that took the full multi-level walk, plus the first word
-    /// of each line of an in-order stretch (an L1 hit that the per-line
-    /// path would walk to).
+    /// of each line of an in-order stretch or a cold run (lines that the
+    /// per-line path would walk to).
     pub memo_misses: u64,
+    /// How the memo misses were served, and the inclusion work they did.
+    work: MemSimWork,
     /// Optional per-phase observer (attached automatically by the
     /// [`MemSim::single_level_lru`]/[`MemSim::stacked_lru`] constructors
     /// when a [`wa_core::obs`] recorder is installed).
@@ -99,6 +130,7 @@ impl MemSim {
         }
         MemSim {
             levels: cfgs.iter().map(|c| Level::new(*c)).collect(),
+            slots: Vec::new(),
             line_words,
             clock: 0,
             memo: [None, None],
@@ -107,6 +139,7 @@ impl MemSim {
             dram_writes_lines: 0,
             memo_hits: 0,
             memo_misses: 0,
+            work: MemSimWork::default(),
             probe: None,
             reuse: None,
             phase_marks: 0,
@@ -248,6 +281,11 @@ impl MemSim {
         self.line_words
     }
 
+    /// The simulator's work counters.
+    pub fn work(&self) -> MemSimWork {
+        self.work
+    }
+
     /// Counters of level `i` (0 = L1 ... last = LLC).
     pub fn counters(&self, i: usize) -> LevelCounters {
         self.levels[i].counters
@@ -286,7 +324,9 @@ impl MemSim {
     /// before) form an in-order stretch: its hits are counted in one step
     /// and its segment is spliced to the MRU end in O(1), so a blocked
     /// kernel re-reading a block in the order it last read it pays one
-    /// index lookup per stretch, not a walk per line.
+    /// table lookup per stretch, not a walk per line. Lines absent from
+    /// a fully associative L1 form a cold run, filled in one loop with
+    /// the memo and counter bookkeeping done once per run.
     /// Counters are byte-identical to the per-word loop
     /// `for a in addr..addr+words { self.read(a) }`, and the memo counters
     /// to one call per line interval (property-tested in
@@ -337,21 +377,25 @@ impl MemSim {
             return;
         }
         let lw = self.line_words;
-        let stretches = self.levels[0].is_fully_associative();
+        let fa_l1 = self.levels[0].is_fully_associative();
         let end = addr + words;
         let mut a = addr;
         while a < end {
             let line_end = (a / lw + 1) * lw;
             // First word of the line interval: a memo hit, an in-order
-            // stretch of L1 hits, or a full walk.
+            // stretch of L1 hits, a cold run of L1 misses, or a full walk.
             self.clock += 1;
             self.cancel.at(self.clock);
             let line = (a / lw) as u64;
             let slot = match self.memo_hit(line, is_write) {
                 Some(slot) => slot,
-                None => match self.levels[0].find(line) {
-                    Some(slot) if stretches => {
+                None => match self.slot(line, 0) {
+                    Some(slot) if fa_l1 => {
                         a = self.stretch(a, end, line, slot, is_write);
+                        continue;
+                    }
+                    None if fa_l1 => {
+                        a = self.cold_run(a, end, line, is_write);
                         continue;
                     }
                     l1 => self.walk(line, l1, is_write),
@@ -386,6 +430,7 @@ impl MemSim {
         self.clock += words - 1;
         self.memo_misses += lines;
         self.memo_hits += words - lines;
+        self.work.stretch_lines += lines;
         let last_line = line + lines - 1;
         self.memo[1] = if lines > 1 {
             Some((last_line - 1, before))
@@ -393,6 +438,40 @@ impl MemSim {
             self.memo[0]
         };
         self.memo[0] = Some((last_line, last));
+        stop
+    }
+
+    /// Fill the cold run of `[a, end)` that starts at `a` with `line`,
+    /// which is absent from L1; the clock already holds its first word. The run takes each next line of `[a, end)` while it is still
+    /// absent from L1 once the lines before it are in, so its lines are
+    /// the ones the per-line path would walk as L1 misses (a line absent
+    /// from L1 is in no memo entry). Each line takes that walk's miss
+    /// and fill steps at its own clock; the memo and the counters of the
+    /// words are set once for the run. Returns the address after the run.
+    fn cold_run(&mut self, a: usize, end: usize, line: u64, is_write: bool) -> usize {
+        let lw = self.line_words;
+        let n = self.levels.len();
+        let last_line = ((end - 1) / lw) as u64;
+        self.cover(last_line);
+        let mut before = self.memo[0];
+        let (mut cur, mut slot) = (line, self.miss(line, self.clock, is_write));
+        while cur < last_line && self.slots[(cur as usize + 1) * n] == NIL {
+            before = Some((cur, slot));
+            cur += 1;
+            let now = self.clock + (cur as usize * lw - a) as u64;
+            slot = self.miss(cur, now, is_write);
+        }
+        let lines = cur - line + 1;
+        let stop = ((cur as usize + 1) * lw).min(end);
+        let words = (stop - a) as u64;
+        self.clock += words - 1;
+        self.levels[0].counters.misses += lines;
+        self.levels[0].counters.hits += words - lines;
+        self.memo_misses += lines;
+        self.memo_hits += words - lines;
+        self.work.cold_lines += lines;
+        self.memo[1] = before;
+        self.memo[0] = Some((cur, slot));
         stop
     }
 
@@ -414,8 +493,33 @@ impl MemSim {
                 return slot;
             }
         }
-        let l1 = self.levels[0].find(line);
+        let l1 = self.slot(line, 0);
         self.walk(line, l1, is_write)
+    }
+
+    /// The slot holding `line` at level `i`, if any.
+    #[inline]
+    fn slot(&self, line: u64, i: usize) -> Option<usize> {
+        match self.slots.get(line as usize * self.levels.len() + i) {
+            Some(&s) if s != NIL => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// Grow the line table to cover `line`.
+    #[inline]
+    fn cover(&mut self, line: u64) {
+        if (line as usize + 1) * self.levels.len() > self.slots.len() {
+            self.grow(line);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, line: u64) {
+        assert!(line < u32::MAX as u64, "line number exceeds u32");
+        let lines = (line as usize + 1).next_power_of_two();
+        self.slots.resize(lines * self.levels.len(), NIL);
     }
 
     /// Serve an access to `line` from the memo if it can, returning the
@@ -434,7 +538,7 @@ impl MemSim {
         }
         // memo[1]: the previous distinct line. If its slot still holds
         // it (walks since may have evicted it), this is an L1 hit that
-        // skips only the index lookup and the level walk — the recency
+        // skips only the table lookup and the level walk — the recency
         // update is the real one, since the line is not MRU.
         if let Some((memo_line, slot)) = self.memo[1] {
             if memo_line == line && self.levels[0].slot_holds(slot, line) {
@@ -447,65 +551,86 @@ impl MemSim {
         None
     }
 
-    /// The full hierarchy walk for an access to `line`, given L1's index
+    /// The full hierarchy walk for an access to `line`, given L1's table
     /// lookup `l1` (so it is looked up once). Returns the line's L1 slot.
     fn walk(&mut self, line: u64, l1: Option<usize>, is_write: bool) -> usize {
         self.memo_misses += 1;
-        let n = self.levels.len();
-        // Walk down until a hit; dirtiness is tracked at L1 only.
-        let mut hit = n; // n = missed everywhere (DRAM)
-        let mut l1_slot = usize::MAX;
-        if let Some(slot) = l1 {
-            self.levels[0].rehit(slot, self.clock, is_write);
-            (hit, l1_slot) = (0, slot);
-        } else {
-            self.levels[0].counters.misses += 1;
-            for i in 1..n {
-                if self.levels[i].touch(line, self.clock, false) {
-                    hit = i;
-                    break;
-                }
+        self.work.walks += 1;
+        let slot = match l1 {
+            Some(slot) => {
+                self.levels[0].rehit(slot, self.clock, is_write);
+                slot
             }
+            None => {
+                self.levels[0].counters.misses += 1;
+                self.cover(line);
+                self.miss(line, self.clock, is_write)
+            }
+        };
+        // The accessed line now sits in L1 at `slot` as the MRU entry;
+        // the previous front entry is carried (revalidated on use — this
+        // walk's evictions may have displaced it).
+        self.memo[1] = self.memo[0];
+        self.memo[0] = Some((line, slot));
+        slot
+    }
+
+    /// Serve `line`, an L1 miss that the caller counted, at time `now`:
+    /// walk down to the first level that holds it (or DRAM), then fill it
+    /// into every level above, slowest first so inclusion holds when
+    /// victim handling back-invalidates. Dirtiness is set at L1 only. The
+    /// table must cover `line`. Returns the line's L1 slot.
+    fn miss(&mut self, line: u64, now: u64, is_write: bool) -> usize {
+        let n = self.levels.len();
+        let row = line as usize * n;
+        let mut hit = n; // n = missed everywhere (DRAM)
+        for i in 1..n {
+            let s = self.slots[row + i];
+            if s != NIL {
+                self.levels[i].rehit(s as usize, now, false);
+                hit = i;
+                break;
+            }
+            self.levels[i].counters.misses += 1;
         }
         if hit == n {
             self.dram_reads_lines += 1;
         }
-
-        // Fill the line into every level above the hit, slowest first so
-        // inclusion holds when victim handling back-invalidates.
+        let mut l1_slot = 0;
         for i in (0..hit).rev() {
-            let dirty_here = is_write && i == 0;
-            let (slot, victim) = self.levels[i].insert(line, self.clock, dirty_here);
-            if i == 0 {
-                l1_slot = slot;
-            }
+            debug_assert_eq!(self.slots[row + i], NIL, "inserting a present line");
+            let (slot, victim) = self.levels[i].insert(line, now, is_write && i == 0);
+            self.slots[row + i] = slot as u32;
             if let Some(v) = victim {
                 self.handle_victim(i, v);
             }
+            l1_slot = slot;
         }
-        // The accessed line now sits in L1 at `l1_slot` as the MRU entry;
-        // the previous front entry is carried (revalidated on use — this
-        // walk's evictions may have displaced it).
-        self.memo[1] = self.memo[0];
-        self.memo[0] = Some((line, l1_slot));
         l1_slot
     }
 
-    /// A victim was displaced from level `i`: back-invalidate faster
-    /// copies (inclusion), merge dirtiness, write back to `i+1` or DRAM.
+    /// A victim was displaced from level `i`: drop its table entry there,
+    /// back-invalidate faster copies (inclusion), merge dirtiness, write
+    /// back to `i+1` or DRAM.
     fn handle_victim(&mut self, i: usize, v: Victim) {
+        let n = self.levels.len();
+        let row = v.line as usize * n;
+        self.slots[row + i] = NIL;
         let mut dirty = v.dirty;
         for j in 0..i {
-            if let Some(upper_dirty) = self.levels[j].invalidate(v.line) {
-                dirty |= upper_dirty;
+            let s = std::mem::replace(&mut self.slots[row + j], NIL);
+            if s != NIL {
+                dirty |= self.levels[j].invalidate(s as usize);
+                self.work.back_invalidations += 1;
             }
         }
         self.levels[i].count_victim(dirty);
         if dirty {
-            if i + 1 < self.levels.len() {
+            if i + 1 < n {
                 // Present below by inclusion.
-                let present = self.levels[i + 1].mark_dirty(v.line);
-                debug_assert!(present, "inclusion violated: victim absent below");
+                let s = self.slots[row + i + 1];
+                debug_assert_ne!(s, NIL, "inclusion violated: victim absent below");
+                self.levels[i + 1].mark_dirty(s as usize);
             } else {
                 self.dram_writes_lines += 1;
             }
@@ -527,14 +652,18 @@ impl MemSim {
         // Residency is about to change wholesale; the line memo would
         // dangle.
         self.memo = [None, None];
-        // Top-down: push dirtiness toward the LLC.
+        // Top-down: push dirtiness toward the LLC. Only the drained
+        // lines' table entries are cleared.
         for i in 0..n {
             let drained = self.levels[i].drain();
             for (line, dirty) in drained {
+                let row = line as usize * n;
+                self.slots[row + i] = NIL;
                 if dirty {
                     self.levels[i].counters.flush_victims_m += 1;
                     if i + 1 < n {
-                        self.levels[i + 1].mark_dirty(line);
+                        // Present below by inclusion.
+                        self.levels[i + 1].mark_dirty(self.slots[row + i + 1] as usize);
                     } else {
                         self.dram_writes_lines += 1;
                         flushed += 1;
@@ -571,8 +700,8 @@ impl MemSim {
             // write-back crosses each of those boundaries too.
             let mut dirty = false;
             for i in 0..n {
-                if let Some(was_dirty) = self.levels[i].clean(line) {
-                    dirty |= was_dirty;
+                if let Some(s) = self.slot(line, i) {
+                    dirty |= self.levels[i].clean(s);
                 }
                 if dirty {
                     self.levels[i].counters.flush_victims_m += 1;
@@ -594,7 +723,7 @@ impl MemSim {
     /// Is the line containing word `addr` resident at level `i`
     /// (diagnostics)?
     pub fn contains(&self, i: usize, addr: usize) -> bool {
-        self.levels[i].contains(addr as u64 / self.line_words as u64)
+        self.slot(addr as u64 / self.line_words as u64, i).is_some()
     }
 
     /// The configuration of level `i`.
@@ -906,6 +1035,26 @@ mod tests {
         assert_eq!(m.memo_misses, 3);
         // Every access is either a memo hit or a walk.
         assert_eq!(m.memo_hits + m.memo_misses, 16 + 1 + 5 + 1);
+    }
+
+    #[test]
+    fn work_counters_split_the_memo_misses() {
+        // 4-line L1 over an 8-line L2.
+        let mut m = MemSim::new(&[cfg(32, 0), cfg(64, 0)]);
+        m.write_range(0, 64); // lines 0..=7: one cold run; L1 keeps 4..=7
+        m.read_range(32, 16); // lines 4, 5 in order: one stretch
+        m.read_range(0, 16); // lines 0, 1: a cold run filled from L2
+        m.read_range(32, 16); // lines 4, 5 again: a stretch
+        for line in 10..13 {
+            // Walks; the third makes L2 evict line 4, still in L1.
+            m.read(line * 8);
+        }
+        let w = m.work();
+        assert_eq!(w.cold_lines, 10);
+        assert_eq!(w.stretch_lines, 4);
+        assert_eq!(w.walks, 3);
+        assert_eq!(w.back_invalidations, 1);
+        assert_eq!(w.walks + w.stretch_lines + w.cold_lines, m.memo_misses);
     }
 
     #[test]

@@ -61,12 +61,13 @@ pub mod xeon;
 pub use backend::{run_on_backend, Kernel, Sink};
 pub use cache::{CacheConfig, LevelCounters};
 pub use explicit::{Charges, ExplicitHier};
-pub use hierarchy::{AccessRun, MemSim};
+pub use hierarchy::{AccessRun, MemSim, MemSimWork};
 pub use mem::{Mem, RawMem, SimMem, TraceMem};
 pub use policy::Policy;
 pub use probe::{PhaseStats, Probe};
 pub use report::{
-    explicit_report, memsim_boundaries, memsim_report, stack_report, STACK_COUNTER_TRACK,
+    explicit_report, memsim_boundaries, memsim_report, stack_report, MEMSIM_WORK_TRACK,
+    STACK_COUNTER_TRACK,
 };
 pub use stack::{StackSim, StackStats};
 pub use tally::TraceTally;

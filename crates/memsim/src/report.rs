@@ -139,6 +139,20 @@ pub fn memsim_report(sim: &MemSim, report: RunReport) -> RunReport {
         }
         r = r.note(format!("probe: {} phase(s) observed", phases.len()));
     }
+    if let Some(rec) = wa_core::obs::active() {
+        // The work behind the run's time, for `harness profile`; kept
+        // out of the report like the stack's.
+        let w = sim.work();
+        rec.counter(
+            MEMSIM_WORK_TRACK,
+            &[
+                ("walks", w.walks),
+                ("stretch_lines", w.stretch_lines),
+                ("cold_lines", w.cold_lines),
+                ("back_invalidations", w.back_invalidations),
+            ],
+        );
+    }
     r
 }
 
@@ -203,6 +217,11 @@ pub fn stack_report(sim: &StackSim, fast_words: usize, report: RunReport) -> Run
 /// [`crate::StackStats`] into when a [`wa_core::obs`] recorder is
 /// installed.
 pub const STACK_COUNTER_TRACK: &str = "memsim stack";
+
+/// Name of the counter track [`memsim_report`] samples a [`MemSim`]'s
+/// [`crate::MemSimWork`] into when a [`wa_core::obs`] recorder is
+/// installed.
+pub const MEMSIM_WORK_TRACK: &str = "memsim work";
 
 #[cfg(test)]
 mod tests {

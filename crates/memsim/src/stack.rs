@@ -109,12 +109,14 @@
 //!
 //! Per-line state lives in a table indexed by line number
 //! (`addr / line_words`) and grown on demand, the convention of
-//! [`crate::TraceTally`]'s line bitset. A feeder must therefore address
-//! a dense range from 0: the table spans every line up to the highest
-//! one touched. Every feeder in the workspace does — [`crate::SimMem`]
-//! and krylov's `SimIo` address their staged data, the distributed
-//! machine each rank's bump-allocated heap, and the benchmark replays
-//! streams recorded from `SimMem`-style kernels.
+//! [`crate::TraceTally`]'s line bitset and [`crate::MemSim`]'s line→slot
+//! table. A feeder must therefore address a dense range from 0: the
+//! table spans every line up to the highest one touched. Every feeder
+//! in the workspace does — [`crate::SimMem`] and krylov's `SimIo`
+//! address their staged data, the distributed machine each rank's
+//! bump-allocated heap, the `harness exp` figures a `SimMem` over their
+//! operands, and the benchmark replays streams recorded from
+//! `SimMem`-style kernels.
 
 use wa_core::cancel::CancelPoll;
 use wa_core::curve::CapacityCurve;

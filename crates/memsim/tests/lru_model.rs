@@ -162,3 +162,40 @@ proptest! {
         prop_assert_eq!(c.fills - c.victims(), sim.resident_lines(0) as u64);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Line numbers spread over six orders of magnitude: small ones recur
+    /// (hits and evictions), and large ones arrive mid-trace, so the
+    /// simulator's line table grows while lines are resident.
+    #[test]
+    fn fa_lru_matches_reference_model_over_a_wide_line_range(
+        ops in prop::collection::vec((0usize..1 << 21, 0u32..14, any::<bool>()), 1..600),
+        cap_lines in 1usize..24,
+    ) {
+        let cfg = CacheConfig {
+            capacity_words: cap_lines * 8,
+            line_words: 8,
+            ways: 0,
+            policy: Policy::Lru,
+        };
+        let mut sim = MemSim::two_level(cfg);
+        let mut reference = RefLru::new(cap_lines, 8);
+        for &(x, shift, is_write) in &ops {
+            let addr = x >> shift;
+            if is_write {
+                sim.write(addr);
+            } else {
+                sim.read(addr);
+            }
+            reference.access(addr, is_write);
+        }
+        let c = sim.llc();
+        prop_assert_eq!(c.hits, reference.hits);
+        prop_assert_eq!(c.misses, reference.misses);
+        prop_assert_eq!(c.victims_m, reference.victims_m);
+        prop_assert_eq!(c.victims_e, reference.victims_e);
+        prop_assert_eq!(sim.dram_writes_lines, reference.victims_m);
+    }
+}

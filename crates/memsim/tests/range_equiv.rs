@@ -7,10 +7,13 @@
 //! the per-word reference walk (`disable_fast_path`). These property
 //! tests drive random run traces through random 1-, 2-, and 3-level
 //! hierarchies under every replacement policy and compare the two paths
-//! field for field. With a fully associative L1, a run's lines that sit
-//! in L1 in the order the run reads them are touched as one stretch;
-//! block re-reads pin that its memo counters equal a line-at-a-time
-//! feed's.
+//! field for field, and the memo counters against per-word calls with
+//! the memo on. With a fully associative L1, a run's lines that sit in
+//! L1 in the order the run reads them are touched as one stretch, and
+//! its lines absent from L1 are filled as one cold run; block re-reads
+//! pin that a stretch's memo counters equal a line-at-a-time feed's, and
+//! long runs on hierarchies that mix fully associative and
+//! set-associative levels pin the cold runs at every depth.
 
 use memsim::{AccessRun, CacheConfig, LevelCounters, MemSim, Policy};
 use proptest::prelude::*;
@@ -26,21 +29,11 @@ const CONFIGS: [(usize, Policy); 4] = [
 ];
 
 fn build(levels: usize, ways: usize, policy: Policy, base_lines: usize) -> MemSim {
-    let cfgs: Vec<CacheConfig> = (0..levels)
-        .map(|i| CacheConfig {
-            // Strictly growing capacities: 4x per level keeps every level
-            // a whole number of (ways-divisible) sets.
-            capacity_words: (base_lines * 8) << (2 * i),
-            line_words: 8,
-            ways,
-            policy,
-        })
-        .collect();
-    MemSim::new(&cfgs)
+    MemSim::new(&mixed(&vec![(ways, policy); levels], base_lines))
 }
 
-/// Apply `runs` through the bulk API on one sim and the per-word
-/// reference walk on another; compare every counter of every level.
+/// Apply `runs` to `levels` levels of one kind and compare the paths as
+/// [`assert_exact`] does.
 fn assert_equivalent(
     levels: usize,
     ways: usize,
@@ -48,36 +41,115 @@ fn assert_equivalent(
     base_lines: usize,
     runs: &[AccessRun],
 ) {
-    let mut fast = build(levels, ways, policy, base_lines);
-    let mut refr = build(levels, ways, policy, base_lines);
+    let ops: Vec<Op> = runs.iter().map(|&r| Op::Run(r)).collect();
+    assert_exact(&mixed(&vec![(ways, policy); levels], base_lines), &ops);
+}
+
+/// Per-level (ways, policy) choices for mixed hierarchies: fully
+/// associative LRU, and 1-, 2- and 4-way sets under each policy.
+const LEVEL_KINDS: [(usize, Policy); 10] = [
+    (0, Policy::Lru),
+    (1, Policy::Lru),
+    (2, Policy::Lru),
+    (4, Policy::Lru),
+    (1, Policy::Fifo),
+    (2, Policy::Fifo),
+    (4, Policy::Fifo),
+    (1, Policy::Clock3),
+    (2, Policy::Clock3),
+    (4, Policy::Clock3),
+];
+
+/// One step of a trace: a run, a flush of the whole hierarchy, or a
+/// write-back of a span.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Run(AccessRun),
+    Flush,
+    Writeback(usize, usize),
+}
+
+/// Levels of `l1_lines << 2i` lines, fastest first, each of the given
+/// kind (ways capped at the level's lines).
+fn mixed(kinds: &[(usize, Policy)], l1_lines: usize) -> Vec<CacheConfig> {
+    kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &(ways, policy))| {
+            let lines = l1_lines << (2 * i);
+            CacheConfig {
+                capacity_words: lines * 8,
+                line_words: 8,
+                ways: ways.min(lines),
+                policy,
+            }
+        })
+        .collect()
+}
+
+/// Apply `ops` through the range API, through per-word calls with the
+/// memo on, and through the per-word reference walk: every level's
+/// counters and the DRAM tallies agree across all three, the memo
+/// counters between the range API and the per-word calls, and the range
+/// API's work counters add up to its memo misses.
+fn assert_exact(cfgs: &[CacheConfig], ops: &[Op]) -> MemSim {
+    let mut fast = MemSim::new(cfgs);
+    let mut word = MemSim::new(cfgs);
+    let mut refr = MemSim::new(cfgs);
     refr.disable_fast_path();
-    fast.run(runs);
-    for r in runs {
-        for a in r.addr..r.addr + r.words {
-            if r.is_write {
-                refr.write(a);
-            } else {
-                refr.read(a);
+    for (k, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Run(r) => {
+                fast.run(&[r]);
+                for sim in [&mut word, &mut refr] {
+                    for a in r.addr..r.addr + r.words {
+                        if r.is_write {
+                            sim.write(a);
+                        } else {
+                            sim.read(a);
+                        }
+                    }
+                }
+            }
+            Op::Flush => {
+                for sim in [&mut fast, &mut word, &mut refr] {
+                    sim.flush();
+                }
+            }
+            Op::Writeback(addr, words) => {
+                let lines = fast.writeback_range(addr, words);
+                assert_eq!(word.writeback_range(addr, words), lines, "op {k}");
+                assert_eq!(refr.writeback_range(addr, words), lines, "op {k}");
             }
         }
     }
-    for i in 0..levels {
-        let (f, r): (LevelCounters, LevelCounters) = (fast.counters(i), refr.counters(i));
-        assert_eq!(f, r, "level {i} counters diverge ({ways}-way {policy:?})");
+    // Compare, then flush all three and compare the dirty state they
+    // pushed out.
+    for flushed in [false, true] {
+        if flushed {
+            for sim in [&mut fast, &mut word, &mut refr] {
+                sim.flush();
+            }
+        }
+        for i in 0..cfgs.len() {
+            let r: LevelCounters = refr.counters(i);
+            assert_eq!(fast.counters(i), r, "level {i}, flushed {flushed}");
+            assert_eq!(
+                word.counters(i),
+                r,
+                "level {i} of word calls, flushed {flushed}"
+            );
+        }
+        for sim in [&word, &fast] {
+            assert_eq!(sim.dram_reads_lines, refr.dram_reads_lines);
+            assert_eq!(sim.dram_writes_lines, refr.dram_writes_lines);
+        }
     }
-    assert_eq!(fast.dram_reads_lines, refr.dram_reads_lines);
-    assert_eq!(fast.dram_writes_lines, refr.dram_writes_lines);
-    // And after a flush both must have pushed the same dirty state out.
-    fast.flush();
-    refr.flush();
-    for i in 0..levels {
-        assert_eq!(
-            fast.counters(i),
-            refr.counters(i),
-            "level {i} counters diverge after flush"
-        );
-    }
-    assert_eq!(fast.dram_writes_lines, refr.dram_writes_lines);
+    assert_eq!(fast.memo_hits, word.memo_hits);
+    assert_eq!(fast.memo_misses, word.memo_misses);
+    let w = fast.work();
+    assert_eq!(w.walks + w.stretch_lines + w.cold_lines, fast.memo_misses);
+    fast
 }
 
 proptest! {
@@ -205,4 +277,88 @@ fn stretch_stops_before_the_mru_line_when_memo1_went_stale() {
     runs.push(AccessRun::read(48, 16));
     assert_matches_line_calls(2, 2, &runs);
     assert_equivalent(2, 0, Policy::Lru, 2, &runs);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Long runs over an address space several times the LLC, on 1–3
+    /// levels that mix fully associative and 1/2/4-way levels under LRU,
+    /// FIFO and Clock: cold runs longer than L1 (and, at depth 3, than
+    /// the LLC) evict their own lines, dirty and clean, and `memo[1]`'s
+    /// line among them. Runs that back up over the previous run's end
+    /// re-read the lines in the memo, and runs that go on from it meet
+    /// lines touched ahead of it, so cold runs stop at resident lines;
+    /// short runs and block re-reads mix in memo hits and stretches, and
+    /// flushes and write-backs land mid-trace.
+    #[test]
+    fn cold_runs_match_per_word_reference_on_mixed_hierarchies(
+        levels in 1usize..4,
+        kinds in prop::collection::vec(0usize..10, 3..4),
+        l1_fa in any::<bool>(),
+        l1_lines in prop::sample::select(vec![1usize, 4, 8]),
+        ops in prop::collection::vec((0u8..12, 0usize..4096, 1usize..1500, any::<bool>()), 1..60),
+    ) {
+        let mut kinds: Vec<(usize, Policy)> = kinds.iter().map(|&k| LEVEL_KINDS[k]).collect();
+        if l1_fa {
+            kinds[0] = (0, Policy::Lru);
+        }
+        let cfgs = mixed(&kinds[..levels], l1_lines);
+        // The end of the previous run.
+        let mut end = 0;
+        let mut trace = Vec::new();
+        for &(kind, x, len, is_write) in &ops {
+            let (addr, words) = match kind {
+                0..=2 => (x, len),
+                3..=5 => (end - (x % 512).min(end), len % 400 + 1),
+                6 => (x, len % 20 + 1),
+                7 => (x % 256, len % 200 + 1),
+                8 => {
+                    let a = end + x % 128;
+                    trace.push(Op::Run(AccessRun { addr: a, words: 1, is_write }));
+                    continue;
+                }
+                9 => (end, len % 400 + 1),
+                10 => {
+                    trace.push(Op::Flush);
+                    continue;
+                }
+                _ => {
+                    trace.push(Op::Writeback(x, len));
+                    continue;
+                }
+            };
+            trace.push(Op::Run(AccessRun { addr, words, is_write }));
+            end = addr + words;
+        }
+        assert_exact(&cfgs, &trace);
+    }
+}
+
+/// A cold run through a one-line L1 evicts each line it fills, so after
+/// it `memo[1]` names an evicted line, which a re-read must not take as
+/// a memo hit.
+/// At depth 3 the run is longer than the LLC too, so it also evicts its
+/// own dirty lines there.
+#[test]
+fn cold_run_evicts_its_own_lines_and_the_memo1_line() {
+    for levels in 1..=3 {
+        let kinds = [(0, Policy::Lru), (2, Policy::Fifo), (0, Policy::Lru)];
+        let cfgs = mixed(&kinds[..levels], 1);
+        let ops = [
+            Op::Run(AccessRun::write(0, 200)),
+            Op::Run(AccessRun::read(184, 1)),
+            Op::Writeback(0, 200),
+            Op::Run(AccessRun::read(0, 64)),
+        ];
+        let sim = assert_exact(&cfgs, &ops);
+        let w = sim.work();
+        // Lines 0..=24 cold, then line 23 (`memo[1]`, evicted) is a
+        // one-line cold run, then lines 0..=7 are cold again.
+        assert_eq!(
+            (w.cold_lines, w.walks, w.stretch_lines),
+            (34, 0, 0),
+            "depth {levels}"
+        );
+    }
 }
