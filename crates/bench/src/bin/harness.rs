@@ -61,7 +61,7 @@ use wa_core::engine::{BackendKind, EngineError, RunCfg, RunLimits, Workload};
 use wa_core::fault::FaultPlan;
 use wa_core::obs::{self, Clock, PhaseRow, Recorder};
 use wa_core::par::{default_threads, par_map};
-use wa_core::report::{median_wall_ns, RunReport};
+use wa_core::report::{json_string, median_wall_ns, RunReport};
 use wa_core::{CostParams, Registry, Scale};
 
 fn main() {
@@ -90,7 +90,7 @@ fn main() {
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-attempt wall-clock deadline (float seconds): the cell is `cancelled`\n                   at its first cancel checkpoint after the deadline\n  --retries N      re-attempt panicked/deadline-cancelled/report-invariant/retriable cells\n                   N times (deterministic backoff); an interrupt is never retried\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
+        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities (2..=4096) geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-attempt wall-clock deadline (float seconds): the cell is `cancelled`\n                   at its first cancel checkpoint after the deadline\n  --retries N      re-attempt panicked/deadline-cancelled/report-invariant/retriable cells\n                   N times (deterministic backoff); an interrupt is never retried\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
     );
     std::process::exit(code);
 }
@@ -347,7 +347,7 @@ fn parse_backend(args: &[String]) -> Option<BackendKind> {
 
 /// Backend cell for the markdown support table: `✓` (depth 1) or `✓³`
 /// (models hierarchies up to that depth); empty when unsupported.
-fn md_cell(w: &dyn Workload, b: BackendKind) -> String {
+fn md_cell(w: &Workload, b: BackendKind) -> String {
     if !w.supports(b) {
         return String::new();
     }
@@ -394,13 +394,16 @@ fn list(reg: &Registry, json: bool, markdown: bool) {
                 .iter()
                 .map(|b| format!("\"{}\"", b.as_str()))
                 .collect();
+            s.push_str("{\"name\":");
+            json_string(&mut s, w.name());
+            s.push_str(",\"group\":");
+            json_string(&mut s, w.group());
             s.push_str(&format!(
-                "{{\"name\":\"{}\",\"group\":\"{}\",\"backends\":[{}],\"description\":\"{}\"}}",
-                w.name(),
-                w.group(),
-                backends.join(","),
-                w.description().replace('\\', "\\\\").replace('"', "\\\"")
+                ",\"backends\":[{}],\"description\":",
+                backends.join(",")
             ));
+            json_string(&mut s, w.description());
+            s.push('}');
         }
         s.push(']');
         println!("{s}");
@@ -644,6 +647,11 @@ fn print_phase_row(r: &PhaseRow, levels: usize) {
     println!("{line}");
 }
 
+/// Most capacities `--geometric` may ask for: far more points than any
+/// curve plot needs, and small enough that a typo'd STEPS cannot ask the
+/// allocator for an unbounded ladder.
+const MAX_GEOMETRIC_STEPS: u64 = 4096;
+
 /// Parse the `curve` capacity list: `--capacities a,b,c` (words) or
 /// `--geometric lo:hi:steps`; `None` means the curve's default ladder.
 fn parse_capacities(args: &[String]) -> Option<Vec<u64>> {
@@ -665,7 +673,10 @@ fn parse_capacities(args: &[String]) -> Option<Vec<u64>> {
     }
     if let Some(spec) = flag_value(args, "--geometric") {
         let bad = || -> ! {
-            eprintln!("bad --geometric `{spec}` (LO:HI:STEPS with 0 < LO <= HI, STEPS >= 2)");
+            eprintln!(
+                "bad --geometric `{spec}` \
+                 (LO:HI:STEPS with 0 < LO <= HI, 2 <= STEPS <= {MAX_GEOMETRIC_STEPS})"
+            );
             std::process::exit(2);
         };
         let parts: Vec<u64> = spec
@@ -673,7 +684,7 @@ fn parse_capacities(args: &[String]) -> Option<Vec<u64>> {
             .map(|s| s.trim().parse::<u64>().unwrap_or_else(|_| bad()))
             .collect();
         let [lo, hi, steps] = parts[..] else { bad() };
-        if lo == 0 || hi < lo || steps < 2 {
+        if lo == 0 || hi < lo || !(2..=MAX_GEOMETRIC_STEPS).contains(&steps) {
             bad();
         }
         let ratio = (hi as f64 / lo as f64).powf(1.0 / (steps - 1) as f64);
@@ -707,6 +718,8 @@ fn curve(reg: &Registry, args: &[String]) {
         std::process::exit(2);
     }
     let scale = parse_scale(args);
+    // Every flag is checked before the (possibly paper-scale) stack run.
+    let caps = parse_capacities(args);
     let cfg = RunCfg::with_depth(BackendKind::Stack, scale, 1).with_limits(parse_limits(args));
     let report = match run_repeated(reg, name, cfg, parse_repeat(args)).0 {
         Ok(r) => r,
@@ -719,7 +732,7 @@ fn curve(reg: &Registry, args: &[String]) {
         .curve
         .as_ref()
         .expect("stack-backend reports always carry a curve");
-    let caps = parse_capacities(args).unwrap_or_else(|| curve.default_ladder());
+    let caps = caps.unwrap_or_else(|| curve.default_ladder());
     if has_flag(args, "--json") {
         println!("{}", curve.to_json(&caps));
         return;
@@ -1017,15 +1030,11 @@ fn sweep(reg: &Registry, args: &[String]) {
             first = false;
             let body = match report {
                 Some(r) => format!("\"report\":{}", r.to_json()),
-                None => format!(
-                    "\"error\":\"{}\"",
-                    outcome
-                        .error
-                        .as_deref()
-                        .unwrap_or("")
-                        .replace('\\', "\\\\")
-                        .replace('"', "\\\"")
-                ),
+                None => {
+                    let mut e = String::from("\"error\":");
+                    json_string(&mut e, outcome.error.as_deref().unwrap_or(""));
+                    e
+                }
             };
             print!(
                 "{{\"workload\":\"{}\",\"backend\":\"{}\",\"scale\":\"{}\",\"depth\":{},\

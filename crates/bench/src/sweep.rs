@@ -25,11 +25,13 @@
 //! tail — is treated as missing on `--resume`, so the cell re-runs.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use wa_core::engine::{BackendKind, Scale};
+use wa_core::report::json_string;
 
 /// One journaled cell outcome.
 #[derive(Clone, Debug)]
@@ -59,26 +61,28 @@ impl CellOutcome {
     /// record body up to and including `"error":…`), so readers can
     /// detect mid-file corruption, not just torn tails.
     pub fn to_jsonl(&self) -> String {
-        let error = match &self.error {
-            None => "null".to_string(),
-            Some(e) => format!("\"{}\"", escape(e)),
-        };
-        let body = format!(
-            "{{\"key\":\"{}\",\"workload\":\"{}\",\"backend\":\"{}\",\"scale\":\"{}\",\
-             \"depth\":{},\"status\":\"{}\",\"attempts\":{},\"retries_used\":{},\
-             \"wall_ns\":{},\"wall_ms\":{:.3},\"error\":{}",
-            self.key,
-            escape(&self.workload),
+        let mut body = format!("{{\"key\":\"{}\",\"workload\":", self.key);
+        json_string(&mut body, &self.workload);
+        let _ = write!(
+            body,
+            ",\"backend\":\"{}\",\"scale\":\"{}\",\"depth\":{},\"status\":",
             self.backend.as_str(),
             self.scale.as_str(),
             self.depth,
-            escape(&self.status),
+        );
+        json_string(&mut body, &self.status);
+        let _ = write!(
+            body,
+            ",\"attempts\":{},\"retries_used\":{},\"wall_ns\":{},\"wall_ms\":{:.3},\"error\":",
             self.attempts,
             self.retries_used,
             self.wall_ns,
             self.wall_ns as f64 / 1e6,
-            error
         );
+        match &self.error {
+            None => body.push_str("null"),
+            Some(e) => json_string(&mut body, e),
+        }
         let crc = wa_core::engine::fnv1a64(body.as_bytes());
         format!("{body},\"crc\":\"{crc:016x}\"}}")
     }
@@ -100,22 +104,6 @@ fn crc_ok(line: &str) -> bool {
         return false;
     };
     wa_core::engine::fnv1a64(body.as_bytes()) == stored
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Extract the value of a simple string field (`"name":"value"`) from one

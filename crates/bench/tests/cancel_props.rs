@@ -13,9 +13,7 @@
 use memsim::{Mem, MemSim, RawMem, SimMem, StackSim, TraceTally};
 use proptest::prelude::*;
 use wa_core::cancel::{self, CHECK_INTERVAL};
-use wa_core::engine::{
-    BackendKind, EngineError, FnWorkload, RunCfg, Workload, DEFAULT_FOOTPRINT_BYTES,
-};
+use wa_core::engine::{BackendKind, EngineError, RunCfg, Workload};
 use wa_core::report::RunReport;
 use wa_core::{CancelReason, Registry, Scale, Traffic};
 
@@ -52,9 +50,9 @@ fn reread_block(mem: &mut dyn Mem, fire_at: u64, total: u64) {
 /// lost it would finish all `total` accesses and return Ok — the
 /// property rejects that. With `stretches`, the simulators read through
 /// [`reread_block`] instead.
-fn driven_workload(fire_at: u64, stretches: bool) -> Box<dyn Workload> {
+fn driven_workload(fire_at: u64, stretches: bool) -> Workload {
     let total = fire_at + 3 * CHECK_INTERVAL;
-    FnWorkload::boxed(
+    Workload::new(
         "cancel-prop",
         "test",
         "fires the ambient token mid-simulation",
@@ -66,7 +64,7 @@ fn driven_workload(fire_at: u64, stretches: bool) -> Box<dyn Workload> {
             BackendKind::Explicit,
         ],
         &[],
-        |_, _| DEFAULT_FOOTPRINT_BYTES,
+        |_, _| 1 << 30,
         move |cfg: RunCfg| {
             let drive = |ld: &mut dyn FnMut(usize) -> f64| {
                 for i in 0..total {

@@ -486,6 +486,16 @@ fn unknown_arguments_are_usage_errors_and_help_exits_zero() {
         (vec!["run", "matmul-wa", "--backend"], "--backend"), // no value
         (vec!["profile", "matmul-wa", "--json"], "--json"),
         (vec!["curve", "matmul-wa", "--threads", "2"], "--threads"),
+        // Capacity flags are checked before the stack run: a deadline no
+        // run meets must not turn a bad flag into a cancelled cell.
+        (
+            vec!["curve", "fft", "--capacities", "0", "--timeout", "0.000001"],
+            "--capacities",
+        ),
+        (
+            vec!["curve", "fft", "--geometric", "1:1000:100000"],
+            "--geometric",
+        ),
         (vec!["list", "--csv"], "--csv"),
         (vec!["exp", "wa-optimal", "--threads", "2"], "--threads"),
         (
@@ -539,4 +549,35 @@ fn unknown_arguments_are_usage_errors_and_help_exits_zero() {
         "`sweep --help` must not sweep"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `harness list --json` prints one object per registry workload, in
+/// registry order, carrying the registry's name, group and backends.
+#[test]
+fn list_json_has_one_object_per_workload_in_registry_order() {
+    let out = harness().args(["list", "--json"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let json = text.trim();
+    assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
+    let reg = wa_bench::registry::registry();
+    assert_eq!(json.matches("{\"name\":").count(), reg.len());
+    let mut rest = json;
+    for w in reg.iter() {
+        let backends: Vec<String> = w
+            .backends()
+            .iter()
+            .map(|b| format!("\"{}\"", b.as_str()))
+            .collect();
+        let head = format!(
+            "{{\"name\":\"{}\",\"group\":\"{}\",\"backends\":[{}],",
+            w.name(),
+            w.group(),
+            backends.join(",")
+        );
+        let at = rest
+            .find(&head)
+            .unwrap_or_else(|| panic!("`{}` missing or out of registry order", w.name()));
+        rest = &rest[at + head.len()..];
+    }
 }

@@ -28,14 +28,14 @@ impl Complex {
         Complex { re, im }
     }
 
-    pub fn mul(self, o: Complex) -> Complex {
+    pub(crate) fn mul(self, o: Complex) -> Complex {
         Complex {
             re: self.re * o.re - self.im * o.im,
             im: self.re * o.im + self.im * o.re,
         }
     }
 
-    pub fn add(self, o: Complex) -> Complex {
+    pub(crate) fn add(self, o: Complex) -> Complex {
         Complex {
             re: self.re + o.re,
             im: self.im + o.im,

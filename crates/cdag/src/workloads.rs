@@ -9,7 +9,7 @@ use crate::strassen::{strassen_mem, strassen_scratch_words};
 use dense::desc::alloc_layout;
 use dense::workloads::fast_words;
 use memsim::{run_on_backend, Kernel, Mem, RawMem};
-use wa_core::engine::{BackendKind, FnWorkload, Scale, Workload};
+use wa_core::engine::{BackendKind, Scale, Workload};
 use wa_core::report::RunReport;
 use wa_core::Mat;
 
@@ -30,7 +30,7 @@ fn run_cdag(
     r
 }
 
-pub fn workloads() -> Vec<Box<dyn Workload>> {
+pub fn workloads() -> Vec<Workload> {
     let backends = [
         BackendKind::Raw,
         BackendKind::Simmed,
@@ -38,7 +38,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
         BackendKind::Stack,
     ];
     vec![
-        FnWorkload::boxed(
+        Workload::new(
             "fft",
             "cdag",
             "radix-2 Cooley-Tukey FFT: bounded reuse, writes within O(1) of reads (Cor 2)",
@@ -69,7 +69,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 Ok(r.config("n", n))
             },
         ),
-        FnWorkload::boxed(
+        Workload::new(
             "strassen",
             "cdag",
             "Strassen matmul: max reuse 4, so writes are Omega(flops/M^(log2 7 - 1)) (Cor 3)",

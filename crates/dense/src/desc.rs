@@ -40,7 +40,7 @@ impl MatDesc {
 
     /// The `(bi, bj)`-th block of size up to `b × b` (clipped at the
     /// edges), as in `denseMat::block(i, j, b)` in the paper's listings.
-    pub fn block(&self, bi: usize, bj: usize, b: usize) -> MatDesc {
+    pub(crate) fn block(&self, bi: usize, bj: usize, b: usize) -> MatDesc {
         let r0 = bi * b;
         let c0 = bj * b;
         debug_assert!(r0 < self.rows && c0 < self.cols);

@@ -30,18 +30,18 @@ pub fn block_for(m: u64) -> usize {
 
 /// Triangle words (diagonal included) of a `b×b` block — the stored half
 /// of a symmetric/triangular operand in the block schedules.
-pub fn tri_words(b: usize) -> u64 {
+pub(crate) fn tri_words(b: usize) -> u64 {
     (b * (b + 1) / 2) as u64
 }
 
 /// Strictly-lower-triangle words of a `b×b` block (the stored part of a
 /// unit-diagonal `L` factor).
-pub fn strict_lower_words(b: usize) -> u64 {
+pub(crate) fn strict_lower_words(b: usize) -> u64 {
     (b * (b - 1) / 2) as u64
 }
 
 /// A block of rows or columns: `(first index, width)`.
-pub type Span = (usize, usize);
+pub(crate) type Span = (usize, usize);
 
 /// The block loops of `C += A·B` (`m×n` times `n×l`), one level per entry
 /// of `blocks` (largest first), with every explicit charge. `top` orders

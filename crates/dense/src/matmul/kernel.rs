@@ -38,7 +38,7 @@ pub fn mm_kernel<M: Mem>(mem: &mut M, a: MatDesc, b: MatDesc, c: MatDesc) {
 }
 
 /// `C -= A·B` (used by TRSM and LU updates).
-pub fn mm_kernel_sub<M: Mem>(mem: &mut M, a: MatDesc, b: MatDesc, c: MatDesc) {
+pub(crate) fn mm_kernel_sub<M: Mem>(mem: &mut M, a: MatDesc, b: MatDesc, c: MatDesc) {
     debug_assert_eq!(a.rows, c.rows);
     debug_assert_eq!(b.cols, c.cols);
     debug_assert_eq!(a.cols, b.rows);
@@ -61,7 +61,7 @@ pub fn mm_kernel_sub<M: Mem>(mem: &mut M, a: MatDesc, b: MatDesc, c: MatDesc) {
 /// `C -= A·Bᵀ` (Cholesky's SYRK-like update reads the transpose in place).
 /// Rows of `B` are the contiguous runs here: `C(i,j)` consumes row `j` of
 /// `B` against row `i` of `A`.
-pub fn mm_kernel_sub_bt<M: Mem>(mem: &mut M, a: MatDesc, b: MatDesc, c: MatDesc) {
+pub(crate) fn mm_kernel_sub_bt<M: Mem>(mem: &mut M, a: MatDesc, b: MatDesc, c: MatDesc) {
     debug_assert_eq!(a.rows, c.rows);
     debug_assert_eq!(b.rows, c.cols);
     debug_assert_eq!(a.cols, b.cols);

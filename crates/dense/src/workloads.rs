@@ -49,7 +49,7 @@ use crate::matmul::{blocked_matmul, co_matmul, LoopOrder};
 use crate::trsm::{blocked_trsm, TrsmVariant};
 use memsim::xeon::XeonGeometry;
 use memsim::{explicit_report, run_on_backend, ExplicitHier, Kernel, Mem, RawMem};
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
+use wa_core::engine::{BackendKind, EngineError, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::Mat;
 
@@ -191,7 +191,7 @@ fn run_matmul_wa_deep(cfg: RunCfg) -> Result<RunReport, EngineError> {
             let r = run_on_backend(backend, base, data, &caps, DeepMatmul { d, big_first });
             Ok(r.config("depth", depth).config("blocks", &blocks_echo))
         }
-        // FnWorkload::run_cfg rejects depth > max_depth before the
+        // Workload::run_cfg rejects depth > max_depth before the
         // closure runs, and only explicit/simmed advertise depth > 1.
         other => unreachable!("depth {depth} advertised only for explicit/simmed, got {other}"),
     }
@@ -203,7 +203,7 @@ fn matmul_workload(
     name: &'static str,
     description: &'static str,
     order: Option<LoopOrder>, // None = cache-oblivious
-) -> Box<dyn Workload> {
+) -> Workload {
     let backends = if order.is_some() {
         vec![
             BackendKind::Raw,
@@ -227,7 +227,7 @@ fn matmul_workload(
     } else {
         &[]
     };
-    FnWorkload::boxed(
+    Workload::new(
         name,
         "dense",
         description,
@@ -264,7 +264,7 @@ fn matmul_workload(
     )
 }
 
-pub fn workloads() -> Vec<Box<dyn Workload>> {
+pub fn workloads() -> Vec<Workload> {
     vec![
         matmul_workload(
             "matmul-wa",
@@ -314,7 +314,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Box<dyn Workload> {
+fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Workload {
     let backends = [
         BackendKind::Raw,
         BackendKind::Simmed,
@@ -322,7 +322,7 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Box
         BackendKind::Explicit,
         BackendKind::Stack,
     ];
-    FnWorkload::boxed(
+    Workload::new(
         name,
         "dense",
         description,
@@ -356,7 +356,7 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Box
     )
 }
 
-fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) -> Box<dyn Workload> {
+fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) -> Workload {
     let backends = [
         BackendKind::Raw,
         BackendKind::Simmed,
@@ -364,7 +364,7 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
         BackendKind::Explicit,
         BackendKind::Stack,
     ];
-    FnWorkload::boxed(
+    Workload::new(
         name,
         "dense",
         description,
@@ -396,11 +396,7 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
     )
 }
 
-fn lu_workload(
-    name: &'static str,
-    description: &'static str,
-    variant: LuVariant,
-) -> Box<dyn Workload> {
+fn lu_workload(name: &'static str, description: &'static str, variant: LuVariant) -> Workload {
     let backends = [
         BackendKind::Raw,
         BackendKind::Simmed,
@@ -408,7 +404,7 @@ fn lu_workload(
         BackendKind::Explicit,
         BackendKind::Stack,
     ];
-    FnWorkload::boxed(
+    Workload::new(
         name,
         "dense",
         description,
@@ -477,7 +473,7 @@ mod tests {
 
     #[test]
     fn wa_matmul_explicit_and_simmed_store_the_output_size() {
-        let reg: Vec<Box<dyn Workload>> = workloads();
+        let reg: Vec<Workload> = workloads();
         let w = reg.iter().find(|w| w.name() == "matmul-wa").unwrap();
         let (_, n) = sim_block_and_dim(Scale::Small);
         let out = (n * n) as u64;
@@ -489,7 +485,7 @@ mod tests {
 
     #[test]
     fn explicit_lu_ll_stores_the_output_and_agrees_with_simmed() {
-        let reg: Vec<Box<dyn Workload>> = workloads();
+        let reg: Vec<Workload> = workloads();
         let w = reg.iter().find(|w| w.name() == "lu-wa").unwrap();
         let (_, n) = sim_block_and_dim(Scale::Small);
         let out = (n * n) as u64;
@@ -501,7 +497,7 @@ mod tests {
 
     #[test]
     fn deep_matmul_boundary_counts_agree_at_every_level() {
-        let reg: Vec<Box<dyn Workload>> = workloads();
+        let reg: Vec<Workload> = workloads();
         let w = reg.iter().find(|w| w.name() == "matmul-wa").unwrap();
         for depth in [2usize, 3] {
             let exp = w

@@ -9,7 +9,7 @@
 
 use crate::merge::external_merge_sort;
 use crate::selection::low_write_sort;
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, Scale, Workload};
+use wa_core::engine::{BackendKind, EngineError, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::{BoundaryTraffic, Traffic, XorShift};
 
@@ -25,13 +25,9 @@ fn random_data(n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.next_unit() * 1e6).collect()
 }
 
-fn sort_workload(
-    name: &'static str,
-    description: &'static str,
-    selection: bool,
-) -> Box<dyn Workload> {
+fn sort_workload(name: &'static str, description: &'static str, selection: bool) -> Workload {
     let backends = [BackendKind::Raw, BackendKind::Explicit];
-    FnWorkload::boxed(
+    Workload::new(
         name,
         "extsort",
         description,
@@ -77,7 +73,7 @@ fn sort_workload(
     )
 }
 
-pub fn workloads() -> Vec<Box<dyn Workload>> {
+pub fn workloads() -> Vec<Workload> {
     vec![
         sort_workload(
             "sort-merge",

@@ -21,7 +21,7 @@ pub enum BasisKind {
 
 impl BasisKind {
     /// Shift θ_j applied when advancing degree j → j+1.
-    pub fn shift(&self, j: usize) -> f64 {
+    pub(crate) fn shift(&self, j: usize) -> f64 {
         match self {
             BasisKind::Monomial => 0.0,
             BasisKind::Newton(t) => t[j % t.len()],
@@ -36,7 +36,7 @@ impl BasisKind {
     /// * `A·V_j = V_{j+1} + θ_{j−s−1}·V_j` for R columns `s+1 ≤ j < 2s`,
     /// * columns `s` and `2s` (top degrees) are zero — the inner loop
     ///   never applies `H` to coefficients living there.
-    pub fn h_matrix(&self, s: usize) -> Vec<Vec<f64>> {
+    pub(crate) fn h_matrix(&self, s: usize) -> Vec<Vec<f64>> {
         let m = 2 * s + 1;
         let mut h = vec![vec![0.0; m]; m];
         for j in 0..s {
@@ -52,7 +52,7 @@ impl BasisKind {
 }
 
 /// `y = H·x` for the dense row-major `H` of [`BasisKind::h_matrix`].
-pub fn h_apply(h: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
+pub(crate) fn h_apply(h: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
     let m = h.len();
     let mut y = vec![0.0; m];
     for (i, row) in h.iter().enumerate() {

@@ -19,10 +19,10 @@
 //! bit-identical iterates).
 //!
 //! The ghost zones depend only on the matrix, the row block and `s`, so a
-//! solve plans them once: each row block's [`ghost_ranges`] to degree `s`
+//! solve plans them once: each row block's `ghost_ranges` to degree `s`
 //! serve the `p` basis, and their suffix `rg[1..]` (the degree-`s−1`
 //! ranges) the `r` basis. The `s+1` and `s` level buffers of
-//! [`block_powers`], the Gram matrix and the storing form's `V` live for
+//! `block_powers`, the Gram matrix and the storing form's `V` live for
 //! the whole solve; each block's `2s+1` basis columns are plain slices of
 //! the level windows, so the Gram entries and the recovery are dot
 //! products over slices. Profiling sinks see the phases `residual`,

@@ -37,17 +37,17 @@ impl<S: Sink> SimIo<S> {
     }
 
     /// Charge one read run of `words` words starting at `addr`.
-    pub fn read_at(&mut self, addr: usize, words: usize) {
+    pub(crate) fn read_at(&mut self, addr: usize, words: usize) {
         self.sim.read_range(addr, words);
     }
 
     /// Charge one write run of `words` words starting at `addr`.
-    pub fn write_at(&mut self, addr: usize, words: usize) {
+    pub(crate) fn write_at(&mut self, addr: usize, words: usize) {
         self.sim.write_range(addr, words);
     }
 
     /// Charge a batch of access runs.
-    pub fn run(&mut self, runs: &[AccessRun]) {
+    pub(crate) fn run(&mut self, runs: &[AccessRun]) {
         for r in runs {
             if r.is_write {
                 self.write_at(r.addr, r.words);
@@ -58,20 +58,20 @@ impl<S: Sink> SimIo<S> {
     }
 
     /// Charge `n` floating-point operations.
-    pub fn flop(&mut self, n: usize) {
+    pub(crate) fn flop(&mut self, n: usize) {
         self.flops += n as u64;
     }
 
     /// Mark a profiling phase boundary (see [`memsim::Probe`]); a no-op
     /// unless the sink profiles phases.
-    pub fn phase(&mut self, name: &'static str) {
+    pub(crate) fn phase(&mut self, name: &'static str) {
         self.sim.phase(name);
     }
 
     /// Project the run onto `base` through the sink (the tally on one
     /// boundary, the flushed cache simulator, the stack at `m1_words`)
     /// and record the flops.
-    pub fn report(mut self, m1_words: usize, base: RunReport) -> RunReport {
+    pub(crate) fn report(mut self, m1_words: usize, base: RunReport) -> RunReport {
         let mut r = self.sim.report(m1_words, base);
         r.flops = self.flops;
         r

@@ -12,7 +12,7 @@ pub struct Csr {
 
 impl Csr {
     /// Build from (row, col, value) triplets; duplicates are summed.
-    pub fn from_triplets(rows: usize, cols: usize, mut t: Vec<(usize, usize, f64)>) -> Self {
+    pub(crate) fn from_triplets(rows: usize, cols: usize, mut t: Vec<(usize, usize, f64)>) -> Self {
         t.sort_by_key(|a| (a.0, a.1));
         let mut row_ptr = vec![0usize; rows + 1];
         let mut col_idx = Vec::with_capacity(t.len());
@@ -57,7 +57,7 @@ impl Csr {
 
     /// `y[r] = Σ A[r,c]·x[c]` for rows `r ∈ [r0, r1)` only (other entries
     /// of `y` untouched).
-    pub fn spmv_range(&self, x: &[f64], y: &mut [f64], r0: usize, r1: usize) {
+    pub(crate) fn spmv_range(&self, x: &[f64], y: &mut [f64], r0: usize, r1: usize) {
         assert!(x.len() >= self.cols && y.len() >= self.rows && r1 <= self.rows);
         self.spmv_window(x, 0, &mut y[r0..r1], r0);
     }
@@ -67,7 +67,7 @@ impl Csr {
     /// receives rows `[r0, r0 + y.len())`, `y[r − r0] = Σ A[r,c]·x[c − x0]`.
     /// Every column the rows reach must lie in `x`'s window. Each row
     /// sums in [`Csr::spmv`]'s order, so the values are bit-identical.
-    pub fn spmv_window(&self, x: &[f64], x0: usize, y: &mut [f64], r0: usize) {
+    pub(crate) fn spmv_window(&self, x: &[f64], x0: usize, y: &mut [f64], r0: usize) {
         for (r, yr) in (r0..).zip(y.iter_mut()) {
             let mut acc = 0.0;
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
@@ -80,7 +80,7 @@ impl Csr {
     /// Smallest and largest column index reachable from rows `[r0, r1)` —
     /// one step of range-based dependency closure (exact for banded
     /// matrices, conservative in general). Returns `(c_min, c_max+1)`.
-    pub fn reach_range(&self, r0: usize, r1: usize) -> (usize, usize) {
+    pub(crate) fn reach_range(&self, r0: usize, r1: usize) -> (usize, usize) {
         let mut lo = usize::MAX;
         let mut hi = 0usize;
         for r in r0..r1 {
@@ -95,15 +95,6 @@ impl Csr {
         } else {
             (lo.min(r0), hi.max(r1))
         }
-    }
-
-    /// Dense reference multiply for small verification cases.
-    pub fn to_dense_row(&self, r: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-            out[self.col_idx[k]] += self.vals[k];
-        }
-        out
     }
 }
 
@@ -176,6 +167,8 @@ mod tests {
     #[test]
     fn duplicate_triplets_sum() {
         let a = Csr::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 0, 2.5)]);
-        assert_eq!(a.to_dense_row(0)[0], 3.5);
+        let mut y = [0.0; 2];
+        a.spmv(&[1.0, 0.0], &mut y);
+        assert_eq!(y, [3.5, 0.0]);
     }
 }

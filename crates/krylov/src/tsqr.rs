@@ -5,12 +5,12 @@
 //! "which can be interleaved with the matrix powers computation in a
 //! similar manner". This module provides that building block:
 //!
-//! * [`tsqr_r`] — the R factor of an `n×s` matrix via block-row local
+//! * `tsqr_r` — the R factor of an `n×s` matrix via block-row local
 //!   Householder QRs and a sequential R-combining reduction. In
 //!   **streaming** mode each row block is consumed and discarded
 //!   (provided by a closure — e.g. the matrix powers kernel regenerating
 //!   basis rows), so slow-memory writes are O(s²) instead of O(n·s);
-//! * [`householder_qr_r`] — the dense local kernel (also usable
+//! * `householder_qr_r` — the dense local kernel (also usable
 //!   standalone).
 //!
 //! Verified against the Cholesky identity `RᵀR = AᵀA` and Q-lessness is
@@ -23,7 +23,7 @@ use memsim::LINE_WORDS;
 
 /// In-place Householder QR of an `r×c` row-major block (`r ≥ c` not
 /// required); returns the `c×c` upper-triangular R (row-major).
-pub fn householder_qr_r(a: &mut [f64], r: usize, c: usize) -> Vec<f64> {
+pub(crate) fn householder_qr_r(a: &mut [f64], r: usize, c: usize) -> Vec<f64> {
     assert_eq!(a.len(), r * c);
     for k in 0..c.min(r.saturating_sub(1)) {
         // Build the Householder reflector for column k below row k.
@@ -79,7 +79,7 @@ pub fn householder_qr_r(a: &mut [f64], r: usize, c: usize) -> Vec<f64> {
 /// (the non-WA baseline, counted in `io`). Profiling sinks see the
 /// phases `block-qr` (each block's read, store and local QR) and
 /// `r-write`.
-pub fn tsqr_r<S: Sink>(
+pub(crate) fn tsqr_r<S: Sink>(
     nblocks: usize,
     rows_per_block: usize,
     s: usize,

@@ -27,7 +27,7 @@ use crate::stencil::laplacian_2d;
 use crate::tsqr::tsqr_r;
 use memsim::xeon::XeonGeometry;
 use memsim::{MemSim, Policy, Sink, StackSim};
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
+use wa_core::engine::{BackendKind, EngineError, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::{Traffic, XorShift};
 
@@ -113,8 +113,8 @@ fn solver_workload(
     name: &'static str,
     description: &'static str,
     opts: Option<CaCgOptions>, // None = plain CG
-) -> Box<dyn Workload> {
-    FnWorkload::boxed(
+) -> Workload {
+    Workload::new(
         name,
         "krylov",
         description,
@@ -174,8 +174,8 @@ fn tsqr<S: Sink>(name: &'static str, cfg: RunCfg, store: bool, mut io: SimIo<S>)
 
 /// Streaming / storing tall-skinny QR (the §8 Arnoldi building block):
 /// `nblocks` row blocks of 64×8, blocks regenerated on demand.
-fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> Box<dyn Workload> {
-    FnWorkload::boxed(
+fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> Workload {
+    Workload::new(
         name,
         "krylov",
         description,
@@ -207,7 +207,7 @@ fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> 
     )
 }
 
-pub fn workloads() -> Vec<Box<dyn Workload>> {
+pub fn workloads() -> Vec<Workload> {
     vec![
         solver_workload(
             "cg",

@@ -14,7 +14,7 @@
 //! A level keeps its slots' tags, dirty bits and replacement state; the
 //! line→slot index is the hierarchy's one dense table (see
 //! [`crate::MemSim`]), so every method here takes the slot the caller
-//! looked up, and [`Level::insert`] hands back the victim's line for the
+//! looked up, and `Level::insert` hands back the victim's line for the
 //! caller to drop from that table.
 
 use crate::policy::Policy;
@@ -38,7 +38,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Number of lines this level holds.
-    pub fn capacity_lines(&self) -> usize {
+    pub(crate) fn capacity_lines(&self) -> usize {
         self.capacity_words / self.line_words
     }
 }
@@ -173,7 +173,7 @@ pub(crate) struct Level {
 }
 
 impl Level {
-    pub fn new(cfg: CacheConfig) -> Self {
+    pub(crate) fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line_words.is_power_of_two(), "line size must be 2^k");
         assert!(
             cfg.capacity_words.is_multiple_of(cfg.line_words),
@@ -207,7 +207,7 @@ impl Level {
         }
     }
 
-    pub fn cfg(&self) -> &CacheConfig {
+    pub(crate) fn cfg(&self) -> &CacheConfig {
         &self.cfg
     }
 
@@ -222,7 +222,7 @@ impl Level {
     }
 
     /// Is this level fully associative (an O(1) recency list)?
-    pub fn is_fully_associative(&self) -> bool {
+    pub(crate) fn is_fully_associative(&self) -> bool {
         self.fa.is_some()
     }
 
@@ -234,7 +234,7 @@ impl Level {
     /// [`Policy::on_repeat_hits`] call — so the replacement state a
     /// per-word re-touch loop would produce is behaviorally identical.
     #[inline]
-    pub fn fast_hits(&mut self, slot: usize, count: u64, make_dirty: bool) {
+    pub(crate) fn fast_hits(&mut self, slot: usize, count: u64, make_dirty: bool) {
         self.counters.hits += count;
         if make_dirty {
             self.dirty[slot] = true;
@@ -249,7 +249,7 @@ impl Level {
     /// that happened since they were recorded; this is the O(1)
     /// revalidation check (tags are private to this module).
     #[inline]
-    pub fn slot_holds(&self, slot: usize, line: u64) -> bool {
+    pub(crate) fn slot_holds(&self, slot: usize, line: u64) -> bool {
         self.tags[slot] == line
     }
 
@@ -259,7 +259,7 @@ impl Level {
     /// memo entry's slot must have been revalidated via
     /// [`Level::slot_holds`] first.
     #[inline]
-    pub fn rehit(&mut self, slot: usize, now: u64, make_dirty: bool) {
+    pub(crate) fn rehit(&mut self, slot: usize, now: u64, make_dirty: bool) {
         self.counters.hits += 1;
         if let Some(fa) = &mut self.fa {
             fa.splice_mru(slot, slot);
@@ -282,7 +282,7 @@ impl Level {
     /// per-line path would find in `memo[1]` there. Returns the number
     /// of lines and the stretch's last slot and, with two lines or more,
     /// the slot before it. Fully associative levels only.
-    pub fn hit_stretch(
+    pub(crate) fn hit_stretch(
         &mut self,
         slot: usize,
         line: u64,
@@ -310,7 +310,7 @@ impl Level {
 
     /// Mark the line at `slot` dirty (a write-back arriving from a faster
     /// level).
-    pub fn mark_dirty(&mut self, slot: usize) {
+    pub(crate) fn mark_dirty(&mut self, slot: usize) {
         self.dirty[slot] = true;
     }
 
@@ -319,13 +319,13 @@ impl Level {
     /// per-level step of the hierarchy's clwb-style
     /// `MemSim::writeback_range`, which pushes dirty data down without
     /// evicting it.
-    pub fn clean(&mut self, slot: usize) -> bool {
+    pub(crate) fn clean(&mut self, slot: usize) -> bool {
         std::mem::take(&mut self.dirty[slot])
     }
 
     /// Drop the line at `slot` (inclusion maintenance), returning the
     /// dirtiness of the dropped copy.
-    pub fn invalidate(&mut self, slot: usize) -> bool {
+    pub(crate) fn invalidate(&mut self, slot: usize) -> bool {
         self.tags[slot] = INVALID;
         // Keep FIFO/LRU metadata at 0 for empty slots: insertion will reset.
         self.meta[slot] = 0;
@@ -342,7 +342,7 @@ impl Level {
     /// caller (the hierarchy) classifies the victim as M or E — a line
     /// clean here may still be dirty in a faster level — and must call
     /// [`Level::count_victim`] with the effective dirtiness.
-    pub fn insert(&mut self, line: u64, now: u64, dirty: bool) -> (usize, Option<Victim>) {
+    pub(crate) fn insert(&mut self, line: u64, now: u64, dirty: bool) -> (usize, Option<Victim>) {
         self.counters.fills += 1;
 
         if let Some(fa) = &mut self.fa {
@@ -397,7 +397,7 @@ impl Level {
 
     /// Record a victim eviction in this level's counters with its
     /// *effective* dirtiness (local dirty bit merged with faster levels').
-    pub fn count_victim(&mut self, effective_dirty: bool) {
+    pub(crate) fn count_victim(&mut self, effective_dirty: bool) {
         if effective_dirty {
             self.counters.victims_m += 1;
         } else {
@@ -407,7 +407,7 @@ impl Level {
 
     /// Drain every resident line; returns `(line, dirty)` pairs. Used by
     /// `MemSim::flush`.
-    pub fn drain(&mut self) -> Vec<(u64, bool)> {
+    pub(crate) fn drain(&mut self) -> Vec<(u64, bool)> {
         let mut out = Vec::new();
         for s in 0..self.tags.len() {
             if self.tags[s] != INVALID {
@@ -424,7 +424,7 @@ impl Level {
     }
 
     /// Number of currently valid lines (test/diagnostic helper).
-    pub fn resident_lines(&self) -> usize {
+    pub(crate) fn resident_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 }

@@ -158,7 +158,7 @@ impl ExplicitHier {
 
     /// R2-style local writes recorded by [`ExplicitHier::alloc`] for level
     /// `lvl` (1-indexed).
-    pub fn local_writes(&self, lvl: usize) -> u64 {
+    pub(crate) fn local_writes(&self, lvl: usize) -> u64 {
         self.local_writes[lvl - 1]
     }
 

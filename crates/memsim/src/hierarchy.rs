@@ -203,7 +203,7 @@ impl MemSim {
     }
 
     /// The attached probe, if any.
-    pub fn probe(&self) -> Option<&Probe> {
+    pub(crate) fn probe(&self) -> Option<&Probe> {
         self.probe.as_deref()
     }
 
@@ -214,7 +214,7 @@ impl MemSim {
 
     /// Cumulative counter state right now (what [`Probe`] deltas are
     /// computed from).
-    pub fn snapshot(&self) -> Snapshot {
+    pub(crate) fn snapshot(&self) -> Snapshot {
         Snapshot {
             accesses: self.clock,
             counters: self.levels.iter().map(|l| l.counters).collect(),
@@ -228,7 +228,7 @@ impl MemSim {
     /// Mark a phase boundary: counter deltas and wall time from here on
     /// are attributed to `name`. No-op without a probe (one branch), so
     /// kernels can mark phases unconditionally in hot loops.
-    pub fn phase(&mut self, name: &str) {
+    pub(crate) fn phase(&mut self, name: &str) {
         if self.probe.is_none() {
             return;
         }
@@ -273,11 +273,11 @@ impl MemSim {
         );
     }
 
-    pub fn num_levels(&self) -> usize {
+    pub(crate) fn num_levels(&self) -> usize {
         self.levels.len()
     }
 
-    pub fn line_words(&self) -> usize {
+    pub(crate) fn line_words(&self) -> usize {
         self.line_words
     }
 
@@ -720,14 +720,8 @@ impl MemSim {
         self.levels[i].resident_lines()
     }
 
-    /// Is the line containing word `addr` resident at level `i`
-    /// (diagnostics)?
-    pub fn contains(&self, i: usize, addr: usize) -> bool {
-        self.slot(addr as u64 / self.line_words as u64, i).is_some()
-    }
-
     /// The configuration of level `i`.
-    pub fn config(&self, i: usize) -> CacheConfig {
+    pub(crate) fn config(&self, i: usize) -> CacheConfig {
         *self.levels[i].cfg()
     }
 }
@@ -798,7 +792,7 @@ mod tests {
         assert_eq!(m.counters(1).flush_victims_m, 2);
         // Still resident and clean: re-reading is a pure hit, and a full
         // flush now writes nothing.
-        assert!(m.contains(0, 0) && m.contains(0, 8));
+        assert!(m.slot(0, 0).is_some() && m.slot(1, 0).is_some());
         m.read(0);
         assert_eq!(m.counters(0).fills, 2, "writeback must not evict");
         assert_eq!(m.flush(), 0);

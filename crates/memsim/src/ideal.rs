@@ -31,12 +31,6 @@ pub struct BeladyCounters {
     pub victims_e: u64,
 }
 
-impl BeladyCounters {
-    pub fn victims(&self) -> u64 {
-        self.victims_m + self.victims_e
-    }
-}
-
 /// Offline Belady (MIN) simulation of a fully-associative cache of
 /// `capacity_lines` lines over a recorded access trace. Victim = the
 /// resident line whose next use is farthest in the future (never-used
@@ -126,7 +120,7 @@ mod tests {
         let c = simulate_belady(&trace, 8, 8);
         assert_eq!(c.misses, 8);
         assert_eq!(c.hits, 120);
-        assert_eq!(c.victims(), 0);
+        assert_eq!(c.victims_m + c.victims_e, 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Policy {
     /// Metadata value for a line on insertion. `now` is a global access
     /// counter.
     #[inline]
-    pub fn on_insert(self, now: u64) -> u64 {
+    pub(crate) fn on_insert(self, now: u64) -> u64 {
         match self {
             Policy::Lru => now,
             // The clock algorithm inserts with marker 1 ("recently used
@@ -41,7 +41,7 @@ impl Policy {
 
     /// Update metadata on a hit.
     #[inline]
-    pub fn on_hit(self, meta: &mut u64, now: u64) {
+    pub(crate) fn on_hit(self, meta: &mut u64, now: u64) {
         match self {
             Policy::Lru => *meta = now,
             Policy::Clock3 => *meta = (*meta + 1).min(7),
@@ -57,7 +57,7 @@ impl Policy {
     /// 3-bit clock each hit increments the saturating marker — the one
     /// policy where repeat hits are not idempotent.
     #[inline]
-    pub fn on_repeat_hits(self, meta: &mut u64, count: u64) {
+    pub(crate) fn on_repeat_hits(self, meta: &mut u64, count: u64) {
         match self {
             Policy::Lru | Policy::Fifo => {}
             Policy::Clock3 => *meta = meta.saturating_add(count).min(7),
@@ -67,7 +67,7 @@ impl Policy {
     /// Choose a victim among `ways` (all valid). `meta` is the per-way
     /// metadata slice, `hand` the per-set clock hand (updated in place).
     /// Returns the victim way index.
-    pub fn choose_victim(self, meta: &mut [u64], hand: &mut u32) -> usize {
+    pub(crate) fn choose_victim(self, meta: &mut [u64], hand: &mut u32) -> usize {
         match self {
             Policy::Lru | Policy::Fifo => meta
                 .iter()

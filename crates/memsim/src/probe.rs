@@ -21,7 +21,7 @@ use std::time::Instant;
 
 /// Cumulative counter state of a [`crate::MemSim`] at one point in time.
 #[derive(Clone, Debug, Default)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// Total word accesses (the simulator clock).
     pub accesses: u64,
     /// Per-level counters, fastest first.
@@ -93,7 +93,7 @@ pub struct Probe {
 impl Probe {
     /// A probe for a `levels`-deep simulator. Accesses before the first
     /// [`Probe::mark`] land in the `"(init)"` phase.
-    pub fn new(levels: usize) -> Probe {
+    pub(crate) fn new(levels: usize) -> Probe {
         let mut p = Probe {
             levels,
             phases: Vec::new(),
@@ -120,7 +120,7 @@ impl Probe {
 
     /// Close the current phase at counter state `now` and switch
     /// attribution to `name` (reopening its row if seen before).
-    pub fn mark(&mut self, name: &str, now: Snapshot) {
+    pub(crate) fn mark(&mut self, name: &str, now: Snapshot) {
         let wall = self.start_t.elapsed().as_nanos();
         let (start, cur) = (&self.start, self.current);
         self.phases[cur].add_delta(start, &now, wall);
@@ -144,7 +144,7 @@ impl Probe {
     /// with traffic but no accesses (e.g. `"(flush)"`, which only drains)
     /// carries the flush write-backs, the paper's headline number. Only
     /// an `"(init)"` with no simulator activity is dropped.
-    pub fn finalized(&self, now: Snapshot) -> Vec<PhaseStats> {
+    pub(crate) fn finalized(&self, now: Snapshot) -> Vec<PhaseStats> {
         let mut out = self.phases.clone();
         out[self.current].add_delta(&self.start, &now, self.start_t.elapsed().as_nanos());
         let init = &out[0];

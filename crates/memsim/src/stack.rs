@@ -402,7 +402,7 @@ impl StackSim {
     }
 
     /// A stack simulator over `line_words`-word lines (a power of two).
-    pub fn with_line_words(line_words: usize) -> StackSim {
+    pub(crate) fn with_line_words(line_words: usize) -> StackSim {
         assert!(
             line_words.is_power_of_two(),
             "line size must be a power of two"
@@ -436,18 +436,8 @@ impl StackSim {
         }
     }
 
-    pub fn line_words(&self) -> usize {
+    pub(crate) fn line_words(&self) -> usize {
         self.line_words
-    }
-
-    /// Distinct lines touched so far.
-    pub fn footprint_lines(&self) -> u64 {
-        self.live as u64
-    }
-
-    /// Total word accesses recorded.
-    pub fn word_accesses(&self) -> u64 {
-        self.word_accesses
     }
 
     /// The work counters so far.
@@ -928,7 +918,7 @@ mod tests {
             b.write(w);
         }
         assert_eq!(a.curve(), b.curve());
-        assert_eq!(a.word_accesses(), b.word_accesses());
+        assert_eq!(a.word_accesses, b.word_accesses);
     }
 
     #[test]
@@ -1103,7 +1093,7 @@ mod tests {
         m.ld_run(8, &mut buf);
         m.st_run(8, &buf);
         m.phase("ignored");
-        assert_eq!(m.sim.word_accesses(), 2 + 16);
-        assert_eq!(m.sim.footprint_lines(), 2);
+        assert_eq!(m.sim.stats().word_accesses, 2 + 16);
+        assert_eq!(m.sim.stats().footprint_lines, 2);
     }
 }

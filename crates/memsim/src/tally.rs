@@ -51,13 +51,13 @@ impl TraceTally {
 
     /// Tally loads of every word of `[addr, addr + words)`.
     #[inline]
-    pub fn read_range(&mut self, addr: usize, words: usize) {
+    pub(crate) fn read_range(&mut self, addr: usize, words: usize) {
         self.touch(addr, words, false);
     }
 
     /// Tally stores to every word of `[addr, addr + words)`.
     #[inline]
-    pub fn write_range(&mut self, addr: usize, words: usize) {
+    pub(crate) fn write_range(&mut self, addr: usize, words: usize) {
         self.touch(addr, words, true);
     }
 

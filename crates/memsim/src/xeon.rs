@@ -5,7 +5,7 @@
 //! believed to be a 3-bit clock approximation of LRU. Simulating the full
 //! geometry at the paper's matrix sizes (4000×m×4000, m up to 32768) would
 //! need ~10¹¹ simulated accesses, so the default configuration scales every
-//! *capacity* down by [`SCALE`] = 64 while keeping the 8-word (64-byte)
+//! *capacity* down by `SCALE` = 64 while keeping the 8-word (64-byte)
 //! line. Linear dimensions of workloads then scale by √64 = 8 and all the
 //! "how many blocks fit in cache" ratios — which drive every effect in
 //! Figures 2 and 5 — are preserved exactly:
@@ -23,15 +23,15 @@ use crate::hierarchy::MemSim;
 use crate::policy::Policy;
 
 /// Default capacity scale factor vs. the real Xeon 7560.
-pub const SCALE: usize = 64;
+pub(crate) const SCALE: usize = 64;
 
 /// Words per line (64-byte line of f64) — *not* scaled.
 pub const LINE_WORDS: usize = 8;
 
 /// Real Xeon 7560 capacities in words (f64).
-pub const REAL_L1_WORDS: usize = 4 << 10; // 32 KB
-pub const REAL_L2_WORDS: usize = 32 << 10; // 256 KB
-pub const REAL_L3_WORDS: usize = 3 << 20; // 24 MB
+pub(crate) const REAL_L1_WORDS: usize = 4 << 10; // 32 KB
+pub(crate) const REAL_L2_WORDS: usize = 32 << 10; // 256 KB
+pub(crate) const REAL_L3_WORDS: usize = 3 << 20; // 24 MB
 
 /// Geometry for one simulated machine.
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +65,7 @@ impl XeonGeometry {
 
     /// Capacities divided by `scale`; panics unless each level stays a
     /// whole number of lines.
-    pub fn scaled(scale: usize, policy: Policy) -> Self {
+    pub(crate) fn scaled(scale: usize, policy: Policy) -> Self {
         let g = XeonGeometry {
             l1_words: REAL_L1_WORDS / scale,
             l2_words: REAL_L2_WORDS / scale,
@@ -110,47 +110,6 @@ impl XeonGeometry {
             },
         ])
     }
-
-    /// Build an L3-only simulator (used when only LLC events matter and
-    /// upper-level filtering is irrelevant to the counts under study).
-    pub fn build_l3_only(&self) -> MemSim {
-        MemSim::new(&[CacheConfig {
-            capacity_words: self.l3_words,
-            line_words: self.line_words,
-            ways: 16,
-            policy: self.policy,
-        }])
-    }
-
-    /// Build a fully-associative, true-LRU L3-only simulator — the setting
-    /// of Propositions 6.1 and 6.2.
-    pub fn build_l3_fully_assoc_lru(&self) -> MemSim {
-        MemSim::new(&[CacheConfig {
-            capacity_words: self.l3_words,
-            line_words: self.line_words,
-            ways: 0,
-            policy: Policy::Lru,
-        }])
-    }
-
-    /// Scale a paper linear dimension (e.g. 4000) to this geometry:
-    /// dimensions shrink by √(capacity scale).
-    pub fn scale_dim(&self, paper_dim: usize) -> usize {
-        let scale = REAL_L3_WORDS / self.l3_words;
-        let root = (scale as f64).sqrt();
-        assert!(
-            (root - root.round()).abs() < 1e-9,
-            "capacity scale must be a perfect square to scale dimensions"
-        );
-        (paper_dim as f64 / root).round() as usize
-    }
-
-    /// Largest block size `b` such that `k` blocks of `b×b` doubles fit in
-    /// L3 (the paper picks L3 blocking sizes this way: 1023 ≈ 3 blocks,
-    /// 793 ≈ 5 blocks on the real machine).
-    pub fn l3_block_for(&self, k: usize) -> usize {
-        ((self.l3_words / k) as f64).sqrt().floor() as usize
-    }
 }
 
 #[cfg(test)]
@@ -166,31 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_dim_matches_sqrt_rule() {
-        let g = XeonGeometry::default_scaled();
-        assert_eq!(g.scale_dim(4000), 500);
-        assert_eq!(g.scale_dim(1024), 128);
-    }
-
-    #[test]
-    fn block_sizing_reproduces_paper_ratios() {
-        // Real machine: 3 blocks of 1023² fit in 24 MB; 5 blocks of 793².
-        let real = XeonGeometry::scaled(1, Policy::Lru);
-        assert_eq!(real.l3_block_for(3), 1024);
-        assert_eq!(real.l3_block_for(5), 793);
-        // Scaled machine keeps the same ratios at 1/8 linear size.
-        let g = XeonGeometry::default_scaled();
-        assert_eq!(g.l3_block_for(3), 128);
-        assert_eq!(g.l3_block_for(5), 99);
-    }
-
-    #[test]
     fn builders_produce_expected_levels() {
         let g = XeonGeometry::default_scaled();
         let m3 = g.build();
         assert_eq!(m3.num_levels(), 3);
-        let m1 = g.build_l3_only();
-        assert_eq!(m1.num_levels(), 1);
-        assert_eq!(m1.config(0).capacity_words, g.l3_words);
+        assert_eq!(m3.config(2).capacity_words, g.l3_words);
     }
 }

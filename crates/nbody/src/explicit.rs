@@ -10,7 +10,7 @@ use memsim::ExplicitHier;
 
 /// Block size for the (N,2)-body problem: `b = M/3` (P⁽¹⁾ block, P⁽²⁾
 /// block, F⁽¹⁾ block resident simultaneously).
-pub fn block2_for(m_particles: u64) -> usize {
+pub(crate) fn block2_for(m_particles: u64) -> usize {
     ((m_particles / 3) as usize).max(1)
 }
 
@@ -79,7 +79,7 @@ pub fn explicit_nbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
 /// traffic as [`explicit_kbody_wa`]: with `nb = ⌈N/b⌉` blocks, loads
 /// `N + nb·N + nb²·N` words in `nb + nb² + nb³` messages (`N + N²/b +
 /// N³/b²` when `b` divides `N`), `N` stores and `N³` flops.
-pub fn kbody_schedule(
+pub(crate) fn kbody_schedule(
     n: usize,
     hier: &mut ExplicitHier,
     mut body: impl FnMut((usize, usize), (usize, usize), (usize, usize)),
@@ -113,7 +113,7 @@ pub fn kbody_schedule(
 }
 
 /// Two-level WA (N,3)-body: `F_i = Σ_{j<k} Φ₃(P_i, P_j, P_k)` on the
-/// [`kbody_schedule`] block loops, not exploiting symmetry (the paper's
+/// `kbody_schedule` block loops, not exploiting symmetry (the paper's
 /// k-loop structure). Each block triple sweeps ordered pairs `(j, k)`, so
 /// every unordered pair is met twice and each term is halved to match
 /// the reference's `j<k` convention.
@@ -139,8 +139,25 @@ pub fn explicit_kbody_wa(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::force::{reference_forces, reference_forces_3body};
+    use crate::force::{phi3, reference_forces};
     use proptest::prelude::*;
+
+    /// Unblocked reference: `F_i = Σ_{j<k, j≠i≠k} Φ₃(P_i, P_j, P_k)` —
+    /// unordered pairs so each triple contributes once per target particle.
+    fn reference_forces_3body(p: &[Particle]) -> Vec<Vec3> {
+        let n = p.len();
+        let mut f = vec![Vec3::default(); n];
+        for i in 0..n {
+            for j in 0..n {
+                for k in j + 1..n {
+                    if j != i && k != i {
+                        f[i] = f[i].add(phi3(p[i], p[j], p[k]));
+                    }
+                }
+            }
+        }
+        f
+    }
 
     #[test]
     fn wa_2body_matches_reference() {

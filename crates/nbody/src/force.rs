@@ -9,7 +9,7 @@ pub const WORDS_PER_BODY: usize = 4;
 
 /// Small softening constant keeping the force law finite at zero
 /// separation.
-pub const EPS2: f64 = 1e-4;
+pub(crate) const EPS2: f64 = 1e-4;
 
 /// 3-vector.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -21,7 +21,7 @@ pub struct Vec3 {
 
 #[allow(clippy::should_implement_trait)] // explicit kernel arithmetic, not operator sugar
 impl Vec3 {
-    pub fn add(self, o: Vec3) -> Vec3 {
+    pub(crate) fn add(self, o: Vec3) -> Vec3 {
         Vec3 {
             x: self.x + o.x,
             y: self.y + o.y,
@@ -29,7 +29,7 @@ impl Vec3 {
         }
     }
 
-    pub fn sub(self, o: Vec3) -> Vec3 {
+    pub(crate) fn sub(self, o: Vec3) -> Vec3 {
         Vec3 {
             x: self.x - o.x,
             y: self.y - o.y,
@@ -37,7 +37,7 @@ impl Vec3 {
         }
     }
 
-    pub fn scale(self, s: f64) -> Vec3 {
+    pub(crate) fn scale(self, s: f64) -> Vec3 {
         Vec3 {
             x: self.x * s,
             y: self.y * s,
@@ -45,7 +45,7 @@ impl Vec3 {
         }
     }
 
-    pub fn norm2(self) -> f64 {
+    pub(crate) fn norm2(self) -> f64 {
         self.x * self.x + self.y * self.y + self.z * self.z
     }
 
@@ -88,7 +88,7 @@ impl Particle {
 /// and a multiply (`s·√s`), not a `powf`: this is the inner loop of every
 /// (N,2)-body kernel.
 #[inline]
-pub fn phi2(p: Particle, q: Particle) -> Vec3 {
+pub(crate) fn phi2(p: Particle, q: Particle) -> Vec3 {
     let d = q.pos.sub(p.pos);
     let r2 = d.norm2();
     if r2 == 0.0 {
@@ -102,9 +102,10 @@ pub fn phi2(p: Particle, q: Particle) -> Vec3 {
 /// (Axilrod–Teller-flavoured: attraction toward the pair's weighted
 /// midpoint, damped by the triangle's size). Returns 0 if any two
 /// arguments coincide, per the paper's `Φ_k` convention. Kernels that
-/// sweep `r` for a fixed `(p, q)` use [`Phi3Pair`] directly.
-#[inline]
-pub fn phi3(p: Particle, q: Particle, r: Particle) -> Vec3 {
+/// sweep `r` for a fixed `(p, q)` use [`Phi3Pair`] directly; this direct
+/// form is the tests' reference.
+#[cfg(test)]
+pub(crate) fn phi3(p: Particle, q: Particle, r: Particle) -> Vec3 {
     Phi3Pair::new(p, q).with(r)
 }
 
@@ -113,7 +114,7 @@ pub fn phi3(p: Particle, q: Particle, r: Particle) -> Vec3 {
 /// terms in the same order as a direct evaluation, so the result is
 /// bit-identical to `phi3(p, q, r)` (which is defined through it).
 #[derive(Clone, Copy, Debug)]
-pub struct Phi3Pair {
+pub(crate) struct Phi3Pair {
     p: Particle,
     q: Particle,
     coincide: bool,
@@ -123,7 +124,7 @@ pub struct Phi3Pair {
 
 impl Phi3Pair {
     #[inline]
-    pub fn new(p: Particle, q: Particle) -> Self {
+    pub(crate) fn new(p: Particle, q: Particle) -> Self {
         Phi3Pair {
             p,
             q,
@@ -135,7 +136,7 @@ impl Phi3Pair {
 
     /// `Φ₃(p, q, r)`; zero if any two of `p`, `q`, `r` coincide.
     #[inline]
-    pub fn with(&self, r: Particle) -> Vec3 {
+    pub(crate) fn with(&self, r: Particle) -> Vec3 {
         let (p, q) = (self.p, self.q);
         if self.coincide || p.pos == r.pos || q.pos == r.pos {
             return Vec3::default();
@@ -155,23 +156,6 @@ pub fn reference_forces(p: &[Particle]) -> Vec<Vec3> {
         for j in 0..n {
             if i != j {
                 f[i] = f[i].add(phi2(p[i], p[j]));
-            }
-        }
-    }
-    f
-}
-
-/// Unblocked reference: `F_i = Σ_{j<k, j≠i≠k} Φ₃(P_i, P_j, P_k)` —
-/// unordered pairs so each triple contributes once per target particle.
-pub fn reference_forces_3body(p: &[Particle]) -> Vec<Vec3> {
-    let n = p.len();
-    let mut f = vec![Vec3::default(); n];
-    for i in 0..n {
-        for j in 0..n {
-            for k in j + 1..n {
-                if j != i && k != i {
-                    f[i] = f[i].add(phi3(p[i], p[j], p[k]));
-                }
             }
         }
     }

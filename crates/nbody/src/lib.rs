@@ -19,5 +19,5 @@ pub mod symmetric;
 pub mod workloads;
 
 pub use explicit::{explicit_kbody_wa, explicit_nbody_wa};
-pub use force::{reference_forces, reference_forces_3body, Particle, Vec3};
+pub use force::{reference_forces, Particle, Vec3};
 pub use symmetric::explicit_nbody_symmetric;

@@ -7,11 +7,11 @@ use memsim::Mem;
 
 /// Word layout: particles at `[0, 4N)` (x,y,z,m per particle), forces at
 /// `[4N, 8N)` (fx,fy,fz,pad).
-pub fn particle_base(i: usize) -> usize {
+pub(crate) fn particle_base(i: usize) -> usize {
     i * WORDS_PER_BODY
 }
 
-pub fn force_base(n: usize, i: usize) -> usize {
+pub(crate) fn force_base(n: usize, i: usize) -> usize {
     (n + i) * WORDS_PER_BODY
 }
 
@@ -21,21 +21,6 @@ pub fn store_cloud<M: Mem>(mem: &mut M, p: &[Particle]) {
     for (i, q) in p.iter().enumerate() {
         mem.st_run(particle_base(i), &[q.pos.x, q.pos.y, q.pos.z, q.mass]);
     }
-}
-
-/// Read the force array back out.
-pub fn load_forces<M: Mem>(mem: &mut M, n: usize) -> Vec<Vec3> {
-    (0..n)
-        .map(|i| {
-            let mut f = [0.0; 3];
-            mem.ld_run(force_base(n, i), &mut f);
-            Vec3 {
-                x: f[0],
-                y: f[1],
-                z: f[2],
-            }
-        })
-        .collect()
 }
 
 /// The particle in a body's 4 words `(x, y, z, m)`.
@@ -257,6 +242,21 @@ mod tests {
         };
         per_pair_nbody_wa(&mut per_pair, n, b);
         assert_eq!(per_pair.runs, (n + n * 7 * 3 + n * (n - 1)) as u64);
+    }
+
+    /// Read the force array back out.
+    fn load_forces<M: Mem>(mem: &mut M, n: usize) -> Vec<Vec3> {
+        (0..n)
+            .map(|i| {
+                let mut f = [0.0; 3];
+                mem.ld_run(force_base(n, i), &mut f);
+                Vec3 {
+                    x: f[0],
+                    y: f[1],
+                    z: f[2],
+                }
+            })
+            .collect()
     }
 
     #[test]

@@ -18,7 +18,7 @@ use memsim::ExplicitHier;
 /// `body((i, bi), (j, bj))` runs once per block pair, after both blocks
 /// are loaded; the pair charges one flop per unordered particle pair.
 /// No count depends on what the body does.
-pub fn nbody_symmetric_schedule(
+pub(crate) fn nbody_symmetric_schedule(
     n: usize,
     hier: &mut ExplicitHier,
     mut body: impl FnMut((usize, usize), (usize, usize)),
@@ -57,7 +57,7 @@ pub fn nbody_symmetric_schedule(
 }
 
 /// Two-level blocked symmetric N-body on the
-/// [`nbody_symmetric_schedule`] block loops: each unordered pair's force
+/// `nbody_symmetric_schedule` block loops: each unordered pair's force
 /// is computed once and applied to both particles.
 pub fn explicit_nbody_symmetric(p: &[Particle], hier: &mut ExplicitHier) -> Vec<Vec3> {
     let mut f = vec![Vec3::default(); p.len()];

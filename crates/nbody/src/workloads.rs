@@ -14,7 +14,7 @@ use crate::simmed::{simmed_nbody_wa, store_cloud};
 use crate::symmetric::nbody_symmetric_schedule;
 use memsim::xeon::XeonGeometry;
 use memsim::{explicit_report, run_on_backend, ExplicitHier, Kernel, Mem, RawMem};
-use wa_core::engine::{BackendKind, FnWorkload, Scale, Workload};
+use wa_core::engine::{BackendKind, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 
 /// Fast memory in *particles* for the two-level model at `scale`, and the
@@ -80,9 +80,9 @@ impl Kernel for NbodyWa {
     }
 }
 
-pub fn workloads() -> Vec<Box<dyn Workload>> {
+pub fn workloads() -> Vec<Workload> {
     vec![
-        FnWorkload::boxed(
+        Workload::new(
             "nbody-wa",
             "nbody",
             "Algorithm 4 blocked (N,2)-body: N + N^2/b loads, N stores (the output)",
@@ -125,7 +125,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 }
             },
         ),
-        FnWorkload::boxed(
+        Workload::new(
             "nbody-symmetric",
             "nbody",
             "symmetric (Newton 3rd law) N-body: half the flops, Theta(N^2/b) stores (4.4)",
@@ -141,7 +141,7 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
                 ))
             },
         ),
-        FnWorkload::boxed(
+        Workload::new(
             "kbody-3",
             "nbody",
             "(N,3)-body with b = M/4 blocks: WA generalization of Algorithm 4",

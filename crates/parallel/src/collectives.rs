@@ -20,7 +20,7 @@ use memsim::Sink;
 /// nodes forward. We charge the worst-case participant: `ceil(log2 k)`
 /// rounds of send + receive of `words`, staged per `at`. `buf` is the
 /// payload buffer address in each rank's private address space.
-pub fn charge_bcast<S: Sink>(
+pub(crate) fn charge_bcast<S: Sink>(
     m: &mut Machine<S>,
     root: usize,
     parties: &[usize],
@@ -70,7 +70,7 @@ pub fn charge_bcast<S: Sink>(
 /// Charge a binomial reduction of `words` from `parties` to `root`
 /// (element-wise combine). Mirror image of broadcast; `buf` is each
 /// rank's partial-result buffer.
-pub fn charge_reduce<S: Sink>(
+pub(crate) fn charge_reduce<S: Sink>(
     m: &mut Machine<S>,
     root: usize,
     parties: &[usize],
@@ -121,7 +121,7 @@ pub fn charge_reduce<S: Sink>(
 /// Charge a gather of one `words`-sized contribution from each party to
 /// `root` (paper's 2.5D step 1: `c` messages of size `2n²/P` each).
 /// `buf` names both the sender's shard and the root's landing buffer.
-pub fn charge_gather<S: Sink>(
+pub(crate) fn charge_gather<S: Sink>(
     m: &mut Machine<S>,
     root: usize,
     parties: &[usize],
@@ -148,9 +148,9 @@ mod tests {
         let mut m = Machine::new(8, CostParams::nvm_cluster());
         let parties: Vec<usize> = (0..8).collect();
         charge_bcast(&mut m, 0, &parties, 100, Staging::L2, 0);
-        assert_eq!(m.node(0).net_send_words, 300); // log2(8) = 3 rounds
-        assert_eq!(m.node(5).net_recv_words, 100);
-        assert_eq!(m.node(5).l3_write_words, 0);
+        assert_eq!(m.node_mut(0).net_send_words, 300); // log2(8) = 3 rounds
+        assert_eq!(m.node_mut(5).net_recv_words, 100);
+        assert_eq!(m.node_mut(5).l3_write_words, 0);
     }
 
     #[test]
@@ -158,8 +158,8 @@ mod tests {
         let mut m = Machine::new(4, CostParams::nvm_cluster());
         let parties: Vec<usize> = (0..4).collect();
         charge_bcast(&mut m, 0, &parties, 10, Staging::L3, 0);
-        assert_eq!(m.node(0).l3_read_words, 20); // 2 rounds
-        assert_eq!(m.node(3).l3_write_words, 10);
+        assert_eq!(m.node_mut(0).l3_read_words, 20); // 2 rounds
+        assert_eq!(m.node_mut(3).l3_write_words, 10);
     }
 
     #[test]
@@ -167,24 +167,24 @@ mod tests {
         let mut m = Machine::new(8, CostParams::nvm_cluster());
         let parties: Vec<usize> = (0..8).collect();
         charge_reduce(&mut m, 2, &parties, 64, Staging::L2, 0);
-        assert_eq!(m.node(2).net_recv_words, 192);
-        assert_eq!(m.node(0).net_send_words, 64);
+        assert_eq!(m.node_mut(2).net_recv_words, 192);
+        assert_eq!(m.node_mut(0).net_send_words, 64);
     }
 
     #[test]
     fn gather_transfers_from_each_party() {
         let mut m = Machine::new(4, CostParams::nvm_cluster());
         charge_gather(&mut m, 1, &[0, 1, 2, 3], 25, Staging::L2, 0);
-        assert_eq!(m.node(1).net_recv_words, 75);
-        assert_eq!(m.node(1).net_recv_msgs, 3);
-        assert_eq!(m.node(0).net_send_words, 25);
+        assert_eq!(m.node_mut(1).net_recv_words, 75);
+        assert_eq!(m.node_mut(1).net_recv_msgs, 3);
+        assert_eq!(m.node_mut(0).net_send_words, 25);
     }
 
     #[test]
     fn empty_or_single_party_is_noop() {
         let mut m = Machine::new(2, CostParams::nvm_cluster());
         charge_bcast(&mut m, 0, &[0], 100, Staging::L2, 0);
-        assert_eq!(m.node(0).net_send_words, 0);
+        assert_eq!(m.node_mut(0).net_send_words, 0);
     }
 
     /// The simulated NVM stores of an L3-staged collective must equal the
@@ -201,7 +201,7 @@ mod tests {
             let sim_stores = m.sim_boundaries_of(p).last().unwrap().store_words;
             assert_eq!(
                 sim_stores,
-                m.node(p).l3_write_words,
+                m.node_mut(p).l3_write_words,
                 "rank {p}: sim vs explicit NVM stores"
             );
         }
@@ -217,7 +217,7 @@ mod tests {
         charge_reduce(&mut m, 3, &parties, 64, Staging::L3, buf);
         for p in 0..8 {
             let sim_stores = m.sim_boundaries_of(p).last().unwrap().store_words;
-            assert_eq!(sim_stores, m.node(p).l3_write_words, "rank {p}");
+            assert_eq!(sim_stores, m.node_mut(p).l3_write_words, "rank {p}");
         }
     }
 

@@ -30,22 +30,6 @@ pub struct CommCosts {
     pub l23_msgs: f64,
 }
 
-impl CommCosts {
-    /// Fold through cost parameters to a time estimate.
-    pub fn time(&self, c: &CostParams) -> f64 {
-        c.beta_21 * self.l21_words
-            + c.alpha_21 * self.l21_msgs
-            + c.beta_12 * self.l12_words
-            + c.alpha_12 * self.l12_msgs
-            + c.beta_nw * self.nw_words
-            + c.alpha_nw * self.nw_msgs
-            + c.beta_32 * self.l32_words
-            + c.alpha_32 * self.l32_msgs
-            + c.beta_23 * self.l23_words
-            + c.alpha_23 * self.l23_msgs
-    }
-}
-
 fn log2(x: f64) -> f64 {
     x.log2().max(0.0)
 }
@@ -151,39 +135,11 @@ pub fn table2_summal3_ool2(n: f64, p: f64, cp: &CostParams) -> CommCosts {
     }
 }
 
-/// Dominant bandwidth cost of 2.5DMML2 (paper, §7 introduction):
-/// `2n²/√(P c2) · βNW`.
-pub fn dom_cost_25dmml2(n: f64, p: f64, c2: f64, cp: &CostParams) -> f64 {
-    2.0 * n * n / (p * c2).sqrt() * cp.beta_nw
-}
-
-/// Dominant bandwidth cost of 2.5DMML3:
-/// `2n²/√(P c3) · (βNW + 1.5·β23 + β32)`.
-pub fn dom_cost_25dmml3(n: f64, p: f64, c3: f64, cp: &CostParams) -> f64 {
-    2.0 * n * n / (p * c3).sqrt() * (cp.beta_nw + 1.5 * cp.beta_23 + cp.beta_32)
-}
-
 /// The paper's Model 2.1 decision ratio
 /// `√(c3/c2) · βNW / (βNW + 1.5 β23 + β32)`; > 1 means using NVM for extra
 /// replication wins.
 pub fn model21_decision_ratio(c2: f64, c3: f64, cp: &CostParams) -> f64 {
     (c3 / c2).sqrt() * cp.beta_nw / (cp.beta_nw + 1.5 * cp.beta_23 + cp.beta_32)
-}
-
-/// domβcost(2.5DMML3ooL2), formula (2).
-pub fn dom_cost_25dmml3_ool2(n: f64, p: f64, c3: f64, cp: &CostParams) -> f64 {
-    let m2 = cp.m2 as f64;
-    cp.beta_nw * n * n / (p * c3).sqrt()
-        + cp.beta_23 * n * n / (p * c3).sqrt()
-        + cp.beta_32 * n.powi(3) / (p * m2.sqrt())
-}
-
-/// domβcost(SUMMAL3ooL2), formula (3).
-pub fn dom_cost_summal3_ool2(n: f64, p: f64, cp: &CostParams) -> f64 {
-    let m2 = cp.m2 as f64;
-    cp.beta_nw * n.powi(3) / (p * m2.sqrt())
-        + cp.beta_23 * n * n / p
-        + cp.beta_32 * n.powi(3) / (p * m2.sqrt())
 }
 
 /// domβcost(LL-LUNP) (§7.2).
@@ -209,6 +165,18 @@ mod tests {
 
     fn cp() -> CostParams {
         CostParams::nvm_cluster()
+    }
+
+    /// Dominant bandwidth cost of 2.5DMML2 (paper, §7 introduction):
+    /// `2n²/√(P c2) · βNW`.
+    fn dom_cost_25dmml2(n: f64, p: f64, c2: f64, cp: &CostParams) -> f64 {
+        2.0 * n * n / (p * c2).sqrt() * cp.beta_nw
+    }
+
+    /// Dominant bandwidth cost of 2.5DMML3:
+    /// `2n²/√(P c3) · (βNW + 1.5·β23 + β32)`.
+    fn dom_cost_25dmml3(n: f64, p: f64, c3: f64, cp: &CostParams) -> f64 {
+        2.0 * n * n / (p * c3).sqrt() * (cp.beta_nw + 1.5 * cp.beta_23 + cp.beta_32)
     }
 
     #[test]
@@ -286,16 +254,5 @@ mod tests {
         let ll_net = n.powi(3) / (p * m2.sqrt()) * log2(p).powi(2);
         let rl_net = n * n / p.sqrt() * log2(p.sqrt());
         assert!(rl_net < ll_net);
-    }
-
-    #[test]
-    fn time_folding_is_linear() {
-        let costs = CommCosts {
-            nw_words: 100.0,
-            ..Default::default()
-        };
-        let mut c = cp();
-        c.beta_nw = 2.0;
-        assert_eq!(costs.time(&c), 200.0);
     }
 }

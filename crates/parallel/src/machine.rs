@@ -11,7 +11,7 @@
 //! [`Sink`] *per rank* — a [`MemSim`] cache hierarchy over node-local
 //! NVM (`simmed`), a streaming [`TraceTally`] (`traced`), or a Mattson
 //! [`StackSim`] (`stack`) — and the kernels replay each rank's local
-//! accesses through it via [`Machine::rank_mem`] (a [`Mem`] adapter).
+//! accesses through it via `Machine::rank_mem` (a [`Mem`] adapter).
 //! The machine is generic over the sink, so the per-rank replay stays
 //! monomorphized; the counters-only `Machine` (sink `()`) skips it. The
 //! max-per-rank folds are typed impl blocks, one per sink. Addresses
@@ -23,8 +23,8 @@
 //! crosses to the backing store via [`Machine::sim_writeback`]
 //! (clwb-style, [`Sink::writeback_range`]).
 //!
-//! Every counter charge ([`Machine::transfer`], [`Machine::l3_read`],
-//! [`Machine::l3_write`], [`Machine::local_wa_gemm`]) ticks the words it
+//! Every counter charge (`Machine::transfer`, `Machine::l3_read`,
+//! `Machine::l3_write`, `Machine::local_wa_gemm`) ticks the words it
 //! charges on the cancel clock ([`wa_core::cancel::tick`]), so a
 //! counters-only run honors its deadline like a simulated one.
 
@@ -142,7 +142,7 @@ impl<S: Sink> Machine<S> {
         }
     }
 
-    pub fn has_sims(&self) -> bool {
+    pub(crate) fn has_sims(&self) -> bool {
         !self.sinks.is_empty()
     }
 
@@ -195,19 +195,15 @@ impl<S: Sink> Machine<S> {
     /// loads return 0.0 and stores discard values — the numerics live in
     /// the algorithms' global matrices (verified against the sequential
     /// reference); only the access stream is observed here.
-    pub fn rank_mem(&mut self, rank: usize) -> RankMem<'_, S> {
+    pub(crate) fn rank_mem(&mut self, rank: usize) -> RankMem<'_, S> {
         RankMem { m: self, rank }
     }
 
-    pub fn p(&self) -> usize {
+    pub(crate) fn p(&self) -> usize {
         self.nodes.len()
     }
 
-    pub fn node(&self, i: usize) -> &NodeCounters {
-        &self.nodes[i]
-    }
-
-    pub fn node_mut(&mut self, i: usize) -> &mut NodeCounters {
+    pub(crate) fn node_mut(&mut self, i: usize) -> &mut NodeCounters {
         &mut self.nodes[i]
     }
 
@@ -219,7 +215,7 @@ impl<S: Sink> Machine<S> {
     /// receive additionally persists the landed lines to NVM — exactly
     /// the words the counter model charges.
     #[allow(clippy::too_many_arguments)]
-    pub fn transfer(
+    pub(crate) fn transfer(
         &mut self,
         src: usize,
         dst: usize,
@@ -258,7 +254,7 @@ impl<S: Sink> Machine<S> {
     }
 
     /// Charge node `i` for an NVM read of `words` (L3 → L2).
-    pub fn l3_read(&mut self, i: usize, words: u64) {
+    pub(crate) fn l3_read(&mut self, i: usize, words: u64) {
         wa_core::cancel::tick(words);
         let n = &mut self.nodes[i];
         n.l3_read_words += words;
@@ -266,7 +262,7 @@ impl<S: Sink> Machine<S> {
     }
 
     /// Charge node `i` for an NVM write of `words` (L2 → L3).
-    pub fn l3_write(&mut self, i: usize, words: u64) {
+    pub(crate) fn l3_write(&mut self, i: usize, words: u64) {
         wa_core::cancel::tick(words);
         let n = &mut self.nodes[i];
         n.l3_write_words += words;
@@ -275,7 +271,7 @@ impl<S: Sink> Machine<S> {
 
     /// [`Machine::l3_read`] plus the simulator replay: `rank` reads
     /// `[addr, addr + words)` of NVM-resident data into cache.
-    pub fn l3_read_at(&mut self, i: usize, addr: usize, words: u64) {
+    pub(crate) fn l3_read_at(&mut self, i: usize, addr: usize, words: u64) {
         self.l3_read(i, words);
         self.sim_read(i, addr, words as usize);
     }
@@ -286,7 +282,7 @@ impl<S: Sink> Machine<S> {
     /// just dirtied are precisely the lines written back, so the
     /// simulator charges the same `words` the counter model does
     /// (line-aligned buffers assumed — [`Machine::alloc`] guarantees it).
-    pub fn l3_write_at(&mut self, i: usize, addr: usize, words: u64) {
+    pub(crate) fn l3_write_at(&mut self, i: usize, addr: usize, words: u64) {
         self.l3_write(i, words);
         self.sim_write(i, addr, words as usize);
         self.sim_writeback(i, addr, words as usize);
@@ -300,20 +296,20 @@ impl<S: Sink> Machine<S> {
     /// Algorithms whose last writing action already put the final block
     /// in NVM (summa-ool2's tile stores, LU's in-place block writes) must
     /// not call this as well.
-    pub fn assemble_output(&mut self, i: usize, addr: usize, words: u64) {
+    pub(crate) fn assemble_output(&mut self, i: usize, addr: usize, words: u64) {
         self.l3_write_at(i, addr, words);
     }
 
     /// Words allocated per rank so far (diagnostics; the simmed caps must
     /// dominate this for the no-capacity-eviction exactness argument).
-    pub fn heap_words(&self) -> usize {
+    pub(crate) fn heap_words(&self) -> usize {
         self.heap
     }
 
     /// Charge node `i` for a local GEMM of shape `m×k×l` run with the
     /// sequential WA algorithm on an L1 of `m1` words: L2→L1 reads
     /// `ml + 2mkl/√(M1/3)`, L1→L2 writes `ml` (Algorithm 1's counts).
-    pub fn local_wa_gemm(&mut self, i: usize, m: u64, k: u64, l: u64, m1: u64) {
+    pub(crate) fn local_wa_gemm(&mut self, i: usize, m: u64, k: u64, l: u64, m1: u64) {
         let b = (((m1 / 3) as f64).sqrt().floor() as u64).max(1);
         let n = &mut self.nodes[i];
         let reads = m * l + 2 * m * k * l / b;
@@ -342,15 +338,6 @@ impl<S: Sink> Machine<S> {
             out.l2_write_words = out.l2_write_words.max(n.l2_write_words);
             out.l2_write_msgs = out.l2_write_msgs.max(n.l2_write_msgs);
             out.flops = out.flops.max(n.flops);
-        }
-        out
-    }
-
-    /// Total counters across all nodes.
-    pub fn total_counters(&self) -> NodeCounters {
-        let mut out = NodeCounters::default();
-        for n in &self.nodes {
-            out += *n;
         }
         out
     }
@@ -389,7 +376,7 @@ impl Machine<MemSim> {
     /// The critical rank's teed reuse stack ([`MemSim::reuse`]), picked
     /// by `critical_rank` at `cap_words`; `None` unless the ranks' probes
     /// tee into a stack.
-    pub fn reuse_critical(&self, cap_words: usize) -> Option<(usize, &StackSim)> {
+    pub(crate) fn reuse_critical(&self, cap_words: usize) -> Option<(usize, &StackSim)> {
         let stacks: Option<Vec<&StackSim>> = self.sinks.iter().map(MemSim::reuse).collect();
         Some(critical_rank(&stacks?, cap_words))
     }
@@ -399,7 +386,7 @@ impl Machine<TraceTally> {
     /// Max-per-rank `(words, writes, distinct_lines)` of the traced
     /// replay (each component maxed independently, the critical-path
     /// convention).
-    pub fn max_trace_stats(&self) -> (u64, u64, u64) {
+    pub(crate) fn max_trace_stats(&self) -> (u64, u64, u64) {
         self.sinks.iter().fold((0, 0, 0), |(w, s, l), t| {
             (
                 w.max(t.words()),
@@ -412,7 +399,7 @@ impl Machine<TraceTally> {
 
 impl Machine<StackSim> {
     /// The critical rank's stack simulator at `cap_words` (`critical_rank`).
-    pub fn stack_critical(&self, cap_words: usize) -> (usize, &StackSim) {
+    pub(crate) fn stack_critical(&self, cap_words: usize) -> (usize, &StackSim) {
         let stacks: Vec<&StackSim> = self.sinks.iter().collect();
         critical_rank(&stacks, cap_words)
     }
@@ -436,7 +423,7 @@ fn critical_rank<'a>(stacks: &[&'a StackSim], cap_words: usize) -> (usize, &'a S
 /// A [`Mem`] view of one rank's sink ([`Machine::rank_mem`]).
 /// Replay-only: loads yield 0.0 and stores discard values; only the
 /// address stream reaches the sink.
-pub struct RankMem<'a, S: Sink> {
+pub(crate) struct RankMem<'a, S: Sink> {
     m: &'a mut Machine<S>,
     rank: usize,
 }
@@ -477,7 +464,7 @@ impl<S: Sink> Mem for RankMem<'_, S> {
 /// read the A row and the C row, stream the B rows, write the C row
 /// back. Values are immaterial — this drives the per-rank cache
 /// simulation of compute the counter model only charges in closed form.
-pub fn replay_gemm<M: Mem>(
+pub(crate) fn replay_gemm<M: Mem>(
     mem: &mut M,
     a: usize,
     b: usize,
@@ -500,7 +487,7 @@ pub fn replay_gemm<M: Mem>(
 /// Replay an in-place read-modify-write sweep over a `b×b` row-major
 /// block at `addr` (diagonal factorizations and TRSMs: every row is read
 /// and rewritten).
-pub fn replay_block_rw<M: Mem>(mem: &mut M, addr: usize, b: usize) {
+pub(crate) fn replay_block_rw<M: Mem>(mem: &mut M, addr: usize, b: usize) {
     let mut scratch = vec![0.0; b];
     for r in 0..b {
         mem.ld_run(addr + r * b, &mut scratch);
@@ -536,19 +523,19 @@ mod tests {
     fn transfer_charges_both_ends() {
         let mut m = Machine::new(4, CostParams::nvm_cluster());
         m.transfer(0, 3, 100, Staging::L2, Staging::L3, 0, 0);
-        assert_eq!(m.node(0).net_send_words, 100);
-        assert_eq!(m.node(0).l3_read_words, 0);
-        assert_eq!(m.node(3).net_recv_words, 100);
-        assert_eq!(m.node(3).l3_write_words, 100);
-        assert_eq!(m.node(1).net_send_words, 0);
+        assert_eq!(m.nodes[0].net_send_words, 100);
+        assert_eq!(m.nodes[0].l3_read_words, 0);
+        assert_eq!(m.nodes[3].net_recv_words, 100);
+        assert_eq!(m.nodes[3].l3_write_words, 100);
+        assert_eq!(m.nodes[1].net_send_words, 0);
     }
 
     #[test]
     fn l3_staged_send_reads_nvm() {
         let mut m = Machine::new(2, CostParams::nvm_cluster());
         m.transfer(0, 1, 50, Staging::L3, Staging::L2, 0, 0);
-        assert_eq!(m.node(0).l3_read_words, 50);
-        assert_eq!(m.node(1).l3_write_words, 0);
+        assert_eq!(m.nodes[0].l3_read_words, 50);
+        assert_eq!(m.nodes[1].l3_write_words, 0);
     }
 
     #[test]
@@ -595,7 +582,7 @@ mod tests {
         let buf = m.alloc(144);
         m.l3_write_at(0, buf, 144);
         m.l3_write_at(0, buf, 144); // rewrite: charged again on both sides
-        assert_eq!(m.node(0).l3_write_words, 288);
+        assert_eq!(m.nodes[0].l3_write_words, 288);
         let b = m.sim_boundaries_of(0);
         assert_eq!(b.last().unwrap().store_words, 288);
     }
@@ -641,14 +628,14 @@ mod tests {
         m.sim_write(0, buf, 64);
         m.sim_writeback(0, buf, 64);
         m.rank_mem(1).st_run(buf, &[1.0; 8]);
-        assert_eq!(*m.node(0), NodeCounters::default());
+        assert_eq!(m.nodes[0], NodeCounters::default());
     }
 
     #[test]
     fn local_gemm_matches_algorithm1_counts() {
         let mut m = Machine::new(1, CostParams::nvm_cluster());
         m.local_wa_gemm(0, 12, 12, 12, 48); // b = 4
-        let n = m.node(0);
+        let n = &m.nodes[0];
         assert_eq!(n.l2_read_words, 144 + 2 * 12 * 12 * 12 / 4);
         assert_eq!(n.l2_write_words, 144);
         assert_eq!(n.flops, 2 * 12 * 12 * 12);

@@ -38,7 +38,7 @@ pub struct Mm25Config {
 }
 
 impl Mm25Config {
-    pub fn q(&self) -> usize {
+    pub(crate) fn q(&self) -> usize {
         let q2 = self.p / self.c;
         let q = (q2 as f64).sqrt().round() as usize;
         assert_eq!(q * q * self.c, self.p, "p must equal q²·c");

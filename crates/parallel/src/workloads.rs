@@ -29,7 +29,7 @@ use crate::machine::{Machine, Staging};
 use crate::mm25d::{mm25d, Mm25Config};
 use crate::summa::{summa, summa_l3_ool2};
 use memsim::{MemSim, Sink, StackSim, TraceTally};
-use wa_core::engine::{BackendKind, EngineError, FnWorkload, RunCfg, Scale, Workload};
+use wa_core::engine::{BackendKind, EngineError, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::{BoundaryTraffic, CostParams, Mat, Traffic};
 
@@ -41,7 +41,7 @@ fn dim(scale: Scale) -> usize {
 }
 
 /// Rank-private L1 capacity (words) modeled when `--depth 2`.
-pub const RANK_L1_WORDS: usize = 256;
+pub(crate) const RANK_L1_WORDS: usize = 256;
 
 /// Rank-private last-level cache capacity (words) above the node-local
 /// NVM. Deliberately larger than any rank's working set here
@@ -50,7 +50,7 @@ pub const RANK_L1_WORDS: usize = 256;
 /// simulator observes are the explicit write-backs the kernels issue —
 /// the no-capacity-eviction premise of the exact explicit↔simmed
 /// NVM-write agreement.
-pub const RANK_L2_WORDS: usize = 65_536;
+pub(crate) const RANK_L2_WORDS: usize = 65_536;
 
 /// Per-rank cache capacities for a simmed run at `depth` levels,
 /// fastest first, ending at the level backed by node-local NVM.
@@ -407,11 +407,11 @@ fn drive<S: Sink>(
     Ok(r)
 }
 
-pub fn workloads() -> Vec<Box<dyn Workload>> {
+pub fn workloads() -> Vec<Workload> {
     let depths = [(BackendKind::Simmed, 2)];
     ALGS.iter()
         .map(|&(name, description, alg)| {
-            FnWorkload::boxed(
+            Workload::new(
                 name,
                 "parallel",
                 description,
@@ -424,14 +424,14 @@ pub fn workloads() -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
-/// Exposed for tests: the W1 bound SUMMA's report should attain.
-pub fn w1_words(n: usize, p: usize) -> u64 {
-    (n * n / p) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The W1 bound SUMMA's report should attain.
+    fn w1_words(n: usize, p: usize) -> u64 {
+        (n * n / p) as u64
+    }
 
     #[test]
     fn every_parallel_workload_runs_on_each_declared_backend() {

@@ -9,7 +9,7 @@
 //! comparisons.
 
 /// log2(7), the exponent of Strassen's algorithm.
-pub const OMEGA0: f64 = 2.807354922057604; // log2(7)
+pub(crate) const OMEGA0: f64 = 2.807354922057604; // log2(7)
 
 /// Classical matmul / "three nested loops" load-store lower bound
 /// `|S| / sqrt(8 m)` with `|S| = n_i * n_j * n_k` inner-loop iterations

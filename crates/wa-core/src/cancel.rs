@@ -23,7 +23,7 @@
 //!   reaches the ambient token without threading it through every
 //!   signature. The engine installs a fresh token per attempt;
 //!   [`crate::par`] propagates the caller's token into its workers.
-//! * [`raise`] — the observation side: unwinds with a typed
+//! * `raise` — the observation side: unwinds with a typed
 //!   [`CancellationUnwind`] payload that the engine's existing
 //!   `catch_unwind` containment converts into
 //!   `EngineError::Cancelled { after_accesses, .. }`. The unwind is
@@ -70,7 +70,7 @@ pub enum CancelReason {
 }
 
 impl CancelReason {
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             CancelReason::Deadline => "deadline",
             CancelReason::Interrupt => "interrupt",
@@ -258,7 +258,7 @@ pub fn interrupt_now() {
     PROCESS_GEN.fetch_add(1, Ordering::SeqCst);
 }
 
-/// The payload [`raise`] unwinds with. The engine's `catch_unwind`
+/// The payload `raise` unwinds with. The engine's `catch_unwind`
 /// containment downcasts to this and produces
 /// `EngineError::Cancelled { after_accesses, .. }` instead of
 /// `Panicked` — cancellation is control flow, not a crash.
@@ -273,7 +273,7 @@ pub struct CancellationUnwind {
 /// Suppress the default "thread panicked" hook output for cancellation
 /// unwinds. Installed once, on the first raise (the cold path), wrapping
 /// whatever hook was active.
-pub fn silence_cancellation_unwinds() {
+pub(crate) fn silence_cancellation_unwinds() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
@@ -292,7 +292,7 @@ pub fn silence_cancellation_unwinds() {
 /// Unwind the current thread with a [`CancellationUnwind`]. Callers have
 /// already observed a fired token; `after_accesses` is their access
 /// count at observation.
-pub fn raise(after_accesses: u64, reason: CancelReason) -> ! {
+pub(crate) fn raise(after_accesses: u64, reason: CancelReason) -> ! {
     silence_cancellation_unwinds();
     std::panic::panic_any(CancellationUnwind {
         after_accesses,
@@ -320,7 +320,7 @@ pub fn tick(n: u64) {
 
 /// Check the ambient token immediately; unwind with the thread-local
 /// [`tick`] clock as the cancellation point if it reads as cancelled.
-pub fn check_now() {
+pub(crate) fn check_now() {
     let reason = CURRENT.with(|c| c.borrow().as_ref().and_then(CancelToken::reason));
     if let Some(reason) = reason {
         raise(TICK_CLOCK.with(Cell::get), reason);
@@ -331,7 +331,7 @@ pub fn check_now() {
 /// cooperative replacement for `std::thread::sleep` in injected stalls,
 /// so a stalled cell still ends as `Cancelled` within a slice of its
 /// deadline.
-pub fn sleep_cooperatively(total: Duration) {
+pub(crate) fn sleep_cooperatively(total: Duration) {
     const SLICE: Duration = Duration::from_millis(10);
     let t0 = Instant::now();
     loop {

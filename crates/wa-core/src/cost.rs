@@ -82,17 +82,6 @@ impl CostParams {
             m3,
         }
     }
-
-    /// Write/read bandwidth asymmetry of the NVM level (`beta_23 / beta_32`).
-    pub fn nvm_write_read_ratio(&self) -> f64 {
-        self.beta_23 / self.beta_32
-    }
-
-    /// Time to move `words` in `msgs` messages across a boundary given
-    /// `(alpha, beta)`.
-    pub fn time(words: f64, msgs: f64, alpha: f64, beta: f64) -> f64 {
-        alpha * msgs + beta * words
-    }
 }
 
 impl Default for CostParams {
@@ -108,20 +97,14 @@ mod tests {
     #[test]
     fn nvm_cluster_is_write_asymmetric() {
         let c = CostParams::nvm_cluster();
-        assert!(c.nvm_write_read_ratio() > 5.0);
+        assert!(c.beta_23 / c.beta_32 > 5.0);
         assert!(c.beta_23 > c.beta_nw, "writing NVM slower than network");
     }
 
     #[test]
     fn symmetric_has_unit_ratio() {
         let c = CostParams::symmetric(1e-9, 1e-6, 1, 2, 3);
-        assert_eq!(c.nvm_write_read_ratio(), 1.0);
+        assert_eq!(c.beta_23 / c.beta_32, 1.0);
         assert_eq!((c.m1, c.m2, c.m3), (1, 2, 3));
-    }
-
-    #[test]
-    fn time_model_is_affine() {
-        let t = CostParams::time(100.0, 2.0, 1.0, 0.5);
-        assert_eq!(t, 2.0 + 50.0);
     }
 }

@@ -1,4 +1,4 @@
-//! The execution-engine layer: backends, scales, the [`Workload`] trait,
+//! The execution-engine layer: backends, scales, the [`Workload`] type,
 //! and the [`Registry`] the harness drives.
 //!
 //! Every algorithm variant in the workspace registers once (name, group,
@@ -112,16 +112,11 @@ impl fmt::Display for Scale {
 /// workload models more than 3 levels today; anything past this cap is a
 /// typo'd config, rejected at the registry boundary before a kernel can
 /// trip over it.
-pub const MAX_DEPTH_CAP: usize = 8;
+pub(crate) const MAX_DEPTH_CAP: usize = 8;
 
 /// Upper bound on [`RunLimits::retries`]. Retries multiply sweep cost;
 /// past this the config is degenerate, not cautious.
-pub const MAX_RETRIES_CAP: u32 = 16;
-
-/// Default [`Workload::footprint_bytes`]: 1 GiB, a deliberate
-/// over-estimate so workloads without a declared size are treated as big
-/// under any realistic [`RunLimits::mem_budget`].
-pub const DEFAULT_FOOTPRINT_BYTES: u64 = 1 << 30;
+pub(crate) const MAX_RETRIES_CAP: u32 = 16;
 
 /// Execution-policy limits for one dispatch: how long a cell may run and
 /// how often a *retriable* failure (panic, deadline, transient error) is
@@ -137,7 +132,7 @@ pub struct RunLimits {
     /// Extra attempts after a retriable failure (0 = single attempt).
     pub retries: u32,
     /// Footprint budget in bytes, checked against
-    /// [`Workload::footprint_bytes`] *before* dispatch. `None` (the
+    /// `Workload::footprint_bytes` *before* dispatch. `None` (the
     /// default) admits everything. An over-budget cell is rejected as
     /// `InvalidConfig`, or — with [`RunLimits::degrade`] — downgraded
     /// along the degradation ladder (depth → 1, scale → small,
@@ -157,14 +152,6 @@ impl RunLimits {
             mem_budget: None,
             degrade: false,
         }
-    }
-
-    /// Builder form for attaching a footprint budget (and the degrade
-    /// policy) to existing limits.
-    pub fn with_mem_budget(mut self, budget: u64, degrade: bool) -> Self {
-        self.mem_budget = Some(budget);
-        self.degrade = degrade;
-        self
     }
 }
 
@@ -250,7 +237,7 @@ impl RunCfg {
     /// depth 0 or past [`MAX_DEPTH_CAP`], a zero timeout, or a retry
     /// budget past [`MAX_RETRIES_CAP`]. Workload-relative depth limits
     /// (`max_depth`) are still checked by the workload itself.
-    pub fn validate(&self, workload: &str) -> Result<(), EngineError> {
+    pub(crate) fn validate(&self, workload: &str) -> Result<(), EngineError> {
         let invalid = |field: &'static str, value: String, reason: &str| {
             Err(EngineError::InvalidConfig {
                 workload: workload.to_string(),
@@ -302,7 +289,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// doubling per attempt, capped at 200 ms, with ±50% jitter drawn from a
 /// [`XorShift`] stream seeded by the cell's config hash — so a rerun of
 /// the same sweep retries on exactly the same schedule.
-pub fn backoff_delay(config_hash: u64, attempt: u32) -> Duration {
+pub(crate) fn backoff_delay(config_hash: u64, attempt: u32) -> Duration {
     let base_ms = 10u64
         .saturating_mul(1u64 << attempt.saturating_sub(1).min(10))
         .min(200);
@@ -328,7 +315,7 @@ pub enum EngineError {
         depth: usize,
         max: usize,
     },
-    /// A scenario field failed [`RunCfg::validate`] at the engine boundary.
+    /// A scenario field failed `RunCfg::validate` at the engine boundary.
     InvalidConfig {
         workload: String,
         field: &'static str,
@@ -483,66 +470,27 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// One registered algorithm variant.
-pub trait Workload: Send + Sync {
-    /// Registry name, unique, kebab-case (e.g. `matmul-wa`).
-    fn name(&self) -> &str;
-    /// Owning group — by convention the crate name (`dense`, `nbody`, …).
-    fn group(&self) -> &str;
-    /// One-line description (paper artifact it reproduces).
-    fn description(&self) -> &str;
-    /// Backends this workload can execute on.
-    fn backends(&self) -> &[BackendKind];
-    /// Deepest hierarchy this workload can model on `backend` (number of
-    /// cache levels between the processor and the backing store). Most
-    /// workloads model the classical two-level setting only (depth 1).
-    fn max_depth(&self, _backend: BackendKind) -> usize {
-        1
-    }
-    /// Estimated peak footprint in bytes of one run at `(scale, depth)` —
-    /// working arrays plus simulator state, the quantity
-    /// [`RunLimits::mem_budget`] preflights against. The default is a
-    /// deliberate over-estimate ([`DEFAULT_FOOTPRINT_BYTES`]): a workload
-    /// that does not declare its size is assumed big, so budgets stay
-    /// conservative rather than admitting unknown cells.
-    fn footprint_bytes(&self, _scale: Scale, _depth: usize) -> u64 {
-        DEFAULT_FOOTPRINT_BYTES
-    }
-    /// Execute the scenario described by `cfg`.
-    fn run_cfg(&self, cfg: RunCfg) -> Result<RunReport, EngineError>;
-
-    /// Execute on `backend` at `scale` in the two-level model (depth 1).
-    fn run(&self, backend: BackendKind, scale: Scale) -> Result<RunReport, EngineError> {
-        self.run_cfg(RunCfg::new(backend, scale))
-    }
-
-    fn supports(&self, backend: BackendKind) -> bool {
-        self.backends().contains(&backend)
-    }
-}
-
-/// A [`Workload`] assembled from plain data plus a run closure — the
-/// one-liner registration form the algorithm crates use.
-pub struct FnWorkload {
-    pub name: &'static str,
-    pub group: &'static str,
-    pub description: &'static str,
-    pub backends: Vec<BackendKind>,
+/// One registered algorithm variant: its registry data, its per-backend
+/// depth limits, a footprint estimator and its run closure.
+pub struct Workload {
+    name: &'static str,
+    group: &'static str,
+    description: &'static str,
+    backends: Vec<BackendKind>,
     /// `(backend, max depth)` overrides; backends not listed model depth 1.
-    pub depths: Vec<(BackendKind, usize)>,
-    /// Footprint estimator behind [`Workload::footprint_bytes`].
+    depths: Vec<(BackendKind, usize)>,
     #[allow(clippy::type_complexity)]
-    pub footprint: Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>,
+    footprint: Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>,
     #[allow(clippy::type_complexity)]
-    pub run: Box<dyn Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync>,
+    run: Box<dyn Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync>,
 }
 
-impl FnWorkload {
-    /// Box a workload from its registry data, its per-backend depth
-    /// overrides (for workloads that model hierarchies deeper than the
-    /// two-level default), a footprint estimator that
-    /// [`RunLimits::mem_budget`] preflights against, and its run closure.
-    pub fn boxed(
+impl Workload {
+    /// A workload from its registry data, its per-backend depth overrides
+    /// (for workloads that model hierarchies deeper than the two-level
+    /// default), a footprint estimator that [`RunLimits::mem_budget`]
+    /// preflights against, and its run closure.
+    pub fn new(
         name: &'static str,
         group: &'static str,
         description: &'static str,
@@ -550,8 +498,8 @@ impl FnWorkload {
         depths: &[(BackendKind, usize)],
         footprint: impl Fn(Scale, usize) -> u64 + Send + Sync + 'static,
         run: impl Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync + 'static,
-    ) -> Box<dyn Workload> {
-        Box::new(FnWorkload {
+    ) -> Workload {
+        Workload {
             name,
             group,
             description,
@@ -559,28 +507,33 @@ impl FnWorkload {
             depths: depths.to_vec(),
             footprint: Box::new(footprint),
             run: Box::new(run),
-        })
+        }
     }
-}
 
-impl Workload for FnWorkload {
-    fn name(&self) -> &str {
+    /// Registry name, unique, kebab-case (e.g. `matmul-wa`).
+    pub fn name(&self) -> &str {
         self.name
     }
 
-    fn group(&self) -> &str {
+    /// Owning group — by convention the crate name (`dense`, `nbody`, …).
+    pub fn group(&self) -> &str {
         self.group
     }
 
-    fn description(&self) -> &str {
+    /// One-line description (paper artifact it reproduces).
+    pub fn description(&self) -> &str {
         self.description
     }
 
-    fn backends(&self) -> &[BackendKind] {
+    /// Backends this workload can execute on.
+    pub fn backends(&self) -> &[BackendKind] {
         &self.backends
     }
 
-    fn max_depth(&self, backend: BackendKind) -> usize {
+    /// Deepest hierarchy this workload can model on `backend` (number of
+    /// cache levels between the processor and the backing store). Most
+    /// workloads model the classical two-level setting only (depth 1).
+    pub fn max_depth(&self, backend: BackendKind) -> usize {
         self.depths
             .iter()
             .find(|(b, _)| *b == backend)
@@ -588,11 +541,15 @@ impl Workload for FnWorkload {
             .unwrap_or(1)
     }
 
-    fn footprint_bytes(&self, scale: Scale, depth: usize) -> u64 {
+    /// Estimated peak footprint in bytes of one run at `(scale, depth)` —
+    /// working arrays plus simulator state, the quantity
+    /// [`RunLimits::mem_budget`] preflights against.
+    pub(crate) fn footprint_bytes(&self, scale: Scale, depth: usize) -> u64 {
         (self.footprint)(scale, depth)
     }
 
-    fn run_cfg(&self, cfg: RunCfg) -> Result<RunReport, EngineError> {
+    /// Execute the scenario described by `cfg`.
+    pub fn run_cfg(&self, cfg: RunCfg) -> Result<RunReport, EngineError> {
         if !self.supports(cfg.backend) {
             return Err(EngineError::UnsupportedBackend {
                 workload: self.name.to_string(),
@@ -611,6 +568,15 @@ impl Workload for FnWorkload {
         }
         (self.run)(cfg)
     }
+
+    /// Execute on `backend` at `scale` in the two-level model (depth 1).
+    pub fn run(&self, backend: BackendKind, scale: Scale) -> Result<RunReport, EngineError> {
+        self.run_cfg(RunCfg::new(backend, scale))
+    }
+
+    pub fn supports(&self, backend: BackendKind) -> bool {
+        self.backends.contains(&backend)
+    }
 }
 
 /// Name-indexed collection of workloads. Registration order is preserved
@@ -621,12 +587,12 @@ impl Workload for FnWorkload {
 /// workload becomes [`EngineError::Panicked`], not a process abort), the
 /// scenario's [`RunLimits::timeout`] rides in the attempt's cancel token,
 /// and retriable failures are re-attempted up to [`RunLimits::retries`]
-/// times with deterministic backoff ([`backoff_delay`]). An installed
+/// times with deterministic backoff (`backoff_delay`). An installed
 /// [`FaultPlan`] injects faults inside this guarded path.
 #[derive(Default)]
 pub struct Registry {
     order: Vec<String>,
-    by_name: BTreeMap<String, Box<dyn Workload>>,
+    by_name: BTreeMap<String, Workload>,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -637,7 +603,7 @@ impl Registry {
 
     /// Register one workload. Panics on a duplicate name: duplicates are
     /// always a programming error in the registering crate.
-    pub fn register(&mut self, w: Box<dyn Workload>) {
+    pub fn register(&mut self, w: Workload) {
         let name = w.name().to_string();
         assert!(
             !self.by_name.contains_key(&name),
@@ -658,7 +624,7 @@ impl Registry {
     }
 
     /// Register a whole batch (the per-crate `workloads()` vectors).
-    pub fn register_all(&mut self, ws: Vec<Box<dyn Workload>>) {
+    pub fn register_all(&mut self, ws: Vec<Workload>) {
         for w in ws {
             self.register(w);
         }
@@ -672,13 +638,13 @@ impl Registry {
         self.order.is_empty()
     }
 
-    pub fn get(&self, name: &str) -> Option<&dyn Workload> {
-        self.by_name.get(name).map(|b| &**b)
+    pub fn get(&self, name: &str) -> Option<&Workload> {
+        self.by_name.get(name)
     }
 
     /// Workloads in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Workload> {
-        self.order.iter().map(|n| self.by_name[n].as_ref())
+    pub fn iter(&self) -> impl Iterator<Item = &Workload> {
+        self.order.iter().map(|n| &self.by_name[n])
     }
 
     /// Run `name` on `backend` at `scale` in the two-level model.
@@ -705,7 +671,7 @@ impl Registry {
     /// under `catch_unwind`, and — when `cfg.limits.timeout` is set — the
     /// attempt is cancelled at its first checkpoint after the deadline.
     /// Retriable failures back off deterministically
-    /// ([`backoff_delay`] seeded from the cell's config hash) and retry
+    /// (`backoff_delay` seeded from the cell's config hash) and retry
     /// up to `cfg.limits.retries` times.
     pub fn run_cfg_traced(&self, name: &str, cfg: RunCfg) -> (Result<RunReport, EngineError>, u32) {
         let Some(w) = self.by_name.get(name) else {
@@ -741,7 +707,7 @@ impl Registry {
                         0,
                     );
                 }
-                match degrade_cfg(w.as_ref(), cfg, budget) {
+                match degrade_cfg(w, cfg, budget) {
                     Some((fit, steps)) => {
                         cfg = fit;
                         degraded = Some(steps);
@@ -773,7 +739,7 @@ impl Registry {
             attempt += 1;
             let attempt_span = crate::obs::span("attempt", "engine");
             let fault = self.fault_plan.as_ref().and_then(|p| p.on_invocation(name));
-            let res = run_guarded(w.as_ref(), name, cfg, fault);
+            let res = run_guarded(w, name, cfg, fault);
             drop(attempt_span);
             match res {
                 Ok(mut r) => {
@@ -806,7 +772,7 @@ impl Registry {
 /// (whose only cost beyond the data is a one-bit-per-line tally, not a
 /// simulated hierarchy). Returns the fitting config and a human-readable
 /// description of the rungs taken.
-fn degrade_cfg(w: &dyn Workload, cfg: RunCfg, budget: u64) -> Option<(RunCfg, String)> {
+fn degrade_cfg(w: &Workload, cfg: RunCfg, budget: u64) -> Option<(RunCfg, String)> {
     let mut cur = cfg;
     let mut steps: Vec<&'static str> = Vec::new();
     if cur.depth > 1 {
@@ -848,7 +814,7 @@ fn fault_tag(f: FaultKind) -> &'static str {
 /// it has passed, so a deadline cancel never reports less than its
 /// deadline.
 fn run_guarded(
-    w: &dyn Workload,
+    w: &Workload,
     name: &str,
     cfg: RunCfg,
     fault: Option<FaultKind>,
@@ -910,14 +876,14 @@ fn run_guarded(
 mod tests {
     use super::*;
 
-    fn dummy(name: &'static str) -> Box<dyn Workload> {
-        FnWorkload::boxed(
+    fn dummy(name: &'static str) -> Workload {
+        Workload::new(
             name,
             "test",
             "a test workload",
             &[BackendKind::Raw],
             &[],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            |_, _| 1 << 30,
             move |cfg| Ok(RunReport::new(name, cfg.backend, cfg.scale)),
         )
     }
@@ -965,13 +931,13 @@ mod tests {
 
     #[test]
     fn depth_defaults_to_one_and_overrides_apply() {
-        let w = FnWorkload::boxed(
+        let w = Workload::new(
             "deep",
             "test",
             "a depth-aware workload",
             &[BackendKind::Raw, BackendKind::Simmed],
             &[(BackendKind::Simmed, 3)],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            |_, _| 1 << 30,
             |cfg| Ok(RunReport::new("deep", cfg.backend, cfg.scale).config("depth", cfg.depth)),
         );
         assert_eq!(w.max_depth(BackendKind::Raw), 1);
@@ -1001,13 +967,13 @@ mod tests {
     #[test]
     fn registry_contains_workload_panics() {
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed(
+        r.register(Workload::new(
             "bomb",
             "test",
             "panics on dispatch",
             &[BackendKind::Raw],
             &[],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            |_, _| 1 << 30,
             |_| panic!("kernel exploded at depth 7"),
         ));
         let err = r.run("bomb", BackendKind::Raw, Scale::Small).unwrap_err();
@@ -1028,13 +994,13 @@ mod tests {
         let calls = std::sync::Arc::new(AtomicU32::new(0));
         let mut r = Registry::new();
         let c = std::sync::Arc::clone(&calls);
-        r.register(FnWorkload::boxed(
+        r.register(Workload::new(
             "flaky",
             "test",
             "fails twice, then succeeds",
             &[BackendKind::Raw],
             &[],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            |_, _| 1 << 30,
             move |cfg| {
                 if c.fetch_add(1, Ordering::SeqCst) < 2 {
                     Err(EngineError::Retriable {
@@ -1154,13 +1120,13 @@ mod tests {
     fn fault_plan_injects_panic_stall_and_corruption() {
         use crate::fault::{FaultPlan, CORRUPTION_OFFSET};
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed(
+        r.register(Workload::new(
             "victim",
             "test",
             "healthy unless a fault fires",
             &[BackendKind::Raw],
             &[],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            |_, _| 1 << 30,
             |cfg| {
                 let mut rep = RunReport::new("victim", cfg.backend, cfg.scale);
                 rep.flops = 100;
@@ -1203,13 +1169,13 @@ mod tests {
         // `Cancelled` on the caller's thread, not after the (absent)
         // natural end of the run.
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed(
+        r.register(Workload::new(
             "spinner",
             "test",
             "ticks forever until cancelled",
             &[BackendKind::Raw],
             &[],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            |_, _| 1 << 30,
             |_cfg| loop {
                 crate::cancel::tick(1);
             },
@@ -1254,7 +1220,7 @@ mod tests {
     #[test]
     fn budget_preflight_rejects_oversized_cells() {
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed(
+        r.register(Workload::new(
             "big",
             "test",
             "claims a 1 MiB footprint",
@@ -1263,8 +1229,10 @@ mod tests {
             |_, _| 1 << 20,
             |cfg| Ok(RunReport::new("big", cfg.backend, cfg.scale)),
         ));
-        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small)
-            .with_limits(RunLimits::new(None, 3).with_mem_budget(1024, false));
+        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits {
+            mem_budget: Some(1024),
+            ..RunLimits::new(None, 3)
+        });
         let (res, attempts) = r.run_cfg_traced("big", cfg);
         match res {
             Err(EngineError::InvalidConfig { field, reason, .. }) => {
@@ -1275,8 +1243,10 @@ mod tests {
         }
         assert_eq!(attempts, 0, "preflight must reject before any attempt");
         // A budget the footprint fits under runs normally.
-        let roomy = RunCfg::new(BackendKind::Raw, Scale::Small)
-            .with_limits(RunLimits::new(None, 0).with_mem_budget(1 << 21, false));
+        let roomy = RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits {
+            mem_budget: Some(1 << 21),
+            ..RunLimits::new(None, 0)
+        });
         assert!(r.run_cfg("big", roomy).is_ok());
     }
 
@@ -1285,7 +1255,7 @@ mod tests {
         // footprint = depth × 1000 bytes: depth 3 busts a 2000-byte
         // budget, depth 1 fits, so the first rung (depth→1) suffices.
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed(
+        r.register(Workload::new(
             "laddered",
             "test",
             "footprint scales with depth",
@@ -1294,8 +1264,11 @@ mod tests {
             |_, depth| depth as u64 * 1000,
             |cfg| Ok(RunReport::new("laddered", cfg.backend, cfg.scale).config("depth", cfg.depth)),
         ));
-        let cfg = RunCfg::with_depth(BackendKind::Raw, Scale::Small, 3)
-            .with_limits(RunLimits::new(None, 0).with_mem_budget(2000, true));
+        let cfg = RunCfg::with_depth(BackendKind::Raw, Scale::Small, 3).with_limits(RunLimits {
+            mem_budget: Some(2000),
+            degrade: true,
+            ..RunLimits::new(None, 0)
+        });
         let rep = r.run_cfg("laddered", cfg).unwrap();
         assert!(
             rep.config.iter().any(|(k, v)| k == "depth" && v == "1"),
@@ -1315,13 +1288,16 @@ mod tests {
         // No rung fits a 1-byte budget even via traced: every rung's
         // footprint is still ≥ 1000, so the ladder ends at traced and
         // accepts it (the trace itself is the cost, not the hierarchy).
-        let tiny = RunCfg::with_depth(BackendKind::Raw, Scale::Small, 3)
-            .with_limits(RunLimits::new(None, 0).with_mem_budget(1, true));
+        let tiny = RunCfg::with_depth(BackendKind::Raw, Scale::Small, 3).with_limits(RunLimits {
+            mem_budget: Some(1),
+            degrade: true,
+            ..RunLimits::new(None, 0)
+        });
         let rep = r.run_cfg("laddered", tiny).unwrap();
         assert_eq!(rep.backend, BackendKind::Traced);
         // Without traced support the same budget is a hard reject.
         let mut r2 = Registry::new();
-        r2.register(FnWorkload::boxed(
+        r2.register(Workload::new(
             "untraceable",
             "test",
             "raw only",
@@ -1330,8 +1306,11 @@ mod tests {
             |_, _| 1000,
             |cfg| Ok(RunReport::new("untraceable", cfg.backend, cfg.scale)),
         ));
-        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small)
-            .with_limits(RunLimits::new(None, 0).with_mem_budget(1, true));
+        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits {
+            mem_budget: Some(1),
+            degrade: true,
+            ..RunLimits::new(None, 0)
+        });
         match r2.run_cfg("untraceable", cfg) {
             Err(EngineError::InvalidConfig { reason, .. }) => {
                 assert!(reason.contains("no degradation rung fits"), "{reason}");
@@ -1346,13 +1325,13 @@ mod tests {
         // Conservation-violating report: the backing level claims fewer
         // writes than the last boundary stores into it.
         let mut r = Registry::new();
-        r.register(FnWorkload::boxed(
+        r.register(Workload::new(
             "liar",
             "test",
             "reports inconsistent counters",
             &[BackendKind::Raw],
             &[],
-            |_, _| DEFAULT_FOOTPRINT_BYTES,
+            |_, _| 1 << 30,
             |cfg| {
                 let mut rep = RunReport::new("liar", cfg.backend, cfg.scale);
                 let mut t = Traffic::ZERO;

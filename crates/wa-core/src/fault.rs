@@ -12,11 +12,11 @@
 //!   containment must surface `EngineError::Panicked`.
 //! * [`FaultKind::Stall`] — the dispatch sleeps for the given duration
 //!   before running, checking the cancel token every 10 ms
-//!   ([`crate::cancel::sleep_cooperatively`]); with a shorter
+//!   (`crate::cancel::sleep_cooperatively`); with a shorter
 //!   [`crate::engine::RunLimits::timeout`] the attempt must surface
 //!   `EngineError::Cancelled` with the `deadline` reason.
 //! * [`FaultKind::Corrupt`] — the workload runs normally, then its
-//!   counters are deterministically corrupted ([`corrupt_report`]), so
+//!   counters are deterministically corrupted (`corrupt_report`), so
 //!   downstream agreement checks must flag the report.
 //!
 //! Invocation counting includes retries (each retry is a new invocation),
@@ -48,25 +48,15 @@ pub enum FaultKind {
     Corrupt,
 }
 
-impl FaultKind {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Stall(_) => "stall",
-            FaultKind::Corrupt => "corrupt",
-        }
-    }
-}
-
 /// One rule: fire `kind` on the `nth` (1-based) invocation of `workload`.
 #[derive(Clone, Debug)]
-pub struct FaultRule {
+pub(crate) struct FaultRule {
     pub workload: String,
     pub nth: u64,
     pub kind: FaultKind,
 }
 
-/// A set of [`FaultRule`]s plus per-workload invocation counters.
+/// A set of `FaultRule`s plus per-workload invocation counters.
 /// Counting is internal and thread-safe, so a plan installed on a
 /// registry behaves deterministically even under a parallel sweep.
 #[derive(Debug, Default)]
@@ -76,7 +66,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    pub fn new(rules: Vec<FaultRule>) -> Self {
+    pub(crate) fn new(rules: Vec<FaultRule>) -> Self {
         FaultPlan {
             rules,
             hits: Mutex::new(BTreeMap::new()),
@@ -140,16 +130,9 @@ impl FaultPlan {
         Ok(FaultPlan::new(rules))
     }
 
-    /// Plan from the `WA_FAULT_PLAN` environment variable, if set.
-    /// A present-but-malformed spec is a hard error (silently ignoring a
-    /// typo'd fault plan would make the rig lie about coverage).
-    pub fn from_env() -> Option<Result<FaultPlan, String>> {
-        std::env::var("WA_FAULT_PLAN").ok().map(|s| Self::parse(&s))
-    }
-
     /// Record one invocation of `workload` and return the fault (if any)
     /// scheduled for this ordinal.
-    pub fn on_invocation(&self, workload: &str) -> Option<FaultKind> {
+    pub(crate) fn on_invocation(&self, workload: &str) -> Option<FaultKind> {
         let mut hits = self.hits.lock().unwrap();
         let n = hits.entry(workload.to_string()).or_insert(0);
         *n += 1;
@@ -164,15 +147,11 @@ impl FaultPlan {
     pub fn invocations(&self, workload: &str) -> u64 {
         *self.hits.lock().unwrap().get(workload).unwrap_or(&0)
     }
-
-    pub fn rules(&self) -> &[FaultRule] {
-        &self.rules
-    }
 }
 
 /// Offset added to every counter by [`corrupt_report`] — an arbitrary but
 /// fixed constant so corruption is deterministic and test-assertable.
-pub const CORRUPTION_OFFSET: u64 = 0xBAD;
+pub(crate) const CORRUPTION_OFFSET: u64 = 0xBAD;
 
 /// Deterministically corrupt a report's traffic counters in place: every
 /// per-level write count and the flop counter gain [`CORRUPTION_OFFSET`].
@@ -182,7 +161,7 @@ pub const CORRUPTION_OFFSET: u64 = 0xBAD;
 /// [`RunReport::validate`](crate::report::RunReport::validate) checks.
 /// A note marks the report so the rig can tell an injected corruption
 /// from a genuine counter bug.
-pub fn corrupt_report(r: &mut RunReport) {
+pub(crate) fn corrupt_report(r: &mut RunReport) {
     for w in &mut r.writes_per_level {
         *w += CORRUPTION_OFFSET;
     }
@@ -199,16 +178,16 @@ mod tests {
     #[test]
     fn parses_all_rule_forms() {
         let p = FaultPlan::parse("matmul-wa:panic@1,lu-wa:stall=2000ms,cg:corrupt@3").unwrap();
-        assert_eq!(p.rules().len(), 3);
-        assert_eq!(p.rules()[0].kind, FaultKind::Panic);
-        assert_eq!(p.rules()[0].nth, 1);
+        assert_eq!(p.rules.len(), 3);
+        assert_eq!(p.rules[0].kind, FaultKind::Panic);
+        assert_eq!(p.rules[0].nth, 1);
         assert_eq!(
-            p.rules()[1].kind,
+            p.rules[1].kind,
             FaultKind::Stall(Duration::from_millis(2000))
         );
-        assert_eq!(p.rules()[1].nth, 1);
-        assert_eq!(p.rules()[2].kind, FaultKind::Corrupt);
-        assert_eq!(p.rules()[2].nth, 3);
+        assert_eq!(p.rules[1].nth, 1);
+        assert_eq!(p.rules[2].kind, FaultKind::Corrupt);
+        assert_eq!(p.rules[2].nth, 3);
     }
 
     #[test]

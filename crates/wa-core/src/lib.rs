@@ -58,9 +58,7 @@ pub mod traffic;
 pub use cancel::{CancelReason, CancelToken};
 pub use cost::CostParams;
 pub use curve::{CapacityCurve, CurvePoint};
-pub use engine::{
-    BackendKind, EngineError, FnWorkload, Registry, RunCfg, RunLimits, Scale, Workload,
-};
+pub use engine::{BackendKind, EngineError, Registry, RunCfg, RunLimits, Scale, Workload};
 pub use fault::{FaultKind, FaultPlan};
 pub use matrix::Mat;
 pub use report::RunReport;

@@ -28,15 +28,6 @@ impl Mat {
         }
     }
 
-    /// Identity matrix of order `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Matrix filled by `f(i, j)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -94,10 +85,6 @@ impl Mat {
         &self.data
     }
 
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Mat {
         Mat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -127,11 +114,6 @@ impl Mat {
             .zip(&other.data)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f64::max)
-    }
-
-    /// Frobenius norm.
-    pub fn frob(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Lower-triangular part (including diagonal), rest zeroed.
@@ -222,7 +204,7 @@ mod tests {
     #[test]
     fn eye_times_anything_is_identity_map() {
         let a = Mat::random(5, 5, 42);
-        let i = Mat::eye(5);
+        let i = Mat::from_fn(5, 5, |r, c| if r == c { 1.0 } else { 0.0 });
         assert!(i.matmul_ref(&a).max_abs_diff(&a) < 1e-15);
         assert!(a.matmul_ref(&i).max_abs_diff(&a) < 1e-15);
     }

@@ -22,6 +22,7 @@
 //! of a single-threaded run = 0), keeping ids stable across runs even
 //! though the OS recycles native thread ids.
 
+use crate::report::json_string;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -133,7 +134,7 @@ impl Recorder {
         self
     }
 
-    pub fn wants_reuse(&self) -> bool {
+    pub(crate) fn wants_reuse(&self) -> bool {
         self.reuse
     }
 
@@ -157,21 +158,21 @@ impl Recorder {
         ev.push(Event { ts, tid, kind });
     }
 
-    pub fn begin(&self, name: &str, cat: &'static str) {
+    pub(crate) fn begin(&self, name: &str, cat: &'static str) {
         self.push(EventKind::Begin {
             name: name.to_string(),
             cat,
         });
     }
 
-    pub fn end(&self, name: &str, cat: &'static str) {
+    pub(crate) fn end(&self, name: &str, cat: &'static str) {
         self.push(EventKind::End {
             name: name.to_string(),
             cat,
         });
     }
 
-    pub fn instant(&self, name: &str, cat: &'static str) {
+    pub(crate) fn instant(&self, name: &str, cat: &'static str) {
         self.push(EventKind::Instant {
             name: name.to_string(),
             cat,
@@ -187,7 +188,7 @@ impl Recorder {
 
     /// Open a span closed by the returned guard's drop (panic-safe: an
     /// unwind through the guard still emits the `E`).
-    pub fn span(self: &Arc<Self>, name: &str, cat: &'static str) -> SpanGuard {
+    pub(crate) fn span(self: &Arc<Self>, name: &str, cat: &'static str) -> SpanGuard {
         self.begin(name, cat);
         SpanGuard {
             inner: Some((Arc::clone(self), name.to_string(), cat)),
@@ -221,33 +222,20 @@ impl Recorder {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str("\n{");
-            match &e.kind {
-                EventKind::Begin { name, cat } => {
-                    let _ = write!(
-                        s,
-                        "\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"B\"",
-                        esc(name)
-                    );
+            s.push_str("\n{\"name\":");
+            let (EventKind::Begin { name, .. }
+            | EventKind::End { name, .. }
+            | EventKind::Instant { name, .. }
+            | EventKind::Counter { name, .. }) = &e.kind;
+            json_string(&mut s, name);
+            let _ = match &e.kind {
+                EventKind::Begin { cat, .. } => write!(s, ",\"cat\":\"{cat}\",\"ph\":\"B\""),
+                EventKind::End { cat, .. } => write!(s, ",\"cat\":\"{cat}\",\"ph\":\"E\""),
+                EventKind::Instant { cat, .. } => {
+                    write!(s, ",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\"")
                 }
-                EventKind::End { name, cat } => {
-                    let _ = write!(
-                        s,
-                        "\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"E\"",
-                        esc(name)
-                    );
-                }
-                EventKind::Instant { name, cat } => {
-                    let _ = write!(
-                        s,
-                        "\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\"",
-                        esc(name)
-                    );
-                }
-                EventKind::Counter { name, .. } => {
-                    let _ = write!(s, "\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"C\"", esc(name));
-                }
-            }
+                EventKind::Counter { .. } => write!(s, ",\"cat\":\"obs\",\"ph\":\"C\""),
+            };
             let _ = write!(s, ",\"ts\":{},\"pid\":1,\"tid\":{}", e.ts, e.tid);
             if let EventKind::Counter { series, .. } = &e.kind {
                 s.push_str(",\"args\":{");
@@ -255,7 +243,8 @@ impl Recorder {
                     if j > 0 {
                         s.push(',');
                     }
-                    let _ = write!(s, "\"{}\":{v}", esc(k));
+                    json_string(&mut s, k);
+                    let _ = write!(s, ":{v}");
                 }
                 s.push('}');
             }
@@ -264,20 +253,6 @@ impl Recorder {
         s.push_str("\n]}\n");
         s
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// RAII span: emits the matching `E` on drop. A disabled guard (no
@@ -347,16 +322,9 @@ pub fn span(name: &str, cat: &'static str) -> SpanGuard {
 }
 
 /// Emit an instant event (no-op when off).
-pub fn instant(name: &str, cat: &'static str) {
+pub(crate) fn instant(name: &str, cat: &'static str) {
     if let Some(r) = active() {
         r.instant(name, cat);
-    }
-}
-
-/// Emit a counter sample (no-op when off).
-pub fn counter(name: &str, series: &[(&str, u64)]) {
-    if let Some(r) = active() {
-        r.counter(name, series);
     }
 }
 
@@ -455,7 +423,7 @@ mod tests {
         {
             let _g = span("global-span", "obs-test");
             instant("global-instant", "obs-test");
-            counter("global-counter", &[("v", 1)]);
+            rec.counter("global-counter", &[("v", 1)]);
         }
         let got = uninstall().expect("a recorder was installed");
         assert!(Arc::ptr_eq(&got, &rec));

@@ -49,7 +49,7 @@ pub fn default_threads(items: usize) -> usize {
 /// Render a panic payload (the `Box<dyn Any>` from `catch_unwind`) as a
 /// human-readable message. `panic!` with a literal yields `&'static str`;
 /// `panic!` with a format string yields `String`; anything else is opaque.
-pub fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

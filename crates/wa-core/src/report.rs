@@ -374,8 +374,11 @@ fn field_u64(s: &mut String, k: &str, v: u64) {
     s.push_str(&v.to_string());
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_string(s: &mut String, v: &str) {
+/// Append `v` to `s` as a quoted JSON string (quotes, backslash and
+/// control characters escaped). Every JSON writer in the workspace —
+/// reports, Chrome traces, sweep journals, `harness list --json` — uses
+/// this one escaper.
+pub fn json_string(s: &mut String, v: &str) {
     s.push('"');
     for c in v.chars() {
         match c {

@@ -25,7 +25,7 @@ impl XorShift {
 
     /// Next raw 64-bit value.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
         x ^= x << 25;

@@ -205,7 +205,7 @@ impl BoundaryTraffic {
         }
     }
 
-    pub fn num_boundaries(&self) -> usize {
+    pub(crate) fn num_boundaries(&self) -> usize {
         self.boundaries.len()
     }
 
@@ -237,13 +237,6 @@ impl BoundaryTraffic {
             w += self.boundaries[lvl - 2].store_words;
         }
         w
-    }
-
-    pub fn total(&self) -> Traffic {
-        self.boundaries
-            .iter()
-            .copied()
-            .fold(Traffic::ZERO, |a, b| a + b)
     }
 }
 
@@ -359,7 +352,7 @@ mod tests {
         let mut b = BoundaryTraffic::new(2);
         b.boundary_mut(0).store(5);
         a += &b;
-        assert_eq!(a.total().total_words(), 15);
+        assert_eq!(a.boundary(0).total_words(), 15);
     }
 
     #[test]

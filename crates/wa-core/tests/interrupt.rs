@@ -6,9 +6,7 @@
 
 use std::time::Instant;
 use wa_core::cancel::{self, CancelReason, CancelToken};
-use wa_core::engine::{
-    BackendKind, EngineError, FnWorkload, RunCfg, RunLimits, DEFAULT_FOOTPRINT_BYTES,
-};
+use wa_core::engine::{BackendKind, EngineError, RunCfg, RunLimits, Workload};
 use wa_core::{Registry, Scale};
 
 /// One test drives the whole lifecycle so the epoch bumps are ordered:
@@ -63,13 +61,13 @@ fn interrupt_cancels_prior_tokens_and_suppresses_engine_retries() {
     // normally attempt 4 times; the mid-dispatch interrupt must cap it
     // at the one attempt already made.
     let mut reg = Registry::new();
-    reg.register(FnWorkload::boxed(
+    reg.register(Workload::new(
         "interruptive",
         "test",
         "interrupts the process then panics",
         &[BackendKind::Raw],
         &[],
-        |_, _| DEFAULT_FOOTPRINT_BYTES,
+        |_, _| 1 << 30,
         |_| {
             cancel::interrupt_now();
             panic!("boom");
