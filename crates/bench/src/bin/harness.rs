@@ -70,11 +70,13 @@ fn main() {
     let rest = &args[1.min(args.len())..];
     check_flags(cmd, rest);
     match cmd {
-        "list" => list(
-            &registry(),
-            has_flag(rest, "--json"),
-            has_flag(rest, "--markdown"),
-        ),
+        "list" => match (has_flag(rest, "--json"), has_flag(rest, "--markdown")) {
+            (true, true) => {
+                eprintln!("--json and --markdown are mutually exclusive");
+                std::process::exit(2);
+            }
+            (json, markdown) => list(&registry(), json, markdown),
+        },
         "run" => run(&faulted_registry(rest), rest),
         "profile" => profile(&faulted_registry(rest), rest),
         "curve" => curve(&faulted_registry(rest), rest),
@@ -264,15 +266,19 @@ fn parse_limits(args: &[String]) -> RunLimits {
 
 /// Parse `--repeat N` (default 1).
 fn parse_repeat(args: &[String]) -> usize {
-    match flag_value(args, "--repeat") {
-        None => 1,
-        Some(s) => match s.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("bad --repeat `{s}` (expected a positive integer)");
-                std::process::exit(2);
-            }
-        },
+    parse_positive(args, "--repeat").unwrap_or(1)
+}
+
+/// The value of `flag`, if given; anything but a positive integer is a
+/// usage error.
+fn parse_positive(args: &[String], flag: &str) -> Option<usize> {
+    let s = flag_value(args, flag)?;
+    match s.parse() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => {
+            eprintln!("bad {flag} `{s}` (expected a positive integer)");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -790,13 +796,7 @@ fn curve(reg: &Registry, args: &[String]) {
 
 /// Parse `--depth D` (default 1, the two-level model).
 fn parse_depth(args: &[String]) -> usize {
-    match flag_value(args, "--depth") {
-        None => 1,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("bad --depth `{s}` (expected a positive integer)");
-            std::process::exit(2);
-        }),
-    }
+    parse_positive(args, "--depth").unwrap_or(1)
 }
 
 /// One cell of a sweep: a (workload, backend) pair plus its full
@@ -830,6 +830,7 @@ fn sweep(reg: &Registry, args: &[String]) {
     let csv = has_flag(args, "--csv");
     let repeat = parse_repeat(args);
     let depth = parse_depth(args);
+    let threads = parse_positive(args, "--threads");
     let limits = parse_limits(args);
     let fail_fast = has_flag(args, "--fail-fast");
     let resume = has_flag(args, "--resume");
@@ -904,13 +905,7 @@ fn sweep(reg: &Registry, args: &[String]) {
         std::process::exit(2);
     });
 
-    let threads = match flag_value(args, "--threads") {
-        None => default_threads(scenarios.len()),
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("bad --threads `{s}` (expected a positive integer)");
-            std::process::exit(2);
-        }),
-    };
+    let threads = threads.unwrap_or_else(|| default_threads(scenarios.len()));
     eprintln!(
         "sweeping {} scenarios at scale {} depth {} on {} threads (journal: {})",
         scenarios.len(),

@@ -18,7 +18,7 @@ use wa_core::Scale;
 
 /// Which Figure 2 panel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fig2Variant {
+pub(crate) enum Fig2Variant {
     /// (a) recursive cache-oblivious.
     CacheOblivious,
     /// (b) tuned, write-oblivious ("MKL" stand-in).
@@ -29,17 +29,17 @@ pub enum Fig2Variant {
 
 /// One measured row of a Figure 2 panel.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig2Row {
-    pub m: usize,
-    pub victims_m: u64,
-    pub victims_e: u64,
-    pub fills: u64,
-    pub write_lb_lines: u64,
-    pub ideal_misses: Option<f64>,
+pub(crate) struct Fig2Row {
+    pub(crate) m: usize,
+    pub(crate) victims_m: u64,
+    pub(crate) victims_e: u64,
+    pub(crate) fills: u64,
+    pub(crate) write_lb_lines: u64,
+    pub(crate) ideal_misses: Option<f64>,
 }
 
 /// Run one variant at one middle dimension.
-pub fn run_point(scale: Scale, variant: Fig2Variant, m: usize, repl: Repl) -> Fig2Row {
+pub(crate) fn run_point(scale: Scale, variant: Fig2Variant, m: usize, repl: Repl) -> Fig2Row {
     let n = outer_dim(scale);
     let geo = XeonGeometry::for_scale(scale, Policy::Lru);
     let (mut mem, d) = setup_matmul(n, m, n, build_sim(scale, repl), || build_sim(scale, repl));
@@ -80,7 +80,7 @@ pub fn run_point(scale: Scale, variant: Fig2Variant, m: usize, repl: Repl) -> Fi
 }
 
 /// Run a full panel (sweep of `m`).
-pub fn run_panel(scale: Scale, variant: Fig2Variant, repl: Repl) -> Vec<Fig2Row> {
+pub(crate) fn run_panel(scale: Scale, variant: Fig2Variant, repl: Repl) -> Vec<Fig2Row> {
     m_sweep(scale)
         .into_iter()
         .map(|m| run_point(scale, variant, m, repl))
@@ -88,7 +88,7 @@ pub fn run_panel(scale: Scale, variant: Fig2Variant, repl: Repl) -> Vec<Fig2Row>
 }
 
 /// Print one panel in the paper's layout.
-pub fn print_panel(title: &str, rows: &[Fig2Row]) {
+pub(crate) fn print_panel(title: &str, rows: &[Fig2Row]) {
     let header = [
         "m",
         "L3_VICTIMS.M",

@@ -18,7 +18,7 @@ use wa_core::Scale;
 
 /// Instruction order of one Figure 5 column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fig5Order {
+pub(crate) enum Fig5Order {
     /// Fig 4a: C-outer at every level (left column).
     MultiLevel,
     /// Fig 4b: C-outer at the top, A/B slabs below (right column).
@@ -26,7 +26,13 @@ pub enum Fig5Order {
 }
 
 /// One point: a given order, L3 block size and middle dimension.
-pub fn run_point(scale: Scale, order: Fig5Order, b3: usize, m: usize, repl: Repl) -> Fig2Row {
+pub(crate) fn run_point(
+    scale: Scale,
+    order: Fig5Order,
+    b3: usize,
+    m: usize,
+    repl: Repl,
+) -> Fig2Row {
     let n = outer_dim(scale);
     let geo = XeonGeometry::for_scale(scale, Policy::Lru);
     let (b2, b1) = inner_blocks(scale);
@@ -56,7 +62,7 @@ pub fn run_point(scale: Scale, order: Fig5Order, b3: usize, m: usize, repl: Repl
 }
 
 /// One panel: a given order and L3 block size over the m sweep.
-pub fn run_panel(scale: Scale, order: Fig5Order, b3: usize, repl: Repl) -> Vec<Fig2Row> {
+pub(crate) fn run_panel(scale: Scale, order: Fig5Order, b3: usize, repl: Repl) -> Vec<Fig2Row> {
     m_sweep(scale)
         .into_iter()
         .map(|m| run_point(scale, order, b3, m, repl))

@@ -9,18 +9,18 @@ use krylov::counter::SimIo;
 use krylov::stencil::laplacian_2d;
 use wa_core::Traffic;
 
-pub struct KsmRow {
-    pub method: String,
-    pub steps: usize,
-    pub writes: u64,
-    pub reads: u64,
-    pub flops: u64,
-    pub residual: f64,
+pub(crate) struct KsmRow {
+    pub(crate) method: String,
+    pub(crate) steps: usize,
+    pub(crate) writes: u64,
+    pub(crate) reads: u64,
+    pub(crate) flops: u64,
+    pub(crate) residual: f64,
 }
 
 /// Fixed-work comparison: `outers × s` CG-step equivalents on an
 /// `nx × nx` 5-point Poisson problem.
-pub fn run_rows(nx: usize, s: usize, outers: usize) -> Vec<KsmRow> {
+pub(crate) fn run_rows(nx: usize, s: usize, outers: usize) -> Vec<KsmRow> {
     let a = laplacian_2d(nx, nx, 0.1);
     let n = a.rows;
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();

@@ -29,13 +29,13 @@ fn lru_cache(k: usize, b: usize) -> CacheConfig {
 
 /// One proposition check: returns (kernel, measured write-backs incl.
 /// flush, output lines, ratio).
-pub struct PropRow {
-    pub kernel: &'static str,
-    pub writebacks: u64,
-    pub output_lines: u64,
+pub(crate) struct PropRow {
+    pub(crate) kernel: &'static str,
+    pub(crate) writebacks: u64,
+    pub(crate) output_lines: u64,
 }
 
-pub fn run_all(n: usize, b: usize) -> Vec<PropRow> {
+pub(crate) fn run_all(n: usize, b: usize) -> Vec<PropRow> {
     let mut rows = Vec::new();
 
     // Matmul, five blocks fit (Prop 6.1).

@@ -49,7 +49,7 @@ impl Repl {
 }
 
 /// Outer matrix dimensions (the paper's fixed 4000).
-pub fn outer_dim(scale: Scale) -> usize {
+pub(crate) fn outer_dim(scale: Scale) -> usize {
     match scale {
         Scale::Paper => 500,
         Scale::Small => 250,
@@ -57,7 +57,7 @@ pub fn outer_dim(scale: Scale) -> usize {
 }
 
 /// The middle-dimension sweep (the paper's 128…32 Ki).
-pub fn m_sweep(scale: Scale) -> Vec<usize> {
+pub(crate) fn m_sweep(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Paper => vec![16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
         Scale::Small => vec![8, 16, 32, 64, 128, 256, 512],
@@ -67,7 +67,7 @@ pub fn m_sweep(scale: Scale) -> Vec<usize> {
 /// L3 blocking sizes analogous to the paper's {700, 800, 900, 1023}
 /// (i.e. k = M3/b² ≈ {6.4, 4.9, 3.9, 3.0} blocks fitting), largest
 /// last to match the paper's figure order.
-pub fn l3_blocks(scale: Scale) -> Vec<(usize, &'static str)> {
+pub(crate) fn l3_blocks(scale: Scale) -> Vec<(usize, &'static str)> {
     let g = XeonGeometry::for_scale(scale, Policy::Clock3);
     let b = |k: f64| ((g.l3_words as f64 / k).sqrt().floor()) as usize;
     vec![
@@ -79,7 +79,7 @@ pub fn l3_blocks(scale: Scale) -> Vec<(usize, &'static str)> {
 }
 
 /// L2 / L1 blocking sizes (3 blocks fit, the paper's {100, 32} scaled).
-pub fn inner_blocks(scale: Scale) -> (usize, usize) {
+pub(crate) fn inner_blocks(scale: Scale) -> (usize, usize) {
     let g = XeonGeometry::for_scale(scale, Policy::Clock3);
     let b2 = ((g.l2_words as f64 / 3.0).sqrt().floor()) as usize;
     let b1 = ((g.l1_words as f64 / 3.0).sqrt().floor()) as usize;
@@ -88,7 +88,7 @@ pub fn inner_blocks(scale: Scale) -> (usize, usize) {
 
 /// Build the 3-level simulator under the given replacement
 /// configuration.
-pub fn build_sim(scale: Scale, repl: Repl) -> MemSim {
+pub(crate) fn build_sim(scale: Scale, repl: Repl) -> MemSim {
     match repl {
         Repl::Clock => XeonGeometry::for_scale(scale, Policy::Clock3).build(),
         Repl::FaLru => {

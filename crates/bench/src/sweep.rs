@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use wa_core::engine::{BackendKind, Scale};
 use wa_core::report::json_string;
@@ -60,7 +60,7 @@ impl CellOutcome {
     /// `crc` field is the FNV-1a-64 hash of everything before it (the
     /// record body up to and including `"error":…`), so readers can
     /// detect mid-file corruption, not just torn tails.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut body = format!("{{\"key\":\"{}\",\"workload\":", self.key);
         json_string(&mut body, &self.workload);
         let _ = write!(
@@ -141,7 +141,6 @@ pub fn completed_cells(path: &Path) -> std::io::Result<BTreeMap<String, String>>
 /// Append-mode journal writer shared across sweep worker threads; every
 /// [`Journal::record`] writes one line and flushes it to disk.
 pub struct Journal {
-    path: PathBuf,
     w: Mutex<BufWriter<File>>,
 }
 
@@ -156,13 +155,8 @@ impl Journal {
             .truncate(!append)
             .open(path)?;
         Ok(Journal {
-            path: path.to_path_buf(),
             w: Mutex::new(BufWriter::new(f)),
         })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append one outcome and flush, so the line survives a process kill.

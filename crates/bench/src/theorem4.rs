@@ -12,16 +12,16 @@ use parallel::mm25d::{mm25d, Mm25Config};
 use parallel::summa::summa_l3_ool2;
 use wa_core::{CostParams, Mat};
 
-pub struct T4Row {
-    pub algo: String,
-    pub c: usize,
-    pub net_words: u64,
-    pub nvm_writes: u64,
+pub(crate) struct T4Row {
+    pub(crate) algo: String,
+    pub(crate) c: usize,
+    pub(crate) net_words: u64,
+    pub(crate) nvm_writes: u64,
     pub w1: f64,
     pub w2: f64,
 }
 
-pub fn run_rows(n: usize, p: usize, cs: &[usize], m2: u64) -> Vec<T4Row> {
+pub(crate) fn run_rows(n: usize, p: usize, cs: &[usize], m2: u64) -> Vec<T4Row> {
     let a = Mat::random(n, n, 21);
     let b = Mat::random(n, n, 22);
     let cp = CostParams::nvm_cluster();

@@ -7,7 +7,7 @@ use wa_core::Mat;
 /// Allocate A (`l×m`), B (`m×n`), C (`l×n`) in a fresh [`SimMem`], fill A
 /// and B with random data *before* attaching the measured simulator (cold
 /// cache, untouched counters — the paper's protocol).
-pub fn setup_matmul(
+pub(crate) fn setup_matmul(
     l: usize,
     m: usize,
     n: usize,
@@ -23,7 +23,7 @@ pub fn setup_matmul(
 }
 
 /// Print a row-aligned table: `header` then rows of equal arity.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for r in rows {
@@ -50,12 +50,12 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 
 /// Millions with one decimal, matching the paper's "millions of cache
 /// lines" axes.
-pub fn mil(x: u64) -> String {
+pub(crate) fn mil(x: u64) -> String {
     format!("{:.3}M", x as f64 / 1e6)
 }
 
 /// Compact scientific formatting for cost-model outputs.
-pub fn sci(x: f64) -> String {
+pub(crate) fn sci(x: f64) -> String {
     if x == 0.0 {
         "0".into()
     } else {

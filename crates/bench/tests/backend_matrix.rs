@@ -12,79 +12,18 @@
 //!    [`RunReport`] satisfies the structural invariants (identity echo,
 //!    boundary/writes-per-level arity, CSV row arity, JSON keys).
 //! 3. **Cross-model agreement** — every workload advertising *both* the
-//!    explicit model and the cache simulator must appear in [`AGREEMENT`]
-//!    with a declared tolerance, and its slow-memory write counts must
-//!    agree boundary-by-boundary (counted from the fast end) at every
-//!    shared depth and at both scales. WA cells agree exactly
-//!    (Propositions 6.1/6.2 with line-aligned blockings); the documented
-//!    exceptions are unit conversion (n-body counts particles), line
-//!    granularity on triangular outputs (Cholesky), and eager rewrites
-//!    coalescing in the simulated cache before reaching slow memory (the
-//!    right-looking non-WA orders — the explicit model charges them, LRU
-//!    absorbs some; for LU the relation is derived exactly).
+//!    explicit model and the cache simulator declares, at its
+//!    registration, how their slow-memory writes relate
+//!    ([`wa_core::engine::Agreement`]): exact, exact after a unit factor,
+//!    a closed form derived from the block schedule, or anchored at the
+//!    slow end for the distributed cells. One loop checks the declaration
+//!    on every dual cell at both scales, each `simmed` depth `d` against
+//!    `explicit` at `min(d, explicit max depth)`. No tolerance is tuned.
 
 use wa_bench::registry::registry;
 use wa_core::engine::{BackendKind, RunCfg};
 use wa_core::report::RunReport;
 use wa_core::Scale;
-
-/// How a cell's explicit and simulated slow-write counts must relate.
-#[derive(Clone, Copy, Debug)]
-enum Agreement {
-    /// Word-for-word equality at every shared boundary.
-    Exact,
-    /// Equality after converting explicit units (particles) to words.
-    ExactTimes(u64),
-    /// `|explicit − simmed| ≤ rel · explicit` at every shared boundary.
-    Within(f64),
-    /// Right-looking blocked LU: the explicit model stores the whole
-    /// trailing matrix every panel, `Σ_{i<nb} (n − i·bs)²` words with
-    /// `bs = block_for(fast_words)` and `nb = ⌈n/bs⌉`, while the simulated
-    /// cache coalesces those rewrites into the `n²`-word output.
-    RightLookingLu,
-}
-
-/// A numeric config echo of `r`.
-fn config_u64(r: &RunReport, key: &str) -> u64 {
-    let (_, v) = r
-        .config
-        .iter()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("{}: no `{key}` in the config echo", r.workload));
-    v.parse().unwrap()
-}
-
-/// Every workload that advertises both `explicit` and `simmed` MUST have
-/// an entry here — the suite fails if one is missing, so growing the
-/// matrix forces a conformance decision.
-const AGREEMENT: &[(&str, Agreement)] = &[
-    ("matmul-wa", Agreement::Exact),
-    ("matmul-nonwa", Agreement::Exact),
-    ("trsm-wa", Agreement::Exact),
-    // Right-looking TRSM eagerly rewrites B panels; under LRU most
-    // rewrites coalesce in cache, so the simulator sees ~the output size
-    // while the explicit model charges every panel store.
-    ("trsm-rl", Agreement::Within(0.45)),
-    // Line granularity: lines straddling the diagonal of the triangular
-    // output are written back whole, while the explicit model counts
-    // triangle words (measured: ≤ 7.3% at small scale, less at paper).
-    ("cholesky-wa", Agreement::Within(0.08)),
-    ("cholesky-rl", Agreement::Within(0.08)),
-    ("lu-wa", Agreement::Exact),
-    // Eager trailing updates rewrite blocks the simulated cache still
-    // holds; the gap is derived, not tuned.
-    ("lu-rl", Agreement::RightLookingLu),
-    // The explicit n-body model counts particles, the simulator words.
-    (
-        "nbody-wa",
-        Agreement::ExactTimes(nbody::force::WORDS_PER_BODY as u64),
-    ),
-    ("cg", Agreement::Exact),
-    ("ca-cg", Agreement::Exact),
-    ("ca-cg-streaming", Agreement::Exact),
-    ("tsqr-stream", Agreement::Exact),
-    ("tsqr-store", Agreement::Exact),
-];
 
 /// One line per workload: `name | group | backend:max_depth ...` in
 /// registration order — the snapshot of which matrix cells exist.
@@ -202,7 +141,7 @@ fn check_schema(r: &RunReport, name: &str, group: &str, backend: BackendKind, de
     );
     // JSON carries the stable schema keys.
     let json = r.to_json();
-    for key in [
+    let mut keys = vec![
         "\"workload\":",
         "\"backend\":",
         "\"scale\":",
@@ -212,7 +151,11 @@ fn check_schema(r: &RunReport, name: &str, group: &str, backend: BackendKind, de
         "\"flops\":",
         "\"wall_ns\":",
         "\"notes\":",
-    ] {
+    ];
+    if !r.boundaries.is_empty() {
+        keys.extend(["\"load_words\":", "\"store_words\":"]);
+    }
+    for key in keys {
         assert!(json.contains(key), "{ctx}: JSON missing {key}");
     }
 }
@@ -248,80 +191,64 @@ fn every_cell_runs_at_every_advertised_depth() {
     );
 }
 
-/// Slow-memory writes across boundary `i` (counted from the fast end).
-fn store_words(r: &RunReport, i: usize) -> u64 {
-    r.boundaries[i].writes_to_slow()
-}
-
+/// Every dual cell, at both scales and every `simmed` depth, against
+/// the relation its workload declares; a workload must declare one
+/// exactly when it advertises both `explicit` and `simmed`.
 #[test]
 fn explicit_and_simmed_writes_agree_on_every_dual_backend_cell() {
-    let reg = registry();
-    for w in reg.iter() {
+    let mut cells = 0usize;
+    for w in registry().iter() {
         let dual = w.supports(BackendKind::Explicit) && w.supports(BackendKind::Simmed);
-        if !dual {
-            continue;
-        }
-        // The distributed workloads anchor their agreement at the SLOW end
-        // (the explicit model's three boundaries and the per-rank
-        // simulation's depth+1 don't line up from the fast end); they get
-        // their own contract below.
-        if w.group() == "parallel" {
-            continue;
-        }
-        let agreement = AGREEMENT
-            .iter()
-            .find(|(n, _)| *n == w.name())
-            .unwrap_or_else(|| {
-                panic!(
-                    "{} advertises explicit+simmed but has no AGREEMENT entry; \
-                     declare its cross-model tolerance",
-                    w.name()
-                )
-            })
-            .1;
-        let depths = w
-            .max_depth(BackendKind::Explicit)
-            .min(w.max_depth(BackendKind::Simmed));
+        let declared = w.cross_model();
+        assert_eq!(
+            dual,
+            declared.is_some(),
+            "{}: a workload declares a cross-model agreement iff it runs on explicit and simmed",
+            w.name()
+        );
+        let Some(agreement) = declared else { continue };
+        let top = w.max_depth(BackendKind::Explicit);
         for scale in [Scale::Small, Scale::Paper] {
-            for depth in 1..=depths {
-                let exp = w
-                    .run_cfg(RunCfg::with_depth(BackendKind::Explicit, scale, depth))
-                    .unwrap_or_else(|e| panic!("{} explicit: {e}", w.name()));
-                let sim = w
-                    .run_cfg(RunCfg::with_depth(BackendKind::Simmed, scale, depth))
-                    .unwrap_or_else(|e| panic!("{} simmed: {e}", w.name()));
-                // Boundaries shared by the two models, anchored at the
-                // fast end (the Krylov tally models only W12; the dense
-                // multi-level kernels model all of them).
-                let shared = exp.boundaries.len().min(sim.boundaries.len());
-                assert!(shared >= 1, "{}: no shared boundary", w.name());
-                for b in 0..shared {
-                    let e = store_words(&exp, b);
-                    let s = store_words(&sim, b);
-                    let ctx = format!(
-                        "{} @ {scale} depth {depth} boundary {b}: explicit {e} vs simmed {s}",
+            for depth in 1..=w.max_depth(BackendKind::Simmed) {
+                let run = |backend, d| {
+                    w.run_cfg(RunCfg::with_depth(backend, scale, d))
+                        .unwrap_or_else(|e| panic!("{} on {backend} depth {d}: {e}", w.name()))
+                };
+                let ed = depth.min(top);
+                let (exp, sim) = (
+                    run(BackendKind::Explicit, ed),
+                    run(BackendKind::Simmed, depth),
+                );
+                agreement.check(&exp, &sim).unwrap_or_else(|e| {
+                    panic!(
+                        "{} @ {scale}, simmed depth {depth} vs explicit depth {ed}: {e}",
                         w.name()
-                    );
-                    assert!(e > 0, "{ctx}: explicit writes must be positive");
-                    match agreement {
-                        Agreement::Exact => assert_eq!(e, s, "{ctx}"),
-                        Agreement::ExactTimes(f) => assert_eq!(e * f, s, "{ctx} (×{f})"),
-                        Agreement::Within(rel) => {
-                            let diff = e.abs_diff(s) as f64 / e as f64;
-                            assert!(diff <= rel, "{ctx}: rel diff {diff:.4} > {rel}");
-                        }
-                        Agreement::RightLookingLu => {
-                            let n = config_u64(&exp, "n");
-                            let bs = dense::explicit_mm::block_for(config_u64(&exp, "fast_words"))
-                                as u64;
-                            let eager: u64 = (0..n.div_ceil(bs)).map(|i| (n - i * bs).pow(2)).sum();
-                            assert_eq!(e, eager, "{ctx}: explicit rewrites every trailing matrix");
-                            assert_eq!(s, n * n, "{ctx}: simmed writes the output once");
-                        }
-                    }
-                }
+                    )
+                });
+                cells += 1;
             }
         }
+    }
+    assert!(cells >= 60, "expected every dual cell, got {cells}");
+}
+
+/// The agreement is meaningful only if the models also agree on the
+/// contrast: the non-WA order must write several times the output on
+/// each model (n/b = 2 blocks per dimension here, so about 2× the output).
+#[test]
+fn non_wa_matmul_writes_far_exceed_the_wa_count_on_both_models() {
+    let reg = registry();
+    for backend in [BackendKind::Explicit, BackendKind::Simmed] {
+        let writes = |name| {
+            reg.run(name, backend, Scale::Small)
+                .unwrap_or_else(|e| panic!("{name} on {backend}: {e}"))
+                .writes_to_slow()
+        };
+        let (wa, non) = (writes("matmul-wa"), writes("matmul-nonwa"));
+        assert!(
+            non >= 2 * wa,
+            "{backend}: non-WA {non} vs WA {wa} slow-memory writes"
+        );
     }
 }
 
@@ -364,51 +291,6 @@ fn stack_projection_equals_flushed_simmed_exactly_everywhere() {
     assert!(cells >= 30, "expected a well-filled matrix, got {cells}");
 }
 
-/// The distributed dual cells, anchored at the SLOW end of each report:
-/// the explicit model's boundary 1 (L2↔node-local NVM) must equal the
-/// simmed report's second-to-last boundary (LLC↔NVM) word-for-word in
-/// *stores* — including the assembled output, which used to be charged as
-/// free — and the network boundary (last in both) must agree verbatim.
-/// NVM loads carry no contract: a warm simulated cache cold-fills a block
-/// once where the explicit model charges every re-read.
-#[test]
-fn parallel_dual_cells_agree_at_the_slow_end() {
-    let reg = registry();
-    let mut cells = 0usize;
-    for w in reg.iter() {
-        if w.group() != "parallel"
-            || !(w.supports(BackendKind::Explicit) && w.supports(BackendKind::Simmed))
-        {
-            continue;
-        }
-        for scale in [Scale::Small, Scale::Paper] {
-            for depth in 1..=w.max_depth(BackendKind::Simmed) {
-                let exp = w
-                    .run_cfg(RunCfg::with_depth(BackendKind::Explicit, scale, 1))
-                    .unwrap_or_else(|e| panic!("{} explicit: {e}", w.name()));
-                let sim = w
-                    .run_cfg(RunCfg::with_depth(BackendKind::Simmed, scale, depth))
-                    .unwrap_or_else(|e| panic!("{} simmed depth {depth}: {e}", w.name()));
-                let ctx = format!("{} @ {scale} depth {depth}", w.name());
-                let nvm_e = exp.boundaries[1];
-                let nvm_s = sim.boundaries[sim.boundaries.len() - 2];
-                assert!(nvm_e.store_words > 0, "{ctx}: NVM stores must be positive");
-                assert_eq!(
-                    nvm_e.store_words, nvm_s.store_words,
-                    "{ctx}: NVM stores (explicit vs per-rank simulation)"
-                );
-                assert_eq!(
-                    exp.boundaries[2],
-                    *sim.boundaries.last().unwrap(),
-                    "{ctx}: network boundary"
-                );
-                cells += 1;
-            }
-        }
-    }
-    assert!(cells >= 20, "expected all parallel dual cells, got {cells}");
-}
-
 /// The assembly-accounting pin, end to end through the registry: classic
 /// SUMMA at Small (n = 48 on a 4×4 grid) assembles one 12×12 C block per
 /// rank, so both backends must report exactly n²/P = 144 NVM store words
@@ -429,18 +311,4 @@ fn summa_assembled_output_is_identical_across_backends() {
         144,
         "per-rank simulation must charge the same assembled output"
     );
-}
-
-#[test]
-fn agreement_table_has_no_stale_entries() {
-    let reg = registry();
-    for (name, _) in AGREEMENT {
-        let w = reg
-            .get(name)
-            .unwrap_or_else(|| panic!("AGREEMENT names unknown workload {name}"));
-        assert!(
-            w.supports(BackendKind::Explicit) && w.supports(BackendKind::Simmed),
-            "{name} no longer advertises both explicit and simmed; prune the entry"
-        );
-    }
 }

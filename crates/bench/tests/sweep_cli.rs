@@ -497,6 +497,10 @@ fn unknown_arguments_are_usage_errors_and_help_exits_zero() {
             "--geometric",
         ),
         (vec!["list", "--csv"], "--csv"),
+        (vec!["list", "--json", "--markdown"], "--markdown"),
+        (vec!["sweep", "--depth", "0"], "--depth"),
+        (vec!["run", "matmul-wa", "--depth", "0"], "--depth"),
+        (vec!["sweep", "--threads", "0"], "--threads"),
         (vec!["exp", "wa-optimal", "--threads", "2"], "--threads"),
         (
             vec![
@@ -528,6 +532,8 @@ fn unknown_arguments_are_usage_errors_and_help_exits_zero() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).contains(bad), "{args:?}: {}", stderr(&out));
     }
+    // A usage error stops a sweep before its journal opens.
+    assert!(!dir.join("sweep.journal.jsonl").exists());
     for args in [
         vec!["sweep", "--help"],
         vec!["sweep", "--group", "dense", "-h"],

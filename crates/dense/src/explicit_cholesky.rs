@@ -125,6 +125,18 @@ pub fn cholesky_schedule<H: Charges>(
     }
 }
 
+/// Words [`cholesky_schedule`] stores: the left-looking order stores the
+/// lower triangle once, `tri(n)`; the right-looking order stores the
+/// trailing lower triangle after every panel, `Σ_{i<nb} tri(n − i·b)`.
+pub(crate) fn store_words(n: usize, bsize: usize, variant: CholVariant) -> u64 {
+    match variant {
+        CholVariant::LeftLooking => tri_words(n),
+        CholVariant::RightLooking => (0..n.div_ceil(bsize))
+            .map(|i| tri_words(n - i * bsize))
+            .sum(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +210,19 @@ mod tests {
         // of the output, block by block).
         let expected = nb * tri_words(bs as usize) + bs * bs * nb * (nb - 1) / 2;
         assert_eq!(h.traffic().boundary(0).store_words, expected);
+    }
+
+    #[test]
+    fn stores_match_the_closed_form() {
+        // b = 4, 4, 10: nb = 4, 5 (last block short) and 10 (likewise).
+        for (n, m) in [(16usize, 48), (18, 48), (96, 300)] {
+            assert!(n.div_ceil(block_for(m)) >= 3, "n = {n}");
+            for v in [CholVariant::LeftLooking, CholVariant::RightLooking] {
+                let h = charges(n, m, v);
+                let want = store_words(n, block_for(m), v);
+                assert_eq!(h.traffic().boundary(0).store_words, want, "n = {n}, {v:?}");
+            }
+        }
     }
 
     #[test]

@@ -127,6 +127,14 @@ pub fn lu_schedule<H: Charges>(
     }
 }
 
+/// Words the right-looking order of [`lu_schedule`] stores: the whole
+/// trailing matrix after every panel, `Σ_{i<nb} (n − i·b)²`.
+pub(crate) fn rl_store_words(n: usize, bsize: usize) -> u64 {
+    (0..n.div_ceil(bsize))
+        .map(|i| ((n - i * bsize) as u64).pow(2))
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +222,7 @@ mod tests {
             .boundary(0)
             .store_words;
         assert_eq!(s_ll, (n * n) as u64);
+        assert_eq!(s_rl, rl_store_words(n, block_for(48)));
         // RL rewrites the trailing submatrix every panel: with nb = n/b
         // panels the write volume approaches n³/(3b).
         assert!(

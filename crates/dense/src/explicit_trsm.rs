@@ -82,6 +82,14 @@ pub fn trsm_schedule<H: Charges>(
     }
 }
 
+/// Words the right-looking order of [`trsm_schedule`] stores for an
+/// `n×n` right-hand side: each `X(i,j)`, then every block row above `i`
+/// with its partial update, so `n·Σ_{i<nb} min(n, (i+1)·b)`.
+pub(crate) fn rl_store_words(n: usize, bsize: usize) -> u64 {
+    let rows: usize = (0..n.div_ceil(bsize)).map(|i| n.min((i + 1) * bsize)).sum();
+    (n * rows) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +155,17 @@ mod tests {
             .flat_map(|_| (0..nb).map(|i| bs * bs + (nb - 1 - i) * 2 * bs * bs + bs * (bs + 1) / 2))
             .sum();
         assert_eq!(h.traffic().boundary(0).load_words, expected);
+    }
+
+    #[test]
+    fn rl_stores_match_the_closed_form() {
+        // b = 4, 4, 10: nb = 5, 6 (last block short) and 10 (likewise).
+        for (n, m) in [(20usize, 48), (22, 48), (96, 300)] {
+            assert!(n.div_ceil(block_for(m)) >= 3, "n = {n}");
+            let h = charges(n, n, m, TrsmVariant::RightLooking);
+            let want = rl_store_words(n, block_for(m));
+            assert_eq!(h.traffic().boundary(0).store_words, want, "n = {n}");
+        }
     }
 
     #[test]

@@ -39,17 +39,17 @@
 
 use crate::cholesky::{blocked_cholesky, CholVariant};
 use crate::desc::alloc_layout;
-use crate::explicit_cholesky::cholesky_schedule;
-use crate::explicit_lu::lu_schedule;
+use crate::explicit_cholesky::{self, cholesky_schedule};
+use crate::explicit_lu::{self, lu_schedule};
 use crate::explicit_mm::{block_for, mm_schedule};
-use crate::explicit_trsm::trsm_schedule;
+use crate::explicit_trsm::{self, trsm_schedule};
 use crate::lu::{blocked_lu, LuVariant};
 use crate::matmul::multilevel::{ml_matmul, RecOrder};
 use crate::matmul::{blocked_matmul, co_matmul, LoopOrder};
 use crate::trsm::{blocked_trsm, TrsmVariant};
 use memsim::xeon::XeonGeometry;
 use memsim::{explicit_report, run_on_backend, ExplicitHier, Kernel, Mem, RawMem};
-use wa_core::engine::{BackendKind, EngineError, RunCfg, Scale, Workload};
+use wa_core::engine::{Agreement, BackendKind, EngineError, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::Mat;
 
@@ -129,6 +129,16 @@ fn explicit_cell(
     let mut r = explicit_report(&h, base_report(name, BackendKind::Explicit, scale, n));
     r.wall_ns = ns;
     r
+}
+
+/// `(n, explicit block size)` from a dense explicit report's config echo.
+fn echo_shape(r: &RunReport) -> (usize, usize) {
+    let echo = |key: &str| -> usize {
+        let v = r.config.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        v.and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{}: no numeric `{key}` echo", r.workload))
+    };
+    (echo("n"), block_for(echo("fast_words") as u64))
 }
 
 /// A two-level model whose fast memory is the scale's L3, and the
@@ -220,19 +230,11 @@ fn matmul_workload(
             BackendKind::Stack,
         ]
     };
-    // Only the WA order has a multi-level explicit cell (§4.1 induction)
-    // to compare the stacked simulator against.
-    let depths: &[(BackendKind, usize)] = if order == Some(LoopOrder::Ijk) {
-        &[(BackendKind::Explicit, 3), (BackendKind::Simmed, 3)]
-    } else {
-        &[]
-    };
-    Workload::new(
+    let w = Workload::new(
         name,
         "dense",
         description,
         &backends,
-        depths,
         dense_footprint(3),
         move |cfg| {
             let RunCfg { backend, scale, .. } = cfg;
@@ -261,7 +263,17 @@ fn matmul_workload(
             let r = run_on_backend(backend, base, data, &caps, kernel);
             Ok(r.config("block", bsize))
         },
-    )
+    );
+    // Only the WA order has a multi-level explicit cell (§4.1 induction)
+    // to compare the stacked simulator against.
+    match order {
+        Some(LoopOrder::Ijk) => w
+            .depth(BackendKind::Explicit, 3)
+            .depth(BackendKind::Simmed, 3)
+            .agreement(Agreement::Exact),
+        Some(_) => w.agreement(Agreement::Exact),
+        None => w,
+    }
 }
 
 pub fn workloads() -> Vec<Workload> {
@@ -327,7 +339,6 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Wor
         "dense",
         description,
         &backends,
-        &[],
         dense_footprint(4),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
@@ -354,6 +365,16 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Wor
             Ok(r.config("block", bsize))
         },
     )
+    // The right-looking order stores every block row above each solved
+    // one; LRU holds them until the output is written back once.
+    .agreement(if wa {
+        Agreement::Exact
+    } else {
+        Agreement::Derived(|r| {
+            let (n, bs) = echo_shape(r);
+            (explicit_trsm::rl_store_words(n, bs), (n * n) as u64)
+        })
+    })
 }
 
 fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) -> Workload {
@@ -369,7 +390,6 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
         "dense",
         description,
         &backends,
-        &[],
         dense_footprint(3),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
@@ -394,6 +414,26 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
             Ok(r.config("block", bsize))
         },
     )
+    // The explicit model counts triangle words; the flushed cache writes
+    // back every line the lower triangle touches, diagonal lines whole.
+    .agreement(Agreement::Derived(if wa {
+        |r| cholesky_stores(r, CholVariant::LeftLooking)
+    } else {
+        |r| cholesky_stores(r, CholVariant::RightLooking)
+    }))
+}
+
+/// The Cholesky cells' `(explicit, simmed)` stores: the schedule's closed
+/// form, and the words of the lines holding the lower triangle (each row
+/// starts a line, `n` being a whole number of lines).
+fn cholesky_stores(r: &RunReport, variant: CholVariant) -> (u64, u64) {
+    let (n, bs) = echo_shape(r);
+    let lw = memsim::LINE_WORDS;
+    let lines: usize = (1..=n).map(|k| k.div_ceil(lw)).sum();
+    (
+        explicit_cholesky::store_words(n, bs, variant),
+        (lw * lines) as u64,
+    )
 }
 
 fn lu_workload(name: &'static str, description: &'static str, variant: LuVariant) -> Workload {
@@ -409,7 +449,6 @@ fn lu_workload(name: &'static str, description: &'static str, variant: LuVariant
         "dense",
         description,
         &backends,
-        &[],
         dense_footprint(3),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
@@ -429,47 +468,20 @@ fn lu_workload(name: &'static str, description: &'static str, variant: LuVariant
             Ok(r.config("block", bsize))
         },
     )
+    // Eager trailing updates rewrite blocks the simulated cache still
+    // holds, so it writes the `n²`-word output once.
+    .agreement(match variant {
+        LuVariant::LeftLooking => Agreement::Exact,
+        LuVariant::RightLooking => Agreement::Derived(|r| {
+            let (n, bs) = echo_shape(r);
+            (explicit_lu::rl_store_words(n, bs), (n * n) as u64)
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_dense_workload_runs_on_each_declared_backend() {
-        for w in workloads() {
-            for &b in w.backends() {
-                let r = w
-                    .run(b, Scale::Small)
-                    .unwrap_or_else(|e| panic!("{} on {b}: {e}", w.name()));
-                assert_eq!(r.backend, b);
-                if b == BackendKind::Simmed || b == BackendKind::Explicit || b == BackendKind::Stack
-                {
-                    assert!(!r.boundaries.is_empty(), "{} on {b}", w.name());
-                }
-                if b == BackendKind::Stack {
-                    assert!(r.curve.is_some(), "{} on {b} must carry a curve", w.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stack_boundary_agrees_with_flushed_simmed_for_every_dense_workload() {
-        for w in workloads() {
-            if !w.backends().contains(&BackendKind::Stack) {
-                continue;
-            }
-            let sim = w.run(BackendKind::Simmed, Scale::Small).unwrap();
-            let stk = w.run(BackendKind::Stack, Scale::Small).unwrap();
-            assert_eq!(
-                sim.boundaries.last().unwrap(),
-                stk.boundaries.last().unwrap(),
-                "{}: stack projection at fast_words must equal flushed simmed",
-                w.name()
-            );
-        }
-    }
 
     #[test]
     fn wa_matmul_explicit_and_simmed_store_the_output_size() {

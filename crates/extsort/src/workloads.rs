@@ -32,7 +32,6 @@ fn sort_workload(name: &'static str, description: &'static str, selection: bool)
         "extsort",
         description,
         &backends,
-        &[],
         // The n-element input plus merge scratch, with slack.
         |scale, _| {
             let (n, _) = problem(scale);
@@ -91,16 +90,6 @@ pub fn workloads() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_sort_workload_runs_on_each_declared_backend() {
-        for w in workloads() {
-            for &b in w.backends() {
-                w.run(b, Scale::Small)
-                    .unwrap_or_else(|e| panic!("{} on {b}: {e}", w.name()));
-            }
-        }
-    }
 
     #[test]
     fn selection_sort_attains_the_output_write_bound() {

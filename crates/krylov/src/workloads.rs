@@ -9,8 +9,8 @@
 //! * `simmed` — the *same* run stream replayed through a stack of
 //!   fully-associative true-LRU cache levels ([`MemSim`]); the fastest
 //!   level is the scale's `M₁`, so the tally and the simulator's first
-//!   boundary count the same writes (the cross-model check in
-//!   `crates/bench/tests/backend_matrix.rs` asserts exact agreement).
+//!   boundary count the same writes (each workload declares
+//!   [`Agreement::Exact`]).
 //!   Depths 2 and 3 stack larger levels below `M₁` without changing the
 //!   `M₁` boundary;
 //! * `stack` — the stream through the Mattson [`StackSim`]: its `M₁`
@@ -27,7 +27,7 @@ use crate::stencil::laplacian_2d;
 use crate::tsqr::tsqr_r;
 use memsim::xeon::XeonGeometry;
 use memsim::{MemSim, Policy, Sink, StackSim};
-use wa_core::engine::{BackendKind, EngineError, RunCfg, Scale, Workload};
+use wa_core::engine::{Agreement, BackendKind, EngineError, RunCfg, Scale, Workload};
 use wa_core::report::{timed, RunReport};
 use wa_core::{Traffic, XorShift};
 
@@ -55,15 +55,13 @@ fn sim_hier(scale: Scale, depth: usize) -> MemSim {
     MemSim::stacked_lru(&caps)
 }
 
-/// The backends every Krylov workload registers; `simmed` models up to
-/// three levels.
+/// The backends every Krylov workload registers.
 const BACKENDS: [BackendKind; 4] = [
     BackendKind::Raw,
     BackendKind::Explicit,
     BackendKind::Simmed,
     BackendKind::Stack,
 ];
-const DEPTHS: [(BackendKind, usize); 1] = [(BackendKind::Simmed, 3)];
 
 /// Project a finished run: `raw` reports wall time only; every other
 /// backend projects through its sink at `M₁` (the explicit tally onto one
@@ -119,7 +117,6 @@ fn solver_workload(
         "krylov",
         description,
         &BACKENDS,
-        &DEPTHS,
         // 5-point Laplacian in CSR (~5 nnz/row at 16 B each) plus the
         // handful of g²-length CG work vectors, with slack.
         |scale, _| {
@@ -145,6 +142,8 @@ fn solver_workload(
             Ok(r)
         },
     )
+    .depth(BackendKind::Simmed, 3)
+    .agreement(Agreement::Exact)
 }
 
 /// Run [`tsqr_r`] over `nblocks` deterministic 64×8 row blocks, charging
@@ -180,7 +179,6 @@ fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> 
         "krylov",
         description,
         &BACKENDS,
-        &DEPTHS,
         // Worst case (storing variant): every 64×8 row block resident
         // plus Q/R factors — 3× the raw block storage covers both modes.
         |scale, _| {
@@ -205,6 +203,8 @@ fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> 
             })
         },
     )
+    .depth(BackendKind::Simmed, 3)
+    .agreement(Agreement::Exact)
 }
 
 pub fn workloads() -> Vec<Workload> {
@@ -246,54 +246,6 @@ pub fn workloads() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_krylov_workload_runs_on_each_declared_backend() {
-        for w in workloads() {
-            for &b in w.backends() {
-                w.run(b, Scale::Small)
-                    .unwrap_or_else(|e| panic!("{} on {b}: {e}", w.name()));
-            }
-        }
-    }
-
-    #[test]
-    fn simmed_m1_boundary_writes_equal_the_tally_at_every_depth() {
-        for w in workloads() {
-            let exp = w.run(BackendKind::Explicit, Scale::Small).unwrap();
-            for depth in 1..=w.max_depth(BackendKind::Simmed) {
-                let sim = w
-                    .run_cfg(RunCfg::with_depth(BackendKind::Simmed, Scale::Small, depth))
-                    .unwrap();
-                assert_eq!(sim.boundaries.len(), depth, "{}", w.name());
-                assert_eq!(
-                    exp.boundaries[0].store_words,
-                    sim.boundaries[0].store_words,
-                    "{} depth {depth}: tally vs simulated M1-boundary writes",
-                    w.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stack_m1_projection_agrees_with_depth1_simmed() {
-        for w in workloads() {
-            let sim = w.run(BackendKind::Simmed, Scale::Small).unwrap();
-            let stk = w.run(BackendKind::Stack, Scale::Small).unwrap();
-            assert_eq!(
-                sim.boundaries[0],
-                stk.boundaries[0],
-                "{}: stack curve at M1 must equal the flushed simulator",
-                w.name()
-            );
-            assert!(
-                stk.curve.is_some(),
-                "{} stack run carries a curve",
-                w.name()
-            );
-        }
-    }
 
     #[test]
     fn streaming_cacg_writes_fewer_words_than_cg() {

@@ -197,7 +197,7 @@ mod tests {
         let _ = explicit_nbody_wa(&p, &mut h);
         let bound = wa_core::bounds::nbody_ldst_lower(n, 2, m);
         let loads = h.traffic().boundary(0).load_words as f64;
-        // Within a constant factor (~3x) of N²/M: loads = N + N²/(M/3).
+        // About 3x N²/M: loads = N + N²/(M/3).
         assert!(
             loads <= 3.0 * bound + n as f64 + 1.0,
             "loads {loads} vs bound {bound}"

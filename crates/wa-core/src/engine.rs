@@ -11,6 +11,7 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::report::RunReport;
 use crate::rng::XorShift;
+use crate::traffic::Traffic;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -470,8 +471,72 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// How a workload's `explicit` and `simmed` slow-memory writes relate:
+/// the paper's two independent counts of one algorithm, declared where
+/// the workload registers (see [`Workload::agreement`]).
+#[derive(Clone, Copy, Debug)]
+pub enum Agreement {
+    /// Equal stores at every boundary the two reports share, counted from
+    /// the fast end (Propositions 6.1/6.2 with line-aligned blockings).
+    Exact,
+    /// [`Agreement::Exact`] after multiplying the explicit count by a unit
+    /// factor (n-body counts particles, the simulator words).
+    ExactTimes(u64),
+    /// A closed form of the explicit report's config echo: the
+    /// `(explicit, simmed)` stores at the backing-store boundary, for
+    /// orders whose two counts differ by a derived amount.
+    Derived(fn(&RunReport) -> (u64, u64)),
+    /// Distributed cells, anchored at the slow end: equal stores at the
+    /// NVM boundary (second-to-last) and a verbatim network boundary
+    /// (last), whatever the number of per-rank cache levels above them.
+    SlowEnd,
+}
+
+impl Agreement {
+    /// Check `explicit` against `simmed`: every compared count must be
+    /// positive and equal. The error names the first that is not.
+    pub fn check(self, explicit: &RunReport, simmed: &RunReport) -> Result<(), String> {
+        let (e, s) = (&explicit.boundaries, &simmed.boundaries);
+        let same = |what: &str, a: u64, b: u64| {
+            if a > 0 && a == b {
+                Ok(())
+            } else {
+                Err(format!("{what}: {a} vs {b}"))
+            }
+        };
+        match self {
+            Agreement::Exact => Agreement::ExactTimes(1).check(explicit, simmed),
+            Agreement::ExactTimes(f) => {
+                let shared = e.len().min(s.len());
+                if shared == 0 {
+                    return Err("no boundary shared by the two reports".to_string());
+                }
+                (0..shared).try_for_each(|b| {
+                    let what = format!("boundary {b} stores, explicit ×{f} vs simmed");
+                    same(&what, e[b].store_words * f, s[b].store_words)
+                })
+            }
+            Agreement::Derived(form) => {
+                let (want_e, want_s) = form(explicit);
+                same("explicit vs closed form", explicit.writes_to_slow(), want_e)?;
+                same("simmed vs closed form", simmed.writes_to_slow(), want_s)
+            }
+            Agreement::SlowEnd => {
+                let nvm = |t: &[Traffic]| t.len().checked_sub(2).map_or(0, |i| t[i].store_words);
+                same("NVM stores, explicit vs simmed", nvm(e), nvm(s))?;
+                if e.last() != s.last() {
+                    let (ne, ns) = (e.last(), s.last());
+                    return Err(format!("network: explicit {ne:?} vs simmed {ns:?}"));
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
 /// One registered algorithm variant: its registry data, its per-backend
-/// depth limits, a footprint estimator and its run closure.
+/// depth limits, its cross-model [`Agreement`], a footprint estimator
+/// and its run closure.
 pub struct Workload {
     name: &'static str,
     group: &'static str,
@@ -479,6 +544,7 @@ pub struct Workload {
     backends: Vec<BackendKind>,
     /// `(backend, max depth)` overrides; backends not listed model depth 1.
     depths: Vec<(BackendKind, usize)>,
+    agreement: Option<Agreement>,
     #[allow(clippy::type_complexity)]
     footprint: Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>,
     #[allow(clippy::type_complexity)]
@@ -486,16 +552,15 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// A workload from its registry data, its per-backend depth overrides
-    /// (for workloads that model hierarchies deeper than the two-level
-    /// default), a footprint estimator that [`RunLimits::mem_budget`]
-    /// preflights against, and its run closure.
+    /// A workload from its registry data, a footprint estimator that
+    /// [`RunLimits::mem_budget`] preflights against, and its run closure.
+    /// It models depth 1 on every backend until [`Workload::depth`] says
+    /// otherwise.
     pub fn new(
         name: &'static str,
         group: &'static str,
         description: &'static str,
         backends: &[BackendKind],
-        depths: &[(BackendKind, usize)],
         footprint: impl Fn(Scale, usize) -> u64 + Send + Sync + 'static,
         run: impl Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync + 'static,
     ) -> Workload {
@@ -504,10 +569,29 @@ impl Workload {
             group,
             description,
             backends: backends.to_vec(),
-            depths: depths.to_vec(),
+            depths: Vec::new(),
+            agreement: None,
             footprint: Box::new(footprint),
             run: Box::new(run),
         }
+    }
+
+    /// Model hierarchies up to `max` cache levels deep on `backend`.
+    pub fn depth(mut self, backend: BackendKind, max: usize) -> Workload {
+        self.depths.push((backend, max));
+        self
+    }
+
+    /// Declare how this workload's `explicit` and `simmed` slow-memory
+    /// writes relate. Every workload that runs on both must declare one.
+    pub fn agreement(mut self, agreement: Agreement) -> Workload {
+        self.agreement = Some(agreement);
+        self
+    }
+
+    /// The declared cross-model relation, if any.
+    pub fn cross_model(&self) -> Option<Agreement> {
+        self.agreement
     }
 
     /// Registry name, unique, kebab-case (e.g. `matmul-wa`).
@@ -882,10 +966,39 @@ mod tests {
             "test",
             "a test workload",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1 << 30,
             move |cfg| Ok(RunReport::new(name, cfg.backend, cfg.scale)),
         )
+    }
+
+    #[test]
+    fn agreement_check_names_each_kind_of_mismatch() {
+        let rep = |stores: &[u64]| RunReport {
+            boundaries: stores
+                .iter()
+                .map(|&w| Traffic {
+                    store_words: w,
+                    ..Traffic::ZERO
+                })
+                .collect(),
+            ..RunReport::new("w", BackendKind::Explicit, Scale::Small)
+        };
+        let err = |a: Agreement, e: &[u64], s: &[u64]| a.check(&rep(e), &rep(s)).unwrap_err();
+        assert!(Agreement::Exact.check(&rep(&[3, 5]), &rep(&[3])).is_ok());
+        assert!(err(Agreement::Exact, &[3, 5], &[3, 6]).contains("boundary 1"));
+        assert!(err(Agreement::Exact, &[0], &[0]).contains("0 vs 0"));
+        assert!(err(Agreement::Exact, &[], &[1]).contains("no boundary"));
+        assert!(Agreement::ExactTimes(4)
+            .check(&rep(&[2]), &rep(&[8]))
+            .is_ok());
+        let form = Agreement::Derived(|r| (r.writes_to_slow(), 9));
+        assert!(form.check(&rep(&[5]), &rep(&[9])).is_ok());
+        assert!(err(form, &[5], &[8]).contains("simmed vs closed form: 8 vs 9"));
+        assert!(Agreement::SlowEnd
+            .check(&rep(&[1, 4, 7]), &rep(&[2, 9, 4, 7]))
+            .is_ok());
+        assert!(err(Agreement::SlowEnd, &[1, 4, 7], &[5, 7]).contains("NVM"));
+        assert!(err(Agreement::SlowEnd, &[1, 4, 7], &[4, 8]).contains("network"));
     }
 
     #[test]
@@ -936,10 +1049,10 @@ mod tests {
             "test",
             "a depth-aware workload",
             &[BackendKind::Raw, BackendKind::Simmed],
-            &[(BackendKind::Simmed, 3)],
             |_, _| 1 << 30,
             |cfg| Ok(RunReport::new("deep", cfg.backend, cfg.scale).config("depth", cfg.depth)),
-        );
+        )
+        .depth(BackendKind::Simmed, 3);
         assert_eq!(w.max_depth(BackendKind::Raw), 1);
         assert_eq!(w.max_depth(BackendKind::Simmed), 3);
         // In-range depth runs; the report sees the requested depth.
@@ -972,7 +1085,6 @@ mod tests {
             "test",
             "panics on dispatch",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1 << 30,
             |_| panic!("kernel exploded at depth 7"),
         ));
@@ -999,7 +1111,6 @@ mod tests {
             "test",
             "fails twice, then succeeds",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1 << 30,
             move |cfg| {
                 if c.fetch_add(1, Ordering::SeqCst) < 2 {
@@ -1125,7 +1236,6 @@ mod tests {
             "test",
             "healthy unless a fault fires",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1 << 30,
             |cfg| {
                 let mut rep = RunReport::new("victim", cfg.backend, cfg.scale);
@@ -1174,7 +1284,6 @@ mod tests {
             "test",
             "ticks forever until cancelled",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1 << 30,
             |_cfg| loop {
                 crate::cancel::tick(1);
@@ -1225,7 +1334,6 @@ mod tests {
             "test",
             "claims a 1 MiB footprint",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1 << 20,
             |cfg| Ok(RunReport::new("big", cfg.backend, cfg.scale)),
         ));
@@ -1255,15 +1363,20 @@ mod tests {
         // footprint = depth × 1000 bytes: depth 3 busts a 2000-byte
         // budget, depth 1 fits, so the first rung (depth→1) suffices.
         let mut r = Registry::new();
-        r.register(Workload::new(
-            "laddered",
-            "test",
-            "footprint scales with depth",
-            &[BackendKind::Raw, BackendKind::Traced],
-            &[(BackendKind::Raw, 3)],
-            |_, depth| depth as u64 * 1000,
-            |cfg| Ok(RunReport::new("laddered", cfg.backend, cfg.scale).config("depth", cfg.depth)),
-        ));
+        r.register(
+            Workload::new(
+                "laddered",
+                "test",
+                "footprint scales with depth",
+                &[BackendKind::Raw, BackendKind::Traced],
+                |_, depth| depth as u64 * 1000,
+                |cfg| {
+                    Ok(RunReport::new("laddered", cfg.backend, cfg.scale)
+                        .config("depth", cfg.depth))
+                },
+            )
+            .depth(BackendKind::Raw, 3),
+        );
         let cfg = RunCfg::with_depth(BackendKind::Raw, Scale::Small, 3).with_limits(RunLimits {
             mem_budget: Some(2000),
             degrade: true,
@@ -1302,7 +1415,6 @@ mod tests {
             "test",
             "raw only",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1000,
             |cfg| Ok(RunReport::new("untraceable", cfg.backend, cfg.scale)),
         ));
@@ -1330,7 +1442,6 @@ mod tests {
             "test",
             "reports inconsistent counters",
             &[BackendKind::Raw],
-            &[],
             |_, _| 1 << 30,
             |cfg| {
                 let mut rep = RunReport::new("liar", cfg.backend, cfg.scale);

@@ -66,7 +66,6 @@ fn interrupt_cancels_prior_tokens_and_suppresses_engine_retries() {
         "test",
         "interrupts the process then panics",
         &[BackendKind::Raw],
-        &[],
         |_, _| 1 << 30,
         |_| {
             cancel::interrupt_now();

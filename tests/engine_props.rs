@@ -99,7 +99,7 @@ proptest! {
         prop_assert_eq!(total, moved);
     }
 
-    /// Within-capacity load/alloc/free sequences never trip the capacity
+    /// Load/alloc/free sequences that fit the capacity never trip the capacity
     /// assertion, and residency/peak never exceed the configured size.
     #[test]
     fn explicit_hier_tracks_residency_within_capacity(
