@@ -57,7 +57,7 @@ use wa_bench::registry::registry;
 use wa_bench::scale::Repl;
 use wa_bench::sweep::{completed_cells, CellOutcome, Journal};
 use wa_bench::{bounds_exp, fig2, fig5, ksm, lu_par, props, sorting, tables, theorem4, waopt};
-use wa_core::engine::{BackendKind, EngineError, RunCfg, RunLimits, Workload};
+use wa_core::engine::{BackendKind, EngineError, RunCfg, Workload};
 use wa_core::fault::FaultPlan;
 use wa_core::obs::{self, Clock, PhaseRow, Recorder};
 use wa_core::par::{default_threads, par_map};
@@ -92,13 +92,13 @@ fn main() {
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS] [--retries N]\n                [--mem-budget BYTES] [--degrade]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--retries N] [--mem-budget BYTES] [--degrade]\n                [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities (2..=4096) geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-attempt wall-clock deadline (float seconds): the cell is `cancelled`\n                   at its first cancel checkpoint after the deadline\n  --retries N      re-attempt panicked/deadline-cancelled/report-invariant/retriable cells\n                   N times (deterministic backoff); an interrupt is never retried\n  --mem-budget B   per-cell footprint budget in bytes (K/M/G suffixes); over-budget\n                   cells are rejected as invalid-config before they run\n  --degrade        with --mem-budget: downgrade over-budget cells (depth->1, scale->small,\n                   backend->traced) instead of rejecting; substitutions are noted in the report\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, retry and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,retries_used,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
+        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities (2..=4096) geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-run wall-clock deadline (float seconds): the cell is `cancelled`\n                   at its first cancel checkpoint after the deadline\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, attempt and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
     );
     std::process::exit(code);
 }
 
-/// Flags every cell-running subcommand takes: its limits and fault plan.
-const LIMIT_FLAGS: [&str; 4] = ["--timeout", "--retries", "--mem-budget", "--fault-plan"];
+/// Flags every cell-running subcommand takes: its timeout and fault plan.
+const CELL_FLAGS: [&str; 2] = ["--timeout", "--fault-plan"];
 
 /// The arguments subcommand `cmd` accepts: how many leading positionals
 /// (a workload or experiment name), its switches, and its flags that
@@ -106,12 +106,12 @@ const LIMIT_FLAGS: [&str; 4] = ["--timeout", "--retries", "--mem-budget", "--fau
 type Accepted = (usize, &'static [&'static str], Vec<&'static str>);
 
 fn accepted_args(cmd: &str) -> Option<Accepted> {
-    let limited = |values: &[&'static str]| [values, &LIMIT_FLAGS[..]].concat();
+    let limited = |values: &[&'static str]| [values, &CELL_FLAGS[..]].concat();
     Some(match cmd {
         "list" => (0, &["--json", "--markdown"], vec![]),
         "run" => (
             1,
-            &["--reuse", "--json", "--degrade"],
+            &["--reuse", "--json"],
             limited(&[
                 "--backend",
                 "--scale",
@@ -123,24 +123,17 @@ fn accepted_args(cmd: &str) -> Option<Accepted> {
         ),
         "profile" => (
             1,
-            &["--reuse", "--degrade"],
+            &["--reuse"],
             limited(&["--backend", "--scale", "--depth", "--trace-clock"]),
         ),
         "curve" => (
             1,
-            &["--json", "--csv", "--degrade"],
+            &["--json", "--csv"],
             limited(&["--capacities", "--geometric", "--scale", "--repeat"]),
         ),
         "sweep" => (
             0,
-            &[
-                "--curve",
-                "--json",
-                "--csv",
-                "--degrade",
-                "--fail-fast",
-                "--resume",
-            ],
+            &["--curve", "--json", "--csv", "--fail-fast", "--resume"],
             limited(&[
                 "--group",
                 "--backend",
@@ -215,23 +208,9 @@ fn faulted_registry(args: &[String]) -> Registry {
     reg
 }
 
-/// Parse a byte size with an optional K/M/G suffix (binary multiples),
-/// e.g. `65536`, `512K`, `64M`, `2G`.
-fn parse_size(s: &str) -> Option<u64> {
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'K' | b'k' => (&s[..s.len() - 1], 1u64 << 10),
-        b'M' | b'm' => (&s[..s.len() - 1], 1u64 << 20),
-        b'G' | b'g' => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s, 1),
-    };
-    let n: u64 = digits.parse().ok()?;
-    n.checked_mul(mult).filter(|&b| b > 0)
-}
-
-/// Parse `--timeout SECS` (float), `--retries N`, `--mem-budget BYTES`
-/// (K/M/G suffixes) and `--degrade` into [`RunLimits`].
-fn parse_limits(args: &[String]) -> RunLimits {
-    let timeout = flag_value(args, "--timeout").map(|s| {
+/// Parse `--timeout SECS` (float seconds).
+fn parse_timeout(args: &[String]) -> Option<Duration> {
+    flag_value(args, "--timeout").map(|s| {
         let secs = s.parse::<f64>().ok().filter(|&secs| secs > 0.0);
         match secs.and_then(|secs| Duration::try_from_secs_f64(secs).ok()) {
             Some(timeout) => timeout,
@@ -240,28 +219,7 @@ fn parse_limits(args: &[String]) -> RunLimits {
                 std::process::exit(2);
             }
         }
-    });
-    let retries = match flag_value(args, "--retries") {
-        None => 0,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("bad --retries `{s}` (expected a non-negative integer)");
-            std::process::exit(2);
-        }),
-    };
-    let mut limits = RunLimits::new(timeout, retries);
-    limits.mem_budget = flag_value(args, "--mem-budget").map(|s| match parse_size(s) {
-        Some(bytes) => bytes,
-        None => {
-            eprintln!("bad --mem-budget `{s}` (expected bytes, optionally with K/M/G)");
-            std::process::exit(2);
-        }
-    });
-    limits.degrade = has_flag(args, "--degrade");
-    if limits.degrade && limits.mem_budget.is_none() {
-        eprintln!("--degrade requires --mem-budget");
-        std::process::exit(2);
-    }
-    limits
+    })
 }
 
 /// Parse `--repeat N` (default 1).
@@ -285,29 +243,26 @@ fn parse_positive(args: &[String], flag: &str) -> Option<usize> {
 /// Run one scenario `repeat` times through the registry's fault-isolated
 /// dispatch; the returned report is the last run's with the *median* wall
 /// time over all runs (echoed in config when repeated), so sweep timings
-/// are stable against scheduler noise. Also returns the total dispatch
-/// attempts consumed (retries included) and the number of dispatches made
-/// — `attempts − dispatches` is the retry count the cell actually burned.
+/// are stable against scheduler noise. Also returns the dispatch attempts
+/// made (one per run that passed config validation).
 fn run_repeated(
     reg: &Registry,
     name: &str,
     cfg: RunCfg,
     repeat: usize,
-) -> (Result<RunReport, EngineError>, u32, u32) {
+) -> (Result<RunReport, EngineError>, u32) {
     let mut walls = Vec::with_capacity(repeat);
     let mut last = None;
     let mut total_attempts = 0u32;
-    let mut dispatches = 0u32;
     for _ in 0..repeat {
         let (res, attempts) = reg.run_cfg_traced(name, cfg);
-        dispatches += 1;
         total_attempts += attempts;
         match res {
             Ok(r) => {
                 walls.push(r.wall_ns);
                 last = Some(r);
             }
-            Err(e) => return (Err(e), total_attempts, dispatches),
+            Err(e) => return (Err(e), total_attempts),
         }
     }
     let mut r = last.expect("repeat >= 1");
@@ -315,10 +270,7 @@ fn run_repeated(
     if repeat > 1 {
         r = r.config("repeat", repeat);
     }
-    if total_attempts > repeat as u32 {
-        r = r.config("attempts", total_attempts);
-    }
-    (Ok(r), total_attempts, dispatches)
+    (Ok(r), total_attempts)
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
@@ -466,7 +418,7 @@ fn run(reg: &Registry, args: &[String]) {
     let depth = parse_depth(args);
     let trace_path = flag_value(args, "--trace").map(std::path::PathBuf::from);
     let rec = (trace_path.is_some() || has_flag(args, "--reuse")).then(|| install_recorder(args));
-    let cfg = RunCfg::with_depth(backend, scale, depth).with_limits(parse_limits(args));
+    let cfg = RunCfg::with_depth(backend, scale, depth).with_timeout(parse_timeout(args));
     let res = run_repeated(reg, name, cfg, parse_repeat(args)).0;
     if rec.is_some() {
         obs::uninstall();
@@ -521,7 +473,7 @@ fn profile(reg: &Registry, args: &[String]) {
     let scale = parse_scale(args);
     let depth = parse_depth(args);
     let rec = install_recorder(args);
-    let cfg = RunCfg::with_depth(backend, scale, depth).with_limits(parse_limits(args));
+    let cfg = RunCfg::with_depth(backend, scale, depth).with_timeout(parse_timeout(args));
     let res = run_repeated(reg, name, cfg, 1).0;
     obs::uninstall();
     let report = match res {
@@ -726,7 +678,7 @@ fn curve(reg: &Registry, args: &[String]) {
     let scale = parse_scale(args);
     // Every flag is checked before the (possibly paper-scale) stack run.
     let caps = parse_capacities(args);
-    let cfg = RunCfg::with_depth(BackendKind::Stack, scale, 1).with_limits(parse_limits(args));
+    let cfg = RunCfg::with_depth(BackendKind::Stack, scale, 1).with_timeout(parse_timeout(args));
     let report = match run_repeated(reg, name, cfg, parse_repeat(args)).0 {
         Ok(r) => r,
         Err(e) => {
@@ -831,7 +783,7 @@ fn sweep(reg: &Registry, args: &[String]) {
     let repeat = parse_repeat(args);
     let depth = parse_depth(args);
     let threads = parse_positive(args, "--threads");
-    let limits = parse_limits(args);
+    let timeout = parse_timeout(args);
     let fail_fast = has_flag(args, "--fail-fast");
     let resume = has_flag(args, "--resume");
     let journal_path =
@@ -842,7 +794,7 @@ fn sweep(reg: &Registry, args: &[String]) {
     }
 
     // Cells a previous run of this sweep already completed successfully
-    // (journal keyed by the limits-independent config hash).
+    // (journal keyed by the config hash, which leaves out the timeout).
     let done = if resume {
         match completed_cells(&journal_path) {
             Ok(map) => map,
@@ -871,7 +823,7 @@ fn sweep(reg: &Registry, args: &[String]) {
                 .filter(|b| only_backend.is_none_or(|ob| ob == **b))
                 .filter(|&&b| w.max_depth(b) >= depth)
                 .map(move |&backend| {
-                    let cfg = RunCfg::with_depth(backend, scale, depth).with_limits(limits);
+                    let cfg = RunCfg::with_depth(backend, scale, depth).with_timeout(timeout);
                     let key = format!("{:016x}", cfg.config_hash(w.name()));
                     Scenario {
                         name: w.name(),
@@ -941,7 +893,7 @@ fn sweep(reg: &Registry, args: &[String]) {
             // --resume.
             return None;
         }
-        let (res, attempts, dispatches) = run_repeated(reg, s.name, s.cfg, repeat);
+        let (res, attempts) = run_repeated(reg, s.name, s.cfg, repeat);
         let outcome = CellOutcome {
             key: s.key.clone(),
             workload: s.name.to_string(),
@@ -952,7 +904,6 @@ fn sweep(reg: &Registry, args: &[String]) {
                 .as_ref()
                 .map_or_else(|e| e.kind().to_string(), |_| "ok".to_string()),
             attempts,
-            retries_used: attempts.saturating_sub(dispatches),
             wall_ns: res.as_ref().map_or(0, |r| r.wall_ns),
             error: res.as_ref().err().map(|e| e.to_string()),
         };
@@ -980,7 +931,7 @@ fn sweep(reg: &Registry, args: &[String]) {
     let mut failures = 0usize;
     let mut skipped = 0usize;
     if csv {
-        println!("{},wall_ms,retries_used,status", RunReport::CSV_HEADER);
+        println!("{},wall_ms,status", RunReport::CSV_HEADER);
     } else if json {
         print!("[");
     }
@@ -995,25 +946,18 @@ fn sweep(reg: &Registry, args: &[String]) {
         let wall_ms = outcome.wall_ns as f64 / 1e6;
         if csv {
             match report {
-                Some(r) => println!(
-                    "{},{:.3},{},{}",
-                    r.to_csv_row(),
-                    wall_ms,
-                    outcome.retries_used,
-                    outcome.status
-                ),
+                Some(r) => println!("{},{:.3},{}", r.to_csv_row(), wall_ms, outcome.status),
                 None => {
                     // Same arity as the header: identity, 8 empty metric
-                    // columns + empty wall_ms, then retries and status
-                    // (status stays the last column).
+                    // columns + empty wall_ms, then the status (always
+                    // the last column).
                     let empties = ",".repeat(9);
                     println!(
-                        "{},{},{}{},{},{}",
+                        "{},{},{}{},{}",
                         outcome.workload,
                         outcome.backend.as_str(),
                         scale.as_str(),
                         empties,
-                        outcome.retries_used,
                         outcome.status
                     );
                 }
@@ -1033,15 +977,13 @@ fn sweep(reg: &Registry, args: &[String]) {
             };
             print!(
                 "{{\"workload\":\"{}\",\"backend\":\"{}\",\"scale\":\"{}\",\"depth\":{},\
-                 \"status\":\"{}\",\"attempts\":{},\"retries_used\":{},\"wall_ms\":{wall_ms:.3},\
-                 {body}}}",
+                 \"status\":\"{}\",\"attempts\":{},\"wall_ms\":{wall_ms:.3},{body}}}",
                 outcome.workload,
                 outcome.backend.as_str(),
                 scale.as_str(),
                 depth,
                 outcome.status,
-                outcome.attempts,
-                outcome.retries_used
+                outcome.attempts
             );
         } else if let Some(r) = report {
             print!("{}", r.render_text());
@@ -1091,12 +1033,12 @@ fn sweep(reg: &Registry, args: &[String]) {
 }
 
 /// Aggregate a sweep's outcomes into the `--metrics` JSON rollup:
-/// per-status cell counts, attempt/retry totals, wall-time total, and the
+/// per-status cell counts, the attempt total, wall-time total, and the
 /// simulator's last-line-memo hit rate summed over every simmed report.
 fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
     let mut status_counts: std::collections::BTreeMap<&str, u64> = Default::default();
     let (mut ok, mut failed) = (0u64, 0u64);
-    let (mut attempts_total, mut retries_total) = (0u64, 0u64);
+    let mut attempts_total = 0u64;
     let mut wall_ns_total = 0u128;
     let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
     for cell in results.iter().flatten() {
@@ -1108,7 +1050,6 @@ fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
             failed += 1;
         }
         attempts_total += outcome.attempts as u64;
-        retries_total += outcome.retries_used as u64;
         wall_ns_total += outcome.wall_ns;
         if let Some(r) = report {
             for (k, v) in &r.config {
@@ -1133,7 +1074,7 @@ fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
     format!(
         "{{\"cells\":{},\"ok\":{ok},\"failed\":{failed},\"skipped\":{skipped},\
          \"status_counts\":{{{}}},\"attempts_total\":{attempts_total},\
-         \"retries_total\":{retries_total},\"wall_ms_total\":{:.3},\
+         \"wall_ms_total\":{:.3},\
          \"memo_hits\":{memo_hits},\"memo_misses\":{memo_misses},\
          \"memo_hit_rate\":{memo_rate:.6}}}\n",
         ok + failed,

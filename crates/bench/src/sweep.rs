@@ -5,8 +5,8 @@
 //! line to the journal, flushed immediately, so a killed sweep loses at
 //! most the cells still in flight. Lines are keyed by the cell's stable
 //! config hash ([`wa_core::RunCfg::config_hash`], hex), which excludes
-//! execution limits: re-running with a different `--timeout`/`--retries`
-//! resumes the same journal. On `--resume`, cells whose *last* journaled
+//! the timeout: re-running with a different `--timeout` resumes the same
+//! journal. On `--resume`, cells whose *last* journaled
 //! status is `ok` are skipped; failed and missing cells re-run, and their
 //! new outcomes append (last record wins).
 //!
@@ -14,8 +14,8 @@
 //!
 //! ```json
 //! {"key":"9f..","workload":"matmul-wa","backend":"explicit","scale":"small",
-//!  "depth":1,"status":"ok","attempts":1,"retries_used":0,"wall_ns":123456,
-//!  "wall_ms":0.123,"error":null,"crc":"0123456789abcdef"}
+//!  "depth":1,"status":"ok","attempts":1,"wall_ns":123456,"wall_ms":0.123,
+//!  "error":null,"crc":"0123456789abcdef"}
 //! ```
 //!
 //! `status` is `ok` or an [`wa_core::EngineError::kind`] tag
@@ -23,6 +23,8 @@
 //! FNV-1a-64 hash (16 hex digits) of the record *without* the crc field:
 //! a record whose checksum fails to verify — a bit flip, not just a torn
 //! tail — is treated as missing on `--resume`, so the cell re-runs.
+//! Resume reads only `key`, `status` and `crc`, so a line carrying fields
+//! this schema no longer writes still counts.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -44,11 +46,9 @@ pub struct CellOutcome {
     pub depth: usize,
     /// `ok` or an `EngineError::kind` tag.
     pub status: String,
-    /// Dispatch attempts consumed (retries included) across all repeats.
+    /// Dispatch attempts made across all repeats: one per run that
+    /// passed config validation.
     pub attempts: u32,
-    /// Retries beyond the first attempt of each dispatch
-    /// (`attempts − dispatches`); nonzero only when the cell was faulty.
-    pub retries_used: u32,
     /// Median wall time of the successful run; 0 on failure.
     pub wall_ns: u128,
     /// Rendered error for failed cells.
@@ -73,9 +73,8 @@ impl CellOutcome {
         json_string(&mut body, &self.status);
         let _ = write!(
             body,
-            ",\"attempts\":{},\"retries_used\":{},\"wall_ns\":{},\"wall_ms\":{:.3},\"error\":",
+            ",\"attempts\":{},\"wall_ns\":{},\"wall_ms\":{:.3},\"error\":",
             self.attempts,
-            self.retries_used,
             self.wall_ns,
             self.wall_ns as f64 / 1e6,
         );
@@ -180,7 +179,6 @@ mod tests {
             depth: 1,
             status: status.to_string(),
             attempts: 1,
-            retries_used: 0,
             wall_ns: 42,
             error: error.map(str::to_string),
         }
@@ -191,7 +189,7 @@ mod tests {
         let line = outcome("abc123", "panicked", Some("oh \"no\"\nnewline")).to_jsonl();
         assert!(line.starts_with("{\"key\":\"abc123\",\"workload\":\"matmul-wa\""));
         assert!(line.contains("\"status\":\"panicked\""));
-        assert!(line.contains("\"retries_used\":0"));
+        assert!(line.contains("\"attempts\":1,\"wall_ns\":42,"));
         assert!(line.contains("\"wall_ms\":0.000"));
         assert!(line.contains("\\\"no\\\"\\nnewline"));
         let ok = outcome("abc123", "ok", None).to_jsonl();

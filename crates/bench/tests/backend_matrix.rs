@@ -19,11 +19,37 @@
 //!    slow end for the distributed cells. One loop checks the declaration
 //!    on every dual cell at both scales, each `simmed` depth `d` against
 //!    `explicit` at `min(d, explicit max depth)`. No tolerance is tuned.
+//!
+//! Every cell is dispatched through `Registry::run_cfg`, as the harness
+//! does: a panic is contained, the report is validated, and a failure
+//! names the workload, scale, backend and depth.
 
 use wa_bench::registry::registry;
-use wa_core::engine::{BackendKind, RunCfg};
+use wa_core::engine::{BackendKind, EngineError, RunCfg};
 use wa_core::report::RunReport;
-use wa_core::Scale;
+use wa_core::{Registry, Scale};
+
+/// The cell named the way every failure below names it.
+fn cell(name: &str, scale: Scale, backend: BackendKind, depth: usize) -> String {
+    format!("{name} @ {scale}, {backend} depth {depth}")
+}
+
+/// Dispatch one cell through the registry's guarded path.
+fn try_run(
+    reg: &Registry,
+    name: &str,
+    scale: Scale,
+    backend: BackendKind,
+    depth: usize,
+) -> Result<RunReport, EngineError> {
+    reg.run_cfg(name, RunCfg::with_depth(backend, scale, depth))
+}
+
+/// [`try_run`], failing with the cell's name on any error.
+fn run(reg: &Registry, name: &str, scale: Scale, backend: BackendKind, depth: usize) -> RunReport {
+    try_run(reg, name, scale, backend, depth)
+        .unwrap_or_else(|e| panic!("{}: {e}", cell(name, scale, backend, depth)))
+}
 
 /// One line per workload: `name | group | backend:max_depth ...` in
 /// registration order — the snapshot of which matrix cells exist.
@@ -77,7 +103,7 @@ fn registry_snapshot_matches_checked_in_cells() {
 
 /// Structural invariants every report must satisfy, whatever produced it.
 fn check_schema(r: &RunReport, name: &str, group: &str, backend: BackendKind, depth: usize) {
-    let ctx = format!("{name} on {backend} depth {depth}");
+    let ctx = cell(name, r.scale, backend, depth);
     assert_eq!(r.workload, name, "{ctx}: workload echo");
     assert_eq!(r.backend, backend, "{ctx}: backend echo");
     match backend {
@@ -167,9 +193,7 @@ fn every_cell_runs_at_every_advertised_depth() {
     for w in reg.iter() {
         for &backend in w.backends() {
             for depth in 1..=w.max_depth(backend) {
-                let r = w
-                    .run_cfg(RunCfg::with_depth(backend, Scale::Small, depth))
-                    .unwrap_or_else(|e| panic!("{} on {backend} depth {depth}: {e}", w.name()));
+                let r = run(&reg, w.name(), Scale::Small, backend, depth);
                 check_schema(&r, w.name(), w.group(), backend, depth);
                 cells += 1;
             }
@@ -179,10 +203,12 @@ fn every_cell_runs_at_every_advertised_depth() {
         let backend = w.backends()[0];
         let over = w.max_depth(backend) + 1;
         assert!(
-            w.run_cfg(RunCfg::with_depth(backend, Scale::Small, over))
-                .is_err(),
-            "{}: depth {over} must be rejected",
-            w.name()
+            matches!(
+                try_run(&reg, w.name(), Scale::Small, backend, over),
+                Err(EngineError::UnsupportedDepth { .. })
+            ),
+            "{}: must be rejected",
+            cell(w.name(), Scale::Small, backend, over)
         );
     }
     assert!(
@@ -196,8 +222,9 @@ fn every_cell_runs_at_every_advertised_depth() {
 /// exactly when it advertises both `explicit` and `simmed`.
 #[test]
 fn explicit_and_simmed_writes_agree_on_every_dual_backend_cell() {
+    let reg = registry();
     let mut cells = 0usize;
-    for w in registry().iter() {
+    for w in reg.iter() {
         let dual = w.supports(BackendKind::Explicit) && w.supports(BackendKind::Simmed);
         let declared = w.cross_model();
         assert_eq!(
@@ -210,20 +237,12 @@ fn explicit_and_simmed_writes_agree_on_every_dual_backend_cell() {
         let top = w.max_depth(BackendKind::Explicit);
         for scale in [Scale::Small, Scale::Paper] {
             for depth in 1..=w.max_depth(BackendKind::Simmed) {
-                let run = |backend, d| {
-                    w.run_cfg(RunCfg::with_depth(backend, scale, d))
-                        .unwrap_or_else(|e| panic!("{} on {backend} depth {d}: {e}", w.name()))
-                };
                 let ed = depth.min(top);
-                let (exp, sim) = (
-                    run(BackendKind::Explicit, ed),
-                    run(BackendKind::Simmed, depth),
-                );
+                let exp = run(&reg, w.name(), scale, BackendKind::Explicit, ed);
+                let sim = run(&reg, w.name(), scale, BackendKind::Simmed, depth);
                 agreement.check(&exp, &sim).unwrap_or_else(|e| {
-                    panic!(
-                        "{} @ {scale}, simmed depth {depth} vs explicit depth {ed}: {e}",
-                        w.name()
-                    )
+                    let sim_cell = cell(w.name(), scale, BackendKind::Simmed, depth);
+                    panic!("{sim_cell} vs explicit depth {ed}: {e}")
                 });
                 cells += 1;
             }
@@ -239,15 +258,12 @@ fn explicit_and_simmed_writes_agree_on_every_dual_backend_cell() {
 fn non_wa_matmul_writes_far_exceed_the_wa_count_on_both_models() {
     let reg = registry();
     for backend in [BackendKind::Explicit, BackendKind::Simmed] {
-        let writes = |name| {
-            reg.run(name, backend, Scale::Small)
-                .unwrap_or_else(|e| panic!("{name} on {backend}: {e}"))
-                .writes_to_slow()
-        };
+        let writes = |name| run(&reg, name, Scale::Small, backend, 1).writes_to_slow();
         let (wa, non) = (writes("matmul-wa"), writes("matmul-nonwa"));
         assert!(
             non >= 2 * wa,
-            "{backend}: non-WA {non} vs WA {wa} slow-memory writes"
+            "{}: {non} slow-memory writes vs matmul-wa's {wa}",
+            cell("matmul-nonwa", Scale::Small, backend, 1)
         );
     }
 }
@@ -273,17 +289,13 @@ fn stack_projection_equals_flushed_simmed_exactly_everywhere() {
             continue;
         }
         for scale in [Scale::Small, Scale::Paper] {
-            let sim = w
-                .run_cfg(RunCfg::with_depth(BackendKind::Simmed, scale, 1))
-                .unwrap_or_else(|e| panic!("{} simmed: {e}", w.name()));
-            let stk = w
-                .run_cfg(RunCfg::with_depth(BackendKind::Stack, scale, 1))
-                .unwrap_or_else(|e| panic!("{} stack: {e}", w.name()));
+            let sim = run(&reg, w.name(), scale, BackendKind::Simmed, 1);
+            let stk = run(&reg, w.name(), scale, BackendKind::Stack, 1);
             assert_eq!(
                 sim.boundaries[0],
                 stk.boundaries[0],
-                "{} @ {scale}: stack projection vs flushed simulator",
-                w.name()
+                "{}: projection vs flushed simmed depth 1",
+                cell(w.name(), scale, BackendKind::Stack, 1)
             );
             cells += 1;
         }
@@ -298,17 +310,18 @@ fn stack_projection_equals_flushed_simmed_exactly_everywhere() {
 #[test]
 fn summa_assembled_output_is_identical_across_backends() {
     let reg = registry();
-    let w = reg.get("summa").expect("summa is registered");
-    let exp = w
-        .run_cfg(RunCfg::new(BackendKind::Explicit, Scale::Small))
-        .unwrap();
-    let sim = w
-        .run_cfg(RunCfg::new(BackendKind::Simmed, Scale::Small))
-        .unwrap();
-    assert_eq!(exp.boundaries[1].store_words, 144);
+    let exp = run(&reg, "summa", Scale::Small, BackendKind::Explicit, 1);
+    let sim = run(&reg, "summa", Scale::Small, BackendKind::Simmed, 1);
+    assert_eq!(
+        exp.boundaries[1].store_words,
+        144,
+        "{}: NVM stores",
+        cell("summa", Scale::Small, BackendKind::Explicit, 1)
+    );
     assert_eq!(
         sim.boundaries[sim.boundaries.len() - 2].store_words,
         144,
-        "per-rank simulation must charge the same assembled output"
+        "{}: per-rank simulation must charge the same assembled output",
+        cell("summa", Scale::Small, BackendKind::Simmed, 1)
     );
 }

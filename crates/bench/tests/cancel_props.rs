@@ -63,7 +63,6 @@ fn driven_workload(fire_at: u64, stretches: bool) -> Workload {
             BackendKind::Raw,
             BackendKind::Explicit,
         ],
-        |_, _| 1 << 30,
         move |cfg: RunCfg| {
             let drive = |ld: &mut dyn FnMut(usize) -> f64| {
                 for i in 0..total {

@@ -2,14 +2,12 @@
 //! the *real* registry: injected panics are contained to their cell,
 //! injected stalls are cancelled cooperatively (the stall observes the
 //! token's deadline on the caller's thread — no thread is left behind),
-//! retries recover
-//! deterministically, and injected counter corruption is rejected by the
-//! report validator — while every untargeted cell of the sweep completes
-//! normally.
+//! and injected counter corruption is rejected by the report validator —
+//! while every untargeted cell of the sweep completes normally.
 
 use std::time::Duration;
 use wa_bench::registry::registry;
-use wa_core::engine::{BackendKind, EngineError, RunCfg, RunLimits};
+use wa_core::engine::{BackendKind, EngineError, RunCfg};
 use wa_core::fault::FaultPlan;
 use wa_core::par::par_map_fallible;
 use wa_core::{CancelReason, Scale};
@@ -23,7 +21,7 @@ fn sweep_with_injected_panic_and_stall_completes_all_other_cells() {
     reg.set_fault_plan(Some(
         FaultPlan::parse("matmul-wa:panic@1,lu-wa:stall=5000").unwrap(),
     ));
-    let limits = RunLimits::new(Some(Duration::from_millis(250)), 0);
+    let timeout = Some(Duration::from_millis(250));
 
     // Every dense workload that advertises the explicit backend — a real
     // slice of the matrix, driven exactly like `harness sweep`.
@@ -35,7 +33,7 @@ fn sweep_with_injected_panic_and_stall_completes_all_other_cells() {
     assert!(cells.len() >= 6, "expected a populated dense group");
 
     let results = par_map_fallible(&cells, 4, |name| {
-        let cfg = RunCfg::new(BackendKind::Explicit, Scale::Small).with_limits(limits);
+        let cfg = RunCfg::new(BackendKind::Explicit, Scale::Small).with_timeout(timeout);
         reg.run_cfg(name, cfg)
     });
 
@@ -80,7 +78,7 @@ fn cancelled_worker_threads_join_and_do_not_leak() {
     let mut reg = registry();
     reg.set_fault_plan(Some(FaultPlan::parse("trsm-wa:stall=5000").unwrap()));
     let cfg = RunCfg::new(BackendKind::Explicit, Scale::Small)
-        .with_limits(RunLimits::new(Some(Duration::from_millis(150)), 0));
+        .with_timeout(Some(Duration::from_millis(150)));
     match reg.run_cfg("trsm-wa", cfg) {
         Err(EngineError::Cancelled {
             workload,
@@ -132,34 +130,6 @@ fn injected_panic_carries_its_payload_and_spares_the_next_invocation() {
 }
 
 #[test]
-fn stall_then_retry_succeeds_within_the_budget() {
-    // Invocation 1 stalls past the deadline, invocation 2 (the retry) is
-    // clean: the canonical timeout-retry-then-succeed path.
-    let mut reg = registry();
-    reg.set_fault_plan(Some(FaultPlan::parse("cholesky-wa:stall=5000@1").unwrap()));
-    let cfg = RunCfg::new(BackendKind::Explicit, Scale::Small)
-        .with_limits(RunLimits::new(Some(Duration::from_millis(200)), 1));
-    let (res, attempts) = reg.run_cfg_traced("cholesky-wa", cfg);
-    assert!(res.is_ok(), "{res:?}");
-    assert_eq!(attempts, 2);
-    assert_eq!(reg.fault_plan().unwrap().invocations("cholesky-wa"), 2);
-}
-
-#[test]
-fn panic_then_retry_succeeds_and_is_deterministic() {
-    for _ in 0..2 {
-        let mut reg = registry();
-        reg.set_fault_plan(Some(FaultPlan::parse("matmul-wa:panic@1").unwrap()));
-        let cfg =
-            RunCfg::new(BackendKind::Explicit, Scale::Small).with_limits(RunLimits::new(None, 2));
-        let (res, attempts) = reg.run_cfg_traced("matmul-wa", cfg);
-        let r = res.expect("retry should recover from a one-shot panic");
-        assert_eq!(attempts, 2, "panic@1 must cost exactly one retry");
-        assert!(r.writes_to_slow() > 0);
-    }
-}
-
-#[test]
 fn corrupted_counters_are_rejected_by_the_report_validator() {
     // `corrupt` bumps writes_per_level and flops but leaves the boundary
     // traffic alone, so backing-store conservation breaks. The engine
@@ -181,14 +151,10 @@ fn corrupted_counters_are_rejected_by_the_report_validator() {
         }
         other => panic!("expected ReportInvariant, got {other:?}"),
     }
-    // The fault fired on invocation 1 only, and an invariant violation is
-    // retriable (a bit flip is transient): one retry recovers the cell.
-    let mut reg = registry();
-    reg.set_fault_plan(Some(FaultPlan::parse("matmul-wa:corrupt@1").unwrap()));
-    let cfg = RunCfg::new(BackendKind::Simmed, Scale::Small).with_limits(RunLimits::new(None, 1));
-    let (res, attempts) = reg.run_cfg_traced("matmul-wa", cfg);
-    assert!(res.is_ok(), "{res:?}");
-    assert_eq!(attempts, 2, "corrupt@1 must cost exactly one retry");
+    // The fault fired on invocation 1 only: the next dispatch is clean.
+    assert!(reg
+        .run_cfg("matmul-wa", RunCfg::new(BackendKind::Simmed, Scale::Small))
+        .is_ok());
 }
 
 #[test]
@@ -206,7 +172,7 @@ fn timeout_limits_do_not_change_a_clean_cells_counters() {
         .run_cfg(
             "matmul-wa",
             RunCfg::new(BackendKind::Explicit, Scale::Small)
-                .with_limits(RunLimits::new(Some(Duration::from_secs(60)), 3)),
+                .with_timeout(Some(Duration::from_secs(60))),
         )
         .unwrap();
     assert_eq!(inline.writes_per_level, watched.writes_per_level);

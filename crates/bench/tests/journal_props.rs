@@ -1,11 +1,11 @@
 //! Property tests for the sweep journal's cell identity: the config hash
 //! must be stable across `RunCfg` construction order, re-serialization
-//! round trips, and execution-limit changes — otherwise `--resume` would
+//! round trips, and timeout changes — otherwise `--resume` would
 //! silently re-run (or worse, silently skip) cells.
 
 use proptest::prelude::*;
 use std::time::Duration;
-use wa_core::engine::{BackendKind, RunCfg, RunLimits, Scale};
+use wa_core::engine::{BackendKind, RunCfg, Scale};
 
 fn backend_from(i: usize) -> BackendKind {
     BackendKind::ALL[i % BackendKind::ALL.len()]
@@ -67,27 +67,26 @@ proptest! {
         let workload = WORKLOADS[wi];
         let (backend, scale) = (backend_from(bi), scale_from(small));
         let a = RunCfg::with_depth(backend, scale, depth);
-        let b = RunCfg { depth, scale, backend, limits: RunLimits::default() };
+        let b = RunCfg { depth, scale, backend, timeout: None };
         let mut c = RunCfg::new(backend, scale);
         c.depth = depth;
         prop_assert_eq!(a.config_hash(workload), b.config_hash(workload));
         prop_assert_eq!(a.config_hash(workload), c.config_hash(workload));
     }
 
-    /// Execution limits are policy, not identity: any timeout/retry
-    /// combination hashes identically, so journals written under one
-    /// deadline resume under another.
+    /// The timeout is execution policy, not identity: any deadline
+    /// hashes identically, so journals written under one deadline resume
+    /// under another.
     #[test]
     fn hash_ignores_limits(
         bi in 0usize..4,
         small in any::<bool>(),
         depth in 1usize..4,
         timeout_ms in 0u64..10_000,
-        retries in 0u32..16,
     ) {
         let base = RunCfg::with_depth(backend_from(bi), scale_from(small), depth);
         let timeout = if timeout_ms == 0 { None } else { Some(Duration::from_millis(timeout_ms)) };
-        let limited = base.with_limits(RunLimits::new(timeout, retries));
+        let limited = base.with_timeout(timeout);
         prop_assert_eq!(limited.config_hash("matmul-wa"), base.config_hash("matmul-wa"));
         prop_assert_eq!(limited.cell_key("matmul-wa"), base.cell_key("matmul-wa"));
     }

@@ -43,13 +43,6 @@ pub fn workloads() -> Vec<Workload> {
             "cdag",
             "radix-2 Cooley-Tukey FFT: bounded reuse, writes within O(1) of reads (Cor 2)",
             &backends,
-            |scale, _| {
-                let n: u64 = match scale {
-                    Scale::Small => 1 << 13,
-                    Scale::Paper => 1 << 15,
-                };
-                2 * n * 8
-            },
             |wa_core::engine::RunCfg { backend, scale, .. }| {
                 // Signal larger than fast memory so the butterflies spill.
                 let n = match scale {
@@ -73,13 +66,6 @@ pub fn workloads() -> Vec<Workload> {
             "cdag",
             "Strassen matmul: max reuse 4, so writes are Omega(flops/M^(log2 7 - 1)) (Cor 3)",
             &backends,
-            |scale, _| {
-                let n: usize = match scale {
-                    Scale::Small => 64,
-                    Scale::Paper => 128,
-                };
-                (3 * n * n + strassen_scratch_words(n)) as u64 * 8
-            },
             |wa_core::engine::RunCfg { backend, scale, .. }| {
                 let n = match scale {
                     Scale::Small => 64,

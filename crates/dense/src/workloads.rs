@@ -84,21 +84,6 @@ pub fn deep_geometry(scale: Scale, depth: usize) -> (Vec<usize>, Vec<u64>, usize
     (blocks, caps, n)
 }
 
-/// Footprint estimator for a dense kernel touching `mats` n×n f64
-/// matrices: the dimension follows the same geometry the run uses
-/// ([`deep_geometry`] past depth 1, [`sim_block_and_dim`] otherwise), so
-/// `RunLimits::mem_budget` preflights against the real staging size.
-fn dense_footprint(mats: u64) -> impl Fn(Scale, usize) -> u64 {
-    move |scale, depth| {
-        let n = if depth > 1 {
-            deep_geometry(scale, depth).2
-        } else {
-            sim_block_and_dim(scale).1
-        };
-        mats * (n as u64) * (n as u64) * 8
-    }
-}
-
 /// Stage three matrices into a fresh memory, returning `(descs, data)`.
 fn stage(mats: &[&Mat]) -> (Vec<crate::MatDesc>, Vec<f64>) {
     let shapes: Vec<(usize, usize)> = mats.iter().map(|m| (m.rows(), m.cols())).collect();
@@ -230,40 +215,33 @@ fn matmul_workload(
             BackendKind::Stack,
         ]
     };
-    let w = Workload::new(
-        name,
-        "dense",
-        description,
-        &backends,
-        dense_footprint(3),
-        move |cfg| {
-            let RunCfg { backend, scale, .. } = cfg;
-            if cfg.depth > 1 {
-                return run_matmul_wa_deep(cfg);
-            }
-            let (bsize, n) = sim_block_and_dim(scale);
-            if backend == BackendKind::Explicit {
-                let order = order.expect("explicit requires a loop order");
-                let (h, bs) = two_level(scale);
-                let r = explicit_cell(name, scale, n, h, |h| {
-                    mm_schedule((n, n, n), &[bs], (order, order), h, |_, _, _| {})
-                });
-                return Ok(r.config("order", format!("{order:?}")));
-            }
-            let a = Mat::random(n, n, 11);
-            let b = Mat::random(n, n, 12);
-            let c0 = Mat::zeros(n, n);
-            let (d, data) = stage(&[&a, &b, &c0]);
-            let base = base_report(name, backend, scale, n);
-            let caps = [fast_words(scale)];
-            let kernel = |mem: &mut &mut dyn Mem| match order {
-                Some(o) => blocked_matmul(mem, d[0], d[1], d[2], bsize, o),
-                None => co_matmul(mem, d[0], d[1], d[2], 16),
-            };
-            let r = run_on_backend(backend, base, data, &caps, kernel);
-            Ok(r.config("block", bsize))
-        },
-    );
+    let w = Workload::new(name, "dense", description, &backends, move |cfg| {
+        let RunCfg { backend, scale, .. } = cfg;
+        if cfg.depth > 1 {
+            return run_matmul_wa_deep(cfg);
+        }
+        let (bsize, n) = sim_block_and_dim(scale);
+        if backend == BackendKind::Explicit {
+            let order = order.expect("explicit requires a loop order");
+            let (h, bs) = two_level(scale);
+            let r = explicit_cell(name, scale, n, h, |h| {
+                mm_schedule((n, n, n), &[bs], (order, order), h, |_, _, _| {})
+            });
+            return Ok(r.config("order", format!("{order:?}")));
+        }
+        let a = Mat::random(n, n, 11);
+        let b = Mat::random(n, n, 12);
+        let c0 = Mat::zeros(n, n);
+        let (d, data) = stage(&[&a, &b, &c0]);
+        let base = base_report(name, backend, scale, n);
+        let caps = [fast_words(scale)];
+        let kernel = |mem: &mut &mut dyn Mem| match order {
+            Some(o) => blocked_matmul(mem, d[0], d[1], d[2], bsize, o),
+            None => co_matmul(mem, d[0], d[1], d[2], 16),
+        };
+        let r = run_on_backend(backend, base, data, &caps, kernel);
+        Ok(r.config("block", bsize))
+    });
     // Only the WA order has a multi-level explicit cell (§4.1 induction)
     // to compare the stacked simulator against.
     match order {
@@ -339,7 +317,6 @@ fn trsm_workload(name: &'static str, description: &'static str, wa: bool) -> Wor
         "dense",
         description,
         &backends,
-        dense_footprint(4),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
             let variant = if wa {
@@ -390,7 +367,6 @@ fn cholesky_workload(name: &'static str, description: &'static str, wa: bool) ->
         "dense",
         description,
         &backends,
-        dense_footprint(3),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
             let variant = if wa {
@@ -449,7 +425,6 @@ fn lu_workload(name: &'static str, description: &'static str, variant: LuVariant
         "dense",
         description,
         &backends,
-        dense_footprint(3),
         move |RunCfg { backend, scale, .. }| {
             let (bsize, n) = sim_block_and_dim(scale);
             if backend == BackendKind::Explicit {

@@ -32,11 +32,6 @@ fn sort_workload(name: &'static str, description: &'static str, selection: bool)
         "extsort",
         description,
         &backends,
-        // The n-element input plus merge scratch, with slack.
-        |scale, _| {
-            let (n, _) = problem(scale);
-            3 * n as u64 * 8
-        },
         move |wa_core::engine::RunCfg { backend, scale, .. }| {
             let (n, m) = problem(scale);
             let mut data = random_data(n);

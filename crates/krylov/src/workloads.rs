@@ -112,36 +112,24 @@ fn solver_workload(
     description: &'static str,
     opts: Option<CaCgOptions>, // None = plain CG
 ) -> Workload {
-    Workload::new(
-        name,
-        "krylov",
-        description,
-        &BACKENDS,
-        // 5-point Laplacian in CSR (~5 nnz/row at 16 B each) plus the
-        // handful of g²-length CG work vectors, with slack.
-        |scale, _| {
-            let g = grid(scale) as u64;
-            g * g * 200
-        },
-        move |cfg| {
-            let RunCfg { scale, depth, .. } = cfg;
-            let g = grid(scale);
-            let mut r = match cfg.backend {
-                BackendKind::Raw | BackendKind::Explicit => {
-                    solve(name, cfg, &opts, SimIo::new(Traffic::ZERO))?
-                }
-                BackendKind::Simmed => solve(name, cfg, &opts, SimIo::new(sim_hier(scale, depth)))?
-                    .note("boundary 0 (fast side M1) is the tally's W12 boundary"),
-                BackendKind::Stack => solve(name, cfg, &opts, SimIo::new(StackSim::new()))?,
-                other => unreachable!("{name} does not declare {other}"),
-            };
-            r = r.config("grid", format!("{g}x{g}"));
-            if cfg.backend == BackendKind::Simmed {
-                r = r.config("depth", depth);
+    Workload::new(name, "krylov", description, &BACKENDS, move |cfg| {
+        let RunCfg { scale, depth, .. } = cfg;
+        let g = grid(scale);
+        let mut r = match cfg.backend {
+            BackendKind::Raw | BackendKind::Explicit => {
+                solve(name, cfg, &opts, SimIo::new(Traffic::ZERO))?
             }
-            Ok(r)
-        },
-    )
+            BackendKind::Simmed => solve(name, cfg, &opts, SimIo::new(sim_hier(scale, depth)))?
+                .note("boundary 0 (fast side M1) is the tally's W12 boundary"),
+            BackendKind::Stack => solve(name, cfg, &opts, SimIo::new(StackSim::new()))?,
+            other => unreachable!("{name} does not declare {other}"),
+        };
+        r = r.config("grid", format!("{g}x{g}"));
+        if cfg.backend == BackendKind::Simmed {
+            r = r.config("depth", depth);
+        }
+        Ok(r)
+    })
     .depth(BackendKind::Simmed, 3)
     .agreement(Agreement::Exact)
 }
@@ -174,35 +162,20 @@ fn tsqr<S: Sink>(name: &'static str, cfg: RunCfg, store: bool, mut io: SimIo<S>)
 /// Streaming / storing tall-skinny QR (the §8 Arnoldi building block):
 /// `nblocks` row blocks of 64×8, blocks regenerated on demand.
 fn tsqr_workload(name: &'static str, description: &'static str, store: bool) -> Workload {
-    Workload::new(
-        name,
-        "krylov",
-        description,
-        &BACKENDS,
-        // Worst case (storing variant): every 64×8 row block resident
-        // plus Q/R factors — 3× the raw block storage covers both modes.
-        |scale, _| {
-            let nblocks: u64 = match scale {
-                Scale::Small => 16,
-                Scale::Paper => 64,
-            };
-            3 * nblocks * 64 * 8 * 8
-        },
-        move |cfg| {
-            Ok(match cfg.backend {
-                BackendKind::Raw | BackendKind::Explicit => {
-                    tsqr(name, cfg, store, SimIo::new(Traffic::ZERO))
-                }
-                BackendKind::Simmed => {
-                    tsqr(name, cfg, store, SimIo::new(sim_hier(cfg.scale, cfg.depth)))
-                        .config("depth", cfg.depth)
-                        .note("boundary 0 (fast side M1) is the tally's boundary")
-                }
-                BackendKind::Stack => tsqr(name, cfg, store, SimIo::new(StackSim::new())),
-                other => unreachable!("{name} does not declare {other}"),
-            })
-        },
-    )
+    Workload::new(name, "krylov", description, &BACKENDS, move |cfg| {
+        Ok(match cfg.backend {
+            BackendKind::Raw | BackendKind::Explicit => {
+                tsqr(name, cfg, store, SimIo::new(Traffic::ZERO))
+            }
+            BackendKind::Simmed => {
+                tsqr(name, cfg, store, SimIo::new(sim_hier(cfg.scale, cfg.depth)))
+                    .config("depth", cfg.depth)
+                    .note("boundary 0 (fast side M1) is the tally's boundary")
+            }
+            BackendKind::Stack => tsqr(name, cfg, store, SimIo::new(StackSim::new())),
+            other => unreachable!("{name} does not declare {other}"),
+        })
+    })
     .depth(BackendKind::Simmed, 3)
     .agreement(Agreement::Exact)
 }

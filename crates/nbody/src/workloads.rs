@@ -36,14 +36,6 @@ fn base(name: &str, backend: BackendKind, scale: Scale, n: usize) -> RunReport {
     RunReport::new(name, backend, scale).config("n_particles", n)
 }
 
-/// Footprint estimate shared by the n-body workloads: the particle cloud
-/// plus the force output, doubled for slack (every variant's N is bounded
-/// by [`particles_geometry`]'s).
-fn nbody_footprint(scale: Scale, _depth: usize) -> u64 {
-    let (_, n) = particles_geometry(scale);
-    2 * (n as u64) * (WORDS_PER_BODY as u64 + 3) * 8
-}
-
 /// An `explicit` cell: the block schedule alone, run with an empty body
 /// on `n` particles over a two-level model of `m` particles. Every count
 /// is the schedule's, so no cloud is built and no force is evaluated;
@@ -92,7 +84,6 @@ pub fn workloads() -> Vec<Workload> {
                 BackendKind::Explicit,
                 BackendKind::Stack,
             ],
-            nbody_footprint,
             |wa_core::engine::RunCfg { backend, scale, .. }| match backend {
                 BackendKind::Explicit => Ok(explicit_run(
                     "nbody-wa",
@@ -131,7 +122,6 @@ pub fn workloads() -> Vec<Workload> {
             "nbody",
             "symmetric (Newton 3rd law) N-body: half the flops, Theta(N^2/b) stores (4.4)",
             &[BackendKind::Explicit],
-            nbody_footprint,
             |wa_core::engine::RunCfg { scale, .. }| {
                 Ok(explicit_run(
                     "nbody-symmetric",
@@ -146,7 +136,6 @@ pub fn workloads() -> Vec<Workload> {
             "nbody",
             "(N,3)-body with b = M/4 blocks: WA generalization of Algorithm 4",
             &[BackendKind::Explicit],
-            nbody_footprint,
             |wa_core::engine::RunCfg { scale, .. }| {
                 // A shrunk cloud, N = 3·(M/8), sized for the O(N^3) kernel.
                 let (m, _) = particles_geometry(scale);

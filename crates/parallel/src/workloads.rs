@@ -61,14 +61,6 @@ fn sim_caps(depth: usize) -> Vec<usize> {
     }
 }
 
-/// Footprint estimate shared by the distributed-matmul workloads: the
-/// global n×n operands/result plus the per-node tile replicas the
-/// [`Machine`] stages (≤ 2× replication in the 2.5D variant), with slack.
-fn parallel_footprint(scale: Scale, _depth: usize) -> u64 {
-    let n = dim(scale) as u64;
-    8 * n * n * 8
-}
-
 /// The critical-path time under the machine's cost model, as echoed.
 fn critical_time<S: Sink>(m: &Machine<S>) -> String {
     format!("{:.6e}", m.critical_time())
@@ -410,14 +402,9 @@ fn drive<S: Sink>(
 pub fn workloads() -> Vec<Workload> {
     ALGS.iter()
         .map(|&(name, description, alg)| {
-            Workload::new(
-                name,
-                "parallel",
-                description,
-                alg.backends(),
-                parallel_footprint,
-                move |cfg| on_machine(name, alg, cfg),
-            )
+            Workload::new(name, "parallel", description, alg.backends(), move |cfg| {
+                on_machine(name, alg, cfg)
+            })
             .depth(BackendKind::Simmed, 2)
             .agreement(Agreement::SlowEnd)
         })

@@ -11,7 +11,7 @@
 //!   was born under. [`CancelToken::reason`] compares `Instant::now()`
 //!   with the deadline, so an expired deadline is seen at the first
 //!   checkpoint after it, with no other thread involved. An interrupt
-//!   outranks a deadline, so Ctrl-C never uses up retries.
+//!   outranks a deadline, so a Ctrl-C'd cell never reads as timed out.
 //! * [`CancelPoll`] — the per-object checkpoint for charge paths that own
 //!   an access clock (`MemSim`, `StackSim`, `RawMem`): it captures the
 //!   ambient token at construction and costs one compare per charge.
@@ -61,11 +61,9 @@ static PROCESS_GEN: AtomicU64 = AtomicU64::new(0);
 /// Why a token fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelReason {
-    /// The attempt's deadline expired. Retriable: the next attempt gets
-    /// a fresh deadline.
+    /// The attempt's deadline expired.
     Deadline,
-    /// The process was interrupted (Ctrl-C). Not retriable: the sweep is
-    /// shutting down.
+    /// The process was interrupted (Ctrl-C): the sweep is shutting down.
     Interrupt,
 }
 
@@ -133,7 +131,7 @@ impl CancelToken {
 
     /// Why the token reads as cancelled, if it does. An interrupt
     /// outranks a deadline: a cell cut by Ctrl-C after its deadline
-    /// passed reports `Interrupt`, which the engine does not retry.
+    /// passed reports `Interrupt`.
     pub fn reason(&self) -> Option<CancelReason> {
         let fired = self.fired.load(Ordering::Relaxed);
         if fired == FIRED_INTERRUPT || interrupted_since(self.born_process) {

@@ -10,7 +10,6 @@
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::report::RunReport;
-use crate::rng::XorShift;
 use crate::traffic::Traffic;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -115,50 +114,8 @@ impl fmt::Display for Scale {
 /// trip over it.
 pub(crate) const MAX_DEPTH_CAP: usize = 8;
 
-/// Upper bound on [`RunLimits::retries`]. Retries multiply sweep cost;
-/// past this the config is degenerate, not cautious.
-pub(crate) const MAX_RETRIES_CAP: u32 = 16;
-
-/// Execution-policy limits for one dispatch: how long a cell may run and
-/// how often a *retriable* failure (panic, deadline, transient error) is
-/// re-attempted. Limits never change what a workload computes — they are
-/// deliberately excluded from [`RunCfg::cell_key`] so a journal written
-/// under one timeout resumes cleanly under another.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct RunLimits {
-    /// Wall-clock deadline per attempt; `None` (the default) waits forever.
-    /// The attempt is cancelled at its first checkpoint after the
-    /// deadline (see [`crate::cancel`]).
-    pub timeout: Option<Duration>,
-    /// Extra attempts after a retriable failure (0 = single attempt).
-    pub retries: u32,
-    /// Footprint budget in bytes, checked against
-    /// `Workload::footprint_bytes` *before* dispatch. `None` (the
-    /// default) admits everything. An over-budget cell is rejected as
-    /// `InvalidConfig`, or — with [`RunLimits::degrade`] — downgraded
-    /// along the degradation ladder (depth → 1, scale → small,
-    /// backend → traced) until it fits.
-    pub mem_budget: Option<u64>,
-    /// Degrade over-budget cells instead of rejecting them; the
-    /// substitution is recorded in the report (`degraded_from` config
-    /// entry plus a note).
-    pub degrade: bool,
-}
-
-impl RunLimits {
-    pub fn new(timeout: Option<Duration>, retries: u32) -> Self {
-        RunLimits {
-            timeout,
-            retries,
-            mem_budget: None,
-            degrade: false,
-        }
-    }
-}
-
 /// One execution scenario: backend, scale, and — for the traffic-counting
-/// backends — the modeled hierarchy depth, plus execution-policy
-/// [`RunLimits`] (deadline, retry budget).
+/// backends — the modeled hierarchy depth, plus an optional deadline.
 ///
 /// `depth` is the number of explicit/simulated cache levels between the
 /// processor and the backing store: 1 is the classical two-level model of
@@ -171,18 +128,18 @@ pub struct RunCfg {
     pub backend: BackendKind,
     pub scale: Scale,
     pub depth: usize,
-    pub limits: RunLimits,
+    /// Wall-clock deadline of the dispatch; `None` (the default) waits
+    /// forever. The attempt is cancelled at its first checkpoint after
+    /// the deadline (see [`crate::cancel`]). It never changes what a
+    /// workload computes, so [`RunCfg::cell_key`] leaves it out: a
+    /// journal written under one timeout resumes cleanly under another.
+    pub timeout: Option<Duration>,
 }
 
 impl RunCfg {
-    /// The default scenario: depth 1 (the two-level model), no limits.
+    /// The default scenario: depth 1 (the two-level model), no deadline.
     pub fn new(backend: BackendKind, scale: Scale) -> Self {
-        RunCfg {
-            backend,
-            scale,
-            depth: 1,
-            limits: RunLimits::default(),
-        }
+        RunCfg::with_depth(backend, scale, 1)
     }
 
     pub fn with_depth(backend: BackendKind, scale: Scale, depth: usize) -> Self {
@@ -190,20 +147,20 @@ impl RunCfg {
             backend,
             scale,
             depth,
-            limits: RunLimits::default(),
+            timeout: None,
         }
     }
 
-    /// Builder form for attaching execution limits to a scenario.
-    pub fn with_limits(mut self, limits: RunLimits) -> Self {
-        self.limits = limits;
+    /// Builder form for attaching a deadline to a scenario.
+    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
+        self.timeout = timeout;
         self
     }
 
     /// Canonical identity of the (workload, scenario) cell: the fields
-    /// that determine the *result*, serialized in one fixed order.
-    /// [`RunLimits`] are execution policy, not identity, and are excluded
-    /// — the same cell under a different timeout is the same cell.
+    /// that determine the *result*, serialized in one fixed order. The
+    /// timeout is execution policy, not identity, and is excluded — the
+    /// same cell under a different timeout is the same cell.
     pub fn cell_key(&self, workload: &str) -> String {
         format!(
             "{workload}|{}|{}|{}",
@@ -228,16 +185,15 @@ impl RunCfg {
     }
 
     /// Stable 64-bit hash of [`RunCfg::cell_key`] (FNV-1a). Deterministic
-    /// across processes and field construction order — the journal key
-    /// and the retry-backoff jitter seed.
+    /// across processes and field construction order — the journal key.
     pub fn config_hash(&self, workload: &str) -> u64 {
         fnv1a64(self.cell_key(workload).as_bytes())
     }
 
     /// Reject degenerate scenarios with typed errors before dispatch:
-    /// depth 0 or past [`MAX_DEPTH_CAP`], a zero timeout, or a retry
-    /// budget past [`MAX_RETRIES_CAP`]. Workload-relative depth limits
-    /// (`max_depth`) are still checked by the workload itself.
+    /// depth 0 or past [`MAX_DEPTH_CAP`], or a zero timeout.
+    /// Workload-relative depth limits (`max_depth`) are still checked by
+    /// the workload itself.
     pub(crate) fn validate(&self, workload: &str) -> Result<(), EngineError> {
         let invalid = |field: &'static str, value: String, reason: &str| {
             Err(EngineError::InvalidConfig {
@@ -257,18 +213,8 @@ impl RunCfg {
                 "exceeds the engine-wide depth cap",
             );
         }
-        if self.limits.timeout == Some(Duration::ZERO) {
+        if self.timeout == Some(Duration::ZERO) {
             return invalid("timeout", "0".into(), "a zero deadline can never be met");
-        }
-        if self.limits.retries > MAX_RETRIES_CAP {
-            return invalid(
-                "retries",
-                self.limits.retries.to_string(),
-                "exceeds the engine-wide retry cap",
-            );
-        }
-        if self.limits.mem_budget == Some(0) {
-            return invalid("mem_budget", "0".into(), "a zero budget admits nothing");
         }
         Ok(())
     }
@@ -283,20 +229,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Deterministic backoff before retry `attempt` (1-based: the delay taken
-/// after the first failure is `attempt == 1`). Exponential base of 10 ms
-/// doubling per attempt, capped at 200 ms, with ±50% jitter drawn from a
-/// [`XorShift`] stream seeded by the cell's config hash — so a rerun of
-/// the same sweep retries on exactly the same schedule.
-pub(crate) fn backoff_delay(config_hash: u64, attempt: u32) -> Duration {
-    let base_ms = 10u64
-        .saturating_mul(1u64 << attempt.saturating_sub(1).min(10))
-        .min(200);
-    let mut rng = XorShift::new(config_hash ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let jitter = 0.5 + rng.next_unit(); // [0.5, 1.5)
-    Duration::from_micros((base_ms as f64 * 1000.0 * jitter) as u64)
 }
 
 /// Why a run could not produce a report.
@@ -344,12 +276,6 @@ pub enum EngineError {
         workload: String,
         violation: String,
     },
-    /// A transient failure the caller (or the engine's retry loop) may
-    /// re-attempt — the variant workloads return for recoverable faults.
-    Retriable {
-        workload: String,
-        message: String,
-    },
     Failed {
         workload: String,
         message: String,
@@ -368,26 +294,7 @@ impl EngineError {
             EngineError::Panicked { .. } => "panicked",
             EngineError::Cancelled { .. } => "cancelled",
             EngineError::ReportInvariant { .. } => "report-invariant",
-            EngineError::Retriable { .. } => "retriable",
             EngineError::Failed { .. } => "failed",
-        }
-    }
-
-    /// Whether the engine's retry loop may re-attempt after this error.
-    /// Config/registry errors are permanent: retrying a typo is futile.
-    /// A deadline cancellation is retriable (the next attempt gets a
-    /// fresh deadline); an interrupt cancellation is not (the process is
-    /// shutting down). A report-invariant failure is retriable: the
-    /// canonical cause is a one-shot corruption fault.
-    pub fn is_retriable(&self) -> bool {
-        match self {
-            EngineError::Panicked { .. }
-            | EngineError::ReportInvariant { .. }
-            | EngineError::Retriable { .. } => true,
-            EngineError::Cancelled { reason, .. } => {
-                *reason == crate::cancel::CancelReason::Deadline
-            }
-            _ => false,
         }
     }
 }
@@ -458,9 +365,6 @@ impl fmt::Display for EngineError {
                     f,
                     "workload `{workload}` report invariant violated: {violation}"
                 )
-            }
-            EngineError::Retriable { workload, message } => {
-                write!(f, "workload `{workload}` hit a retriable fault: {message}")
             }
             EngineError::Failed { workload, message } => {
                 write!(f, "workload `{workload}` failed: {message}")
@@ -535,8 +439,7 @@ impl Agreement {
 }
 
 /// One registered algorithm variant: its registry data, its per-backend
-/// depth limits, its cross-model [`Agreement`], a footprint estimator
-/// and its run closure.
+/// depth limits, its cross-model [`Agreement`] and its run closure.
 pub struct Workload {
     name: &'static str,
     group: &'static str,
@@ -546,22 +449,17 @@ pub struct Workload {
     depths: Vec<(BackendKind, usize)>,
     agreement: Option<Agreement>,
     #[allow(clippy::type_complexity)]
-    footprint: Box<dyn Fn(Scale, usize) -> u64 + Send + Sync>,
-    #[allow(clippy::type_complexity)]
     run: Box<dyn Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync>,
 }
 
 impl Workload {
-    /// A workload from its registry data, a footprint estimator that
-    /// [`RunLimits::mem_budget`] preflights against, and its run closure.
-    /// It models depth 1 on every backend until [`Workload::depth`] says
-    /// otherwise.
+    /// A workload from its registry data and its run closure. It models
+    /// depth 1 on every backend until [`Workload::depth`] says otherwise.
     pub fn new(
         name: &'static str,
         group: &'static str,
         description: &'static str,
         backends: &[BackendKind],
-        footprint: impl Fn(Scale, usize) -> u64 + Send + Sync + 'static,
         run: impl Fn(RunCfg) -> Result<RunReport, EngineError> + Send + Sync + 'static,
     ) -> Workload {
         Workload {
@@ -571,7 +469,6 @@ impl Workload {
             backends: backends.to_vec(),
             depths: Vec::new(),
             agreement: None,
-            footprint: Box::new(footprint),
             run: Box::new(run),
         }
     }
@@ -625,13 +522,6 @@ impl Workload {
             .unwrap_or(1)
     }
 
-    /// Estimated peak footprint in bytes of one run at `(scale, depth)` —
-    /// working arrays plus simulator state, the quantity
-    /// [`RunLimits::mem_budget`] preflights against.
-    pub(crate) fn footprint_bytes(&self, scale: Scale, depth: usize) -> u64 {
-        (self.footprint)(scale, depth)
-    }
-
     /// Execute the scenario described by `cfg`.
     pub fn run_cfg(&self, cfg: RunCfg) -> Result<RunReport, EngineError> {
         if !self.supports(cfg.backend) {
@@ -667,12 +557,12 @@ impl Workload {
 /// for listing; lookup is by exact name.
 ///
 /// Dispatch through [`Registry::run_cfg`] is *fault-isolated*: every run
-/// executes on the caller's thread under `catch_unwind` (a panicking
-/// workload becomes [`EngineError::Panicked`], not a process abort), the
-/// scenario's [`RunLimits::timeout`] rides in the attempt's cancel token,
-/// and retriable failures are re-attempted up to [`RunLimits::retries`]
-/// times with deterministic backoff (`backoff_delay`). An installed
-/// [`FaultPlan`] injects faults inside this guarded path.
+/// is one attempt on the caller's thread under `catch_unwind` (a
+/// panicking workload becomes [`EngineError::Panicked`], not a process
+/// abort), and the scenario's [`RunCfg::timeout`] rides in the attempt's
+/// cancel token. An installed [`FaultPlan`] injects faults inside this
+/// guarded path. A failed cell is re-run by dispatching it again, as
+/// `harness sweep --resume` does.
 #[derive(Default)]
 pub struct Registry {
     order: Vec<String>,
@@ -701,10 +591,6 @@ impl Registry {
     /// dispatch consults it. `None` clears it.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan;
-    }
-
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// Register a whole batch (the per-crate `workloads()` vectors).
@@ -742,21 +628,19 @@ impl Registry {
     }
 
     /// Run `name` under the full scenario `cfg` (backend, scale, depth,
-    /// limits) with fault isolation. See [`Registry::run_cfg_traced`].
+    /// timeout) with fault isolation. See [`Registry::run_cfg_traced`].
     pub fn run_cfg(&self, name: &str, cfg: RunCfg) -> Result<RunReport, EngineError> {
         self.run_cfg_traced(name, cfg).0
     }
 
     /// Fault-isolated dispatch, also reporting how many attempts were
-    /// made (≥ 1 once dispatch began; 0 for pre-dispatch config errors).
+    /// made: 1 once dispatch began, 0 for a config error caught before it.
     ///
-    /// Per attempt: an injected fault (if a plan is installed and a rule
-    /// fires) is applied inside the guarded section, the run executes
-    /// under `catch_unwind`, and — when `cfg.limits.timeout` is set — the
-    /// attempt is cancelled at its first checkpoint after the deadline.
-    /// Retriable failures back off deterministically
-    /// (`backoff_delay` seeded from the cell's config hash) and retry
-    /// up to `cfg.limits.retries` times.
+    /// The one attempt applies an injected fault (if a plan is installed
+    /// and a rule fires) inside the guarded section, runs under
+    /// `catch_unwind`, is cancelled at its first checkpoint after
+    /// `cfg.timeout` when one is set, and checks the report with
+    /// [`RunReport::validate`].
     pub fn run_cfg_traced(&self, name: &str, cfg: RunCfg) -> (Result<RunReport, EngineError>, u32) {
         let Some(w) = self.by_name.get(name) else {
             return (
@@ -769,116 +653,10 @@ impl Registry {
         if let Err(e) = cfg.validate(name) {
             return (Err(e), 0);
         }
-        // Footprint preflight: refuse (or degrade) a cell that cannot
-        // fit the budget *before* it burns a core.
-        let requested = cfg;
-        let mut cfg = cfg;
-        let mut degraded: Option<String> = None;
-        if let Some(budget) = cfg.limits.mem_budget {
-            let need = w.footprint_bytes(cfg.scale, cfg.depth);
-            if need > budget {
-                if !cfg.limits.degrade {
-                    return (
-                        Err(EngineError::InvalidConfig {
-                            workload: name.to_string(),
-                            field: "mem_budget",
-                            value: budget.to_string(),
-                            reason: format!(
-                                "estimated footprint {need} B exceeds the budget \
-                                 (pass --degrade to downgrade the cell)"
-                            ),
-                        }),
-                        0,
-                    );
-                }
-                match degrade_cfg(w, cfg, budget) {
-                    Some((fit, steps)) => {
-                        cfg = fit;
-                        degraded = Some(steps);
-                    }
-                    None => {
-                        return (
-                            Err(EngineError::InvalidConfig {
-                                workload: name.to_string(),
-                                field: "mem_budget",
-                                value: budget.to_string(),
-                                reason: format!(
-                                    "estimated footprint {need} B exceeds the budget \
-                                     and no degradation rung fits"
-                                ),
-                            }),
-                            0,
-                        );
-                    }
-                }
-            }
-        }
-        // Journal identity and backoff jitter stay keyed to the cell the
-        // caller asked for, degraded or not.
-        let hash = requested.config_hash(name);
-        let gen0 = crate::cancel::process_generation();
-        let max_attempts = cfg.limits.retries + 1;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let attempt_span = crate::obs::span("attempt", "engine");
-            let fault = self.fault_plan.as_ref().and_then(|p| p.on_invocation(name));
-            let res = run_guarded(w, name, cfg, fault);
-            drop(attempt_span);
-            match res {
-                Ok(mut r) => {
-                    if let Some(steps) = &degraded {
-                        r = r
-                            .config("degraded_from", requested.cell_key(name))
-                            .note(format!("degraded to fit mem_budget: {steps}"));
-                    }
-                    return (Ok(r), attempt);
-                }
-                // Once the process is interrupted, retrying is pointless:
-                // the sweep is shutting down.
-                Err(e)
-                    if e.is_retriable()
-                        && attempt < max_attempts
-                        && !crate::cancel::interrupted_since(gen0) =>
-                {
-                    let _backoff = crate::obs::span("backoff", "engine");
-                    std::thread::sleep(backoff_delay(hash, attempt));
-                }
-                Err(e) => return (Err(e), attempt),
-            }
-        }
+        let _attempt_span = crate::obs::span("attempt", "engine");
+        let fault = self.fault_plan.as_ref().and_then(|p| p.on_invocation(name));
+        (run_guarded(w, name, cfg, fault), 1)
     }
-}
-
-/// Walk the degradation ladder until the footprint fits `budget`:
-/// collapse the modeled hierarchy to the two-level model, drop to the
-/// small capacity ladder, and finally fall back to the `traced` backend
-/// (whose only cost beyond the data is a one-bit-per-line tally, not a
-/// simulated hierarchy). Returns the fitting config and a human-readable
-/// description of the rungs taken.
-fn degrade_cfg(w: &Workload, cfg: RunCfg, budget: u64) -> Option<(RunCfg, String)> {
-    let mut cur = cfg;
-    let mut steps: Vec<&'static str> = Vec::new();
-    if cur.depth > 1 {
-        cur.depth = 1;
-        steps.push("depth→1");
-        if w.footprint_bytes(cur.scale, cur.depth) <= budget {
-            return Some((cur, steps.join(", ")));
-        }
-    }
-    if cur.scale == Scale::Paper {
-        cur.scale = Scale::Small;
-        steps.push("scale→small");
-        if w.footprint_bytes(cur.scale, cur.depth) <= budget {
-            return Some((cur, steps.join(", ")));
-        }
-    }
-    if cur.backend != BackendKind::Traced && w.supports(BackendKind::Traced) {
-        cur.backend = BackendKind::Traced;
-        steps.push("backend→traced");
-        return Some((cur, steps.join(", ")));
-    }
-    None
 }
 
 /// Trace-instant name for an injected fault.
@@ -905,7 +683,7 @@ fn run_guarded(
 ) -> Result<RunReport, EngineError> {
     let t0 = Instant::now();
     // A deadline too far away to represent is no deadline.
-    let token = match cfg.limits.timeout.and_then(|d| t0.checked_add(d)) {
+    let token = match cfg.timeout.and_then(|d| t0.checked_add(d)) {
         Some(deadline) => crate::cancel::CancelToken::with_deadline(deadline),
         None => crate::cancel::CancelToken::new(),
     };
@@ -966,7 +744,6 @@ mod tests {
             "test",
             "a test workload",
             &[BackendKind::Raw],
-            |_, _| 1 << 30,
             move |cfg| Ok(RunReport::new(name, cfg.backend, cfg.scale)),
         )
     }
@@ -1019,10 +796,14 @@ mod tests {
     fn unsupported_backend_lists_supported() {
         let mut r = Registry::new();
         r.register(dummy("w"));
-        let err = r.run("w", BackendKind::Simmed, Scale::Small).unwrap_err();
-        let msg = err.to_string();
+        let (res, attempts) = r.run_cfg_traced("w", RunCfg::new(BackendKind::Simmed, Scale::Small));
+        let msg = res.unwrap_err().to_string();
         assert!(msg.contains("does not support"), "{msg}");
         assert!(msg.contains("raw"), "{msg}");
+        assert_eq!(
+            attempts, 1,
+            "the workload itself refuses, inside the attempt"
+        );
     }
 
     #[test]
@@ -1049,7 +830,6 @@ mod tests {
             "test",
             "a depth-aware workload",
             &[BackendKind::Raw, BackendKind::Simmed],
-            |_, _| 1 << 30,
             |cfg| Ok(RunReport::new("deep", cfg.backend, cfg.scale).config("depth", cfg.depth)),
         )
         .depth(BackendKind::Simmed, 3);
@@ -1085,7 +865,6 @@ mod tests {
             "test",
             "panics on dispatch",
             &[BackendKind::Raw],
-            |_, _| 1 << 30,
             |_| panic!("kernel exploded at depth 7"),
         ));
         let err = r.run("bomb", BackendKind::Raw, Scale::Small).unwrap_err();
@@ -1097,53 +876,6 @@ mod tests {
             other => panic!("expected Panicked, got {other:?}"),
         }
         assert_eq!(err.kind(), "panicked");
-        assert!(err.is_retriable());
-    }
-
-    #[test]
-    fn retriable_failures_retry_then_succeed() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let calls = std::sync::Arc::new(AtomicU32::new(0));
-        let mut r = Registry::new();
-        let c = std::sync::Arc::clone(&calls);
-        r.register(Workload::new(
-            "flaky",
-            "test",
-            "fails twice, then succeeds",
-            &[BackendKind::Raw],
-            |_, _| 1 << 30,
-            move |cfg| {
-                if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                    Err(EngineError::Retriable {
-                        workload: "flaky".to_string(),
-                        message: "transient".to_string(),
-                    })
-                } else {
-                    Ok(RunReport::new("flaky", cfg.backend, cfg.scale))
-                }
-            },
-        ));
-        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits::new(None, 3));
-        let (res, attempts) = r.run_cfg_traced("flaky", cfg);
-        assert!(res.is_ok());
-        assert_eq!(attempts, 3);
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        // With no retry budget the first transient failure is final.
-        let cfg0 = RunCfg::new(BackendKind::Raw, Scale::Small);
-        let (res, attempts) = r.run_cfg_traced("flaky", cfg0);
-        assert!(res.is_ok(), "counter is past the flaky window");
-        assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    fn permanent_errors_are_not_retried() {
-        let mut r = Registry::new();
-        r.register(dummy("w"));
-        let cfg =
-            RunCfg::new(BackendKind::Simmed, Scale::Small).with_limits(RunLimits::new(None, 5));
-        let (res, attempts) = r.run_cfg_traced("w", cfg);
-        assert!(matches!(res, Err(EngineError::UnsupportedBackend { .. })));
-        assert_eq!(attempts, 1, "config errors must not burn the retry budget");
     }
 
     #[test]
@@ -1160,14 +892,7 @@ mod tests {
                 },
                 "depth",
             ),
-            (
-                base.with_limits(RunLimits::new(Some(Duration::ZERO), 0)),
-                "timeout",
-            ),
-            (
-                base.with_limits(RunLimits::new(None, MAX_RETRIES_CAP + 1)),
-                "retries",
-            ),
+            (base.with_timeout(Some(Duration::ZERO)), "timeout"),
         ] {
             let (res, attempts) = r.run_cfg_traced("w", cfg);
             match res {
@@ -1194,8 +919,8 @@ mod tests {
             parsed.config_hash("matmul-wa"),
             cfg.config_hash("matmul-wa")
         );
-        // Limits are execution policy, not cell identity.
-        let limited = cfg.with_limits(RunLimits::new(Some(Duration::from_secs(1)), 4));
+        // The timeout is execution policy, not cell identity.
+        let limited = cfg.with_timeout(Some(Duration::from_secs(1)));
         assert_eq!(
             limited.config_hash("matmul-wa"),
             cfg.config_hash("matmul-wa")
@@ -1210,24 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_bounded_and_grows() {
-        let h = RunCfg::new(BackendKind::Raw, Scale::Small).config_hash("w");
-        for attempt in 1..=5 {
-            let a = backoff_delay(h, attempt);
-            let b = backoff_delay(h, attempt);
-            assert_eq!(a, b, "same (hash, attempt) must give the same delay");
-            // base ∈ [10, 200] ms, jitter ∈ [0.5, 1.5).
-            assert!(a >= Duration::from_millis(5), "{a:?}");
-            assert!(a < Duration::from_millis(300), "{a:?}");
-        }
-        assert_ne!(
-            backoff_delay(h, 1),
-            backoff_delay(h ^ 1, 1),
-            "different cells should jitter differently"
-        );
-    }
-
-    #[test]
     fn fault_plan_injects_panic_stall_and_corruption() {
         use crate::fault::{FaultPlan, CORRUPTION_OFFSET};
         let mut r = Registry::new();
@@ -1236,7 +943,6 @@ mod tests {
             "test",
             "healthy unless a fault fires",
             &[BackendKind::Raw],
-            |_, _| 1 << 30,
             |cfg| {
                 let mut rep = RunReport::new("victim", cfg.backend, cfg.scale);
                 rep.flops = 100;
@@ -1259,16 +965,6 @@ mod tests {
         // Invocation 3: clean again.
         let rep = r.run_cfg("victim", cfg).unwrap();
         assert_eq!(rep.flops, 100);
-        // Retry converts a first-invocation panic into eventual success.
-        let mut r2 = Registry::new();
-        r2.register(dummy("w"));
-        r2.set_fault_plan(Some(FaultPlan::parse("w:panic@1").unwrap()));
-        let (res, attempts) = r2.run_cfg_traced(
-            "w",
-            RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits::new(None, 2)),
-        );
-        assert!(res.is_ok());
-        assert_eq!(attempts, 2);
     }
 
     #[test]
@@ -1284,13 +980,12 @@ mod tests {
             "test",
             "ticks forever until cancelled",
             &[BackendKind::Raw],
-            |_, _| 1 << 30,
             |_cfg| loop {
                 crate::cancel::tick(1);
             },
         ));
         let cfg = RunCfg::new(BackendKind::Raw, Scale::Small)
-            .with_limits(RunLimits::new(Some(Duration::from_millis(50)), 0));
+            .with_timeout(Some(Duration::from_millis(50)));
         let t0 = Instant::now();
         let err = r.run_cfg("spinner", cfg).unwrap_err();
         assert!(
@@ -1311,123 +1006,38 @@ mod tests {
             other => panic!("expected Cancelled, got {other:?}"),
         }
         assert_eq!(err.kind(), "cancelled");
-        assert!(err.is_retriable(), "deadline cancellation is retriable");
     }
 
     #[test]
-    fn interrupt_cancellation_is_not_retriable() {
-        let err = EngineError::Cancelled {
-            workload: "w".to_string(),
-            reason: crate::cancel::CancelReason::Interrupt,
-            after_accesses: 7,
-            elapsed: Duration::from_millis(1),
-        };
-        assert!(!err.is_retriable(), "an interrupt must not burn retries");
-        assert_eq!(err.kind(), "cancelled");
-    }
-
-    #[test]
-    fn budget_preflight_rejects_oversized_cells() {
+    fn interrupt_outranks_a_passed_deadline() {
+        // The workload sleeps past its deadline without a checkpoint, then
+        // fires its token as interrupted: the first checkpoint after that
+        // sees both, and the interrupt wins, so Ctrl-C never reads as a
+        // deadline. (The process-wide epoch is exercised in its own test
+        // binary, `tests/interrupt.rs`.)
         let mut r = Registry::new();
         r.register(Workload::new(
-            "big",
+            "late",
             "test",
-            "claims a 1 MiB footprint",
+            "interrupted after its deadline passed",
             &[BackendKind::Raw],
-            |_, _| 1 << 20,
-            |cfg| Ok(RunReport::new("big", cfg.backend, cfg.scale)),
+            |_cfg| {
+                std::thread::sleep(Duration::from_millis(20));
+                crate::cancel::current()
+                    .expect("the engine installs a token")
+                    .cancel(crate::cancel::CancelReason::Interrupt);
+                loop {
+                    crate::cancel::tick(1);
+                }
+            },
         ));
-        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits {
-            mem_budget: Some(1024),
-            ..RunLimits::new(None, 3)
-        });
-        let (res, attempts) = r.run_cfg_traced("big", cfg);
-        match res {
-            Err(EngineError::InvalidConfig { field, reason, .. }) => {
-                assert_eq!(field, "mem_budget");
-                assert!(reason.contains("--degrade"), "{reason}");
+        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small)
+            .with_timeout(Some(Duration::from_millis(1)));
+        match r.run_cfg("late", cfg) {
+            Err(EngineError::Cancelled { reason, .. }) => {
+                assert_eq!(reason, crate::cancel::CancelReason::Interrupt)
             }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        assert_eq!(attempts, 0, "preflight must reject before any attempt");
-        // A budget the footprint fits under runs normally.
-        let roomy = RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits {
-            mem_budget: Some(1 << 21),
-            ..RunLimits::new(None, 0)
-        });
-        assert!(r.run_cfg("big", roomy).is_ok());
-    }
-
-    #[test]
-    fn degrade_ladder_walks_to_a_fitting_config() {
-        // footprint = depth × 1000 bytes: depth 3 busts a 2000-byte
-        // budget, depth 1 fits, so the first rung (depth→1) suffices.
-        let mut r = Registry::new();
-        r.register(
-            Workload::new(
-                "laddered",
-                "test",
-                "footprint scales with depth",
-                &[BackendKind::Raw, BackendKind::Traced],
-                |_, depth| depth as u64 * 1000,
-                |cfg| {
-                    Ok(RunReport::new("laddered", cfg.backend, cfg.scale)
-                        .config("depth", cfg.depth))
-                },
-            )
-            .depth(BackendKind::Raw, 3),
-        );
-        let cfg = RunCfg::with_depth(BackendKind::Raw, Scale::Small, 3).with_limits(RunLimits {
-            mem_budget: Some(2000),
-            degrade: true,
-            ..RunLimits::new(None, 0)
-        });
-        let rep = r.run_cfg("laddered", cfg).unwrap();
-        assert!(
-            rep.config.iter().any(|(k, v)| k == "depth" && v == "1"),
-            "the cell must actually run at the degraded depth"
-        );
-        let degraded_from = rep
-            .config
-            .iter()
-            .find(|(k, _)| k == "degraded_from")
-            .map(|(_, v)| v.clone())
-            .expect("degraded run must record the requested cell");
-        assert!(degraded_from.contains("laddered"), "{degraded_from}");
-        assert!(rep
-            .notes
-            .iter()
-            .any(|n| n.contains("degraded to fit mem_budget") && n.contains("depth→1")));
-        // No rung fits a 1-byte budget even via traced: every rung's
-        // footprint is still ≥ 1000, so the ladder ends at traced and
-        // accepts it (the trace itself is the cost, not the hierarchy).
-        let tiny = RunCfg::with_depth(BackendKind::Raw, Scale::Small, 3).with_limits(RunLimits {
-            mem_budget: Some(1),
-            degrade: true,
-            ..RunLimits::new(None, 0)
-        });
-        let rep = r.run_cfg("laddered", tiny).unwrap();
-        assert_eq!(rep.backend, BackendKind::Traced);
-        // Without traced support the same budget is a hard reject.
-        let mut r2 = Registry::new();
-        r2.register(Workload::new(
-            "untraceable",
-            "test",
-            "raw only",
-            &[BackendKind::Raw],
-            |_, _| 1000,
-            |cfg| Ok(RunReport::new("untraceable", cfg.backend, cfg.scale)),
-        ));
-        let cfg = RunCfg::new(BackendKind::Raw, Scale::Small).with_limits(RunLimits {
-            mem_budget: Some(1),
-            degrade: true,
-            ..RunLimits::new(None, 0)
-        });
-        match r2.run_cfg("untraceable", cfg) {
-            Err(EngineError::InvalidConfig { reason, .. }) => {
-                assert!(reason.contains("no degradation rung fits"), "{reason}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
+            other => panic!("expected Cancelled, got {other:?}"),
         }
     }
 
@@ -1442,7 +1052,6 @@ mod tests {
             "test",
             "reports inconsistent counters",
             &[BackendKind::Raw],
-            |_, _| 1 << 30,
             |cfg| {
                 let mut rep = RunReport::new("liar", cfg.backend, cfg.scale);
                 let mut t = Traffic::ZERO;

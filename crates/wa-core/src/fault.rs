@@ -1,5 +1,5 @@
 //! Deterministic fault injection — the test rig behind the engine's
-//! panic-containment, deadline, and retry machinery.
+//! panic-containment and deadline machinery.
 //!
 //! A [`FaultPlan`] is a list of rules, each naming a workload, an
 //! invocation ordinal, and a [`FaultKind`]. The registry consults the
@@ -13,16 +13,15 @@
 //! * [`FaultKind::Stall`] — the dispatch sleeps for the given duration
 //!   before running, checking the cancel token every 10 ms
 //!   (`crate::cancel::sleep_cooperatively`); with a shorter
-//!   [`crate::engine::RunLimits::timeout`] the attempt must surface
+//!   [`crate::engine::RunCfg::timeout`] the attempt must surface
 //!   `EngineError::Cancelled` with the `deadline` reason.
 //! * [`FaultKind::Corrupt`] — the workload runs normally, then its
 //!   counters are deterministically corrupted (`corrupt_report`), so
 //!   downstream agreement checks must flag the report.
 //!
-//! Invocation counting includes retries (each retry is a new invocation),
-//! which is what makes `panic@1` + `retries ≥ 1` the canonical
-//! retry-then-succeed scenario. Plans parse from a compact spec string
-//! (harness `--fault-plan`, env `WA_FAULT_PLAN`):
+//! Every dispatch of the workload is one invocation, so `panic@1` fails
+//! the first dispatch and spares the next. Plans parse from a compact
+//! spec string (harness `--fault-plan`, env `WA_FAULT_PLAN`):
 //!
 //! ```text
 //! spec  := rule ("," rule)*
@@ -142,11 +141,6 @@ impl FaultPlan {
             .find(|r| r.workload == workload && r.nth == n)
             .map(|r| r.kind)
     }
-
-    /// Invocations recorded so far for `workload` (test observability).
-    pub fn invocations(&self, workload: &str) -> u64 {
-        *self.hits.lock().unwrap().get(workload).unwrap_or(&0)
-    }
 }
 
 /// Offset added to every counter by [`corrupt_report`] — an arbitrary but
@@ -214,8 +208,8 @@ mod tests {
         assert_eq!(p.on_invocation("b"), Some(FaultKind::Corrupt));
         assert_eq!(p.on_invocation("b"), None);
         assert_eq!(p.on_invocation("untargeted"), None);
-        assert_eq!(p.invocations("a"), 3);
-        assert_eq!(p.invocations("untargeted"), 1);
+        let hits = p.hits.lock().unwrap();
+        assert_eq!((hits["a"], hits["untargeted"]), (3, 1));
     }
 
     #[test]

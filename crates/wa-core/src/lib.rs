@@ -29,7 +29,7 @@
 //!   unavailable in the offline build environment);
 //! * [`fault`] — deterministic fault injection (panic / stall / counter
 //!   corruption on a workload's Nth invocation), the rig that exercises
-//!   the engine's containment, deadline, and retry machinery;
+//!   the engine's containment and deadline machinery;
 //! * [`cancel`] — cooperative cancellation: the [`cancel::CancelToken`]
 //!   that carries an attempt's deadline, the one clock every backend
 //!   ticks with the words it moves (checked every N words), the
@@ -58,7 +58,7 @@ pub mod traffic;
 pub use cancel::{CancelReason, CancelToken};
 pub use cost::CostParams;
 pub use curve::{CapacityCurve, CurvePoint};
-pub use engine::{BackendKind, EngineError, Registry, RunCfg, RunLimits, Scale, Workload};
+pub use engine::{BackendKind, EngineError, Registry, RunCfg, Scale, Workload};
 pub use fault::{FaultKind, FaultPlan};
 pub use matrix::Mat;
 pub use report::RunReport;
