@@ -92,7 +92,7 @@ fn main() {
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities (2..=4096) geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-run wall-clock deadline (float seconds): the cell is `cancelled`\n                   at its first cancel checkpoint after the deadline\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, attempt and\n                   wall-time totals, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
+        "usage:\n  harness list [--json|--markdown]\n  harness run <workload> [--backend B] [--scale S] [--depth D] [--repeat N] [--timeout SECS]\n                [--trace PATH] [--trace-clock wall|logical] [--reuse] [--json]\n  harness profile <workload> [--backend B] [--scale S] [--depth D] [--reuse] [--trace-clock wall|logical]\n                [--timeout SECS]\n  harness curve <workload> [--capacities W,W,...|--geometric LO:HI:STEPS] [--scale S] [--repeat N] [--json|--csv]\n                [--timeout SECS]\n  harness sweep [--group G] [--backend B] [--scale S] [--depth D] [--threads N] [--repeat N]\n                [--timeout SECS] [--fail-fast] [--journal PATH] [--resume]\n                [--metrics PATH] [--curve] [--json|--csv]\n  harness exp <command> [--scale small|paper] [--policy P]   (exp all = every paper artifact)\n\n  --depth D        hierarchy depth (cache levels) for traffic-counting backends; default 1\n  --capacities W,… curve only: comma-separated fast-memory capacities in words\n  --geometric L:H:S curve only: S capacities (2..=4096) geometrically spaced from L to H words\n  --curve          sweep only: stack-backend cells only — every workload's full capacity\n                   curve from one simulation pass (no per-capacity re-runs)\n  --repeat N       run each scenario N times; the report carries the median wall time\n  --timeout SECS   per-run wall-clock deadline (float seconds): the cell is `cancelled`\n                   at its first cancel checkpoint after the deadline\n  --trace PATH     run only: write a Chrome trace-event JSON (engine spans + simulator\n                   counter tracks); open in Perfetto or chrome://tracing\n  --trace-clock C  wall (default, microseconds) or logical (deterministic event ticks)\n  --reuse          run/profile: also report the reuse-distance histogram (simmed, stack)\n  --fail-fast      sweep only: stop scheduling new cells after the first failure\n  --journal PATH   sweep only: per-cell JSONL journal (default sweep.journal.jsonl)\n  --resume         sweep only: skip cells the journal already records as ok; append new outcomes\n  --metrics PATH   sweep only: write a JSON rollup (failure counts per kind, the\n                   wall-time total, cache-memo rates)\n  --fault-plan S   deterministic fault injection, e.g. `matmul-wa:panic@1,lu-wa:stall=2000`\n                   (also via env WA_FAULT_PLAN); kinds: panic | corrupt | stall=MS\n  --csv            sweep only: one CSV row per scenario (RunReport::CSV_HEADER +\n                   wall_ms,status)\n  --markdown       list only: the README workload×backend support table\n\n  --help, -h       print this text; any other argument a command does not take is a\n                   usage error\n\nexit codes: 0 = all cells ok, 1 = at least one cell failed, 2 = usage/config error,\n            130 = interrupted (SIGINT): journal flushed, resume with `sweep --resume`"
     );
     std::process::exit(code);
 }
@@ -243,34 +243,26 @@ fn parse_positive(args: &[String], flag: &str) -> Option<usize> {
 /// Run one scenario `repeat` times through the registry's fault-isolated
 /// dispatch; the returned report is the last run's with the *median* wall
 /// time over all runs (echoed in config when repeated), so sweep timings
-/// are stable against scheduler noise. Also returns the dispatch attempts
-/// made (one per run that passed config validation).
+/// are stable against scheduler noise.
 fn run_repeated(
     reg: &Registry,
     name: &str,
     cfg: RunCfg,
     repeat: usize,
-) -> (Result<RunReport, EngineError>, u32) {
+) -> Result<RunReport, EngineError> {
     let mut walls = Vec::with_capacity(repeat);
     let mut last = None;
-    let mut total_attempts = 0u32;
     for _ in 0..repeat {
-        let (res, attempts) = reg.run_cfg_traced(name, cfg);
-        total_attempts += attempts;
-        match res {
-            Ok(r) => {
-                walls.push(r.wall_ns);
-                last = Some(r);
-            }
-            Err(e) => return (Err(e), total_attempts),
-        }
+        let r = reg.run_cfg_traced(name, cfg).0?;
+        walls.push(r.wall_ns);
+        last = Some(r);
     }
     let mut r = last.expect("repeat >= 1");
     r.wall_ns = median_wall_ns(&walls);
     if repeat > 1 {
         r = r.config("repeat", repeat);
     }
-    (Ok(r), total_attempts)
+    Ok(r)
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
@@ -419,7 +411,7 @@ fn run(reg: &Registry, args: &[String]) {
     let trace_path = flag_value(args, "--trace").map(std::path::PathBuf::from);
     let rec = (trace_path.is_some() || has_flag(args, "--reuse")).then(|| install_recorder(args));
     let cfg = RunCfg::with_depth(backend, scale, depth).with_timeout(parse_timeout(args));
-    let res = run_repeated(reg, name, cfg, parse_repeat(args)).0;
+    let res = run_repeated(reg, name, cfg, parse_repeat(args));
     if rec.is_some() {
         obs::uninstall();
     }
@@ -474,7 +466,7 @@ fn profile(reg: &Registry, args: &[String]) {
     let depth = parse_depth(args);
     let rec = install_recorder(args);
     let cfg = RunCfg::with_depth(backend, scale, depth).with_timeout(parse_timeout(args));
-    let res = run_repeated(reg, name, cfg, 1).0;
+    let res = run_repeated(reg, name, cfg, 1);
     obs::uninstall();
     let report = match res {
         Ok(r) => r,
@@ -679,7 +671,7 @@ fn curve(reg: &Registry, args: &[String]) {
     // Every flag is checked before the (possibly paper-scale) stack run.
     let caps = parse_capacities(args);
     let cfg = RunCfg::with_depth(BackendKind::Stack, scale, 1).with_timeout(parse_timeout(args));
-    let report = match run_repeated(reg, name, cfg, parse_repeat(args)).0 {
+    let report = match run_repeated(reg, name, cfg, parse_repeat(args)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -893,7 +885,7 @@ fn sweep(reg: &Registry, args: &[String]) {
             // --resume.
             return None;
         }
-        let (res, attempts) = run_repeated(reg, s.name, s.cfg, repeat);
+        let res = run_repeated(reg, s.name, s.cfg, repeat);
         let outcome = CellOutcome {
             key: s.key.clone(),
             workload: s.name.to_string(),
@@ -903,7 +895,6 @@ fn sweep(reg: &Registry, args: &[String]) {
             status: res
                 .as_ref()
                 .map_or_else(|e| e.kind().to_string(), |_| "ok".to_string()),
-            attempts,
             wall_ns: res.as_ref().map_or(0, |r| r.wall_ns),
             error: res.as_ref().err().map(|e| e.to_string()),
         };
@@ -977,13 +968,12 @@ fn sweep(reg: &Registry, args: &[String]) {
             };
             print!(
                 "{{\"workload\":\"{}\",\"backend\":\"{}\",\"scale\":\"{}\",\"depth\":{},\
-                 \"status\":\"{}\",\"attempts\":{},\"wall_ms\":{wall_ms:.3},{body}}}",
+                 \"status\":\"{}\",\"wall_ms\":{wall_ms:.3},{body}}}",
                 outcome.workload,
                 outcome.backend.as_str(),
                 scale.as_str(),
                 depth,
                 outcome.status,
-                outcome.attempts
             );
         } else if let Some(r) = report {
             print!("{}", r.render_text());
@@ -1033,12 +1023,11 @@ fn sweep(reg: &Registry, args: &[String]) {
 }
 
 /// Aggregate a sweep's outcomes into the `--metrics` JSON rollup:
-/// per-status cell counts, the attempt total, wall-time total, and the
+/// per-status cell counts, wall-time total, and the
 /// simulator's last-line-memo hit rate summed over every simmed report.
 fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
     let mut status_counts: std::collections::BTreeMap<&str, u64> = Default::default();
     let (mut ok, mut failed) = (0u64, 0u64);
-    let mut attempts_total = 0u64;
     let mut wall_ns_total = 0u128;
     let (mut memo_hits, mut memo_misses) = (0u64, 0u64);
     for cell in results.iter().flatten() {
@@ -1049,7 +1038,6 @@ fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
         } else {
             failed += 1;
         }
-        attempts_total += outcome.attempts as u64;
         wall_ns_total += outcome.wall_ns;
         if let Some(r) = report {
             for (k, v) in &r.config {
@@ -1073,7 +1061,7 @@ fn metrics_rollup(results: &[CellResult], skipped: usize) -> String {
     };
     format!(
         "{{\"cells\":{},\"ok\":{ok},\"failed\":{failed},\"skipped\":{skipped},\
-         \"status_counts\":{{{}}},\"attempts_total\":{attempts_total},\
+         \"status_counts\":{{{}}},\
          \"wall_ms_total\":{:.3},\
          \"memo_hits\":{memo_hits},\"memo_misses\":{memo_misses},\
          \"memo_hit_rate\":{memo_rate:.6}}}\n",

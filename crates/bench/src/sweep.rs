@@ -14,7 +14,7 @@
 //!
 //! ```json
 //! {"key":"9f..","workload":"matmul-wa","backend":"explicit","scale":"small",
-//!  "depth":1,"status":"ok","attempts":1,"wall_ns":123456,"wall_ms":0.123,
+//!  "depth":1,"status":"ok","wall_ns":123456,"wall_ms":0.123,
 //!  "error":null,"crc":"0123456789abcdef"}
 //! ```
 //!
@@ -24,7 +24,7 @@
 //! a record whose checksum fails to verify — a bit flip, not just a torn
 //! tail — is treated as missing on `--resume`, so the cell re-runs.
 //! Resume reads only `key`, `status` and `crc`, so a line carrying fields
-//! this schema no longer writes still counts.
+//! this schema no longer writes (`attempts`, `retries_used`) still counts.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -46,9 +46,6 @@ pub struct CellOutcome {
     pub depth: usize,
     /// `ok` or an `EngineError::kind` tag.
     pub status: String,
-    /// Dispatch attempts made across all repeats: one per run that
-    /// passed config validation.
-    pub attempts: u32,
     /// Median wall time of the successful run; 0 on failure.
     pub wall_ns: u128,
     /// Rendered error for failed cells.
@@ -73,8 +70,7 @@ impl CellOutcome {
         json_string(&mut body, &self.status);
         let _ = write!(
             body,
-            ",\"attempts\":{},\"wall_ns\":{},\"wall_ms\":{:.3},\"error\":",
-            self.attempts,
+            ",\"wall_ns\":{},\"wall_ms\":{:.3},\"error\":",
             self.wall_ns,
             self.wall_ns as f64 / 1e6,
         );
@@ -178,7 +174,6 @@ mod tests {
             scale: Scale::Small,
             depth: 1,
             status: status.to_string(),
-            attempts: 1,
             wall_ns: 42,
             error: error.map(str::to_string),
         }
@@ -189,7 +184,7 @@ mod tests {
         let line = outcome("abc123", "panicked", Some("oh \"no\"\nnewline")).to_jsonl();
         assert!(line.starts_with("{\"key\":\"abc123\",\"workload\":\"matmul-wa\""));
         assert!(line.contains("\"status\":\"panicked\""));
-        assert!(line.contains("\"attempts\":1,\"wall_ns\":42,"));
+        assert!(line.contains("\"status\":\"panicked\",\"wall_ns\":42,"));
         assert!(line.contains("\"wall_ms\":0.000"));
         assert!(line.contains("\\\"no\\\"\\nnewline"));
         let ok = outcome("abc123", "ok", None).to_jsonl();

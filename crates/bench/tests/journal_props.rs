@@ -1,11 +1,13 @@
 //! Property tests for the sweep journal's cell identity: the config hash
 //! must be stable across `RunCfg` construction order, re-serialization
 //! round trips, and timeout changes — otherwise `--resume` would
-//! silently re-run (or worse, silently skip) cells.
+//! silently re-run (or worse, silently skip) cells. Records written in
+//! an older schema must still count on `--resume`.
 
 use proptest::prelude::*;
 use std::time::Duration;
-use wa_core::engine::{BackendKind, RunCfg, Scale};
+use wa_bench::sweep::completed_cells;
+use wa_core::engine::{fnv1a64, BackendKind, RunCfg, Scale};
 
 fn backend_from(i: usize) -> BackendKind {
     BackendKind::ALL[i % BackendKind::ALL.len()]
@@ -110,5 +112,49 @@ proptest! {
         let (wa, wb) = (WORKLOADS[wi], WORKLOADS[wj]);
         prop_assume!(a.cell_key(wa) != b.cell_key(wb));
         prop_assert!(a.config_hash(wa) != b.config_hash(wb));
+    }
+}
+
+/// A journal line in the schema that carried `attempts` (and, before
+/// that, `retries_used`), with a valid checksum.
+fn old_schema_line(key: &str, status: &str, attempts: u32, retries: Option<u32>) -> String {
+    let retries = retries.map_or(String::new(), |r| format!("\"retries_used\":{r},"));
+    let body = format!(
+        "{{\"key\":\"{key}\",\"workload\":\"matmul-wa\",\"backend\":\"explicit\",\
+         \"scale\":\"small\",\"depth\":1,\"status\":\"{status}\",\"attempts\":{attempts},\
+         {retries}\"wall_ns\":42,\"wall_ms\":0.000,\"error\":null"
+    );
+    let crc = fnv1a64(body.as_bytes());
+    format!("{body},\"crc\":\"{crc:016x}\"}}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `--resume` reads only `key`, `status` and `crc`: records that
+    /// still carry `attempts` (and `retries_used`) count as written.
+    #[test]
+    fn resume_accepts_records_that_carry_attempts(
+        cells in prop::collection::vec((0u64..1 << 40, any::<bool>(), 0u32..4, any::<bool>()), 1..8),
+    ) {
+        let dir = std::env::temp_dir().join(format!("wa-journal-old-schema-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.jsonl");
+        let lines: Vec<String> = cells
+            .iter()
+            .map(|&(key, ok, attempts, retries)| {
+                let status = if ok { "ok" } else { "panicked" };
+                old_schema_line(&format!("{key:x}"), status, attempts, retries.then_some(0))
+            })
+            .collect();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let map = completed_cells(&path).unwrap();
+        for &(key, ..) in &cells {
+            // The last record of a key wins.
+            let last = cells.iter().rev().find(|c| c.0 == key).unwrap();
+            let want = if last.1 { "ok" } else { "panicked" };
+            prop_assert_eq!(map.get(&format!("{key:x}")).map(String::as_str), Some(want));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -183,8 +183,8 @@ fn fail_fast_skips_later_cells_and_resume_picks_them_up() {
 
 /// A mid-file bit flip fails the record's FNV-1a checksum, so `--resume`
 /// treats the cell as missing and re-runs exactly it. A record in the
-/// older schema, which carried a `retries_used` field, still counts as
-/// done when its checksum holds.
+/// older schema, which carried `attempts` and `retries_used` fields,
+/// still counts as done when its checksum holds.
 #[test]
 fn journal_bit_flip_fails_the_checksum_and_resume_reruns_that_cell() {
     let dir = tmp_dir("bitflip");
@@ -210,9 +210,13 @@ fn journal_bit_flip_fails_the_checksum_and_resume_reruns_that_cell() {
     lines[1] = flipped;
     // Rewrite the third record in the older schema, with a valid crc.
     let (body, _) = lines[2].rsplit_once(",\"crc\":\"").unwrap();
-    let body = body.replacen(",\"wall_ns\":", ",\"retries_used\":0,\"wall_ns\":", 1);
+    let body = body.replacen(
+        ",\"wall_ns\":",
+        ",\"attempts\":1,\"retries_used\":0,\"wall_ns\":",
+        1,
+    );
     assert!(
-        body.contains("\"attempts\":1,\"retries_used\":0,"),
+        body.contains("\"status\":\"ok\",\"attempts\":1,\"retries_used\":0,"),
         "{body}"
     );
     let crc = wa_core::engine::fnv1a64(body.as_bytes());

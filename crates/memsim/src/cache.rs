@@ -253,18 +253,19 @@ impl Level {
         self.tags[slot] == line
     }
 
-    /// Count one hit on `slot` whose line was accessed *recently but not
-    /// immediately before*: unlike [`Level::fast_hits`] the line need not
-    /// be MRU, so replacement metadata is refreshed as for any hit. A
-    /// memo entry's slot must have been revalidated via
-    /// [`Level::slot_holds`] first.
+    /// Count `count` consecutive hits on `slot`, the first at `now`, whose
+    /// line was accessed *recently but not immediately before*: unlike
+    /// [`Level::fast_hits`] the line need not be MRU, so replacement
+    /// metadata is refreshed as for any hit, once for all `count`. A memo
+    /// entry's slot must have been revalidated via [`Level::slot_holds`]
+    /// first.
     #[inline]
-    pub(crate) fn rehit(&mut self, slot: usize, now: u64, make_dirty: bool) {
-        self.counters.hits += 1;
+    pub(crate) fn rehit(&mut self, slot: usize, now: u64, count: u64, make_dirty: bool) {
+        self.counters.hits += count;
         if let Some(fa) = &mut self.fa {
             fa.splice_mru(slot, slot);
         } else {
-            self.cfg.policy.on_hit(&mut self.meta[slot], now);
+            self.cfg.policy.on_hit(&mut self.meta[slot], now, count);
         }
         if make_dirty {
             self.dirty[slot] = true;
@@ -455,7 +456,7 @@ mod tests {
         assert!(victim.is_none());
         assert_eq!(slot_of(&l, 5), Some(slot));
         assert!(l.slot_holds(slot, 5));
-        l.rehit(slot, 2, false);
+        l.rehit(slot, 2, 1, false);
         assert_eq!(l.counters.hits, 1);
         assert_eq!(slot_of(&l, 6), None);
     }
@@ -467,7 +468,7 @@ mod tests {
             l.insert(*line, t as u64, false);
         }
         // Touch 10 so 11 becomes LRU.
-        l.rehit(slot_of(&l, 10).unwrap(), 100, false);
+        l.rehit(slot_of(&l, 10).unwrap(), 100, 1, false);
         let v = l.insert(14, 101, false).1.expect("must evict");
         assert_eq!(v.line, 11);
         assert!(!v.dirty);
@@ -482,7 +483,7 @@ mod tests {
             l.insert(line, line, false);
         }
         // Dirty line 0, which also makes it MRU.
-        l.rehit(slot_of(&l, 0).unwrap(), 10, true);
+        l.rehit(slot_of(&l, 0).unwrap(), 10, 1, true);
         let v = l.insert(99, 11, false).1.expect("must evict");
         assert_eq!(v.line, 1);
         assert!(!v.dirty);

@@ -63,7 +63,9 @@ pub struct MemSim {
     /// there. It covers a power of two of lines and grows on demand; a
     /// line beyond it is absent everywhere.
     slots: Vec<u32>,
-    line_words: usize,
+    /// log2 of the line size in words (levels assert a power of two), so
+    /// a word's line is a shift, not a division.
+    line_shift: u32,
     clock: u64,
     /// Two-entry line memo. `memo[0]` is the `(line, l1_slot)` of the most
     /// recent access: after any access that line is resident in L1 at
@@ -131,7 +133,7 @@ impl MemSim {
         MemSim {
             levels: cfgs.iter().map(|c| Level::new(*c)).collect(),
             slots: Vec::new(),
-            line_words,
+            line_shift: line_words.trailing_zeros(),
             clock: 0,
             memo: [None, None],
             fast_path: true,
@@ -199,7 +201,7 @@ impl MemSim {
         let mut p = Probe::new(self.levels.len());
         p.reset_start(self.snapshot());
         self.probe = Some(Box::new(p));
-        self.reuse = reuse.then(|| Box::new(StackSim::with_line_words(self.line_words)));
+        self.reuse = reuse.then(|| Box::new(StackSim::with_line_words(self.line_words())));
     }
 
     /// The attached probe, if any.
@@ -278,7 +280,7 @@ impl MemSim {
     }
 
     pub(crate) fn line_words(&self) -> usize {
-        self.line_words
+        1 << self.line_shift
     }
 
     /// The simulator's work counters.
@@ -316,9 +318,12 @@ impl MemSim {
 
     /// Record a sequential scan of `[addr, addr + words)`.
     ///
-    /// Line-granular: the span is decomposed into its line intervals. The
-    /// first word of a line is a memo hit or takes one hierarchy walk, and
-    /// the interval's other words are L1 repeat hits, counted in O(1).
+    /// Line-granular: the span is decomposed into its line intervals. A
+    /// line interval the memo holds is served in one step, its words
+    /// counted at once; otherwise the first word of a line takes one
+    /// hierarchy walk, and the interval's other words are L1 repeat hits,
+    /// counted in O(1). A span that lies inside one memo line (fft's one-
+    /// and two-word runs) is served before any of the line loop is set up.
     /// With a fully associative L1, lines that sit there in the order the
     /// span reads them (each the recency-list successor of the one
     /// before) form an in-order stretch: its hits are counted in one step
@@ -366,9 +371,32 @@ impl MemSim {
         }
     }
 
+    /// The one range path behind `read_range`, `write_range` and `run`.
+    /// Its head serves a run that lies inside one line held by `memo[0]`
+    /// or a revalidated `memo[1]` before the line loop is set up: the
+    /// clock, the L1 hit counter and `memo_hits` move once each, and the
+    /// line's replacement state takes one update for all its words (so
+    /// does each memo-held line interval of the loop). The head sits
+    /// after the reuse tee, so the tee still sees every call, and behind
+    /// `fast_path`, so the reference walk stays per word.
     fn range_access(&mut self, addr: usize, words: usize, is_write: bool) {
         if self.reuse.is_some() {
             self.tee(addr, words, is_write);
+        }
+        let sh = self.line_shift;
+        // A run inside one line that the memo holds (fft's one- and
+        // two-word butterfly runs): served in one step at the clock of
+        // its first word.
+        if self.fast_path && words > 0 && (addr + words - 1) >> sh == addr >> sh {
+            let now = self.clock + 1;
+            if self
+                .memo_hit((addr >> sh) as u64, now, words as u64, is_write)
+                .is_some()
+            {
+                self.cancel.at(now);
+                self.clock += words as u64;
+                return;
+            }
         }
         if !self.fast_path {
             for a in addr..addr + words {
@@ -376,20 +404,20 @@ impl MemSim {
             }
             return;
         }
-        let lw = self.line_words;
         let fa_l1 = self.levels[0].is_fully_associative();
         let end = addr + words;
         let mut a = addr;
         while a < end {
-            let line_end = (a / lw + 1) * lw;
-            // First word of the line interval: a memo hit, an in-order
-            // stretch of L1 hits, a cold run of L1 misses, or a full walk.
+            let stop = (((a >> sh) + 1) << sh).min(end);
+            // The line interval's words: a memo hit, an in-order stretch
+            // of L1 hits, a cold run of L1 misses, or a full walk for the
+            // first word and L1 repeat-hits for the rest.
+            let count = (stop - a) as u64;
             self.clock += 1;
             self.cancel.at(self.clock);
-            let line = (a / lw) as u64;
-            let slot = match self.memo_hit(line, is_write) {
-                Some(slot) => slot,
-                None => match self.slot(line, 0) {
+            let line = (a >> sh) as u64;
+            if self.memo_hit(line, self.clock, count, is_write).is_none() {
+                let slot = match self.slot(line, 0) {
                     Some(slot) if fa_l1 => {
                         a = self.stretch(a, end, line, slot, is_write);
                         continue;
@@ -399,17 +427,14 @@ impl MemSim {
                         continue;
                     }
                     l1 => self.walk(line, l1, is_write),
-                },
-            };
-            let rest = (line_end.min(end) - a - 1) as u64;
-            if rest > 0 {
-                // The remaining words of the interval are consecutive
-                // same-line accesses: L1 repeat-hits, counted in bulk.
-                self.clock += rest;
-                self.levels[0].fast_hits(slot, rest, is_write);
-                self.memo_hits += rest;
+                };
+                if count > 1 {
+                    self.levels[0].fast_hits(slot, count - 1, is_write);
+                    self.memo_hits += count - 1;
+                }
             }
-            a = line_end;
+            self.clock += count - 1;
+            a = stop;
         }
     }
 
@@ -421,10 +446,10 @@ impl MemSim {
     /// memo hits), and an L1 hit never reaches the lower levels. Returns
     /// the address after the stretch.
     fn stretch(&mut self, a: usize, end: usize, line: u64, slot: usize, is_write: bool) -> usize {
-        let lw = self.line_words;
-        let last_line = ((end - 1) / lw) as u64;
+        let sh = self.line_shift;
+        let last_line = ((end - 1) >> sh) as u64;
         let (lines, last, before) = self.levels[0].hit_stretch(slot, line, last_line, is_write);
-        let stop = ((line + lines) as usize * lw).min(end);
+        let stop = (((line + lines) as usize) << sh).min(end);
         let words = (stop - a) as u64;
         self.levels[0].counters.hits += words;
         self.clock += words - 1;
@@ -449,20 +474,20 @@ impl MemSim {
     /// and fill steps at its own clock; the memo and the counters of the
     /// words are set once for the run. Returns the address after the run.
     fn cold_run(&mut self, a: usize, end: usize, line: u64, is_write: bool) -> usize {
-        let lw = self.line_words;
+        let sh = self.line_shift;
         let n = self.levels.len();
-        let last_line = ((end - 1) / lw) as u64;
+        let last_line = ((end - 1) >> sh) as u64;
         self.cover(last_line);
         let mut before = self.memo[0];
         let (mut cur, mut slot) = (line, self.miss(line, self.clock, is_write));
         while cur < last_line && self.slots[(cur as usize + 1) * n] == NIL {
             before = Some((cur, slot));
             cur += 1;
-            let now = self.clock + (cur as usize * lw - a) as u64;
+            let now = self.clock + (((cur as usize) << sh) - a) as u64;
             slot = self.miss(cur, now, is_write);
         }
         let lines = cur - line + 1;
-        let stop = ((cur as usize + 1) * lw).min(end);
+        let stop = ((cur as usize + 1) << sh).min(end);
         let words = (stop - a) as u64;
         self.clock += words - 1;
         self.levels[0].counters.misses += lines;
@@ -487,9 +512,9 @@ impl MemSim {
     fn access(&mut self, addr: u64, is_write: bool) -> usize {
         self.clock += 1;
         self.cancel.at(self.clock);
-        let line = addr / self.line_words as u64;
+        let line = addr >> self.line_shift;
         if self.fast_path {
-            if let Some(slot) = self.memo_hit(line, is_write) {
+            if let Some(slot) = self.memo_hit(line, self.clock, 1, is_write) {
                 return slot;
             }
         }
@@ -522,28 +547,29 @@ impl MemSim {
         self.slots.resize(lines * self.levels.len(), NIL);
     }
 
-    /// Serve an access to `line` from the memo if it can, returning the
-    /// line's L1 slot (the clock already counts the access).
+    /// Serve `count` consecutive accesses to `line`, the first at clock
+    /// `now`, from the memo if it can, returning the line's L1 slot. The
+    /// caller advances the clock.
     #[inline]
-    fn memo_hit(&mut self, line: u64, is_write: bool) -> Option<usize> {
+    fn memo_hit(&mut self, line: u64, now: u64, count: u64, is_write: bool) -> Option<usize> {
         // memo[0]: the line of the immediately preceding access is
-        // resident and MRU in L1 — a repeat touch only bumps the hit
+        // resident and MRU in L1 — repeat touches only bump the hit
         // counter (and dirtiness); replacement state cannot change.
         if let Some((memo_line, slot)) = self.memo[0] {
             if memo_line == line {
-                self.levels[0].fast_hits(slot, 1, is_write);
-                self.memo_hits += 1;
+                self.levels[0].fast_hits(slot, count, is_write);
+                self.memo_hits += count;
                 return Some(slot);
             }
         }
         // memo[1]: the previous distinct line. If its slot still holds
-        // it (walks since may have evicted it), this is an L1 hit that
-        // skips only the table lookup and the level walk — the recency
+        // it (walks since may have evicted it), these are L1 hits that
+        // skip only the table lookup and the level walk — the recency
         // update is the real one, since the line is not MRU.
         if let Some((memo_line, slot)) = self.memo[1] {
             if memo_line == line && self.levels[0].slot_holds(slot, line) {
-                self.levels[0].rehit(slot, self.clock, is_write);
-                self.memo_hits += 1;
+                self.levels[0].rehit(slot, now, count, is_write);
+                self.memo_hits += count;
                 self.memo.swap(0, 1);
                 return Some(slot);
             }
@@ -558,7 +584,7 @@ impl MemSim {
         self.work.walks += 1;
         let slot = match l1 {
             Some(slot) => {
-                self.levels[0].rehit(slot, self.clock, is_write);
+                self.levels[0].rehit(slot, self.clock, 1, is_write);
                 slot
             }
             None => {
@@ -587,7 +613,7 @@ impl MemSim {
         for i in 1..n {
             let s = self.slots[row + i];
             if s != NIL {
-                self.levels[i].rehit(s as usize, now, false);
+                self.levels[i].rehit(s as usize, now, 1, false);
                 hit = i;
                 break;
             }
@@ -689,9 +715,9 @@ impl MemSim {
         if words == 0 {
             return 0;
         }
-        let lw = self.line_words as u64;
-        let first = addr as u64 / lw;
-        let last = (addr + words - 1) as u64 / lw;
+        let sh = self.line_shift;
+        let first = (addr >> sh) as u64;
+        let last = ((addr + words - 1) >> sh) as u64;
         let n = self.levels.len();
         let mut flushed = 0;
         for line in first..=last {

@@ -14,6 +14,10 @@
 //! * [`TraceMem`] — records the `(address, is_write)` stream for offline
 //!   analysis (Belady simulation, CDAG reuse statistics).
 //!
+//! Every store pays per run, not per word: a run costs one cancel tick
+//! and one bulk step of its store (a `memcpy`, one sink call, one trace
+//! extension), however many words it moves.
+//!
 //! [`crate::backend::run_on_backend`] picks the store per engine backend.
 
 use crate::backend::Sink;
@@ -23,13 +27,15 @@ use wa_core::cancel::CancelPoll;
 /// Word-addressed memory with read/write instrumentation hooks.
 ///
 /// The bulk accessors `ld_run`/`st_run` describe one *run* of consecutive
-/// words. Their default implementations fall back to the per-word hooks
-/// (so every backend observes the identical word stream), but [`RawMem`]
-/// overrides them with `memcpy` and [`SimMem`] routes them through its
-/// sink's run-granular [`Sink::read_range`]/[`Sink::write_range`] (for
-/// the cache simulator, the line-granular [`MemSim::read_range`] fast
-/// path) — which is where the order-of-magnitude simulation speedup
-/// of the instrumented kernels comes from.
+/// words, and every store implements them itself: there is no per-word
+/// default, so no store falls back to word-at-a-time on a run. A run must
+/// leave the store as the per-word `ld`/`st` loop over its words would
+/// (same data, same observed word stream); [`RawMem`] moves it with
+/// `memcpy`, [`SimMem`] routes it through its sink's run-granular
+/// [`Sink::read_range`]/[`Sink::write_range`] (for the cache simulator,
+/// the line-granular [`MemSim::read_range`] fast path — which is where
+/// the order-of-magnitude simulation speedup of the instrumented kernels
+/// comes from) and [`TraceMem`] records it with one trace extension.
 pub trait Mem {
     /// Load the word at `addr`.
     fn ld(&mut self, addr: usize) -> f64;
@@ -37,18 +43,10 @@ pub trait Mem {
     fn st(&mut self, addr: usize, v: f64);
 
     /// Load the run `[addr, addr + out.len())` into `out`.
-    fn ld_run(&mut self, addr: usize, out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.ld(addr + i);
-        }
-    }
+    fn ld_run(&mut self, addr: usize, out: &mut [f64]);
 
     /// Store `src` over the run `[addr, addr + src.len())`.
-    fn st_run(&mut self, addr: usize, src: &[f64]) {
-        for (i, &v) in src.iter().enumerate() {
-            self.st(addr + i, v);
-        }
-    }
+    fn st_run(&mut self, addr: usize, src: &[f64]);
 
     /// Number of words of backing storage.
     fn len(&self) -> usize;
@@ -211,13 +209,21 @@ impl<S: Sink> Mem for SimMem<S> {
 }
 
 /// One recorded access.
+///
+/// Packed to 9 bytes (no padding after `is_write`), which halves a
+/// recorded trace's memory and bandwidth. A packed field may be
+/// misaligned, so read the fields by value (`a.addr`, `a.is_write`),
+/// never by reference: `&a.addr` does not compile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C, packed)]
 pub struct Access {
     pub addr: usize,
     pub is_write: bool,
 }
 
-/// Trace-recording backing store.
+/// Trace-recording backing store. Each word a kernel moves becomes one
+/// [`Access`]; a run is recorded with one cancel tick and one trace
+/// extension.
 pub struct TraceMem {
     pub data: Vec<f64>,
     pub trace: Vec<Access>,
@@ -236,6 +242,15 @@ impl TraceMem {
             data,
             trace: Vec::new(),
         }
+    }
+
+    /// Record the run `[addr, addr + words)`: the words the per-word
+    /// loop would tick and push, in one tick and one extension.
+    #[inline]
+    fn record(&mut self, addr: usize, words: usize, is_write: bool) {
+        wa_core::cancel::tick(words as u64);
+        self.trace
+            .extend((addr..addr + words).map(|addr| Access { addr, is_write }));
     }
 }
 
@@ -260,6 +275,18 @@ impl Mem for TraceMem {
         self.data[addr] = v;
     }
 
+    #[inline]
+    fn ld_run(&mut self, addr: usize, out: &mut [f64]) {
+        self.record(addr, out.len(), false);
+        out.copy_from_slice(&self.data[addr..addr + out.len()]);
+    }
+
+    #[inline]
+    fn st_run(&mut self, addr: usize, src: &[f64]) {
+        self.record(addr, src.len(), true);
+        self.data[addr..addr + src.len()].copy_from_slice(src);
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }
@@ -270,6 +297,8 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::policy::Policy;
+    use proptest::prelude::*;
+    use wa_core::cancel::{self, CancelReason, CancelToken, CancellationUnwind, CHECK_INTERVAL};
 
     fn run_kernel<M: Mem>(m: &mut M) -> f64 {
         // A toy kernel: y[i] = x[i] * 2 with x at 0..4, y at 4..8.
@@ -316,5 +345,105 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn access_records_are_nine_bytes() {
+        assert_eq!(std::mem::size_of::<Access>(), 9);
+    }
+
+    /// The word-at-a-time recorder: a [`TraceMem`] whose runs are the
+    /// per-word `ld`/`st` loop over their words.
+    struct WordTrace(TraceMem);
+
+    impl Mem for WordTrace {
+        fn ld(&mut self, addr: usize) -> f64 {
+            self.0.ld(addr)
+        }
+
+        fn st(&mut self, addr: usize, v: f64) {
+            self.0.st(addr, v)
+        }
+
+        fn ld_run(&mut self, addr: usize, out: &mut [f64]) {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = self.0.ld(addr + i);
+            }
+        }
+
+        fn st_run(&mut self, addr: usize, src: &[f64]) {
+            for (i, &v) in src.iter().enumerate() {
+                self.0.st(addr + i, v);
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    /// One step of a recorder test: `(kind, addr, words)`, where kind 0
+    /// is `ld`, 1 `st`, 2 `ld_run` and 3 `st_run`.
+    type Step = (u8, usize, usize);
+
+    /// Run `steps` on `m` under a fresh cancel token, returning the sum
+    /// of the loaded values and the words the thread-local cancel clock
+    /// advanced by. The clock is read by firing the token and ticking one
+    /// check interval, which checks at once and unwinds with the clock.
+    fn drive<M: Mem>(m: &mut M, steps: &[Step]) -> (f64, u64) {
+        let token = CancelToken::new();
+        let _guard = cancel::install(token.clone());
+        let mut sum = 0.0;
+        let mut buf = Vec::new();
+        for (k, &(kind, addr, words)) in steps.iter().enumerate() {
+            let v = k as f64 + 0.5;
+            match kind {
+                0 => sum += m.ld(addr),
+                1 => m.st(addr, v),
+                2 => {
+                    buf.resize(words, 0.0);
+                    m.ld_run(addr, &mut buf);
+                    sum += buf.iter().sum::<f64>();
+                }
+                _ => {
+                    buf.clear();
+                    buf.extend((0..words).map(|i| v + i as f64));
+                    m.st_run(addr, &buf);
+                }
+            }
+        }
+        token.cancel(CancelReason::Deadline);
+        let unwound = std::panic::catch_unwind(|| cancel::tick(CHECK_INTERVAL)).unwrap_err();
+        let c = unwound
+            .downcast_ref::<CancellationUnwind>()
+            .expect("typed cancellation payload");
+        (sum, c.after_accesses - CHECK_INTERVAL)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `TraceMem`'s runs record exactly what the per-word loop does:
+        /// the same trace and data, and the same words on the cancel
+        /// clock, zero-length runs included.
+        #[test]
+        fn trace_runs_match_a_word_at_a_time_recorder(
+            spec in prop::collection::vec((0u8..4, 0usize..64, 0usize..24), 0..60),
+        ) {
+            const WORDS: usize = 96;
+            let steps: Vec<Step> = spec
+                .iter()
+                .map(|&(kind, addr, words)| (kind, addr, words.min(WORDS - addr)))
+                .collect();
+            let mut word = WordTrace(TraceMem::new(WORDS));
+            let mut runs = TraceMem::new(WORDS);
+            let (word_sum, word_ticks) = drive(&mut word, &steps);
+            let (run_sum, run_ticks) = drive(&mut runs, &steps);
+            prop_assert_eq!(runs.trace, word.0.trace);
+            prop_assert_eq!(runs.data, word.0.data);
+            prop_assert_eq!(run_sum, word_sum);
+            prop_assert_eq!(run_ticks, word_ticks);
+            prop_assert_eq!(run_ticks, runs.trace.len() as u64);
+        }
     }
 }

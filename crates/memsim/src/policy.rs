@@ -39,13 +39,14 @@ impl Policy {
         }
     }
 
-    /// Update metadata on a hit.
+    /// Update metadata on `count` consecutive hits on one line, the first
+    /// at `now`: LRU stamps `now` (the later hits leave the recency
+    /// order as it is), and the others take the hits as repeats.
     #[inline]
-    pub(crate) fn on_hit(self, meta: &mut u64, now: u64) {
+    pub(crate) fn on_hit(self, meta: &mut u64, now: u64, count: u64) {
         match self {
             Policy::Lru => *meta = now,
-            Policy::Clock3 => *meta = (*meta + 1).min(7),
-            Policy::Fifo => {}
+            Policy::Clock3 | Policy::Fifo => self.on_repeat_hits(meta, count),
         }
     }
 
@@ -112,7 +113,7 @@ mod tests {
     fn lru_hit_refreshes() {
         let p = Policy::Lru;
         let mut m = 3u64;
-        p.on_hit(&mut m, 99);
+        p.on_hit(&mut m, 99, 1);
         assert_eq!(m, 99);
     }
 
@@ -120,7 +121,7 @@ mod tests {
     fn fifo_ignores_hits() {
         let p = Policy::Fifo;
         let mut m = 3u64;
-        p.on_hit(&mut m, 99);
+        p.on_hit(&mut m, 99, 1);
         assert_eq!(m, 3);
         let mut meta = vec![4, 2, 9];
         let mut hand = 0;
@@ -131,10 +132,23 @@ mod tests {
     fn clock_saturates_at_seven() {
         let p = Policy::Clock3;
         let mut m = 6u64;
-        p.on_hit(&mut m, 0);
+        p.on_hit(&mut m, 0, 1);
         assert_eq!(m, 7);
-        p.on_hit(&mut m, 0);
+        p.on_hit(&mut m, 0, 1);
         assert_eq!(m, 7);
+    }
+
+    #[test]
+    fn counted_hits_equal_single_hits() {
+        for p in [Policy::Lru, Policy::Clock3, Policy::Fifo] {
+            for (start, count) in [(0u64, 1u64), (1, 2), (3, 5), (6, 3), (2, u64::MAX)] {
+                let (mut one, mut each) = (start, start);
+                p.on_hit(&mut one, 40, count);
+                p.on_hit(&mut each, 40, 1);
+                p.on_repeat_hits(&mut each, count - 1);
+                assert_eq!(one, each, "{p:?} from {start}, {count} hits");
+            }
+        }
     }
 
     #[test]
@@ -164,7 +178,7 @@ mod tests {
         let mut meta: Vec<u64> = vec![p.on_insert(0); 4];
         for _ in 0..5 {
             let mut m = meta[0];
-            p.on_hit(&mut m, 0);
+            p.on_hit(&mut m, 0, 1);
             meta[0] = m;
         }
         let mut hand = 0;

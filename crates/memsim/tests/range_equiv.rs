@@ -6,14 +6,16 @@
 //! every level — and the DRAM line tallies — must be byte-identical to
 //! the per-word reference walk (`disable_fast_path`). These property
 //! tests drive random run traces through random 1-, 2-, and 3-level
-//! hierarchies under every replacement policy and compare the two paths
-//! field for field, and the memo counters against per-word calls with
-//! the memo on. With a fully associative L1, a run's lines that sit in
-//! L1 in the order the run reads them are touched as one stretch, and
-//! its lines absent from L1 are filled as one cold run; block re-reads
-//! pin that a stretch's memo counters equal a line-at-a-time feed's, and
-//! long runs on hierarchies that mix fully associative and
-//! set-associative levels pin the cold runs at every depth.
+//! hierarchies under every replacement policy and compare the paths
+//! field for field, the memo counters against per-word calls with the
+//! memo on, and the memo and work counters against the same runs fed
+//! one call per line interval. With a fully associative L1, a run's
+//! lines that sit in L1 in the order the run reads them are touched as
+//! one stretch, and its lines absent from L1 are filled as one cold run;
+//! block re-reads pin the stretches, long runs on hierarchies that mix
+//! fully associative and set-associative levels pin the cold runs at
+//! every depth, and fft-shaped one- and two-word runs among a few lines
+//! pin the one-line memo case at the head of the range path.
 
 use memsim::{AccessRun, CacheConfig, LevelCounters, MemSim, Policy};
 use proptest::prelude::*;
@@ -28,10 +30,6 @@ const CONFIGS: [(usize, Policy); 4] = [
     (2, Policy::Fifo),
 ];
 
-fn build(levels: usize, ways: usize, policy: Policy, base_lines: usize) -> MemSim {
-    MemSim::new(&mixed(&vec![(ways, policy); levels], base_lines))
-}
-
 /// Apply `runs` to `levels` levels of one kind and compare the paths as
 /// [`assert_exact`] does.
 fn assert_equivalent(
@@ -42,7 +40,11 @@ fn assert_equivalent(
     runs: &[AccessRun],
 ) {
     let ops: Vec<Op> = runs.iter().map(|&r| Op::Run(r)).collect();
-    assert_exact(&mixed(&vec![(ways, policy); levels], base_lines), &ops);
+    assert_exact(
+        &mixed(&vec![(ways, policy); levels], base_lines),
+        &ops,
+        false,
+    );
 }
 
 /// Per-level (ways, policy) choices for mixed hierarchies: fully
@@ -87,47 +89,79 @@ fn mixed(kinds: &[(usize, Policy)], l1_lines: usize) -> Vec<CacheConfig> {
         .collect()
 }
 
-/// Apply `ops` through the range API, through per-word calls with the
-/// memo on, and through the per-word reference walk: every level's
-/// counters and the DRAM tallies agree across all three, the memo
-/// counters between the range API and the per-word calls, and the range
-/// API's work counters add up to its memo misses.
-fn assert_exact(cfgs: &[CacheConfig], ops: &[Op]) -> MemSim {
+/// `r` split at its line boundaries: one run per line interval.
+fn line_calls(r: AccessRun) -> impl Iterator<Item = AccessRun> {
+    let end = r.addr + r.words;
+    let mut a = r.addr;
+    std::iter::from_fn(move || {
+        (a < end).then(|| {
+            let stop = ((a / 8 + 1) * 8).min(end);
+            let call = AccessRun {
+                addr: a,
+                words: stop - a,
+                is_write: r.is_write,
+            };
+            a = stop;
+            call
+        })
+    })
+}
+
+/// Apply `ops` through the range API, through the same runs fed one call
+/// per line interval, through per-word calls with the memo on, and
+/// through the per-word reference walk (the range API with the fast path
+/// off, which must walk every word):
+/// every level's counters and the DRAM tallies agree across all four,
+/// the memo counters and the work counters between the range API and the
+/// line calls, the memo counters between the range API and the per-word
+/// calls, and the range API's work counters add up to its memo misses.
+/// With `reuse`, every simulator tees its calls into a reuse stack, and
+/// the range API's stack curve equals the per-word calls'.
+fn assert_exact(cfgs: &[CacheConfig], ops: &[Op], reuse: bool) -> MemSim {
     let mut fast = MemSim::new(cfgs);
+    let mut lines = MemSim::new(cfgs);
     let mut word = MemSim::new(cfgs);
     let mut refr = MemSim::new(cfgs);
     refr.disable_fast_path();
+    if reuse {
+        for sim in [&mut fast, &mut lines, &mut word, &mut refr] {
+            sim.attach_probe(true);
+        }
+    }
     for (k, op) in ops.iter().enumerate() {
         match *op {
             Op::Run(r) => {
+                // With the fast path off, the range API is the per-word
+                // reference walk.
                 fast.run(&[r]);
-                for sim in [&mut word, &mut refr] {
-                    for a in r.addr..r.addr + r.words {
-                        if r.is_write {
-                            sim.write(a);
-                        } else {
-                            sim.read(a);
-                        }
+                refr.run(&[r]);
+                lines.run(&line_calls(r).collect::<Vec<_>>());
+                for a in r.addr..r.addr + r.words {
+                    if r.is_write {
+                        word.write(a);
+                    } else {
+                        word.read(a);
                     }
                 }
             }
             Op::Flush => {
-                for sim in [&mut fast, &mut word, &mut refr] {
+                for sim in [&mut fast, &mut lines, &mut word, &mut refr] {
                     sim.flush();
                 }
             }
             Op::Writeback(addr, words) => {
-                let lines = fast.writeback_range(addr, words);
-                assert_eq!(word.writeback_range(addr, words), lines, "op {k}");
-                assert_eq!(refr.writeback_range(addr, words), lines, "op {k}");
+                let flushed = fast.writeback_range(addr, words);
+                for sim in [&mut lines, &mut word, &mut refr] {
+                    assert_eq!(sim.writeback_range(addr, words), flushed, "op {k}");
+                }
             }
         }
     }
-    // Compare, then flush all three and compare the dirty state they
+    // Compare, then flush all four and compare the dirty state they
     // pushed out.
     for flushed in [false, true] {
         if flushed {
-            for sim in [&mut fast, &mut word, &mut refr] {
+            for sim in [&mut fast, &mut lines, &mut word, &mut refr] {
                 sim.flush();
             }
         }
@@ -135,20 +169,35 @@ fn assert_exact(cfgs: &[CacheConfig], ops: &[Op]) -> MemSim {
             let r: LevelCounters = refr.counters(i);
             assert_eq!(fast.counters(i), r, "level {i}, flushed {flushed}");
             assert_eq!(
+                lines.counters(i),
+                r,
+                "level {i} of line calls, flushed {flushed}"
+            );
+            assert_eq!(
                 word.counters(i),
                 r,
                 "level {i} of word calls, flushed {flushed}"
             );
         }
-        for sim in [&word, &fast] {
+        for sim in [&lines, &word, &fast] {
             assert_eq!(sim.dram_reads_lines, refr.dram_reads_lines);
             assert_eq!(sim.dram_writes_lines, refr.dram_writes_lines);
         }
     }
-    assert_eq!(fast.memo_hits, word.memo_hits);
-    assert_eq!(fast.memo_misses, word.memo_misses);
+    assert_eq!(refr.memo_hits, 0, "the reference walks every word");
+    assert_eq!(refr.work().walks, refr.memo_misses);
+    for sim in [&lines, &word] {
+        assert_eq!(fast.memo_hits, sim.memo_hits);
+        assert_eq!(fast.memo_misses, sim.memo_misses);
+    }
+    assert_eq!(fast.work(), lines.work(), "work of the line calls");
     let w = fast.work();
     assert_eq!(w.walks + w.stretch_lines + w.cold_lines, fast.memo_misses);
+    if reuse {
+        let curve = |sim: &MemSim| sim.reuse().expect("teed stack").curve();
+        assert_eq!(curve(&fast), curve(&word), "reuse curve");
+        assert_eq!(curve(&lines), curve(&word), "reuse curve of line calls");
+    }
     fast
 }
 
@@ -228,37 +277,7 @@ proptest! {
             }
         }
         assert_equivalent(levels, 0, Policy::Lru, base_lines, &runs);
-
-        assert_matches_line_calls(levels, base_lines, &runs);
     }
-}
-
-/// Feed `runs` to a fully associative hierarchy as given, and to another
-/// as one call per line interval (where every in-order stretch is one
-/// line long): every counter, the memo counters included, must agree.
-fn assert_matches_line_calls(levels: usize, base_lines: usize, runs: &[AccessRun]) {
-    let mut line_calls = Vec::new();
-    for r in runs {
-        let (mut a, end) = (r.addr, r.addr + r.words);
-        while a < end {
-            let stop = ((a / 8 + 1) * 8).min(end);
-            line_calls.push(AccessRun {
-                addr: a,
-                words: stop - a,
-                is_write: r.is_write,
-            });
-            a = stop;
-        }
-    }
-    let mut stretched = build(levels, 0, Policy::Lru, base_lines);
-    let mut by_line = build(levels, 0, Policy::Lru, base_lines);
-    stretched.run(runs);
-    by_line.run(&line_calls);
-    for i in 0..levels {
-        assert_eq!(stretched.counters(i), by_line.counters(i), "level {i}");
-    }
-    assert_eq!(stretched.memo_hits, by_line.memo_hits);
-    assert_eq!(stretched.memo_misses, by_line.memo_misses);
 }
 
 /// A stretch never takes L1's MRU line as its second line. Here the L2
@@ -275,7 +294,6 @@ fn stretch_stops_before_the_mru_line_when_memo1_went_stale() {
     }
     runs.push(AccessRun::read(56, 1));
     runs.push(AccessRun::read(48, 16));
-    assert_matches_line_calls(2, 2, &runs);
     assert_equivalent(2, 0, Policy::Lru, 2, &runs);
 }
 
@@ -331,7 +349,7 @@ proptest! {
             trace.push(Op::Run(AccessRun { addr, words, is_write }));
             end = addr + words;
         }
-        assert_exact(&cfgs, &trace);
+        assert_exact(&cfgs, &trace, false);
     }
 }
 
@@ -351,7 +369,7 @@ fn cold_run_evicts_its_own_lines_and_the_memo1_line() {
             Op::Writeback(0, 200),
             Op::Run(AccessRun::read(0, 64)),
         ];
-        let sim = assert_exact(&cfgs, &ops);
+        let sim = assert_exact(&cfgs, &ops, false);
         let w = sim.work();
         // Lines 0..=24 cold, then line 23 (`memo[1]`, evicted) is a
         // one-line cold run, then lines 0..=7 are cold again.
@@ -360,5 +378,56 @@ fn cold_run_evicts_its_own_lines_and_the_memo1_line() {
             (34, 0, 0),
             "depth {levels}"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// fft's streams are one- and two-word runs that ping-pong among a
+    /// few lines: the bit-reversal swap reads two complex words at `i`
+    /// and at `j` and writes both back, and a butterfly reads and writes
+    /// the pair `k`, `k + half`. Runs inside one memo line are served at
+    /// the head of the range path; here they mix with runs that cross a
+    /// line, flushes and write-backs, among at most four lines, on 1–3
+    /// levels with a fully associative or a set-associative L1 under LRU,
+    /// FIFO and Clock, with and without a teed reuse stack.
+    #[test]
+    fn one_line_runs_among_few_lines_match_reference_and_line_calls(
+        levels in 1usize..4,
+        l1_kind in prop::sample::select(vec![0usize, 2, 3, 5, 6, 8, 9]),
+        lower in prop::collection::vec(0usize..10, 2..3),
+        l1_lines in prop::sample::select(vec![1usize, 2, 4]),
+        picks in prop::collection::vec(0usize..24, 4..5),
+        reuse in any::<bool>(),
+        ops in prop::collection::vec((0u8..10, 0usize..4, 0usize..4, 0usize..8, any::<bool>()), 1..80),
+    ) {
+        let kinds: Vec<(usize, Policy)> = std::iter::once(l1_kind)
+            .chain(lower.iter().copied())
+            .map(|k| LEVEL_KINDS[k])
+            .collect();
+        let cfgs = mixed(&kinds[..levels], l1_lines);
+        // The (at most four) lines the trace ping-pongs among.
+        let line = |i: usize| picks[i] * 8;
+        let run = |addr, words, is_write| Op::Run(AccessRun { addr, words, is_write });
+        let mut trace = Vec::new();
+        for &(kind, i, j, off, is_write) in &ops {
+            // Complex words `c` of lines `i` and `j` (two words each).
+            let (x, y) = (line(i) + off / 2 * 2, line(j) + off % 4 * 2);
+            match kind {
+                // Bit-reversal swap and butterfly: read both, write both.
+                0..=3 => {
+                    trace.extend([run(x, 2, false), run(y, 2, false)]);
+                    trace.extend([run(x, 2, true), run(y, 2, true)]);
+                }
+                // One-word loads and stores of either part.
+                4 | 5 => trace.extend([run(x + off % 2, 1, is_write), run(y + 1, 1, !is_write)]),
+                // A two-word run at any offset: at 7 it crosses a line.
+                6 | 7 => trace.push(run(line(i) + off, 2, is_write)),
+                8 => trace.push(Op::Flush),
+                _ => trace.push(Op::Writeback(line(i), 8 * (1 + off % 2))),
+            }
+        }
+        assert_exact(&cfgs, &trace, reuse);
     }
 }
